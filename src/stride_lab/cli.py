@@ -25,6 +25,7 @@ from .metrics import (
     compute_eer,
     compute_min_dcf,
 )
+from .numkernel import KernelError
 from .serialize import (
     SpecFormatError,
     TableRow,
@@ -84,6 +85,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stride-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -108,8 +127,8 @@ def _build_parser() -> _Parser:
                        help="add squeeze-excitation blocks with reduction R")
         p.add_argument("--res2net", type=int, default=None, metavar="S",
                        help="use res2net splitting with scale S")
-        p.add_argument("--freq-bins", type=int, default=80)
-        p.add_argument("--embedding-dim", type=int, default=256)
+        p.add_argument("--freq-bins", type=_positive_int, default=80)
+        p.add_argument("--embedding-dim", type=_positive_int, default=256)
 
     p_build = sub.add_parser("build", help="elaborate a model spec and export JSON")
     add_model_args(p_build)
@@ -130,7 +149,7 @@ def _build_parser() -> _Parser:
     p_compare.add_argument("depth", type=int)
     p_compare.add_argument("path_a")
     p_compare.add_argument("path_b")
-    p_compare.add_argument("--freq-bins", type=int, default=80)
+    p_compare.add_argument("--freq-bins", type=_positive_int, default=80)
 
     p_verify = sub.add_parser("verify", help="numeric-vs-symbolic cross checks")
     p_verify.add_argument("--all-table3-configs", action="store_true",
@@ -138,9 +157,10 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--all-catalog-configs", action="store_true",
                           help="check every cataloged configuration")
     p_verify.add_argument("--gradcheck", action="store_true")
-    p_verify.add_argument("--gradcheck-trials", type=int, default=100)
+    p_verify.add_argument("--gradcheck-trials", type=_positive_int, default=100)
     p_verify.add_argument("--spec", help="verify a model-spec JSON file")
-    p_verify.add_argument("--frames", type=int, default=FRAMES_3S)
+    # Statistics pooling needs at least 2 frames.
+    p_verify.add_argument("--frames", type=_int_at_least(2), default=FRAMES_3S)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--json", action="store_true", dest="as_json")
 
@@ -464,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
-    except (BuildError, AnalysisError, SpecFormatError) as exc:
+    except (BuildError, AnalysisError, SpecFormatError, KernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
 

@@ -1,9 +1,13 @@
 """Minimal numeric engine for verifying the symbolic analysis.
 
 Executes a model spec on real double-precision tensors laid out as
-(batch, channels, freq, time). Convolutions are direct: padded input windows
-are gathered with stride tricks and contracted with the kernel by grouped
-matrix multiplication, no FFT and no approximation. An :class:`OpCounter`
+(batch, channels, freq, time). Convolutions are direct, no FFT and no
+approximation: the input is padded once, and a tap-major column buffer of
+shape (groups, in/groups * kf * kt, batch * F_out * T_out) is filled with one
+strided-slice copy per kernel tap. One grouped matrix multiplication of the
+(groups, out/groups, in/groups * kf * kt) kernel matrix with that buffer
+yields the output in (channels, batch, freq, time) order, which for a single
+input is already the (batch, channels, freq, time) layout. An :class:`OpCounter`
 accumulates the multiply count of every convolution and fully connected
 layer under the same MAC convention the symbolic side uses, so the two can
 be compared for exact equality.
@@ -61,14 +65,12 @@ class KernelError(ValueError):
 
 @dataclass
 class OpCounter:
-    """Running multiply/add tallies for one forward pass."""
+    """Running multiply tally for one forward pass."""
 
     multiplies: int = 0
-    adds: int = 0
 
     def merge(self, other: "OpCounter") -> None:
         self.multiplies += other.multiplies
-        self.adds += other.adds
 
 
 @dataclass(frozen=True)
@@ -132,26 +134,32 @@ def conv2d_forward(
         raise KernelError(
             f"{layer.name}: weight shape {weight.shape} != {(layer.out_channels, cg, kf, kt)}"
         )
-    win = _gather_windows(x, layer.kernel, layer.padding, layer.dilation, layer.stride)
-    f_out, t_out = win.shape[2], win.shape[3]
-    # (g, B*F_out*T_out, cg*kf*kt) @ (g, cg*kf*kt, og) -> grouped GEMM
-    cols = (
-        win.reshape(b, g, cg, f_out, t_out, kf * kt)
-        .transpose(1, 0, 3, 4, 2, 5)
-        .reshape(g, b * f_out * t_out, cg * kf * kt)
+    pf, pt = layer.padding
+    df, dt = layer.dilation
+    sf, st = layer.stride.freq, layer.stride.time
+    xp = np.pad(x, ((0, 0), (0, 0), (pf, pf), (pt, pt)))
+    span_f = df * (kf - 1) + 1
+    span_t = dt * (kt - 1) + 1
+    if xp.shape[2] < span_f or xp.shape[3] < span_t:
+        raise KernelError(
+            f"spatial input {x.shape[2]}x{x.shape[3]} too small for kernel span {span_f}x{span_t}"
+        )
+    f_out = (xp.shape[2] - span_f) // sf + 1
+    t_out = (xp.shape[3] - span_t) // st + 1
+    # Row (c, i, j) of group k holds input channel k*cg + c seen through tap
+    # (i, j), one column per output position in (B, F_out, T_out) order.
+    xg = xp.reshape(b, g, cg, xp.shape[2], xp.shape[3]).transpose(1, 2, 0, 3, 4)
+    cols = np.empty((g, cg, kf, kt, b, f_out, t_out))
+    for i in range(kf):
+        for j in range(kt):
+            cols[:, :, i, j] = xg[..., i * df : i * df + sf * f_out : sf, j * dt : j * dt + st * t_out : st]
+    # (g, og, cg*kf*kt) @ (g, cg*kf*kt, B*F_out*T_out) -> grouped GEMM
+    out = np.matmul(
+        weight.reshape(g, og, cg * kf * kt), cols.reshape(g, cg * kf * kt, b * f_out * t_out)
     )
-    wmat = weight.reshape(g, og, cg * kf * kt).transpose(0, 2, 1)
-    out = np.matmul(cols, wmat)
-    out = (
-        out.reshape(g, b, f_out, t_out, og)
-        .transpose(1, 0, 4, 2, 3)
-        .reshape(b, layer.out_channels, f_out, t_out)
-    )
+    out = out.reshape(layer.out_channels, b, f_out, t_out).transpose(1, 0, 2, 3)
     if counter is not None:
-        taps = kf * kt * cg
-        outputs = b * layer.out_channels * f_out * t_out
-        counter.multiplies += outputs * taps
-        counter.adds += outputs * (taps - 1)
+        counter.multiplies += out.size * kf * kt * cg
     return out
 
 
@@ -237,7 +245,6 @@ def fully_connected_forward(
         out = out + bias
     if counter is not None:
         counter.multiplies += x.shape[0] * layer.in_dim * layer.out_dim
-        counter.adds += x.shape[0] * layer.out_dim * (layer.in_dim - 1)
     return out
 
 
@@ -407,8 +414,6 @@ def residual_block_forward(
                     f"{layer.name}: branch {branch.shape} != shortcut {shortcut.shape}"
                 )
             merged = branch + shortcut
-            if counter is not None:
-                counter.adds += merged.size
             if records is not None:
                 _record_shape(records, layer.name, merged)
         elif entry.role is Role.SHORTCUT:

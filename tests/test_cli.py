@@ -189,6 +189,17 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("ok") == 18
 
+    def test_zero_gradcheck_trials_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--gradcheck", "--gradcheck-trials", "0")
+        assert code == 1
+        assert "usage error" in err and "--gradcheck-trials" in err
+        assert out == ""
+
+    def test_frames_too_short_for_path_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--frames", "8")
+        assert code == 2
+        assert "statistics pooling" in err
+
     def test_check_failure_exits_3(self, capsys, monkeypatch):
         from stride_lab import cli
         from stride_lab.verification import CheckResult
@@ -201,6 +212,25 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--frames", "40")
         assert code == 3
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--frames", "0"),
+        ("verify", "--frames", "1"),
+        ("verify", "--frames", "abc"),
+        ("analyze", "resnet", "34", "--freq-bins", "0"),
+        ("analyze", "resnet", "34", "--embedding-dim", "0"),
+        ("build", "resnet", "34", "--embedding-dim", "-3"),
+        ("compare", "resnet", "34", "MOD", "T14c", "--freq-bins", "0"),
+    ],
+)
+def test_bad_argument_value_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
 
 
 class TestMetricsCommand:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import loop_conv2d, two_pass_stats_pool
 from stride_lab.analysis import count_flops, layer_flops, trace
@@ -24,6 +26,34 @@ from stride_lab.verification import gradcheck_suite, verify_spec_numeric
 def small_spec():
     return build(make_request("modified_resnet", 18, path="MOD", base_channels=4,
                               embedding_dim=16, input_freq_bins=16))
+
+
+@st.composite
+def conv_cases(draw):
+    """A conv layer, an input down to padded size == kernel span, weights."""
+    split = draw(st.sampled_from(["dense", "grouped", "depthwise"]))
+    if split == "dense":
+        groups, cg, og = 1, draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    elif split == "grouped":
+        groups, cg, og = draw(st.integers(2, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    else:
+        groups, cg, og = draw(st.integers(1, 4)), 1, 1
+    kernel = draw(st.sampled_from([(1, 1), (3, 3), (7, 7), (3, 1)]))
+    stride = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+    padding = tuple(draw(st.integers(0, k // 2)) for k in kernel)
+    dilation = tuple(draw(st.integers(1, 2)) for _ in kernel)
+    spans = [d * (k - 1) + 1 for k, d in zip(kernel, dilation)]
+    spatial = tuple(span - 2 * p + draw(st.integers(0, 5)) for span, p in zip(spans, padding))
+    batch = draw(st.integers(1, 3))
+    layer = Conv2d(
+        "c", groups * cg, groups * og, kernel,
+        stride=StridePair(stride[1], stride[0]),
+        padding=padding, dilation=dilation, groups=groups,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(batch, groups * cg, *spatial))
+    w = rng.normal(size=(groups * og, cg, *kernel))
+    return layer, x, w
 
 
 class TestConvForward:
@@ -73,6 +103,26 @@ class TestConvForward:
         )
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @given(case=conv_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_oracle_on_drawn_layers(self, case):
+        layer, x, w = case
+        counter = OpCounter()
+        got = conv2d_forward(x, layer, w, counter)
+        want = loop_conv2d(
+            x, w,
+            stride=(layer.stride.freq, layer.stride.time),
+            padding=layer.padding, dilation=layer.dilation, groups=layer.groups,
+        )
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert counter.multiplies == got.size * w[0].size
+
+    def test_input_smaller_than_kernel_span_raises(self):
+        layer = Conv2d("c", 2, 2, (3, 3), padding=(0, 1), dilation=(2, 1))
+        with pytest.raises(KernelError, match=r"spatial input 4x6 too small for kernel span 5x3"):
+            conv2d_forward(np.zeros((1, 2, 4, 6)), layer, np.zeros((2, 2, 3, 3)))
 
     def test_counter_matches_analytic_layer_flops(self):
         rng = np.random.default_rng(5)
