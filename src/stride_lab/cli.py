@@ -185,11 +185,17 @@ def _parse_endpoint(text: str) -> tuple[int, int]:
     return alpha, beta
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(text: str, output: str | None) -> int:
+    """Write ``text`` to ``output`` (stdout when None); returns an exit code."""
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_BUILD
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _resolve_request(args, path_override: str | TrellisPath | None = None):
@@ -259,8 +265,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_build(args) -> int:
     spec = build(_resolve_request(args))
-    _write(model_to_json(spec) + "\n", args.output)
-    return EXIT_OK
+    return _write(model_to_json(spec) + "\n", args.output)
 
 
 def _describe(spec, report_2s, report_3s):
@@ -458,8 +463,7 @@ def _cmd_render(args) -> int:
     paths = ()
     if args.highlight:
         paths = tuple(resolve_name(name) for name in args.highlight.split(","))
-    _write(trellis_dot(paths=paths), args.output)
-    return EXIT_OK
+    return _write(trellis_dot(paths=paths), args.output)
 
 
 _COMMANDS = {

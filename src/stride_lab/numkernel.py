@@ -2,15 +2,24 @@
 
 Executes a model spec on real double-precision tensors laid out as
 (batch, channels, freq, time). Convolutions are direct, no FFT and no
-approximation: the input is padded once, and a tap-major column buffer of
-shape (groups, in/groups * kf * kt, batch * F_out * T_out) is filled with one
-strided-slice copy per kernel tap. One grouped matrix multiplication of the
-(groups, out/groups, in/groups * kf * kt) kernel matrix with that buffer
-yields the output in (channels, batch, freq, time) order, which for a single
-input is already the (batch, channels, freq, time) layout. An :class:`OpCounter`
-accumulates the multiply count of every convolution and fully connected
-layer under the same MAC convention the symbolic side uses, so the two can
-be compared for exact equality.
+approximation, and the input is padded once. Two regimes follow, chosen by
+the layer's group shape alone:
+
+* Dense and grouped convolutions use a tap-major im2col: a column buffer of
+  shape (groups, in/groups * kf * kt, batch * F_out * T_out) is filled with
+  one strided-slice copy per kernel tap, and one grouped matrix
+  multiplication of the (groups, out/groups, in/groups * kf * kt) kernel
+  matrix with that buffer yields the output in (channels, batch, freq, time)
+  order, which for a single input is already the (batch, channels, freq,
+  time) layout.
+* Depthwise convolutions (one input and one output channel per group) build
+  no column buffer: each kernel tap scales the same strided slice by its
+  per-channel weight into one output-sized scratch array, which is added in
+  place to the (batch, channels, freq, time) output.
+
+An :class:`OpCounter` accumulates the multiply count of every convolution
+and fully connected layer under the same MAC convention the symbolic side
+uses, so the two can be compared for exact equality.
 
 Gradients are provided for single convolution layers only, enough to verify
 the kernel against central finite differences.
@@ -120,7 +129,10 @@ def conv2d_forward(
     """Direct grouped 2D convolution.
 
     ``weight`` has shape (out_channels, in_channels // groups, kf, kt).
-    The counter gains exactly one multiply per kernel tap per output value.
+    Dense and grouped layers go through a tap-major im2col and one grouped
+    GEMM; depthwise layers (in/groups == out/groups == 1) accumulate one
+    per-tap multiply into the output, with no column buffer. The counter
+    gains exactly one multiply per kernel tap per output value.
     """
     _require_tensor4(x, layer.name)
     b, cin, _, _ = x.shape
@@ -146,18 +158,30 @@ def conv2d_forward(
         )
     f_out = (xp.shape[2] - span_f) // sf + 1
     t_out = (xp.shape[3] - span_t) // st + 1
-    # Row (c, i, j) of group k holds input channel k*cg + c seen through tap
-    # (i, j), one column per output position in (B, F_out, T_out) order.
-    xg = xp.reshape(b, g, cg, xp.shape[2], xp.shape[3]).transpose(1, 2, 0, 3, 4)
-    cols = np.empty((g, cg, kf, kt, b, f_out, t_out))
-    for i in range(kf):
-        for j in range(kt):
-            cols[:, :, i, j] = xg[..., i * df : i * df + sf * f_out : sf, j * dt : j * dt + st * t_out : st]
-    # (g, og, cg*kf*kt) @ (g, cg*kf*kt, B*F_out*T_out) -> grouped GEMM
-    out = np.matmul(
-        weight.reshape(g, og, cg * kf * kt), cols.reshape(g, cg * kf * kt, b * f_out * t_out)
-    )
-    out = out.reshape(layer.out_channels, b, f_out, t_out).transpose(1, 0, 2, 3)
+    if cg == 1 and og == 1:
+        # Depthwise: output channel c reads input channel c only, so each
+        # tap is a per-channel scale of one strided slice, accumulated in
+        # place through one output-sized scratch array (no column buffer).
+        out = np.zeros((b, g, f_out, t_out))
+        tap = np.empty_like(out)
+        for i in range(kf):
+            for j in range(kt):
+                window = xp[..., i * df : i * df + sf * f_out : sf, j * dt : j * dt + st * t_out : st]
+                np.multiply(window, weight[:, 0, i, j, None, None], out=tap)
+                out += tap
+    else:
+        # Row (c, i, j) of group k holds input channel k*cg + c seen through
+        # tap (i, j), one column per output position in (B, F_out, T_out) order.
+        xg = xp.reshape(b, g, cg, xp.shape[2], xp.shape[3]).transpose(1, 2, 0, 3, 4)
+        cols = np.empty((g, cg, kf, kt, b, f_out, t_out))
+        for i in range(kf):
+            for j in range(kt):
+                cols[:, :, i, j] = xg[..., i * df : i * df + sf * f_out : sf, j * dt : j * dt + st * t_out : st]
+        # (g, og, cg*kf*kt) @ (g, cg*kf*kt, B*F_out*T_out) -> grouped GEMM
+        out = np.matmul(
+            weight.reshape(g, og, cg * kf * kt), cols.reshape(g, cg * kf * kt, b * f_out * t_out)
+        )
+        out = out.reshape(layer.out_channels, b, f_out, t_out).transpose(1, 0, 2, 3)
     if counter is not None:
         counter.multiplies += out.size * kf * kt * cg
     return out
@@ -306,13 +330,8 @@ def _weighted_layers(spec: ModelSpec):
             yield layer
 
 
-def init_weights(spec: ModelSpec, seed: int = DEFAULT_SEED) -> dict[str, dict]:
-    """Deterministic uniform [-0.1, 0.1] weights keyed by layer name."""
-    rng = np.random.default_rng(np.uint64(seed))
-
-    def draw(*shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
+def _make_weights(spec: ModelSpec, draw) -> dict[str, dict]:
+    """Weights keyed by layer name, each array made by ``draw(*shape)``."""
     weights: dict[str, dict] = {}
     for layer in _weighted_layers(spec):
         if isinstance(layer, Conv2d):
@@ -341,16 +360,15 @@ def init_weights(spec: ModelSpec, seed: int = DEFAULT_SEED) -> dict[str, dict]:
     return weights
 
 
+def init_weights(spec: ModelSpec, seed: int = DEFAULT_SEED) -> dict[str, dict]:
+    """Deterministic uniform [-0.1, 0.1] weights keyed by layer name."""
+    rng = np.random.default_rng(np.uint64(seed))
+    return _make_weights(spec, lambda *shape: rng.uniform(-0.1, 0.1, size=shape))
+
+
 def zero_weights(spec: ModelSpec) -> dict[str, dict]:
     """All-zero weights (fully connected biases included)."""
-    weights = init_weights(spec, seed=0)
-    for params in weights.values():
-        for key, value in params.items():
-            if key == "branches":
-                params[key] = [np.zeros_like(v) for v in value]
-            else:
-                params[key] = np.zeros_like(value)
-    return weights
+    return _make_weights(spec, lambda *shape: np.zeros(shape))
 
 
 def _apply(layer, x, weights, counter):

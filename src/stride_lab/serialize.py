@@ -273,6 +273,13 @@ def model_from_json(text: str) -> ModelSpec:
             )
             for e in doc["layers"]
         )
+        # Weights and per-layer counts are keyed by name, so a repeated name
+        # would silently alias two layers.
+        seen: set[str] = set()
+        for entry in entries:
+            if entry.layer.name in seen:
+                raise SpecFormatError(f"duplicate layer name {entry.layer.name!r}")
+            seen.add(entry.layer.name)
         spec = ModelSpec(
             family=Family(doc["family"]),
             depth_label=int(doc["depth_label"]),

@@ -151,6 +151,28 @@ class TestBuildAndVerifySpec:
         assert code == 2
         assert "rejected" in err
 
+    def test_duplicate_layer_name_rejected(self, capsys, tmp_path):
+        spec_file = tmp_path / "model.json"
+        run_cli(capsys, "build", "resnet", "18", "--path", "MOD", "-o", str(spec_file))
+        doc = json.loads(spec_file.read_text())
+        for layer in doc["layers"]:
+            if layer["name"] == "stage2.block2.conv1":
+                layer["name"] = "stage2.block1.conv2"
+        spec_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_file), "--frames", "48")
+        assert code == 2
+        assert "duplicate layer name 'stage2.block1.conv2'" in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("argv", [("build", "resnet", "34"), ("render",)])
+    def test_unwritable_output_is_build_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "-o", str(target))
+        assert code == 2
+        assert f"error: cannot write {target}: " in err
+        assert "Traceback" not in out + err
+        assert not target.exists()
+
     def test_build_json_loads(self, capsys):
         code, out, _ = run_cli(capsys, "build", "resnet", "18")
         assert code == 0

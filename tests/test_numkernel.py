@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,7 @@ class TestConvForward:
             (3, 5, 1, (3, 3), (1, 1), (2, 2), (2, 2)),   # dilated
             (1, 1, 1, (7, 7), (2, 2), (3, 3), (1, 1)),   # stem-like
             (2, 4, 1, (3, 1), (1, 1), (1, 0), (1, 1)),   # asymmetric kernel
+            (6, 6, 6, (3, 3), (2, 1), (2, 1), (2, 1)),   # depthwise dilated
         ],
     )
     def test_matches_loop_oracle(self, cin, cout, groups, kernel, stride, padding, dilation):
@@ -118,6 +121,22 @@ class TestConvForward:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert counter.multiplies == got.size * w[0].size
+
+    def test_depthwise_builds_no_column_buffer(self):
+        # Padded input, output and one scratch array fit in 4x the output;
+        # a (C, 9, F*T) column buffer alone would be 9x.
+        layer = Conv2d("dw", 64, 64, (3, 3), padding=(1, 1), groups=64)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1, 64, 40, 150))
+        w = rng.normal(size=(64, 1, 3, 3))
+        tracemalloc.start()
+        try:
+            out = conv2d_forward(x, layer, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 64, 40, 150)
+        assert peak < 4 * out.nbytes
 
     def test_input_smaller_than_kernel_span_raises(self):
         layer = Conv2d("c", 2, 2, (3, 3), padding=(0, 1), dilation=(2, 1))

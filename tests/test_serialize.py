@@ -53,6 +53,14 @@ class TestModelJson:
         with pytest.raises(SpecFormatError):
             model_from_json(json.dumps(doc))
 
+    def test_duplicate_layer_name_rejected(self):
+        doc = json.loads(model_to_json(build(make_request("modified_resnet", 18, path="MOD"))))
+        renamed = [l for l in doc["layers"] if l["name"] == "stage2.block2.conv1"]
+        assert len(renamed) == 1
+        renamed[0]["name"] = "stage2.block1.conv2"
+        with pytest.raises(SpecFormatError, match=r"duplicate layer name 'stage2\.block1\.conv2'"):
+            model_from_json(json.dumps(doc))
+
     def test_se_and_res2net_round_trip(self):
         spec = build(make_request("modified_resnet", 34, se_reduction=4))
         assert model_from_json(model_to_json(spec)) == spec
