@@ -12,12 +12,22 @@ metrics sweep exactly that candidate set:
 
 Both metrics depend only on the ordering of scores, so they are invariant
 under any strictly increasing transform of all scores.
+
+A score file is parsed in one pass: each line is split and its field count
+and label checked, then all scores are converted and checked for finiteness
+together. When any line is bad, the ``ScoreFileError`` names the first bad
+line and its number; a line is checked for field count, label, score syntax
+and finiteness, in that order. A ``TrialScoreSet`` builds its score and
+label arrays once; EER and minDCF read those cached arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,22 +53,38 @@ class ScoreFileError(ValueError):
         super().__init__(f"line {lineno}: {message}")
 
 
+_LABELS = ("target", "nontarget")
+
+
 @dataclass(frozen=True)
 class TrialScoreSet:
-    """Labeled similarity scores; at least one target and one non-target."""
+    """Labeled similarity scores; at least one target and one non-target.
+
+    Equality and hashing use ``trials`` only; the score and label arrays
+    the metrics read are built once, at construction.
+    """
 
     trials: tuple[tuple[float, bool], ...]
+    _scores: np.ndarray = field(init=False, repr=False, compare=False)
+    _is_target: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        targets = sum(1 for _, is_target in self.trials if is_target)
-        nontargets = len(self.trials) - targets
+        n = len(self.trials)
+        is_target = np.fromiter(map(itemgetter(1), self.trials), dtype=bool, count=n)
+        targets = int(np.count_nonzero(is_target))
+        nontargets = n - targets
         if targets < 1 or nontargets < 1:
             raise ValueError(
                 f"need at least one target and one non-target trial "
                 f"(got {targets} / {nontargets})"
             )
-        if not all(np.isfinite(score) for score, _ in self.trials):
+        scores = np.fromiter(map(itemgetter(0), self.trials), dtype=float, count=n)
+        if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
+        scores.flags.writeable = False
+        is_target.flags.writeable = False
+        object.__setattr__(self, "_scores", scores)
+        object.__setattr__(self, "_is_target", is_target)
 
     @classmethod
     def from_scores(cls, target_scores, nontarget_scores) -> "TrialScoreSet":
@@ -68,28 +94,33 @@ class TrialScoreSet:
 
     @classmethod
     def from_text(cls, text: str) -> "TrialScoreSet":
-        """Parse ``label score`` lines; ``#`` starts a comment."""
-        trials = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        """Parse ``label score`` lines; ``#`` starts a comment.
+
+        One pass splits the lines and checks field counts and labels; the
+        score strings are then converted and checked for finiteness all at
+        once. On any bad line the text is scanned again to raise the
+        ``ScoreFileError`` of the first one.
+        """
+        labels = []
+        scores = []
+        for raw in text.splitlines():
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
                 continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ScoreFileError(lineno, f"expected 'label score', got {raw.strip()!r}")
-            label, score_text = fields
-            if label not in ("target", "nontarget"):
-                raise ScoreFileError(lineno, f"label must be target or nontarget, got {label!r}")
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ScoreFileError(lineno, f"unparseable score {score_text!r}") from None
-            if not np.isfinite(score):
-                raise ScoreFileError(lineno, f"score must be finite, got {score_text}")
-            trials.append((score, label == "target"))
-        if not trials:
+            if len(fields) != 2 or fields[0] not in _LABELS:
+                _raise_first_bad_line(text)
+            labels.append(fields[0] == "target")
+            scores.append(fields[1])
+        try:
+            values = list(map(float, scores))
+        except ValueError:
+            _raise_first_bad_line(text)
+        del scores
+        if not np.isfinite(values).all():
+            _raise_first_bad_line(text)
+        if not values:
             raise ScoreFileError(0, "no trials found")
-        return cls(trials=tuple(trials))
+        return cls(trials=tuple(zip(values, labels)))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrialScoreSet":
@@ -97,11 +128,35 @@ class TrialScoreSet:
 
     @property
     def target_scores(self) -> np.ndarray:
-        return np.array([s for s, t in self.trials if t], dtype=float)
+        return self._scores[self._is_target]
 
     @property
     def nontarget_scores(self) -> np.ndarray:
-        return np.array([s for s, t in self.trials if not t], dtype=float)
+        return self._scores[~self._is_target]
+
+
+def _raise_first_bad_line(text: str) -> NoReturn:
+    """Raise the ``ScoreFileError`` for the first bad line of ``text``.
+
+    Checks each line in order: field count, label, score syntax, finiteness.
+    Called only once ``from_text`` has seen that some line is bad.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != 2:
+            raise ScoreFileError(lineno, f"expected 'label score', got {raw.strip()!r}")
+        label, score_text = fields
+        if label not in _LABELS:
+            raise ScoreFileError(lineno, f"label must be target or nontarget, got {label!r}")
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ScoreFileError(lineno, f"unparseable score {score_text!r}") from None
+        if not math.isfinite(score):
+            raise ScoreFileError(lineno, f"score must be finite, got {score_text}")
+    raise AssertionError("no bad line found in a score text that failed to parse")
 
 
 def operating_points(trials: TrialScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,8 +204,8 @@ def compute_min_dcf(
     """(minimum normalized detection cost, threshold attaining it)."""
     if not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must lie in (0, 1), got {p_target}")
-    if c_fa <= 0 or c_miss <= 0:
-        raise ValueError("costs must be positive")
+    if not all(math.isfinite(c) and c > 0 for c in (c_fa, c_miss)):
+        raise ValueError(f"costs must be finite and positive, got c_fa={c_fa}, c_miss={c_miss}")
     thresholds, far, frr = operating_points(trials)
     costs = c_miss * frr * p_target + c_fa * far * (1.0 - p_target)
     floor = min(c_miss * p_target, c_fa * (1.0 - p_target))

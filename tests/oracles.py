@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from stride_lab.metrics import ScoreFileError
+
 
 def conv_out_size_direct(r_in, kernel, padding, dilation, stride):
     """Count the output positions by walking them."""
@@ -126,3 +128,29 @@ def random_trials(rng, n_min=10, n_max=120, separation=None):
     scores = list(target) + list(nontarget)
     labels = [True] * n_target + [False] * (n - n_target)
     return scores, labels
+
+
+def loop_parse_trials(text):
+    """Trial tuple of a score file, parsed line by line: label, then score
+    syntax, then finiteness, raising at the first bad line."""
+    trials = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ScoreFileError(lineno, f"expected 'label score', got {raw.strip()!r}")
+        label, score_text = fields
+        if label not in ("target", "nontarget"):
+            raise ScoreFileError(lineno, f"label must be target or nontarget, got {label!r}")
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ScoreFileError(lineno, f"unparseable score {score_text!r}") from None
+        if not np.isfinite(score):
+            raise ScoreFileError(lineno, f"score must be finite, got {score_text}")
+        trials.append((score, label == "target"))
+    if not trials:
+        raise ScoreFileError(0, "no trials found")
+    return tuple(trials)

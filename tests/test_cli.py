@@ -306,6 +306,21 @@ class TestMetricsCommand:
         code, _, err = run_cli(capsys, "metrics", str(tmp_path / "none.txt"))
         assert code == 2
 
+    def test_unreadable_path_is_build_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "metrics", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option, value", [("--c-fa", "nan"), ("--c-miss", "inf")])
+    def test_non_finite_cost_is_build_error(self, capsys, tmp_path, option, value):
+        score_file = tmp_path / "scores.txt"
+        score_file.write_text("target 0.9\nnontarget 0.1\n")
+        code, out, err = run_cli(capsys, "metrics", str(score_file), option, value)
+        assert code == 2
+        assert "finite and positive" in err
+        assert "minDCF" not in out
+
 
 class TestRenderCommand:
     def test_render_to_file(self, capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_trials, sweep_eer, sweep_min_dcf
+from oracles import loop_parse_trials, random_trials, sweep_eer, sweep_min_dcf
 from stride_lab.metrics import (
     DegenerateScoresError,
     ScoreFileError,
@@ -44,6 +44,29 @@ class TestTrialScoreSet:
     def test_rejects_non_numeric_score(self):
         with pytest.raises(ScoreFileError):
             TrialScoreSet.from_text("target high\nnontarget 0.1\n")
+
+    def test_first_bad_line_is_reported(self):
+        # The score on line 3 fails only after the loop that checks labels,
+        # yet it must win over the bad label on line 5.
+        text = "target 0.9\nnontarget 0.1\ntarget 0.x\n# fine\npositive 0.3\n"
+        with pytest.raises(ScoreFileError) as err:
+            TrialScoreSet.from_text(text)
+        assert err.value.lineno == 3
+        assert str(err.value) == "line 3: unparseable score '0.x'"
+
+    def test_equality_and_hash_use_trials_only(self):
+        parsed = TrialScoreSet.from_text("target 1.5\nnontarget -2\n")
+        built = TrialScoreSet(trials=((1.5, True), (-2.0, False)))
+        assert parsed == built
+        assert hash(parsed) == hash(built)
+        assert repr(built) == "TrialScoreSet(trials=((1.5, True), (-2.0, False)))"
+
+    def test_score_arrays_are_fresh_copies(self):
+        trials = TrialScoreSet.from_scores([0.9, 0.8], [0.1])
+        trials.target_scores[0] = -1.0
+        trials.nontarget_scores[0] = 5.0
+        assert list(trials.target_scores) == [0.9, 0.8]
+        assert list(trials.nontarget_scores) == [0.1]
 
 
 class TestComputeEer:
@@ -109,6 +132,15 @@ class TestComputeMinDcf:
         with pytest.raises(ValueError):
             compute_min_dcf(trials, c_fa=0.0)
 
+    @pytest.mark.parametrize(
+        "c_fa, c_miss",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+    )
+    def test_rejects_non_finite_costs(self, c_fa, c_miss):
+        trials = TrialScoreSet.from_scores([1.0], [0.0])
+        with pytest.raises(ValueError, match="finite and positive"):
+            compute_min_dcf(trials, c_fa=c_fa, c_miss=c_miss)
+
     def test_degenerate_scores_rejected(self):
         trials = TrialScoreSet.from_scores([0.5, 0.5], [0.5])
         with pytest.raises(DegenerateScoresError):
@@ -152,3 +184,66 @@ class TestMonotoneInvariance:
         dcf_a, _ = compute_min_dcf(base)
         dcf_b, _ = compute_min_dcf(mapped)
         assert dcf_a == pytest.approx(dcf_b, abs=1e-12)
+
+
+# Score-file fragments: valid lines, label/score pairs that may be
+# mis-cased, bogus or unusual to float(), and lone tokens (comments, blanks,
+# labels or scores without their partner).
+_LABEL_TOKENS = ("target", "nontarget", "Target", "NONTARGET", "positive")
+_SCORE_TOKENS = (
+    "0.5", "-1.25", "7", "nan", "-inf", "inf", "1e400", "1_0", "0x10", "\u0663", "high",
+)
+_OTHER_TOKENS = ("#", "# note", "", "target 0.5 extra")
+# Line breaks for str.splitlines (\x0b and \x1c are also whitespace to
+# str.split), and a plain space, which joins two fragments into one line.
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x1c")
+_SEPARATORS = _LINE_BREAKS + (" ",)
+_valid_lines = st.builds(
+    "{} {}".format,
+    st.sampled_from(("target", "nontarget")),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(-10, 10).map("{:.3f}".format),
+    ),
+)
+_noise = st.one_of(
+    st.builds("{} {}".format, st.sampled_from(_LABEL_TOKENS), st.sampled_from(_SCORE_TOKENS)),
+    st.sampled_from(_LABEL_TOKENS + _SCORE_TOKENS + _OTHER_TOKENS),
+)
+
+
+@st.composite
+def score_texts(draw):
+    """Valid lines with up to three noise fragments spliced in."""
+    parts = draw(st.lists(st.tuples(_valid_lines, st.sampled_from(_LINE_BREAKS)), max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(parts)))
+        parts.insert(at, (draw(_noise), draw(st.sampled_from(_SEPARATORS))))
+    return "".join(fragment + sep for fragment, sep in parts)
+
+
+def _parse_outcome(parse):
+    """(result, None) on success, else (None, (type, lineno, message))."""
+    try:
+        return parse(), None
+    except ValueError as exc:
+        return None, (type(exc), getattr(exc, "lineno", None), str(exc))
+
+
+def _exact(trials):
+    """Trials with float bits and types made explicit (-0.0 != 0.0, 1 != True)."""
+    return [(s.hex(), type(s), t, type(t)) for s, t in trials]
+
+
+class TestParserDifferential:
+    @given(text=score_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_parser(self, text):
+        want, want_error = _parse_outcome(lambda: TrialScoreSet(trials=loop_parse_trials(text)))
+        got, got_error = _parse_outcome(lambda: TrialScoreSet.from_text(text))
+        assert got_error == want_error
+        if got_error is not None:
+            return
+        assert _exact(got.trials) == _exact(want.trials)
+        np.testing.assert_array_equal(got.target_scores, [s for s, t in want.trials if t])
+        np.testing.assert_array_equal(got.nontarget_scores, [s for s, t in want.trials if not t])
