@@ -120,6 +120,12 @@ class MaxPool2d:
     stride: StridePair
     padding: tuple[int, int] = (0, 0)
 
+    def __post_init__(self) -> None:
+        if any(k < 1 for k in self.kernel):
+            raise ValueError(f"{self.name}: kernel components must be >= 1")
+        if any(p < 0 for p in self.padding):
+            raise ValueError(f"{self.name}: padding components must be >= 0")
+
 
 @dataclass(frozen=True)
 class BatchNorm2d:

@@ -164,6 +164,27 @@ class TestBuildAndVerifySpec:
         assert "duplicate layer name 'stage2.block1.conv2'" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("padding", [-1, -1], "padding components must be >= 0"),
+            ("kernel", [0, 0], "kernel components must be >= 1"),
+        ],
+        ids=["negative-padding", "zero-kernel"],
+    )
+    def test_invalid_maxpool_rejected(self, capsys, tmp_path, field, value, message):
+        spec_file = tmp_path / "model.json"
+        run_cli(capsys, "build", "original-resnet", "18", "--path", "ORI", "-o", str(spec_file))
+        doc = json.loads(spec_file.read_text())
+        pool = next(l for l in doc["layers"] if l["kind"] == "maxpool2d")
+        pool[field] = value
+        spec_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_file), "--frames", "64")
+        assert code == 2
+        assert f"error: rejected spec {spec_file}: " in err
+        assert f"stage2.maxpool: {message}" in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("argv", [("build", "resnet", "34"), ("render",)])
     def test_unwritable_output_is_build_error(self, capsys, tmp_path, argv):
         target = tmp_path / "missing" / "out.txt"

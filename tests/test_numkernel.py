@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_conv2d, two_pass_stats_pool
+from stride_lab import numkernel
 from stride_lab.analysis import count_flops, layer_flops, trace
 from stride_lab.builder import build, make_request
 from stride_lab.layers import Conv2d, TensorShape
@@ -75,28 +77,36 @@ class TestConvForward:
         np.testing.assert_allclose(out, x, atol=0)
 
     @pytest.mark.parametrize(
-        "cin,cout,groups,kernel,stride,padding,dilation",
+        "cin,cout,groups,kernel,stride,padding,dilation,batch,spatial",
         [
-            (4, 8, 1, (3, 3), (1, 1), (1, 1), (1, 1)),
-            (4, 8, 1, (3, 3), (2, 1), (1, 1), (1, 1)),
-            (4, 8, 1, (3, 3), (1, 2), (1, 1), (1, 1)),
-            (6, 6, 6, (3, 3), (2, 2), (1, 1), (1, 1)),   # depthwise
-            (6, 9, 3, (3, 3), (1, 1), (1, 1), (1, 1)),   # grouped
-            (4, 8, 1, (1, 1), (2, 2), (0, 0), (1, 1)),   # pointwise strided
-            (3, 5, 1, (3, 3), (1, 1), (2, 2), (2, 2)),   # dilated
-            (1, 1, 1, (7, 7), (2, 2), (3, 3), (1, 1)),   # stem-like
-            (2, 4, 1, (3, 1), (1, 1), (1, 0), (1, 1)),   # asymmetric kernel
-            (6, 6, 6, (3, 3), (2, 1), (2, 1), (2, 1)),   # depthwise dilated
+            (4, 8, 1, (3, 3), (1, 1), (1, 1), (1, 1), 2, (8, 10)),
+            (4, 8, 1, (3, 3), (2, 1), (1, 1), (1, 1), 2, (8, 10)),
+            (4, 8, 1, (3, 3), (1, 2), (1, 1), (1, 1), 2, (8, 10)),
+            (6, 6, 6, (3, 3), (2, 2), (1, 1), (1, 1), 2, (8, 10)),   # depthwise
+            (6, 9, 3, (3, 3), (1, 1), (1, 1), (1, 1), 2, (8, 10)),   # grouped
+            (4, 8, 1, (1, 1), (2, 2), (0, 0), (1, 1), 2, (8, 10)),   # pointwise strided
+            (3, 5, 1, (3, 3), (1, 1), (2, 2), (2, 2), 2, (8, 10)),   # dilated
+            (1, 1, 1, (7, 7), (2, 2), (3, 3), (1, 1), 2, (8, 10)),   # stem-like
+            (2, 4, 1, (3, 1), (1, 1), (1, 0), (1, 1), 2, (8, 10)),   # asymmetric kernel
+            (6, 6, 6, (3, 3), (2, 1), (2, 1), (2, 1), 2, (8, 10)),   # depthwise dilated
+            # 10 output rows of 8000 columns, 1.15 MB each: the 4 MiB column
+            # budget takes them in blocks of 3, 3, 3 and 1.
+            (2, 1, 1, (3, 3), (2, 1), (1, 1), (2, 1), 1, (21, 8000)),
+            (4, 8, 1, (1, 1), (1, 1), (0, 0), (1, 1), 1, (8, 10)),   # pointwise, input is the operand
+            (4, 8, 1, (1, 1), (2, 2), (1, 0), (1, 1), 2, (9, 11)),   # pointwise strided, padded
+            (4, 6, 2, (1, 1), (2, 1), (0, 0), (1, 1), 2, (8, 10)),   # pointwise grouped
         ],
     )
-    def test_matches_loop_oracle(self, cin, cout, groups, kernel, stride, padding, dilation):
+    def test_matches_loop_oracle(
+        self, cin, cout, groups, kernel, stride, padding, dilation, batch, spatial
+    ):
         rng = np.random.default_rng(42)
         layer = Conv2d(
             "c", cin, cout, kernel,
             stride=StridePair(stride[1], stride[0]),
             padding=padding, dilation=dilation, groups=groups,
         )
-        x = rng.normal(size=(2, cin, 8, 10))
+        x = rng.normal(size=(batch, cin, *spatial))
         w = rng.normal(size=(cout, cin // groups, *kernel))
         got = conv2d_forward(x, layer, w)
         want = loop_conv2d(
@@ -121,6 +131,36 @@ class TestConvForward:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert counter.multiplies == got.size * w[0].size
+
+    @given(case=conv_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_one_row_blocks_match_loop_oracle_on_drawn_layers(self, case):
+        # A zero budget fills and multiplies one output row at a time.
+        layer, x, w = case
+        with mock.patch.object(numkernel, "COLUMN_BUDGET", 0):
+            got = conv2d_forward(x, layer, w)
+        want = loop_conv2d(
+            x, w,
+            stride=(layer.stride.freq, layer.stride.time),
+            padding=layer.padding, dilation=layer.dilation, groups=layer.groups,
+        )
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_dense_column_buffer_is_bounded(self):
+        # Padded input, column buffer and output; the whole (288, 80*300)
+        # column buffer alone would be 55 MB, 4.5x input plus output.
+        layer = Conv2d("c", 32, 32, (3, 3), padding=(1, 1))
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1, 32, 80, 300))
+        w = rng.normal(size=(32, 32, 3, 3))
+        tracemalloc.start()
+        try:
+            out = conv2d_forward(x, layer, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 32, 80, 300)
+        assert peak < 2 * (x.nbytes + out.nbytes)
 
     def test_depthwise_builds_no_column_buffer(self):
         # Padded input, output and one scratch array fit in 4x the output;
@@ -192,6 +232,13 @@ class TestResidualBlock:
         out = residual_block_forward(x, block, weights)
         np.testing.assert_allclose(out, x, atol=0)
 
+    def test_drawn_weights_refuse_a_layer_out_of_entry_order(self):
+        spec = small_spec()
+        block = next(s for s in spec.segments() if s.kind == "block")
+        x = np.ones((1, 4, 16, 20))
+        with pytest.raises(KernelError, match=r"out of entry order \(next drawn: stem\.conv\)"):
+            residual_block_forward(x, block, numkernel._DrawnWeights(spec, 1))
+
     def test_identity_initialized_projection_returns_input(self):
         layer = Conv2d("proj", 3, 3, (1, 1))
         w = np.eye(3).reshape(3, 3, 1, 1)
@@ -260,6 +307,33 @@ class TestRunModel:
         assert np.array_equal(a, b)
         c = run_model(spec, x, seed=124).embedding
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize(
+        "family,depth,path", [("modified_resnet", 50, "MOD"), ("df_resnet", 182, "MOD"),
+                              ("original_resnet", 34, "ORI")],
+    )
+    def test_layer_draws_match_init_weights(self, family, depth, path):
+        spec = build(make_request(family, depth, path=path))
+        x = np.random.default_rng(4).normal(size=(1, 1, 80, 64))
+        drawn = run_model(spec, x, seed=31).embedding
+        assert np.array_equal(drawn, run_model(spec, x, weights=init_weights(spec, 31)).embedding)
+
+    def test_weights_are_drawn_per_layer(self):
+        # ResNet50 MOD holds 84.7 MiB of weights, 40 MiB of them in the
+        # head's fully connected layer; drawing a layer's weights only when
+        # it runs keeps the peak near that one layer.
+        spec = build(make_request("modified_resnet", 50, path="MOD"))
+        weights = zero_weights(spec)
+        weight_bytes = sum(a.nbytes for params in weights.values() for a in params.values())
+        del weights
+        x = np.random.default_rng(4).normal(size=(1, 1, 80, 64))
+        tracemalloc.start()
+        try:
+            run_model(spec, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weight_bytes / 2
 
     def test_zero_weights_give_zero_embedding(self):
         spec = small_spec()

@@ -61,6 +61,21 @@ class TestModelJson:
         with pytest.raises(SpecFormatError, match=r"duplicate layer name 'stage2\.block1\.conv2'"):
             model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("padding", [-1, -1], "padding components must be >= 0"),
+            ("kernel", [0, 0], "kernel components must be >= 1"),
+        ],
+        ids=["negative-padding", "zero-kernel"],
+    )
+    def test_invalid_maxpool_rejected(self, original34, field, value, message):
+        doc = json.loads(model_to_json(original34))
+        pool = next(l for l in doc["layers"] if l["kind"] == "maxpool2d")
+        pool[field] = value
+        with pytest.raises(SpecFormatError, match=rf"stage2\.maxpool: {message}"):
+            model_from_json(json.dumps(doc))
+
     def test_se_and_res2net_round_trip(self):
         spec = build(make_request("modified_resnet", 34, se_reduction=4))
         assert model_from_json(model_to_json(spec)) == spec
