@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,84 @@ from stride_lab.serialize import (
     parse_table,
 )
 from stride_lab.strides import resolve_name
+from stride_lab.verification import catalog_spec
+
+
+# sha256 of model_to_json(spec) (indent 2), recorded before the field-driven
+# codec replaced the per-kind encoder. Keys are family/depth/path[/option];
+# "catalog" rows go through catalog_spec, "default" takes the family's
+# default path.
+SCHEMA_V1_DIGESTS = {
+    "catalog/34/ORI": "42291eaef15ed079907dc23f3d70112b9e7e13ecdae22f0389606613e79ba3b8",
+    "catalog/34/MOD": "ed7e1b9f9b5d4e6b2f1eaa3d46f69da637fcab0a78fee0428cd9cf8975894cee",
+    "catalog/34/T05": "c766a0a0213338f916e7efbaa7c20626496bb9fb3d35877815029dee15dfb20e",
+    "catalog/34/F50": "533185d70fae371a39f4806e36a4f9822f5dfa96e77f36d7765bee3aa791a3e9",
+    "catalog/34/T15": "fbca4d626cbc35ba965cb56475db4a8e7125214d8e0c88fc69681e7154ab120a",
+    "catalog/34/F51": "11ae3c340e645daa77f6f8cd85695799bd887e7f2ad03e74c05ea866e14b07ed",
+    "catalog/34/T25": "aa362a1a781f6323aea8fba48efe006f2572e7c43a459ed4ab7170ca1d1dc963",
+    "catalog/34/F52": "8058757ccf834e46338f01ea766792941797ca27a8ebabfb804ffc8bdffd5c3c",
+    "catalog/34/T14": "3f36341d71f11fed7bb7d6c7cb66808ac1fe230c036fd433a24a6a946e6870c4",
+    "catalog/34/F41": "a7c6c5a4ab56972882503477c3f42cf0e0c04f41ae42293d92fcc1091f39f005",
+    "catalog/34/T24": "918b6f9cf87596d83bce181fa60ffb8ab41997cbd8fecacbca212c1be699a6fb",
+    "catalog/34/F42": "ea4247148f65366e95bfdb076d65950af38887c8f37826d816d6ce50092143a2",
+    "catalog/34/T34": "ae6ef484c4ece71eeb20921c7361ac40003b94d5d74ce8e303c56d21b4bf7d1b",
+    "catalog/34/F43": "ee35f27544b9652d427efa8fa4cde4d255eadde47e052fbc8e94b6c789c5ec0a",
+    "catalog/34/T23": "e5fe8fddce1fa3557a88330b02296f1ac34ea7484e26e286e345c09c6a4354bb",
+    "catalog/34/F32": "7ae56f635a905983007c5ac60072dc619c17960bf187dcc78939fae3dce87c09",
+    "catalog/34/T04": "78b9d5f9c725206c0f3ea30f191b8513dee2b717dbeef0229a26f64be0a1306c",
+    "catalog/34/T13": "bfc733771605ba1954642714d0df0920c0c8006b6aabfd648fc1c5604cfd266a",
+    "catalog/34/T14b": "9752f1a0ab8d6870ddfbc68bc65915b0338b02f912077aa87bb1ae8d59015885",
+    "catalog/34/T14c": "dbfa2e17293497984f1156e9ee07af5b2e82858fba03fb7721304827570d8673",
+    "catalog/34/T14d": "6fd1a1b6d0dbb039d99fe07afce89f751942de99c9d7e3feecbe5bc4075e5499",
+    "catalog/34/T23b": "b263e91ff843d225596d1f4f09f8d57abd8e8fcd884546e8b2c3d3fcccbd8d37",
+    "catalog/34/T23c": "c237e7748218b5a667850a79764ddd03add2a124b7c28e8be6adb9c882241a64",
+    "catalog/34/T23d": "5b73cdb898dbc6556cc7d331d7266d6bdb98fbc188753efc63008a37b795ce86",
+    "original_resnet/18/default": "9fcec9ed2a2223cb8296e9df3fa21ddd7c03e7c99dc066b2899b045fa8a691f1",
+    "original_resnet/34/default": "42291eaef15ed079907dc23f3d70112b9e7e13ecdae22f0389606613e79ba3b8",
+    "original_resnet/50/default": "9d798877b90cd0dad4b7ebed8635a5b1e770b6db0e0ba9927a8500ef38ec74cc",
+    "original_resnet/101/default": "f946d6c2cda830f9cebb2bfaeb40dbb744e5cdf0823d6cad92f1c8f06aea5e0e",
+    "original_resnet/152/default": "4fed34fd2b5041b914197437e85a9613fe1d1b4f2cac12a862a75741aa68c250",
+    "modified_resnet/18/default": "b673dc72eed4e191752f88cd52f4357f67fe29137e807176a4294175a156761c",
+    "modified_resnet/34/default": "ed7e1b9f9b5d4e6b2f1eaa3d46f69da637fcab0a78fee0428cd9cf8975894cee",
+    "modified_resnet/50/default": "0904b63631d28816df37332de3f7b01f74ba1bcb5ce2c242d7d866a62c407a0d",
+    "modified_resnet/101/default": "ad2d3afa41ffbb05d9f04af7ad843962f0c2c4749e0df3742ddfa27e39e11b02",
+    "modified_resnet/152/default": "32b8f4af0a70b2b8e8e13015e68d33ce792f8ba1379a1685aee17c9871a88972",
+    "gemini_resnet/18/default": "5f7948d2cabdc3fe33e1384b5271b7f05dca465c481c793965e0475d564d9863",
+    "gemini_resnet/34/default": "6d237ae35e1976b9005d02c1f3cd80796a65c7fa4f05c348cf678c888c950e48",
+    "gemini_resnet/50/default": "14dc4950abd9fbd9fb6292afe959a2fccd39d3f988ade8896a110726180e9750",
+    "gemini_resnet/101/default": "6b027721afc70dcdb47a3ecf519fe683273a12f4edc38941615537d90505368d",
+    "gemini_resnet/152/default": "620d534e5da828ba559c07cba44453c73df1c32577fad789621ae4e238c440c3",
+    "df_resnet/59/default": "8a8092cb02b17f3757c176e31972da3e0ff720447aac281837b68cd8a4c24823",
+    "df_resnet/113/default": "2d421e8d77a6547c913ec60ab4e73a025cb16f5264cfafbe7ee7c19642c95676",
+    "df_resnet/182/default": "04bd1e1f04c8bda6645287ef44da761fc475d1aa7a866caf002c19ea6d7e35c8",
+    "sd_resnet/22/default": "1d881f0eb0da7714bbcdd6593a53688e33bdc34ed53b80ebda7e1036a1e10461",
+    "sd_resnet/38/default": "c518642587d31d11883896bac5ee616b74669db295121614639248ee27a91119",
+    "df_resnet/60/T14c": "3e01711ebb5464ebb1a753a96ad29599d73a41b206ddce67736e741f88005a2d",
+    "df_resnet/114/T14c": "1f0f1c37f4145cb5b4b8375381b33240f51435734d782d518fd55622db223ec9",
+    "df_resnet/183/T14c": "980500c36b9de43b5099b0bd37211c426403d7ed1d507c8619d2a2ff05e8399c",
+    "modified_resnet/18/MOD/se4": "35d1ca5f77724c905acd48a3f76cc59ef1148e33bcd8d37ce0ba59be3f1d23d8",
+    "modified_resnet/18/MOD/res2net4": "e7af386144877bce4ab17824d20d9abbfc56168e6e3c767645851fee238f2571",
+    "modified_resnet/34/MOD/se4": "7ee780a58f17152f51bfb6e03f52802d3314ddff3b58377b21f4bcab6b775f1a",
+    "modified_resnet/34/MOD/res2net4": "210d9383f2d32355190ab30779e09ea8a557190999c17300d63ec1bb755c02fb",
+}
+
+_GOLDEN_OPTIONS = {"se4": {"se_reduction": 4}, "res2net4": {"res2net_scale": 4}}
+
+
+def _golden_spec(key):
+    family, depth, path, *option = key.split("/")
+    if family == "catalog":
+        return catalog_spec(path, int(depth))
+    extra = _GOLDEN_OPTIONS[option[0]] if option else {}
+    return build(make_request(family, int(depth), path=None if path == "default" else path, **extra))
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA_V1_DIGESTS))
+def test_schema_v1_bytes_unchanged(key):
+    spec = _golden_spec(key)
+    text = model_to_json(spec)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_V1_DIGESTS[key]
+    assert model_from_json(text) == spec
 
 
 class TestModelJson:
