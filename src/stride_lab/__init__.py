@@ -9,7 +9,6 @@ analytic results against a minimal numeric kernel.
 from .analysis import (
     AnalysisError,
     ShapeUnderflowError,
-    analyze,
     compare,
     conv_out_size,
     count_flops,
@@ -26,7 +25,7 @@ from .builder import (
     make_request,
     request_from_spec,
 )
-from .catalog import CATALOG_NAMES, PRINCIPAL_CONFIG, catalog_paths, is_cataloged
+from .catalog import CATALOG_NAMES, PRINCIPAL_CONFIG, is_cataloged
 from .layers import (
     BlockKind,
     ComplexityReport,
@@ -100,11 +99,9 @@ __all__ = [
     "TrellisPath",
     "TrialScoreSet",
     "UnknownConfigError",
-    "analyze",
     "attach_head",
     "build",
     "canonical_name",
-    "catalog_paths",
     "classify_path",
     "compare",
     "compute_eer",

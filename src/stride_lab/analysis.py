@@ -38,7 +38,6 @@ __all__ = [
     "AnalysisError",
     "ShapeUnderflowError",
     "TraceEntry",
-    "analyze",
     "compare",
     "conv_out_size",
     "count_flops",
@@ -302,10 +301,6 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
         flops_by_layer=tuple(flops_by_layer),
         input_shape=input_shape,
     )
-
-
-def analyze(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
-    return count_flops(spec, input_shape)
 
 
 @dataclass(frozen=True)

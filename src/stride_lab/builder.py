@@ -30,8 +30,10 @@ from .layers import (
     LayerEntry,
     MaxPool2d,
     ModelSpec,
+    Res2NetConv,
     Role,
     ShortcutKind,
+    SqueezeExcite,
     StageSpec,
     TemporalStatsPool,
 )
@@ -236,8 +238,6 @@ def _basic_block(
         Activation(f"{prefix}.act1"),
     ]
     if res2net_scale:
-        from .layers import Res2NetConv
-
         main.append(Res2NetConv(f"{prefix}.conv2", out_ch, res2net_scale))
     else:
         main.extend(
@@ -246,14 +246,7 @@ def _basic_block(
                 BatchNorm2d(f"{prefix}.bn2", out_ch),
             ]
         )
-    if se_reduction:
-        from .layers import SqueezeExcite
-
-        main.append(SqueezeExcite(f"{prefix}.se", out_ch, se_reduction))
-    for layer in main:
-        entries.append(LayerEntry(layer, stage=stage, block=block))
-    _append_shortcut(entries, prefix, stage, block, in_ch, out_ch, stride)
-    entries.append(LayerEntry(Activation(f"{prefix}.act_out"), stage=stage, block=block))
+    _close_block(entries, prefix, stage, block, main, in_ch, out_ch, stride, se_reduction)
 
 
 def _bottleneck_block(
@@ -277,14 +270,7 @@ def _bottleneck_block(
         Conv2d(f"{prefix}.conv3", width, out_ch, (1, 1)),
         BatchNorm2d(f"{prefix}.bn3", out_ch),
     ]
-    if se_reduction:
-        from .layers import SqueezeExcite
-
-        main.append(SqueezeExcite(f"{prefix}.se", out_ch, se_reduction))
-    for layer in main:
-        entries.append(LayerEntry(layer, stage=stage, block=block))
-    _append_shortcut(entries, prefix, stage, block, in_ch, out_ch, stride)
-    entries.append(LayerEntry(Activation(f"{prefix}.act_out"), stage=stage, block=block))
+    _close_block(entries, prefix, stage, block, main, in_ch, out_ch, stride, se_reduction)
 
 
 def _df_block(entries: list[LayerEntry], stage: int, block: int, channels: int) -> None:
@@ -308,15 +294,23 @@ def _df_block(entries: list[LayerEntry], stage: int, block: int, channels: int) 
     entries.append(LayerEntry(Activation(f"{prefix}.act_out"), stage=stage, block=block))
 
 
-def _append_shortcut(
+def _close_block(
     entries: list[LayerEntry],
     prefix: str,
     stage: int,
     block: int,
+    main: list,
     in_ch: int,
     out_ch: int,
     stride: StridePair,
+    se_reduction: int | None,
 ) -> None:
+    """Append a basic or bottleneck block: its main branch (plus SE), the
+    shortcut, the merge and the output activation."""
+    if se_reduction:
+        main.append(SqueezeExcite(f"{prefix}.se", out_ch, se_reduction))
+    for layer in main:
+        entries.append(LayerEntry(layer, stage=stage, block=block))
     if in_ch != out_ch:
         entries.append(
             LayerEntry(
@@ -340,6 +334,7 @@ def _append_shortcut(
     else:
         kind = ShortcutKind.IDENTITY
     entries.append(LayerEntry(Add(f"{prefix}.add", kind, stride=stride), stage=stage, block=block))
+    entries.append(LayerEntry(Activation(f"{prefix}.act_out"), stage=stage, block=block))
 
 
 def _downsample_conv(
@@ -398,6 +393,9 @@ def build_body(req: BuildRequest) -> ModelSpec:
             out_ch = width * _BOTTLENECK_EXPANSION
         else:
             out_ch = width
+        for option, value in (("SE reduction", req.se_reduction), ("res2net scale", req.res2net_scale)):
+            if value and out_ch % value:
+                raise BuildError(f"stage {stage}: {option} {value} does not divide its {out_ch} channels")
         path_stride = req.path.steps[stage - 1]
         # The original recipe consumes the stage-2 stride in its max pool.
         block_stage_stride = UNIT if (original and stage == 2) else path_stride

@@ -8,13 +8,12 @@ alternate routes to the two golden endpoints.
 
 from __future__ import annotations
 
-from .strides import TrellisPath, canonical_name, resolve_name
+from .strides import TrellisPath, canonical_name
 
 __all__ = [
     "CATALOG_NAMES",
     "GOLDEN_GEMINI_FACTORS",
     "PRINCIPAL_CONFIG",
-    "catalog_paths",
     "is_cataloged",
 ]
 
@@ -53,11 +52,6 @@ CATALOG_NAMES = (
     "T23c",
     "T23d",
 )
-
-
-def catalog_paths() -> tuple[TrellisPath, ...]:
-    """The cataloged configurations as labeled paths, in catalog order."""
-    return tuple(resolve_name(name) for name in CATALOG_NAMES)
 
 
 def is_cataloged(path: TrellisPath) -> bool:

@@ -233,22 +233,17 @@ def _cmd_enumerate(args) -> int:
         sys.stdout.write(trellis_dot())
         return EXIT_OK
     wanted = _CLASSES[args.path_class] if args.path_class else None
-    if args.endpoint:
-        alpha, beta = _parse_endpoint(args.endpoint)
-        try:
-            family = paths_to_endpoint(alpha, beta)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        for path in family:
-            if wanted is not None and classify_path(path) is not wanted:
-                continue
-            print(_path_row(path))
-        return EXIT_OK
-    if args.paths:
-        for path in iter_all_paths():
-            if wanted is not None and classify_path(path) is not wanted:
-                continue
-            print(_path_row(path))
+    if args.endpoint or args.paths:
+        paths = iter_all_paths()
+        if args.endpoint:
+            alpha, beta = _parse_endpoint(args.endpoint)
+            try:
+                paths = paths_to_endpoint(alpha, beta)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+        for path in paths:
+            if wanted is None or classify_path(path) is wanted:
+                print(_path_row(path))
         return EXIT_OK
     golden = set(golden_gemini_endpoints())
     for endpoint in enumerate_endpoints():

@@ -26,10 +26,10 @@ def _node_id(alpha_exp: int, beta_exp: int) -> str:
     return f"a{alpha_exp}b{beta_exp}"
 
 
-def trellis_dot(paths: tuple[TrellisPath, ...] = (), mark_golden: bool = True) -> str:
+def trellis_dot(paths: tuple[TrellisPath, ...] = ()) -> str:
     """Render the trellis grid, optionally overlaying stride-configuration
     paths as colored edge chains (self-loops included)."""
-    golden = set(GOLDEN_GEMINI_FACTORS) if mark_golden else set()
+    golden = set(GOLDEN_GEMINI_FACTORS)
     lines = [
         "digraph trellis {",
         "  rankdir=TB;",

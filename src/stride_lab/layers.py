@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Union
 
 from .strides import StridePair, TrellisPath
@@ -305,39 +306,14 @@ class ModelSpec:
         suffix = f" + {' + '.join(extras)}" if extras else ""
         return f"{base}{self.depth_label}{suffix}"
 
-    def layers(self) -> tuple[Layer, ...]:
-        return tuple(entry.layer for entry in self.entries)
-
     def segments(self) -> tuple["Segment", ...]:
-        """Group the flat entry list into linear and residual-block segments."""
-        segments: list[Segment] = []
-        pending: list[LayerEntry] = []
-
-        def flush() -> None:
-            if pending:
-                segments.append(Segment(kind="linear", entries=tuple(pending)))
-                pending.clear()
-
-        i = 0
-        entries = self.entries
-        while i < len(entries):
-            entry = entries[i]
-            if entry.block is None:
-                pending.append(entry)
-                i += 1
-                continue
-            flush()
-            j = i
-            key = (entry.stage, entry.block)
-            while j < len(entries) and entries[j].block is not None and (
-                entries[j].stage,
-                entries[j].block,
-            ) == key:
-                j += 1
-            segments.append(Segment(kind="block", entries=tuple(entries[i:j])))
-            i = j
-        flush()
-        return tuple(segments)
+        """Group the flat entry list into linear runs (entries outside any
+        block) and residual blocks (the consecutive entries of one block)."""
+        runs = groupby(self.entries, key=lambda e: None if e.block is None else (e.stage, e.block))
+        return tuple(
+            Segment(kind="linear" if key is None else "block", entries=tuple(run))
+            for key, run in runs
+        )
 
 
 @dataclass(frozen=True)
@@ -346,12 +322,6 @@ class Segment:
 
     kind: str  # "linear" | "block"
     entries: tuple[LayerEntry, ...]
-
-    def merge_layer(self) -> Add:
-        for entry in self.entries:
-            if isinstance(entry.layer, Add):
-                return entry.layer
-        raise ValueError("residual segment without an add layer")
 
 
 @dataclass(frozen=True)

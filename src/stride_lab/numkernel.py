@@ -94,9 +94,6 @@ class OpCounter:
 
     multiplies: int = 0
 
-    def merge(self, other: "OpCounter") -> None:
-        self.multiplies += other.multiplies
-
 
 @dataclass(frozen=True)
 class RunResult:

@@ -1,38 +1,42 @@
 """Wire formats: model-spec JSON (schema v1) and complexity-table CSV.
 
-The JSON document carries the flat annotated layer list; loading rebuilds
-the spec from it and re-validates every field through the dataclass
-constructors, so a corrupted document (say, a stride of 3) is rejected.
+Schema v1 is generated from the spec dataclasses in :mod:`.layers`. A layer
+is ``{"stage", "block", "role", "kind", **fields}`` in field order, a stage
+is its fields, and the document is ``schema_version``, the model's fields
+(``entries`` travel as ``layers``). Ints, bools and strings are JSON values
+of exactly that type, pairs 2-element lists, strides ``{time, freq}``
+objects, enums their values. Loading checks every value against its field's
+declared type with no coercion, lets a field be left out only when its
+dataclass has a default, and re-validates through the dataclass
+constructors; any non-conforming document raises :class:`SpecFormatError`.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
+from typing import get_type_hints
 
 from .layers import (
     Activation,
     Add,
     BatchNorm2d,
     Conv2d,
-    Family,
     FullyConnected,
     GlobalAvgPool,
-    Layer,
     LayerEntry,
     MaxPool2d,
     ModelSpec,
     Res2NetConv,
-    Role,
-    ShortcutKind,
     SqueezeExcite,
     StageSpec,
     TemporalStatsPool,
-    BlockKind,
 )
-from .strides import StridePair, TrellisPath
+from .strides import STRIDE_VALUES, StridePair, TrellisPath
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,192 +50,211 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+#: Kind registry: the schema-v1 ``kind`` of every layer class.
+_LAYER_KINDS = {
+    Conv2d: "conv2d",
+    MaxPool2d: "maxpool2d",
+    BatchNorm2d: "batchnorm2d",
+    Activation: "activation",
+    Add: "add",
+    SqueezeExcite: "squeeze_excite",
+    Res2NetConv: "res2net_conv",
+    TemporalStatsPool: "temporal_stats_pool",
+    GlobalAvgPool: "global_avg_pool",
+    FullyConnected: "fully_connected",
+}
+
 
 class SpecFormatError(ValueError):
     """Raised when a spec document cannot be parsed or validated."""
+
+
+# A checker takes a decoded JSON value and its field name, and returns the
+# field value or raises SpecFormatError.
+
+
+def _reject(name: str, expected: str, value) -> SpecFormatError:
+    return SpecFormatError(f"{name} must be {expected}, got {value!r}")
+
+
+def _exact(cls: type, expected: str):
+    """Checker accepting only values of type ``cls`` itself (a bool is no int)."""
+
+    def check(value, name: str):
+        if type(value) is not cls:
+            raise _reject(name, expected, value)
+        return value
+
+    return check
+
+
+_int = _exact(int, "an integer")
+_bool = _exact(bool, "true or false")
+_list = _exact(list, "a list")
+
+
+def _optional_int(value, name: str) -> int | None:
+    return None if value is None else _int(value, name)
+
+
+def _str(value, name: str) -> str:
+    if type(value) is not str or not value:
+        raise _reject(name, "a non-empty string", value)
+    return value
+
+
+def _strings(value, name: str) -> tuple[str, ...]:
+    return tuple(_str(v, f"{name} item") for v in _list(value, name))
+
+
+def _pair(value, name: str) -> tuple[int, int]:
+    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
+        return (value[0], value[1])
+    raise _reject(name, "a 2-element list of integers", value)
+
+
+_STRIDES = {(t, f): StridePair(t, f) for t in STRIDE_VALUES for f in STRIDE_VALUES}
+
+
+def _stride(value, name: str) -> StridePair:
+    if type(value) is dict and len(value) == 2:
+        key = (value.get("time"), value.get("freq"))
+        if type(key[0]) is int and type(key[1]) is int and key in _STRIDES:
+            return _STRIDES[key]
+    raise _reject(name, "a {time, freq} object of 1s and 2s", value)
 
 
 def _stride_dict(stride: StridePair) -> dict:
     return {"time": stride.time, "freq": stride.freq}
 
 
-def _layer_dict(layer: Layer) -> dict:
-    if isinstance(layer, Conv2d):
-        return {
-            "kind": "conv2d",
-            "name": layer.name,
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "kernel": list(layer.kernel),
-            "stride": _stride_dict(layer.stride),
-            "padding": list(layer.padding),
-            "dilation": list(layer.dilation),
-            "groups": layer.groups,
-            "bias": layer.bias,
-        }
-    if isinstance(layer, MaxPool2d):
-        return {
-            "kind": "maxpool2d",
-            "name": layer.name,
-            "kernel": list(layer.kernel),
-            "stride": _stride_dict(layer.stride),
-            "padding": list(layer.padding),
-        }
-    if isinstance(layer, BatchNorm2d):
-        return {"kind": "batchnorm2d", "name": layer.name, "channels": layer.channels}
-    if isinstance(layer, Activation):
-        return {"kind": "activation", "name": layer.name, "fn": layer.fn}
-    if isinstance(layer, Add):
-        return {
-            "kind": "add",
-            "name": layer.name,
-            "shortcut": layer.shortcut.value,
-            "stride": _stride_dict(layer.stride),
-        }
-    if isinstance(layer, SqueezeExcite):
-        return {
-            "kind": "squeeze_excite",
-            "name": layer.name,
-            "channels": layer.channels,
-            "reduction": layer.reduction,
-        }
-    if isinstance(layer, Res2NetConv):
-        return {
-            "kind": "res2net_conv",
-            "name": layer.name,
-            "channels": layer.channels,
-            "scale": layer.scale,
-            "kernel": list(layer.kernel),
-            "padding": list(layer.padding),
-        }
-    if isinstance(layer, TemporalStatsPool):
-        return {"kind": "temporal_stats_pool", "name": layer.name}
-    if isinstance(layer, GlobalAvgPool):
-        return {"kind": "global_avg_pool", "name": layer.name}
-    if isinstance(layer, FullyConnected):
-        return {
-            "kind": "fully_connected",
-            "name": layer.name,
-            "in_dim": layer.in_dim,
-            "out_dim": layer.out_dim,
-            "bias": layer.bias,
-        }
-    raise SpecFormatError(f"unserializable layer {type(layer).__name__}")
+def _path(value, name: str) -> TrellisPath:
+    if type(value) is not dict:
+        raise _reject(name, "an object", value)
+    time, freq = (
+        tuple(_int(v, key) for v in _list(value.get(key), key))
+        for key in ("time_strides", "freq_strides")
+    )
+    label = value.get("label")
+    return TrellisPath.from_lists(time, freq, label=None if label is None else _str(label, "label"))
 
 
-def _pair(value, what: str) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SpecFormatError(f"{what} must be a 2-element list, got {value!r}")
-    return (int(value[0]), int(value[1]))
+def _path_dict(path: TrellisPath) -> dict:
+    return {
+        "label": path.label,
+        "time_strides": list(path.time_strides),
+        "freq_strides": list(path.freq_strides),
+    }
 
 
-def _parse_stride(value) -> StridePair:
-    if not isinstance(value, dict) or set(value) != {"time", "freq"}:
-        raise SpecFormatError(f"stride must be a {{time, freq}} object, got {value!r}")
-    return StridePair(int(value["time"]), int(value["freq"]))
+def _stages(value, name: str) -> tuple[StageSpec, ...]:
+    return tuple(_decode(StageSpec, s) for s in _list(value, name))
 
 
-def _parse_layer(doc: dict) -> Layer:
-    kind = doc.get("kind")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        raise SpecFormatError(f"layer missing name: {doc!r}")
+def _enum_codec(cls: type[enum.Enum]):
+    members = {member.value: member for member in cls}
+
+    def check(value, name: str):
+        if type(value) is str and value in members:
+            return members[value]
+        raise _reject(name, f"one of {sorted(members)}", value)
+
+    return attrgetter("value"), check
+
+
+#: Declared field type -> (encoder, checker); a None encoder means the
+#: value is already JSON. Enums are added per class by ``_plan``.
+_CODECS = {
+    int: (None, _int),
+    int | None: (None, _optional_int),
+    bool: (None, _bool),
+    str: (None, _str),
+    tuple[int, int]: (list, _pair),
+    tuple[str, ...]: (list, _strings),
+    StridePair: (_stride_dict, _stride),
+    TrellisPath: (_path_dict, _path),
+    tuple[StageSpec, ...]: (lambda stages: [_encode(s, {}) for s in stages], _stages),
+}
+
+
+def _plan(cls: type, order: tuple[str, ...] | None = None) -> tuple:
+    """(field, encoder, checker, required) per field of ``cls``, in ``order``
+    (default: declaration order). Fields outside ``order`` are skipped."""
+    hints = get_type_hints(cls)
+    by_name = {f.name: f for f in fields(cls)}
+    plan = []
+    for name in order or tuple(by_name):
+        hint = hints[name]
+        codec = _enum_codec(hint) if isinstance(hint, enum.EnumMeta) else _CODECS[hint]
+        required = by_name[name].default is MISSING and by_name[name].default_factory is MISSING
+        plan.append((name, *codec, required))
+    return tuple(plan)
+
+
+def _encode(obj, doc: dict) -> dict:
+    """Add ``obj``'s fields to ``doc`` by its class's plan."""
+    for name, encoder, _, _ in _PLANS[type(obj)]:
+        value = getattr(obj, name)
+        doc[name] = value if encoder is None else encoder(value)
+    return doc
+
+
+def _decode(cls: type, doc, **given):
+    """Build ``cls`` from the JSON object ``doc`` by its plan, on top of
+    the already-decoded fields in ``given``."""
+    if type(doc) is not dict:
+        raise _reject(cls.__name__, "an object", doc)
     try:
-        if kind == "conv2d":
-            return Conv2d(
-                name=name,
-                in_channels=int(doc["in_channels"]),
-                out_channels=int(doc["out_channels"]),
-                kernel=_pair(doc["kernel"], "kernel"),
-                stride=_parse_stride(doc["stride"]),
-                padding=_pair(doc["padding"], "padding"),
-                dilation=_pair(doc.get("dilation", [1, 1]), "dilation"),
-                groups=int(doc.get("groups", 1)),
-                bias=bool(doc.get("bias", False)),
-            )
-        if kind == "maxpool2d":
-            return MaxPool2d(
-                name=name,
-                kernel=_pair(doc["kernel"], "kernel"),
-                stride=_parse_stride(doc["stride"]),
-                padding=_pair(doc.get("padding", [0, 0]), "padding"),
-            )
-        if kind == "batchnorm2d":
-            return BatchNorm2d(name=name, channels=int(doc["channels"]))
-        if kind == "activation":
-            return Activation(name=name, fn=doc.get("fn", "relu"))
-        if kind == "add":
-            return Add(
-                name=name,
-                shortcut=ShortcutKind(doc["shortcut"]),
-                stride=_parse_stride(doc.get("stride", {"time": 1, "freq": 1})),
-            )
-        if kind == "squeeze_excite":
-            return SqueezeExcite(name=name, channels=int(doc["channels"]), reduction=int(doc["reduction"]))
-        if kind == "res2net_conv":
-            return Res2NetConv(
-                name=name,
-                channels=int(doc["channels"]),
-                scale=int(doc["scale"]),
-                kernel=_pair(doc.get("kernel", [3, 3]), "kernel"),
-                padding=_pair(doc.get("padding", [1, 1]), "padding"),
-            )
-        if kind == "temporal_stats_pool":
-            return TemporalStatsPool(name=name)
-        if kind == "global_avg_pool":
-            return GlobalAvgPool(name=name)
-        if kind == "fully_connected":
-            return FullyConnected(
-                name=name,
-                in_dim=int(doc["in_dim"]),
-                out_dim=int(doc["out_dim"]),
-                bias=bool(doc.get("bias", True)),
-            )
-    except SpecFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(f"layer {name!r}: {exc}") from exc
-    raise SpecFormatError(f"unknown layer kind {kind!r}")
+        for name, _, check, required in _PLANS[cls]:
+            if name in doc:
+                given[name] = check(doc[name], name)
+            elif required:
+                raise SpecFormatError(f"missing field {name!r}")
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(str(exc)) from exc
+
+
+_LAYER_CLASSES = {kind: cls for cls, kind in _LAYER_KINDS.items()}
+
+#: ModelSpec fields in document order; ``entries`` travels as ``layers``.
+_MODEL_FIELDS = (
+    "family", "depth_label", "base_channels", "embedding_dim", "input_freq_bins",
+    "se_reduction", "res2net_scale", "notes", "path", "stages",
+)
+
+# Built once: serialization is on the analyze hot path.
+_PLANS = {
+    **{cls: _plan(cls) for cls in (*_LAYER_KINDS, StageSpec)},
+    LayerEntry: _plan(LayerEntry, order=("stage", "block", "role")),
+    ModelSpec: _plan(ModelSpec, order=_MODEL_FIELDS),
+}
+
+
+def _encode_entry(entry: LayerEntry) -> dict:
+    kind = _LAYER_KINDS.get(type(entry.layer))
+    if kind is None:
+        raise SpecFormatError(f"unserializable layer {type(entry.layer).__name__}")
+    doc = _encode(entry, {})
+    doc["kind"] = kind
+    return _encode(entry.layer, doc)
+
+
+def _decode_entry(doc) -> LayerEntry:
+    if type(doc) is not dict:
+        raise _reject("layer", "an object", doc)
+    try:
+        kind = doc.get("kind")
+        if type(kind) is not str or kind not in _LAYER_CLASSES:
+            raise SpecFormatError(f"unknown layer kind {kind!r}")
+        return _decode(LayerEntry, doc, layer=_decode(_LAYER_CLASSES[kind], doc))
+    except SpecFormatError as exc:
+        raise SpecFormatError(f"layer {doc.get('name')!r}: {exc}") from None
 
 
 def model_to_json(spec: ModelSpec, indent: int | None = 2) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "family": spec.family.value,
-        "depth_label": spec.depth_label,
-        "base_channels": spec.base_channels,
-        "embedding_dim": spec.embedding_dim,
-        "input_freq_bins": spec.input_freq_bins,
-        "se_reduction": spec.se_reduction,
-        "res2net_scale": spec.res2net_scale,
-        "notes": list(spec.notes),
-        "path": {
-            "label": spec.path.label,
-            "time_strides": list(spec.path.time_strides),
-            "freq_strides": list(spec.path.freq_strides),
-        },
-        "stages": [
-            {
-                "index": s.index,
-                "kind": s.kind.value,
-                "width": s.width,
-                "out_channels": s.out_channels,
-                "num_blocks": s.num_blocks,
-                "stride": _stride_dict(s.stride),
-                "separate_downsample": s.separate_downsample,
-            }
-            for s in spec.stages
-        ],
-        "layers": [
-            {
-                "stage": e.stage,
-                "block": e.block,
-                "role": e.role.value,
-                **_layer_dict(e.layer),
-            }
-            for e in spec.entries
-        ],
-    }
+    doc = _encode(spec, {"schema_version": SCHEMA_VERSION})
+    doc["layers"] = [_encode_entry(e) for e in spec.entries]
     return json.dumps(doc, indent=indent)
 
 
@@ -240,64 +263,22 @@ def model_from_json(text: str) -> ModelSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise SpecFormatError("spec document must be a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SpecFormatError(f"unsupported schema_version {version!r}")
-    try:
-        path_doc = doc["path"]
-        path = TrellisPath.from_lists(
-            tuple(int(v) for v in path_doc["time_strides"]),
-            tuple(int(v) for v in path_doc["freq_strides"]),
-            label=path_doc.get("label"),
-        )
-        stages = tuple(
-            StageSpec(
-                index=int(s["index"]),
-                kind=BlockKind(s["kind"]),
-                width=int(s["width"]),
-                out_channels=int(s["out_channels"]),
-                num_blocks=int(s["num_blocks"]),
-                stride=_parse_stride(s["stride"]),
-                separate_downsample=bool(s.get("separate_downsample", False)),
-            )
-            for s in doc["stages"]
-        )
-        entries = tuple(
-            LayerEntry(
-                layer=_parse_layer(e),
-                stage=int(e["stage"]),
-                block=None if e.get("block") is None else int(e["block"]),
-                role=Role(e.get("role", "main")),
-            )
-            for e in doc["layers"]
-        )
-        # Weights and per-layer counts are keyed by name, so a repeated name
-        # would silently alias two layers.
-        seen: set[str] = set()
-        for entry in entries:
-            if entry.layer.name in seen:
-                raise SpecFormatError(f"duplicate layer name {entry.layer.name!r}")
-            seen.add(entry.layer.name)
-        spec = ModelSpec(
-            family=Family(doc["family"]),
-            depth_label=int(doc["depth_label"]),
-            base_channels=int(doc["base_channels"]),
-            embedding_dim=int(doc["embedding_dim"]),
-            input_freq_bins=int(doc["input_freq_bins"]),
-            path=path,
-            stages=stages,
-            entries=entries,
-            se_reduction=doc.get("se_reduction"),
-            res2net_scale=doc.get("res2net_scale"),
-            notes=tuple(doc.get("notes", ())),
-        )
-    except SpecFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(str(exc)) from exc
-    return spec
+    if "layers" not in doc:
+        raise SpecFormatError("missing field 'layers'")
+    entries = tuple(_decode_entry(e) for e in _list(doc["layers"], "layers"))
+    # Weights and per-layer counts are keyed by name, so a repeated name
+    # would silently alias two layers.
+    seen: set[str] = set()
+    for entry in entries:
+        if entry.layer.name in seen:
+            raise SpecFormatError(f"duplicate layer name {entry.layer.name!r}")
+        seen.add(entry.layer.name)
+    return _decode(ModelSpec, doc, entries=entries)
 
 
 # ---------------------------------------------------------------------------

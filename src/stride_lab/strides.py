@@ -34,6 +34,7 @@ __all__ = [
     "canonical_name",
     "classify_path",
     "downsampling_factors",
+    "endpoint_class",
     "final_factors",
     "iter_all_paths",
     "paths_to_endpoint",
@@ -130,14 +131,17 @@ def final_factors(path: TrellisPath) -> tuple[int, int]:
     return downsampling_factors(path)[-1]
 
 
-def classify_path(path: TrellisPath) -> PathClass:
+def endpoint_class(alpha5: int, beta5: int) -> PathClass:
     """Time-priority iff alpha_5 < beta_5, frequency-priority iff the reverse."""
-    alpha, beta = final_factors(path)
-    if alpha < beta:
+    if alpha5 < beta5:
         return PathClass.TIME_PRIORITY
-    if alpha > beta:
+    if alpha5 > beta5:
         return PathClass.FREQUENCY_PRIORITY
     return PathClass.EQUAL
+
+
+def classify_path(path: TrellisPath) -> PathClass:
+    return endpoint_class(*final_factors(path))
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +199,6 @@ def _suffix_rank(suffix: str) -> int:
     raise UnknownConfigError(f"unparseable suffix {suffix!r}")
 
 
-def _stride_tuples_to_endpoint(time: tuple[int, ...], freq: tuple[int, ...]) -> tuple[int, int]:
-    alpha = beta = 1
-    for t in time:
-        alpha *= t
-    for f in freq:
-        beta *= f
-    return alpha, beta
-
-
 def _latest_tuple(factor: int) -> tuple[int, ...]:
     """Stride tuple with all downsampling packed into the latest stages."""
     exponent = factor.bit_length() - 1
@@ -255,14 +250,12 @@ def _family_order(alpha5: int, beta5: int) -> tuple[tuple[tuple[int, ...], tuple
     return (canon, *pinned, *rest)
 
 
+_CLASS_PREFIX = {PathClass.TIME_PRIORITY: "T", PathClass.FREQUENCY_PRIORITY: "F", PathClass.EQUAL: "E"}
+
+
 def _base_name(alpha5: int, beta5: int) -> str:
-    a = alpha5.bit_length() - 1
-    b = beta5.bit_length() - 1
-    if alpha5 < beta5:
-        return f"T{a}{b}"
-    if alpha5 > beta5:
-        return f"F{a}{b}"
-    return f"E{a}{b}"
+    prefix = _CLASS_PREFIX[endpoint_class(alpha5, beta5)]
+    return f"{prefix}{alpha5.bit_length() - 1}{beta5.bit_length() - 1}"
 
 
 def canonical_name(path: TrellisPath) -> str:
@@ -292,13 +285,7 @@ def resolve_name(name: str) -> TrellisPath:
     alpha5 = 2 ** int(match.group("a"))
     beta5 = 2 ** int(match.group("b"))
     cls = match.group("cls")
-    expected = {"T": PathClass.TIME_PRIORITY, "F": PathClass.FREQUENCY_PRIORITY, "E": PathClass.EQUAL}[cls]
-    actual = (
-        PathClass.TIME_PRIORITY if alpha5 < beta5
-        else PathClass.FREQUENCY_PRIORITY if alpha5 > beta5
-        else PathClass.EQUAL
-    )
-    if actual is not expected:
+    if _CLASS_PREFIX[endpoint_class(alpha5, beta5)] != cls:
         raise UnknownConfigError(f"{cleaned!r}: prefix {cls!r} does not match endpoint ({alpha5}, {beta5})")
     rank = _suffix_rank(match.group("suffix"))
     order = _family_order(alpha5, beta5)

@@ -9,7 +9,7 @@ FLOPs, depending on how early the downsampling happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .catalog import GOLDEN_GEMINI_FACTORS
@@ -20,6 +20,7 @@ from .strides import (
     PathClass,
     TrellisPath,
     canonical_name,
+    endpoint_class,
     paths_to_endpoint,
 )
 
@@ -52,11 +53,7 @@ class TrellisEndpoint:
 
     @property
     def path_class(self) -> PathClass:
-        if self.alpha5 < self.beta5:
-            return PathClass.TIME_PRIORITY
-        if self.alpha5 > self.beta5:
-            return PathClass.FREQUENCY_PRIORITY
-        return PathClass.EQUAL
+        return endpoint_class(self.alpha5, self.beta5)
 
     def on_boundary(self) -> bool:
         return any(e in (0, NUM_STAGES) for e in self.exponents)
@@ -149,9 +146,4 @@ def rank_paths_by_flops(
     valid = [r for r in ranked if r.error is None]
     invalid = [r for r in ranked if r.error is not None]
     valid.sort(key=lambda r: (-r.flops_total, r.name))
-    ordered = [
-        RankedPath(r.path, r.name, rank=i + 1, flops_total=r.flops_total,
-                   params_total=r.params_total, error=r.error)
-        for i, r in enumerate(valid + invalid)
-    ]
-    return tuple(ordered)
+    return tuple(replace(r, rank=i + 1) for i, r in enumerate(valid + invalid))

@@ -127,20 +127,10 @@ def _grad_layer(rng: np.random.Generator, index: int) -> Conv2d:
     stride = StridePair(int(rng.choice([1, 2])), int(rng.choice([1, 2])))
     if index % 3 == 1:
         stride = StridePair(2, int(rng.choice([1, 2])))
-    depthwise = index % 4 == 2
-    if depthwise:
-        channels = int(rng.integers(2, 9))
-        return Conv2d(
-            name=f"gradcheck{index}",
-            in_channels=channels,
-            out_channels=channels,
-            kernel=(kernel, kernel),
-            stride=stride,
-            padding=(kernel // 2, kernel // 2),
-            groups=channels,
-        )
-    in_ch = int(rng.integers(1, 9))
-    out_ch = int(rng.integers(1, 9))
+    if index % 4 == 2:  # depthwise
+        in_ch = out_ch = groups = int(rng.integers(2, 9))
+    else:
+        in_ch, out_ch, groups = int(rng.integers(1, 9)), int(rng.integers(1, 9)), 1
     return Conv2d(
         name=f"gradcheck{index}",
         in_channels=in_ch,
@@ -148,6 +138,7 @@ def _grad_layer(rng: np.random.Generator, index: int) -> Conv2d:
         kernel=(kernel, kernel),
         stride=stride,
         padding=(kernel // 2, kernel // 2),
+        groups=groups,
     )
 
 

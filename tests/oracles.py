@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way (explicit loops, reversed
 loop orders, two-pass statistics) so it shares no code path with the
-package implementations it checks.
+package implementations it checks. ``MALFORMED_SPECS`` holds the spec
+documents that both the loader tests and the CLI tests expect rejected.
 """
 
 from __future__ import annotations
@@ -154,3 +155,30 @@ def loop_parse_trials(text):
     if not trials:
         raise ScoreFileError(0, "no trials found")
     return tuple(trials)
+
+
+def _first_layer(doc, kind):
+    return next(layer for layer in doc["layers"] if layer["kind"] == kind)
+
+
+#: Schema-v1 mutations that a type-strict loader must reject, applied in
+#: place to a ResNet34 document: id -> (mutate(doc), message fragment).
+MALFORMED_SPECS = {
+    "float-out-channels": (lambda d: _first_layer(d, "conv2d").update(out_channels=32.7),
+                           "out_channels must be an integer, got 32.7"),
+    "string-in-channels": (lambda d: _first_layer(d, "conv2d").update(in_channels="1"),
+                           "in_channels must be an integer, got '1'"),
+    "string-bias": (lambda d: _first_layer(d, "conv2d").update(bias="no"),
+                    "bias must be true or false, got 'no'"),
+    "float-num-blocks": (lambda d: d["stages"][0].update(num_blocks=2.9),
+                         "num_blocks must be an integer, got 2.9"),
+    "string-stage": (lambda d: d["layers"][0].update(stage="1"),
+                     "stage must be an integer, got '1'"),
+    "string-notes": (lambda d: d.update(notes="abc"), "notes must be a list, got 'abc'"),
+    "string-se-reduction": (lambda d: d.update(se_reduction="x"),
+                            "se_reduction must be an integer, got 'x'"),
+    "string-layer": (lambda d: d["layers"].__setitem__(0, "stem.conv"),
+                     "layer must be an object, got 'stem.conv'"),
+    "object-layers": (lambda d: d.update(layers={}), "layers must be a list, got {}"),
+    "int-stage-entry": (lambda d: d.update(stages=[1]), "must be an object, got 1"),
+}

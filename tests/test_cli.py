@@ -5,6 +5,8 @@ import pytest
 from stride_lab.cli import main
 from stride_lab.serialize import parse_table
 
+from oracles import MALFORMED_SPECS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -184,6 +186,43 @@ class TestBuildAndVerifySpec:
         assert f"error: rejected spec {spec_file}: " in err
         assert f"stage2.maxpool: {message}" in err
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_is_build_error(self, capsys, tmp_path, mutation):
+        spec_file = tmp_path / "model.json"
+        run_cli(capsys, "build", "resnet", "34", "--path", "MOD", "-o", str(spec_file))
+        doc = json.loads(spec_file.read_text())
+        mutate, message = MALFORMED_SPECS[mutation]
+        mutate(doc)
+        spec_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_file), "--frames", "48")
+        assert code == 2
+        assert f"error: rejected spec {spec_file}: " in err
+        assert message in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("analyze", "resnet", "34", "--se", "7"), "stage 2: SE reduction 7 does not divide its 32 channels"),
+        (("analyze", "resnet", "34", "--res2net", "5"), "stage 2: res2net scale 5 does not divide its 32 channels"),
+        (("build", "resnet", "50", "--se", "3"), "stage 2: SE reduction 3 does not divide its 128 channels"),
+    ], ids=["analyze-se-7", "analyze-res2net-5", "build-se-3"])
+    def test_option_not_dividing_stage_width_is_build_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("option", ["--se", "--res2net"])
+    def test_dividing_option_builds_analyzes_and_verifies(self, capsys, tmp_path, option):
+        code, out, _ = run_cli(capsys, "analyze", "resnet", "34", option, "4")
+        assert code == 0
+        assert out.startswith("config      MOD")
+        spec_file = tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "build", "resnet", "18", option, "4", "-o", str(spec_file))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec_file), "--frames", "48")
+        assert code == 0
+        assert out.startswith("ok")
 
     @pytest.mark.parametrize("argv", [("build", "resnet", "34"), ("render",)])
     def test_unwritable_output_is_build_error(self, capsys, tmp_path, argv):

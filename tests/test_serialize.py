@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -17,6 +19,8 @@ from stride_lab.serialize import (
 )
 from stride_lab.strides import resolve_name
 from stride_lab.verification import catalog_spec
+
+from oracles import MALFORMED_SPECS
 
 
 # sha256 of model_to_json(spec) (indent 2), recorded before the field-driven
@@ -154,6 +158,42 @@ class TestModelJson:
         pool[field] = value
         with pytest.raises(SpecFormatError, match=rf"stage2\.maxpool: {message}"):
             model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_rejected(self, mod34, mutation):
+        doc = json.loads(model_to_json(mod34))
+        mutate, message = MALFORMED_SPECS[mutation]
+        mutate(doc)
+        with pytest.raises(SpecFormatError, match=re.escape(message)):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("family,depth,options", [
+        ("original_resnet", 18, {}),
+        ("modified_resnet", 18, {"se_reduction": 4, "res2net_scale": 4}),
+        ("df_resnet", 60, {"path": "T14c"}),
+    ])
+    def test_defaulted_fields_may_be_omitted(self, family, depth, options):
+        spec = build(make_request(family, depth, **options))
+        full = model_to_json(spec)
+        doc = json.loads(full)
+
+        def drop_defaults(obj, obj_doc):
+            for f in dataclasses.fields(obj):
+                if f.default is not dataclasses.MISSING and getattr(obj, f.name) == f.default:
+                    del obj_doc[f.name]
+
+        for key in ("se_reduction", "res2net_scale", "notes"):
+            if not doc[key]:
+                del doc[key]
+        for stage, stage_doc in zip(spec.stages, doc["stages"]):
+            drop_defaults(stage, stage_doc)
+        for entry, layer_doc in zip(spec.entries, doc["layers"]):
+            drop_defaults(entry, layer_doc)
+            drop_defaults(entry.layer, layer_doc)
+        convs = [layer for layer in doc["layers"] if layer["kind"] == "conv2d"]
+        assert any("stride" not in conv for conv in convs)
+        assert any("padding" not in conv for conv in convs)
+        assert model_from_json(json.dumps(doc)) == model_from_json(full) == spec
 
     def test_se_and_res2net_round_trip(self):
         spec = build(make_request("modified_resnet", 34, se_reduction=4))
