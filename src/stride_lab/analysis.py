@@ -8,11 +8,20 @@ convolutions and fully connected layers only. Batch norm, activations,
 pooling, and residual adds count zero. Parameters count conv kernels
 (bias-free, a batch norm always follows), 2 per batch-norm channel, and
 fully connected weights plus biases.
+
+One rule table, ``_RULES``, maps each layer type to its shape, parameter,
+MAC and (for pooling and projection layers) head rule; ``propagate_shape``,
+``layer_params``, ``layer_flops``, ``trace`` and the counts all dispatch
+through it. The walk carries shapes as plain ``(C, F, T)`` tuples,
+``count_params`` calls each layer's parameter rule once, and
+``count_flops`` takes MACs from one walk and parameters from one
+``count_params`` pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .layers import (
     Activation,
@@ -70,12 +79,16 @@ def conv_out_size(r_in: int, kernel: int, padding: int, dilation: int, stride: i
     return (r_in + 2 * padding - dilation * (kernel - 1) - 1) // stride + 1
 
 
+# Shapes travel as plain (C, F, T) tuples; TensorShape validates only at the
+# public boundary.
+
+
 def _spatial_out(
-    shape: TensorShape, kernel: tuple[int, int], padding: tuple[int, int],
+    shape: tuple[int, int, int], kernel: tuple[int, int], padding: tuple[int, int],
     dilation: tuple[int, int], stride: StridePair, layer_name: str,
 ) -> tuple[int, int]:
-    f_out = conv_out_size(shape.freq, kernel[0], padding[0], dilation[0], stride.freq)
-    t_out = conv_out_size(shape.time, kernel[1], padding[1], dilation[1], stride.time)
+    f_out = conv_out_size(shape[1], kernel[0], padding[0], dilation[0], stride.freq)
+    t_out = conv_out_size(shape[2], kernel[1], padding[1], dilation[1], stride.time)
     if f_out < 1:
         raise ShapeUnderflowError("freq", layer_name, f_out)
     if t_out < 1:
@@ -83,87 +96,165 @@ def _spatial_out(
     return f_out, t_out
 
 
-def subsample_out(shape: TensorShape, stride: StridePair) -> TensorShape:
+def _subsample(shape: tuple[int, int, int], stride: StridePair) -> tuple[int, int, int]:
     """Shape after parameter-free strided slicing (ceil division)."""
-    return TensorShape(
-        channels=shape.channels,
-        freq=-(-shape.freq // stride.freq),
-        time=-(-shape.time // stride.time),
+    return (shape[0], -(-shape[1] // stride.freq), -(-shape[2] // stride.time))
+
+
+# -- shape rules: (layer, (C, F, T)) -> (C, F, T), for 4D-preserving layers --
+
+
+def _conv_shape(layer: Conv2d, shape):
+    if layer.in_channels != shape[0]:
+        raise AnalysisError(f"{layer.name}: expects {layer.in_channels} channels, got {shape[0]}")
+    f_out, t_out = _spatial_out(
+        shape, layer.kernel, layer.padding, layer.dilation, layer.stride, layer.name
     )
+    return (layer.out_channels, f_out, t_out)
+
+
+def _pool_shape(layer: MaxPool2d, shape):
+    f_out, t_out = _spatial_out(shape, layer.kernel, layer.padding, (1, 1), layer.stride, layer.name)
+    return (shape[0], f_out, t_out)
+
+
+def _norm_shape(layer: BatchNorm2d, shape):
+    if layer.channels != shape[0]:
+        raise AnalysisError(f"{layer.name}: normalizes {layer.channels} channels, got {shape[0]}")
+    return shape
+
+
+def _same_shape(layer: Activation, shape):
+    return shape
+
+
+def _channel_shape(layer: SqueezeExcite | Res2NetConv, shape):
+    if layer.channels != shape[0]:
+        raise AnalysisError(f"{layer.name}: channel mismatch with {shape[0]}")
+    return shape
+
+
+def _no_shape(layer, shape):
+    raise AnalysisError(f"propagate_shape does not apply to {type(layer).__name__}")
+
+
+# -- head rules: (layer, (C, F, T) or None, flat dim or None) -> flat dim --
+
+
+def _stats_pool_head(layer: TemporalStatsPool, shape, flat):
+    if shape is None:
+        raise AnalysisError(f"{layer.name}: pooling needs a 4D feature map")
+    return 2 * shape[0] * shape[1]
+
+
+def _avg_pool_head(layer: GlobalAvgPool, shape, flat):
+    if shape is None:
+        raise AnalysisError(f"{layer.name}: pooling needs a 4D feature map")
+    return shape[0]
+
+
+def _fc_head(layer: FullyConnected, shape, flat):
+    if flat is None:
+        raise AnalysisError(f"{layer.name}: fully connected layer needs a flat input")
+    if layer.in_dim != flat:
+        raise AnalysisError(f"{layer.name}: expects input dim {layer.in_dim}, got {flat}")
+    return layer.out_dim
+
+
+# -- params rules: layer -> int; flops rules: (layer, out shape) -> int --
+
+
+def _zero(layer, out_shape=None) -> int:
+    return 0
+
+
+def _conv_params(layer: Conv2d) -> int:
+    kf, kt = layer.kernel
+    count = kf * kt * (layer.in_channels // layer.groups) * layer.out_channels
+    return count + layer.out_channels if layer.bias else count
+
+
+def _conv_flops(layer: Conv2d, out_shape) -> int:
+    kf, kt = layer.kernel
+    _, f_out, t_out = out_shape
+    return kf * kt * (layer.in_channels // layer.groups) * layer.out_channels * f_out * t_out
+
+
+def _norm_params(layer: BatchNorm2d) -> int:
+    return 2 * layer.channels
+
+
+def _fc_params(layer: FullyConnected) -> int:
+    count = layer.in_dim * layer.out_dim
+    return count + layer.out_dim if layer.bias else count
+
+
+def _fc_flops(layer: FullyConnected, out_shape) -> int:
+    return layer.in_dim * layer.out_dim
+
+
+def _se_params(layer: SqueezeExcite) -> int:
+    hidden = layer.channels // layer.reduction
+    return (layer.channels * hidden + hidden) + (hidden * layer.channels + layer.channels)
+
+
+def _se_flops(layer: SqueezeExcite, out_shape) -> int:
+    return 2 * layer.channels * (layer.channels // layer.reduction)
+
+
+def _res2net_params(layer: Res2NetConv) -> int:
+    kf, kt = layer.kernel
+    w = layer.width
+    branches = layer.scale - 1
+    return branches * (kf * kt * w * w) + branches * 2 * w
+
+
+def _res2net_flops(layer: Res2NetConv, out_shape) -> int:
+    kf, kt = layer.kernel
+    w = layer.width
+    _, f_out, t_out = out_shape
+    return (layer.scale - 1) * kf * kt * w * w * f_out * t_out
+
+
+class _Rule(NamedTuple):
+    """How analysis treats one layer type. ``head`` is set only for the
+    layers that pool or project to a flat vector."""
+
+    shape: Callable
+    params: Callable
+    flops: Callable
+    head: Callable | None = None
+
+
+#: The one per-layer-type dispatch of shape, parameter and MAC accounting.
+_RULES = {
+    Conv2d: _Rule(_conv_shape, _conv_params, _conv_flops),
+    MaxPool2d: _Rule(_pool_shape, _zero, _zero),
+    BatchNorm2d: _Rule(_norm_shape, _norm_params, _zero),
+    Activation: _Rule(_same_shape, _zero, _zero),
+    SqueezeExcite: _Rule(_channel_shape, _se_params, _se_flops),
+    Res2NetConv: _Rule(_channel_shape, _res2net_params, _res2net_flops),
+    Add: _Rule(_no_shape, _zero, _zero),
+    TemporalStatsPool: _Rule(_no_shape, _zero, _zero, _stats_pool_head),
+    GlobalAvgPool: _Rule(_no_shape, _zero, _zero, _avg_pool_head),
+    FullyConnected: _Rule(_no_shape, _fc_params, _fc_flops, _fc_head),
+}
+_NO_RULE = _Rule(_no_shape, _zero, _zero)
 
 
 def propagate_shape(shape: TensorShape, layer: Layer) -> TensorShape:
     """Feature-map shape after a single 4D-preserving layer."""
-    if isinstance(layer, Conv2d):
-        if layer.in_channels != shape.channels:
-            raise AnalysisError(
-                f"{layer.name}: expects {layer.in_channels} channels, got {shape.channels}"
-            )
-        f_out, t_out = _spatial_out(
-            shape, layer.kernel, layer.padding, layer.dilation, layer.stride, layer.name
-        )
-        return TensorShape(layer.out_channels, f_out, t_out)
-    if isinstance(layer, MaxPool2d):
-        f_out, t_out = _spatial_out(
-            shape, layer.kernel, layer.padding, (1, 1), layer.stride, layer.name
-        )
-        return TensorShape(shape.channels, f_out, t_out)
-    if isinstance(layer, BatchNorm2d):
-        if layer.channels != shape.channels:
-            raise AnalysisError(
-                f"{layer.name}: normalizes {layer.channels} channels, got {shape.channels}"
-            )
-        return shape
-    if isinstance(layer, (Activation, SqueezeExcite, Res2NetConv)):
-        if isinstance(layer, (SqueezeExcite, Res2NetConv)) and layer.channels != shape.channels:
-            raise AnalysisError(f"{layer.name}: channel mismatch with {shape.channels}")
-        return shape
-    raise AnalysisError(f"propagate_shape does not apply to {type(layer).__name__}")
+    return TensorShape(*_RULES.get(type(layer), _NO_RULE).shape(layer, shape.as_tuple()))
 
 
 def layer_params(layer: Layer) -> int:
     """Exact learnable parameter count of one layer."""
-    if isinstance(layer, Conv2d):
-        kf, kt = layer.kernel
-        count = kf * kt * (layer.in_channels // layer.groups) * layer.out_channels
-        if layer.bias:
-            count += layer.out_channels
-        return count
-    if isinstance(layer, BatchNorm2d):
-        return 2 * layer.channels
-    if isinstance(layer, FullyConnected):
-        count = layer.in_dim * layer.out_dim
-        if layer.bias:
-            count += layer.out_dim
-        return count
-    if isinstance(layer, SqueezeExcite):
-        hidden = layer.channels // layer.reduction
-        return (layer.channels * hidden + hidden) + (hidden * layer.channels + layer.channels)
-    if isinstance(layer, Res2NetConv):
-        kf, kt = layer.kernel
-        w = layer.width
-        branches = layer.scale - 1
-        return branches * (kf * kt * w * w) + branches * 2 * w
-    return 0
+    return _RULES.get(type(layer), _NO_RULE).params(layer)
 
 
 def layer_flops(layer: Layer, out_shape: tuple[int, ...]) -> int:
     """Multiply-accumulate count of one layer for a given output shape."""
-    if isinstance(layer, Conv2d):
-        kf, kt = layer.kernel
-        _, f_out, t_out = out_shape
-        return kf * kt * (layer.in_channels // layer.groups) * layer.out_channels * f_out * t_out
-    if isinstance(layer, FullyConnected):
-        return layer.in_dim * layer.out_dim
-    if isinstance(layer, SqueezeExcite):
-        hidden = layer.channels // layer.reduction
-        return 2 * layer.channels * hidden
-    if isinstance(layer, Res2NetConv):
-        kf, kt = layer.kernel
-        w = layer.width
-        _, f_out, t_out = out_shape
-        return (layer.scale - 1) * kf * kt * w * w * f_out * t_out
-    return 0
+    return _RULES.get(type(layer), _NO_RULE).flops(layer, out_shape)
 
 
 @dataclass(frozen=True)
@@ -175,22 +266,65 @@ class TraceEntry:
     out_shape: tuple[int, ...]
 
 
-def _head_shape(layer: Layer, shape: TensorShape | None, flat: int | None, name: str):
-    if isinstance(layer, TemporalStatsPool):
+def _walk(spec: ModelSpec, freq: int, time: int, include_head: bool) -> list[tuple]:
+    """(layer, rule, in shape, out shape) per traced layer, in entry order."""
+    shape: tuple[int, ...] | None = TensorShape(1, freq, time).as_tuple()
+    flat: int | None = None
+    records: list[tuple] = []
+
+    for segment in spec.segments():
+        if segment.kind == "linear":
+            for entry in segment.entries:
+                if entry.stage == 0 and not include_head:
+                    continue
+                layer = entry.layer
+                rule = _RULES.get(type(layer), _NO_RULE)
+                if rule.head is not None:
+                    in_repr = shape if shape is not None else (flat,)
+                    flat = rule.head(layer, shape, flat)
+                    shape = None
+                    records.append((layer, rule, in_repr, (flat,)))
+                else:
+                    if shape is None:
+                        raise AnalysisError(f"{layer.name}: feature map already flattened")
+                    out = rule.shape(layer, shape)
+                    records.append((layer, rule, shape, out))
+                    shape = out
+            continue
+
         if shape is None:
-            raise AnalysisError(f"{name}: pooling needs a 4D feature map")
-        return 2 * shape.channels * shape.freq
-    if isinstance(layer, GlobalAvgPool):
-        if shape is None:
-            raise AnalysisError(f"{name}: pooling needs a 4D feature map")
-        return shape.channels
-    if isinstance(layer, FullyConnected):
-        if flat is None:
-            raise AnalysisError(f"{name}: fully connected layer needs a flat input")
-        if layer.in_dim != flat:
-            raise AnalysisError(f"{name}: expects input dim {layer.in_dim}, got {flat}")
-        return layer.out_dim
-    raise AnalysisError(f"unsupported head layer {type(layer).__name__}")
+            raise AnalysisError("residual block after the head")
+        block_in = branch = shortcut = shape
+        merged = None
+        for entry in segment.entries:
+            layer = entry.layer
+            rule = _RULES.get(type(layer), _NO_RULE)
+            if type(layer) is Add:
+                if layer.shortcut is ShortcutKind.SUBSAMPLE:
+                    shortcut = _subsample(block_in, layer.stride)
+                elif layer.shortcut is ShortcutKind.IDENTITY:
+                    shortcut = block_in
+                if branch != shortcut:
+                    raise AnalysisError(
+                        f"{layer.name}: branch shape {branch} != shortcut shape {shortcut}"
+                    )
+                merged = branch
+                records.append((layer, rule, branch, merged))
+            elif entry.role is Role.SHORTCUT:
+                out = rule.shape(layer, shortcut)
+                records.append((layer, rule, shortcut, out))
+                shortcut = out
+            else:
+                src = merged if merged is not None else branch
+                out = rule.shape(layer, src)
+                records.append((layer, rule, src, out))
+                if merged is not None:
+                    merged = out
+                else:
+                    branch = out
+        shape = merged if merged is not None else branch
+
+    return records
 
 
 def trace(
@@ -207,76 +341,23 @@ def trace(
     """
     if freq is None:
         freq = spec.input_freq_bins
-    shape: TensorShape | None = TensorShape(1, freq, time)
-    flat: int | None = None
-    records: list[TraceEntry] = []
-
-    for segment in spec.segments():
-        if segment.kind == "linear":
-            for entry in segment.entries:
-                if entry.stage == 0 and not include_head:
-                    continue
-                layer = entry.layer
-                if isinstance(layer, (TemporalStatsPool, GlobalAvgPool, FullyConnected)):
-                    in_repr = shape.as_tuple() if shape is not None else (flat,)
-                    flat = _head_shape(layer, shape, flat, layer.name)
-                    shape = None
-                    records.append(TraceEntry(layer.name, in_repr, (flat,)))
-                else:
-                    if shape is None:
-                        raise AnalysisError(f"{layer.name}: feature map already flattened")
-                    out = propagate_shape(shape, layer)
-                    records.append(TraceEntry(layer.name, shape.as_tuple(), out.as_tuple()))
-                    shape = out
-            continue
-
-        if shape is None:
-            raise AnalysisError("residual block after the head")
-        block_in = shape
-        branch = block_in
-        shortcut = block_in
-        merged: TensorShape | None = None
-        for entry in segment.entries:
-            layer = entry.layer
-            if isinstance(layer, Add):
-                if layer.shortcut is ShortcutKind.SUBSAMPLE:
-                    shortcut = subsample_out(block_in, layer.stride)
-                elif layer.shortcut is ShortcutKind.IDENTITY:
-                    shortcut = block_in
-                if branch.as_tuple() != shortcut.as_tuple():
-                    raise AnalysisError(
-                        f"{layer.name}: branch shape {branch.as_tuple()} != "
-                        f"shortcut shape {shortcut.as_tuple()}"
-                    )
-                merged = branch
-                records.append(TraceEntry(layer.name, branch.as_tuple(), merged.as_tuple()))
-            elif entry.role is Role.SHORTCUT:
-                out = propagate_shape(shortcut, layer)
-                records.append(TraceEntry(layer.name, shortcut.as_tuple(), out.as_tuple()))
-                shortcut = out
-            else:
-                src = merged if merged is not None else branch
-                out = propagate_shape(src, layer)
-                records.append(TraceEntry(layer.name, src.as_tuple(), out.as_tuple()))
-                if merged is not None:
-                    merged = out
-                else:
-                    branch = out
-        shape = merged if merged is not None else branch
-
-    return tuple(records)
+    return tuple(
+        TraceEntry(layer.name, in_shape, out_shape)
+        for layer, _, in_shape, out_shape in _walk(spec, freq, time, include_head)
+    )
 
 
 def count_params(spec: ModelSpec) -> ComplexityReport:
     """Exact parameter count; independent of any input shape."""
-    by_layer = tuple(
-        (entry.layer.name, layer_params(entry.layer))
-        for entry in spec.entries
-        if layer_params(entry.layer)
-    )
+    by_layer = []
+    for entry in spec.entries:
+        layer = entry.layer
+        params = _RULES.get(type(layer), _NO_RULE).params(layer)
+        if params:
+            by_layer.append((layer.name, params))
     return ComplexityReport(
         params_total=sum(v for _, v in by_layer),
-        params_by_layer=by_layer,
+        params_by_layer=tuple(by_layer),
     )
 
 
@@ -284,13 +365,9 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
     """Exact MAC count for one input shape (batch of one)."""
     if input_shape.channels != 1:
         raise AnalysisError("backbones take single-channel spectrogram input")
-    records = trace(spec, freq=input_shape.freq, time=input_shape.time)
-    by_name = {r.name: r for r in records}
     flops_by_layer = []
-    for entry in spec.entries:
-        layer = entry.layer
-        record = by_name[layer.name]
-        flops = layer_flops(layer, record.out_shape)
+    for layer, rule, _, out_shape in _walk(spec, input_shape.freq, input_shape.time, True):
+        flops = rule.flops(layer, out_shape)
         if flops:
             flops_by_layer.append((layer.name, flops))
     params = count_params(spec)

@@ -108,9 +108,9 @@ class Conv2d:
                 f"{self.name}: channels ({self.in_channels} -> {self.out_channels}) "
                 f"must be divisible by groups ({self.groups})"
             )
-        if any(k < 1 for k in self.kernel) or any(d < 1 for d in self.dilation):
+        if min(self.kernel) < 1 or min(self.dilation) < 1:
             raise ValueError(f"{self.name}: kernel and dilation components must be >= 1")
-        if any(p < 0 for p in self.padding):
+        if min(self.padding) < 0:
             raise ValueError(f"{self.name}: padding components must be >= 0")
 
 
@@ -122,9 +122,9 @@ class MaxPool2d:
     padding: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
-        if any(k < 1 for k in self.kernel):
+        if min(self.kernel) < 1:
             raise ValueError(f"{self.name}: kernel components must be >= 1")
-        if any(p < 0 for p in self.padding):
+        if min(self.padding) < 0:
             raise ValueError(f"{self.name}: padding components must be >= 0")
 
 

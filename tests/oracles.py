@@ -2,15 +2,34 @@
 
 Everything here is written the slow, obvious way (explicit loops, reversed
 loop orders, two-pass statistics) so it shares no code path with the
-package implementations it checks. ``MALFORMED_SPECS`` holds the spec
+package implementations it checks. ``reference_doc`` is the schema-v1
+document built as plain dicts from ``dataclasses.fields``, for
+``json.dumps(..., indent=2)`` to encode. ``MALFORMED_SPECS`` holds the spec
 documents that both the loader tests and the CLI tests expect rejected.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+
 import numpy as np
 
+from stride_lab.layers import (
+    Activation,
+    Add,
+    BatchNorm2d,
+    Conv2d,
+    FullyConnected,
+    GlobalAvgPool,
+    MaxPool2d,
+    Res2NetConv,
+    SqueezeExcite,
+    StageSpec,
+    TemporalStatsPool,
+)
 from stride_lab.metrics import ScoreFileError
+from stride_lab.strides import StridePair, TrellisPath
 
 
 def conv_out_size_direct(r_in, kernel, padding, dilation, stride):
@@ -157,6 +176,63 @@ def loop_parse_trials(text):
     return tuple(trials)
 
 
+REFERENCE_KINDS = {
+    Conv2d: "conv2d",
+    MaxPool2d: "maxpool2d",
+    BatchNorm2d: "batchnorm2d",
+    Activation: "activation",
+    Add: "add",
+    SqueezeExcite: "squeeze_excite",
+    Res2NetConv: "res2net_conv",
+    TemporalStatsPool: "temporal_stats_pool",
+    GlobalAvgPool: "global_avg_pool",
+    FullyConnected: "fully_connected",
+}
+
+#: Top-level members after ``schema_version``, in document order.
+REFERENCE_MODEL_FIELDS = (
+    "family", "depth_label", "base_channels", "embedding_dim", "input_freq_bins",
+    "se_reduction", "res2net_scale", "notes", "path", "stages",
+)
+
+
+def _reference_value(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, StridePair):
+        return {"time": value.time, "freq": value.freq}
+    if isinstance(value, TrellisPath):
+        return {
+            "label": value.label,
+            "time_strides": [step.time for step in value.steps],
+            "freq_strides": [step.freq for step in value.steps],
+        }
+    if isinstance(value, StageSpec):
+        return {f.name: _reference_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_reference_value(v) for v in value]
+    return value
+
+
+def reference_doc(spec):
+    """Schema-v1 document of ``spec`` as nested dicts and lists."""
+    doc = {"schema_version": 1}
+    for name in REFERENCE_MODEL_FIELDS:
+        doc[name] = _reference_value(getattr(spec, name))
+    doc["layers"] = []
+    for entry in spec.entries:
+        layer_doc = {
+            "stage": entry.stage,
+            "block": entry.block,
+            "role": entry.role.value,
+            "kind": REFERENCE_KINDS[type(entry.layer)],
+        }
+        for f in dataclasses.fields(entry.layer):
+            layer_doc[f.name] = _reference_value(getattr(entry.layer, f.name))
+        doc["layers"].append(layer_doc)
+    return doc
+
+
 def _first_layer(doc, kind):
     return next(layer for layer in doc["layers"] if layer["kind"] == kind)
 
@@ -181,4 +257,26 @@ MALFORMED_SPECS = {
                      "layer must be an object, got 'stem.conv'"),
     "object-layers": (lambda d: d.update(layers={}), "layers must be a list, got {}"),
     "int-stage-entry": (lambda d: d.update(stages=[1]), "must be an object, got 1"),
+    "unknown-layer-key": (lambda d: _first_layer(d, "conv2d").update(grups=4),
+                          "layer 'stem.conv': unknown field 'grups'"),
+    "unknown-stage-key": (lambda d: d["stages"][0].update(blocks=3),
+                          "unknown stage field 'blocks'"),
+    "unknown-path-key": (lambda d: d["path"].update(lable="MOD"),
+                         "unknown path field 'lable'"),
+    "unknown-top-level-key": (lambda d: d.update(embeding_dim=256),
+                              "unknown field 'embeding_dim'"),
+    "zero-input-freq-bins": (lambda d: d.update(input_freq_bins=0),
+                             "input_freq_bins must be a positive integer, got 0"),
+    "negative-depth-label": (lambda d: d.update(depth_label=-5),
+                             "depth_label must be a positive integer, got -5"),
+    "zero-base-channels": (lambda d: d.update(base_channels=0),
+                           "base_channels must be a positive integer, got 0"),
+    "zero-embedding-dim": (lambda d: d.update(embedding_dim=0),
+                           "embedding_dim must be a positive integer, got 0"),
+    "embedding-dim-not-head": (lambda d: d.update(embedding_dim=128),
+                               "embedding_dim 128 does not match head.fc out_dim 256"),
+    "se-reduction-without-se": (lambda d: d.update(se_reduction=4),
+                                "se_reduction 4 does not match the SqueezeExcite layers (none)"),
+    "res2net-scale-without-res2net": (lambda d: d.update(res2net_scale=4),
+                                      "res2net_scale 4 does not match the Res2NetConv layers (none)"),
 }

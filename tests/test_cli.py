@@ -201,6 +201,14 @@ class TestBuildAndVerifySpec:
         assert message in err
         assert "Traceback" not in out + err
 
+    def test_deeply_nested_spec_is_build_error(self, capsys, tmp_path):
+        spec_file = tmp_path / "model.json"
+        spec_file.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_file))
+        assert code == 2
+        assert f"error: rejected spec {spec_file}: invalid JSON: " in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("argv,message", [
         (("analyze", "resnet", "34", "--se", "7"), "stage 2: SE reduction 7 does not divide its 32 channels"),
         (("analyze", "resnet", "34", "--res2net", "5"), "stage 2: res2net scale 5 does not divide its 32 channels"),

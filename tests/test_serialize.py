@@ -4,9 +4,13 @@ import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from stride_lab.analysis import count_flops
-from stride_lab.builder import build, make_request
+from stride_lab.analysis import AnalysisError, count_flops
+from stride_lab.builder import BuildError, build, make_request
+from stride_lab.catalog import GOLDEN_GEMINI_FACTORS
+from stride_lab.cli import main
 from stride_lab.diagram import trellis_dot
 from stride_lab.layers import TensorShape
 from stride_lab.serialize import (
@@ -17,10 +21,10 @@ from stride_lab.serialize import (
     model_to_json,
     parse_table,
 )
-from stride_lab.strides import resolve_name
+from stride_lab.strides import final_factors, iter_all_paths, resolve_name
 from stride_lab.verification import catalog_spec
 
-from oracles import MALFORMED_SPECS
+from oracles import MALFORMED_SPECS, reference_doc
 
 
 # sha256 of model_to_json(spec) (indent 2), recorded before the field-driven
@@ -200,6 +204,110 @@ class TestModelJson:
         assert model_from_json(model_to_json(spec)) == spec
         spec = build(make_request("modified_resnet", 34, res2net_scale=4))
         assert model_from_json(model_to_json(spec)) == spec
+
+
+    def test_deep_nesting_is_invalid_json(self):
+        with pytest.raises(SpecFormatError, match="invalid JSON: maximum recursion depth"):
+            model_from_json("[" * 100_000)
+
+
+#: Preset depths per family; a depth-first pair shares its blocks and fits
+#: a path under exactly one of its two labels.
+_DEPTHS = {
+    "original_resnet": ((18,), (34,), (50,), (101,), (152,)),
+    "modified_resnet": ((18,), (34,), (50,), (101,), (152,)),
+    "gemini_resnet": ((18,), (34,), (50,), (101,), (152,)),
+    "sd_resnet": ((22,), (38,)),
+    "df_resnet": ((59, 60), (113, 114), (182, 183)),
+}
+_PATHS = tuple(iter_all_paths())
+_GOLDEN_PATHS = tuple(p for p in _PATHS if final_factors(p) in GOLDEN_GEMINI_FACTORS)
+
+#: Layer-name text: JSON specials, control characters, non-ASCII and
+#: template-like characters, besides anything else Hypothesis draws.
+_NAME_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\{}[],:%\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    max_size=6,
+)
+
+
+@st.composite
+def _specs(draw):
+    """A built spec with drawn family, preset depth, path and SE/Res2Net,
+    its layers renamed from ``_NAME_TEXT``, notes and path label drawn too."""
+    family = draw(st.sampled_from(sorted(_DEPTHS)))
+    labels = draw(st.sampled_from(_DEPTHS[family]))
+    path = draw(st.sampled_from(_GOLDEN_PATHS if family == "gemini_resnet" else _PATHS))
+    options = {"se_reduction": draw(st.sampled_from((None, 2, 4))),
+                "res2net_scale": draw(st.sampled_from((None, 2, 4)))}
+    spec = None
+    for depth in labels:
+        try:
+            spec = build(make_request(family, depth, path=path, **options))
+            break
+        except (BuildError, AnalysisError):
+            continue
+    assume(spec is not None)
+    stems = draw(st.lists(_NAME_TEXT, min_size=1, max_size=4))
+    # "#" and the index keep the names unique whatever the stems are.
+    entries = tuple(
+        dataclasses.replace(e, layer=dataclasses.replace(e.layer, name=f"{stems[i % len(stems)]}#{i}"))
+        for i, e in enumerate(spec.entries)
+    )
+    notes = tuple(draw(st.lists(_NAME_TEXT.filter(bool), max_size=3)))
+    label = draw(st.one_of(st.none(), _NAME_TEXT.filter(bool)))
+    return dataclasses.replace(spec, entries=entries, notes=notes, path=spec.path.relabeled(label))
+
+
+@given(spec=_specs())
+@settings(max_examples=60, deadline=None)
+def test_writer_matches_reference_encoder(spec):
+    text = model_to_json(spec)
+    assert text == json.dumps(reference_doc(spec), indent=2)
+    assert model_from_json(text) == spec
+
+
+def _slots(node):
+    """(container, key or index) of every member at any depth of a document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+_OTHER_JSON = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+                        st.text(max_size=3), st.just([]), st.just({}))
+
+
+@given(spec=_specs(), data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_document_loads_or_is_rejected(spec, data, tmp_path, capsys):
+    doc = json.loads(model_to_json(spec))
+    container, key = data.draw(st.sampled_from(list(_slots(doc))))
+    mutation = data.draw(st.sampled_from(
+        ("drop", "retype", "nest") + (("rename",) if isinstance(container, dict) else ())
+    ))
+    if mutation == "drop":
+        del container[key]
+    elif mutation == "rename":
+        container[key + data.draw(st.sampled_from(("_", "s", "X")))] = container.pop(key)
+    elif mutation == "retype":
+        old = container[key]
+        container[key] = data.draw(_OTHER_JSON.filter(lambda v: type(v) is not type(old)))
+    else:
+        container[key] = data.draw(st.sampled_from(([container[key]], {"value": container[key]})))
+    text = json.dumps(doc)
+    try:
+        model_from_json(text)
+    except SpecFormatError:
+        pass
+    spec_file = tmp_path / "mutated.json"
+    spec_file.write_text(text)
+    code = main(["verify", "--spec", str(spec_file), "--frames", "48"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
 
 
 class TestTableCsv:
