@@ -14,8 +14,9 @@ MAC and (for pooling and projection layers) head rule; ``propagate_shape``,
 ``layer_params``, ``layer_flops``, ``trace`` and the counts all dispatch
 through it. The walk carries shapes as plain ``(C, F, T)`` tuples,
 ``count_params`` calls each layer's parameter rule once, and
-``count_flops`` takes MACs from one walk and parameters from one
-``count_params`` pass.
+``count_flops`` takes MACs and parameters from the same walk. Every entry
+is on that walk (the head included), in entry order, so its parameters
+equal ``count_params``'s layer for layer.
 """
 
 from __future__ import annotations
@@ -365,15 +366,18 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
     """Exact MAC count for one input shape (batch of one)."""
     if input_shape.channels != 1:
         raise AnalysisError("backbones take single-channel spectrogram input")
+    params_by_layer = []
     flops_by_layer = []
     for layer, rule, _, out_shape in _walk(spec, input_shape.freq, input_shape.time, True):
+        params = rule.params(layer)
+        if params:
+            params_by_layer.append((layer.name, params))
         flops = rule.flops(layer, out_shape)
         if flops:
             flops_by_layer.append((layer.name, flops))
-    params = count_params(spec)
     return ComplexityReport(
-        params_total=params.params_total,
-        params_by_layer=params.params_by_layer,
+        params_total=sum(v for _, v in params_by_layer),
+        params_by_layer=tuple(params_by_layer),
         flops_total=sum(v for _, v in flops_by_layer),
         flops_by_layer=tuple(flops_by_layer),
         input_shape=input_shape,

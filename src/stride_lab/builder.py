@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analysis import conv_out_size
 from .catalog import GOLDEN_GEMINI_FACTORS, PRINCIPAL_CONFIG
 from .layers import (
     Activation,
@@ -444,13 +443,22 @@ def build_body(req: BuildRequest) -> ModelSpec:
     )
 
 
-def _body_output(spec: ModelSpec) -> tuple[int, int]:
-    """(channels, freq bins) of the final feature map for the spec's input."""
-    from .analysis import trace
-
-    probe = trace(spec, freq=spec.input_freq_bins, time=1 << 10, include_head=False)
-    channels, freq, _ = probe[-1].out_shape
-    return channels, freq
+def _with_head(spec: ModelSpec, embedding_dim: int | None = None) -> ModelSpec:
+    """Append the head, sized from the stage table and the path."""
+    if embedding_dim is None:
+        embedding_dim = spec.embedding_dim
+    channels = spec.stages[-1].out_channels
+    entries = list(spec.entries)
+    if spec.family is Family.ORIGINAL_RESNET:
+        entries.append(LayerEntry(GlobalAvgPool("head.pool"), stage=0))
+        pooled = channels
+    else:
+        entries.append(LayerEntry(TemporalStatsPool("head.pool"), stage=0))
+        pooled = 2 * channels * -(-spec.input_freq_bins // final_factors(spec.path)[1])
+    entries.append(
+        LayerEntry(FullyConnected("head.fc", pooled, embedding_dim, bias=True), stage=0)
+    )
+    return replace(spec, entries=tuple(entries), embedding_dim=embedding_dim)
 
 
 def attach_head(spec: ModelSpec, embedding_dim: int | None = None) -> ModelSpec:
@@ -459,28 +467,25 @@ def attach_head(spec: ModelSpec, embedding_dim: int | None = None) -> ModelSpec:
     The classic image recipe keeps its channel-wise global average pool; the
     speech recipes pool first and second moments over time per
     (channel, freq) cell, tripling nothing and flattening to 2 * C * F.
+
+    C and F are read from the spec, not traced: C is the last stage's
+    ``out_channels`` and F is ``ceil(input_freq_bins / beta5)``, with
+    ``beta5`` the path's cumulative freq stride. That is exact for every
+    body the builder makes, since each of its striding layers maps n to
+    ceil(n / 2). A spec whose layers disagree with its stages or path gets
+    a head of the declared size, which analysis rejects: ``head.fc`` must
+    take exactly the walked flat size.
     """
-    if embedding_dim is None:
-        embedding_dim = spec.embedding_dim
     if any(isinstance(e.layer, FullyConnected) for e in spec.entries):
         raise BuildError("spec already has a head")
-    channels, freq = _body_output(spec)
-    entries = list(spec.entries)
-    if spec.family is Family.ORIGINAL_RESNET:
-        entries.append(LayerEntry(GlobalAvgPool("head.pool"), stage=0))
-        pooled = channels
-    else:
-        entries.append(LayerEntry(TemporalStatsPool("head.pool"), stage=0))
-        pooled = 2 * channels * freq
-    entries.append(
-        LayerEntry(FullyConnected("head.fc", pooled, embedding_dim, bias=True), stage=0)
-    )
-    return replace(spec, entries=tuple(entries), embedding_dim=embedding_dim)
+    if not spec.stages:
+        raise BuildError("spec has no stages to size a head from")
+    return _with_head(spec, embedding_dim)
 
 
 def build(req: BuildRequest) -> ModelSpec:
     """Full elaboration: body plus head."""
-    return attach_head(build_body(req))
+    return _with_head(build_body(req))
 
 
 def request_from_spec(spec: ModelSpec, path: TrellisPath | None = None) -> BuildRequest:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import AnalysisError, compare, count_flops, count_params
+from .analysis import AnalysisError, compare, count_flops
 from .builder import BuildError, build, make_request
 from .catalog import CATALOG_NAMES, PRINCIPAL_CONFIG, is_cataloged
 from .diagram import trellis_dot
@@ -46,7 +46,6 @@ from .strides import (
 )
 from .trellis import enumerate_endpoints, enumerate_paths, golden_gemini_endpoints
 from .verification import (
-    catalog_spec,
     default_seed,
     gradcheck_suite,
     verify_catalog_configs,
@@ -198,10 +197,14 @@ def _write(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
-def _resolve_request(args, path_override: str | TrellisPath | None = None):
-    family = _FAMILIES[args.family]
+def _resolve_request(
+    args, path_override: str | TrellisPath | None = None, family: Family | None = None
+):
+    """The build request of ``args``; an explicit path or family overrides
+    the command line's, and an overriding path ignores ``--gemini``."""
+    family = family or _FAMILIES[args.family]
     path = path_override if path_override is not None else getattr(args, "path", None)
-    if getattr(args, "gemini", False):
+    if getattr(args, "gemini", False) and path_override is None:
         if path is not None:
             raise UsageError("--path and --gemini are mutually exclusive")
         path = PRINCIPAL_CONFIG
@@ -279,8 +282,8 @@ def _describe(spec, report_2s, report_3s):
     return lines
 
 
-def _analyze_one(args, path=None):
-    spec = build(_resolve_request(args, path_override=path))
+def _analyze_one(args, path=None, family=None):
+    spec = build(_resolve_request(args, path_override=path, family=family))
     shape_2s = TensorShape(1, args.freq_bins, FRAMES_2S)
     shape_3s = TensorShape(1, args.freq_bins, FRAMES_3S)
     return spec, count_flops(spec, shape_2s), count_flops(spec, shape_3s)
@@ -306,16 +309,25 @@ def _cmd_analyze(args) -> int:
     if args.catalog:
         if args.family != "resnet":
             raise UsageError("--catalog analyzes the resnet template; use 'analyze resnet DEPTH --catalog'")
-        rows = []
-        for name in CATALOG_NAMES:
-            spec = catalog_spec(name, args.depth)
-            row_2s = count_flops(spec, TensorShape(1, args.freq_bins, FRAMES_2S))
-            row_3s = count_flops(spec, TensorShape(1, args.freq_bins, FRAMES_3S))
-            rows.append(_table_row(spec, row_2s, row_3s))
+        if args.path or args.gemini:
+            raise UsageError("--catalog analyzes every cataloged path; drop --path and --gemini")
+        # Each row is the single analyze of its path; the ORI row keeps the
+        # original recipe, as in verification.catalog_spec.
+        rows = [
+            _table_row(*_analyze_one(
+                args, path=name, family=Family.ORIGINAL_RESNET if name == "ORI" else None
+            ))
+            for name in CATALOG_NAMES
+        ]
         sys.stdout.write(format_table(rows))
         return EXIT_OK
 
     spec, report_2s, report_3s = _analyze_one(args)
+    if args.compare_with:
+        # Resolved before any output, so a bad name prints nothing.
+        other_spec, other_2s, other_3s = _analyze_one(args, path=args.compare_with)
+        delta_2s = compare(report_2s, other_2s)
+        delta_3s = compare(report_3s, other_3s)
     if args.as_csv:
         sys.stdout.write(format_table([_table_row(spec, report_2s, report_3s)]))
         return EXIT_OK
@@ -340,9 +352,6 @@ def _cmd_analyze(args) -> int:
         for name, params in report_2s.params_by_layer:
             print(f"  {name:<32} {params:>12}  {flops_map.get(name, 0):>14}")
     if args.compare_with:
-        other_spec, other_2s, other_3s = _analyze_one(args, path=args.compare_with)
-        delta_2s = compare(report_2s, other_2s)
-        delta_3s = compare(report_3s, other_3s)
         print(f"compare     {spec.path.label} -> {other_spec.path.label}")
         print(f"params      {delta_2s.params_pct:+.1f}%")
         print(f"flops 2s    {delta_2s.flops_pct:+.1f}%")

@@ -303,7 +303,8 @@ def fully_connected_forward(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    # 1 / (1 + exp(-x)) without forming exp(-x), which overflows below -709.
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def squeeze_excite_forward(

@@ -129,15 +129,16 @@ def rank_paths_by_flops(
     for path in family.paths:
         name = canonical_name(path)
         spec = build(request_from_spec(spec_template, path=path))
-        params = count_params(spec).params_total
         try:
-            flops = count_flops(spec, input_shape).flops_total
+            report = count_flops(spec, input_shape)
         except ShapeUnderflowError as exc:
             ranked.append(RankedPath(path, name, rank=-1, flops_total=0,
-                                     params_total=params, error=str(exc)))
+                                     params_total=count_params(spec).params_total,
+                                     error=str(exc)))
             continue
-        params_seen.add(params)
-        ranked.append(RankedPath(path, name, rank=-1, flops_total=flops, params_total=params))
+        params_seen.add(report.params_total)
+        ranked.append(RankedPath(path, name, rank=-1, flops_total=report.flops_total,
+                                 params_total=report.params_total))
     if len(params_seen) > 1:
         raise AssertionError(
             f"parameter count varies within family ({family.endpoint.alpha5}, "

@@ -1,6 +1,10 @@
-import pytest
+import dataclasses
 
-from stride_lab.analysis import trace
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from stride_lab.analysis import AnalysisError, count_flops, count_params, trace
 from stride_lab.builder import (
     BuildError,
     attach_head,
@@ -22,8 +26,10 @@ from stride_lab.layers import (
     SqueezeExcite,
     TemporalStatsPool,
     GlobalAvgPool,
+    TensorShape,
 )
-from stride_lab.strides import StridePair, resolve_name
+from stride_lab.catalog import GOLDEN_GEMINI_FACTORS
+from stride_lab.strides import StridePair, final_factors, iter_all_paths, resolve_name
 
 
 def stage_end_shapes(spec, freq, time):
@@ -101,6 +107,17 @@ class TestHead:
     def test_attach_head_refuses_double_head(self, mod34):
         with pytest.raises(BuildError):
             attach_head(mod34)
+
+    def test_attach_head_needs_a_stage_table(self):
+        body = build_body(make_request("modified_resnet", 18, path="MOD"))
+        with pytest.raises(BuildError, match="no stages"):
+            attach_head(dataclasses.replace(body, stages=()))
+
+    def test_head_sized_from_a_wrong_path_fails_analysis(self):
+        body = build_body(make_request("modified_resnet", 34, path="MOD"))
+        spec = attach_head(dataclasses.replace(body, path=resolve_name("T14c")))
+        with pytest.raises(AnalysisError, match="head.fc: expects input dim 2560, got 5120"):
+            count_flops(spec, TensorShape(1, 80, 200))
 
     def test_attach_head_on_body(self):
         body = build_body(make_request("modified_resnet", 34, path="MOD"))
@@ -274,3 +291,50 @@ class TestElaborationStructure:
         spec = build(make_request("modified_resnet", 18))
         assert spec.family is Family.MODIFIED_RESNET
         assert spec.path.label == "MOD"
+
+
+_PRESETS = {
+    "original_resnet": (18, 34, 50, 101, 152),
+    "modified_resnet": (18, 34, 50, 101, 152),
+    "gemini_resnet": (18, 34, 50, 101, 152),
+    "sd_resnet": (22, 38),
+    # Label pairs with the same blocks: the second counts a stage-2
+    # downsampling conv, which only a path striding at stage 2 gets.
+    "df_resnet": ((59, 60), (113, 114), (182, 183)),
+}
+_ALL_PATHS = tuple(iter_all_paths())
+_GOLDEN_PATHS = tuple(p for p in _ALL_PATHS if final_factors(p) in GOLDEN_GEMINI_FACTORS)
+
+
+@st.composite
+def _requests(draw):
+    family = draw(st.sampled_from(sorted(_PRESETS)))
+    path = draw(st.sampled_from(_GOLDEN_PATHS if family == "gemini_resnet" else _ALL_PATHS))
+    depth = draw(st.sampled_from(_PRESETS[family]))
+    if family == "df_resnet":
+        depth = depth[0] if path.steps[1].is_unit() else depth[1]
+    return make_request(
+        family, depth, path=path,
+        input_freq_bins=draw(st.integers(1, 200)),
+        se_reduction=draw(st.sampled_from((None, 2, 4))),
+        res2net_scale=draw(st.sampled_from((None, 2, 4))),
+    )
+
+
+@given(req=_requests(), time=st.integers(1, 400))
+@settings(max_examples=200, deadline=None)
+def test_head_size_and_walked_params_match_the_trace(req, time):
+    try:
+        spec = build(req)
+    except BuildError:
+        assume(False)
+    # The traced body output is the oracle for the head's input size.
+    channels, freq, _ = trace(build_body(req), include_head=False)[-1].out_shape
+    fc = spec.entries[-1].layer
+    assert isinstance(fc, FullyConnected)
+    if req.family is Family.ORIGINAL_RESNET:
+        assert fc.in_dim == channels
+    else:
+        assert fc.in_dim == 2 * channels * freq
+    walked = count_flops(spec, TensorShape(1, req.input_freq_bins, time))
+    assert walked.params_by_layer == count_params(spec).params_by_layer

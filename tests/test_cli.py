@@ -97,6 +97,42 @@ class TestAnalyze:
         assert by_name["ORI"].params_millions == 21.41
         assert all(r.cataloged for r in rows)
 
+    def test_catalog_rows_follow_model_options(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--freq-bins", "40")
+        assert code == 0
+        by_name = {r.index: r for r in parse_table(out)}
+        code, single, _ = run_cli(
+            capsys, "analyze", "resnet", "34", "--path", "MOD", "--freq-bins", "40", "--csv"
+        )
+        assert code == 0
+        assert parse_table(single) == (by_name["MOD"],)
+        assert single.splitlines()[1] in out.splitlines()
+        code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--se", "4")
+        assert code == 0
+        with_se = {r.index: r for r in parse_table(out)}
+        assert with_se["MOD"].params_millions > 6.63
+
+    def test_catalog_at_three_freq_bins(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--freq-bins", "3")
+        assert code == 0, err
+        assert len(parse_table(out)) == 24
+
+    def test_catalog_rejects_a_path(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--path", "MOD")
+        assert code == 1 and out == ""
+        assert "usage error" in err
+
+    def test_unknown_compare_name_prints_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--compare", "NOPE")
+        assert code == 2
+        assert out == ""
+        assert "NOPE" in err
+
+    def test_gemini_compares_against_named_path(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--gemini", "--compare", "MOD")
+        assert code == 0
+        assert "compare     T14c -> MOD" in out
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--path", "MOD", "--json")
         assert code == 0

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -250,6 +251,18 @@ class TestResidualBlock:
                                   embedding_dim=16, input_freq_bins=16))
         result = verify_spec_numeric(spec, time=40)
         assert result.ok, result.detail
+
+
+class TestSigmoid:
+    def test_saturates_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = numkernel._sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        assert out.tolist() == [0.0, 0.5, 1.0]
+
+    def test_matches_direct_form_in_range(self):
+        x = np.linspace(-30.0, 30.0, 121)
+        np.testing.assert_allclose(numkernel._sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
 
 
 class TestStatsPooling:
