@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +60,10 @@ EXIT_VERIFY = 3
 
 FRAMES_2S = 200
 FRAMES_3S = 300
+
+#: Environment variables that set the BLAS thread count, reported by
+#: ``verify --json`` when set.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _FAMILIES = {
     "resnet": Family.MODIFIED_RESNET,
@@ -306,11 +311,14 @@ def _table_row(spec, report_2s, report_3s) -> TableRow:
 
 
 def _cmd_analyze(args) -> int:
+    if args.compare_with and (args.as_json or args.as_csv):
+        # Neither output has delta fields, so the comparison would be dropped.
+        raise UsageError("--compare prints a text report; drop --json and --csv")
     if args.catalog:
         if args.family != "resnet":
             raise UsageError("--catalog analyzes the resnet template; use 'analyze resnet DEPTH --catalog'")
-        if args.path or args.gemini:
-            raise UsageError("--catalog analyzes every cataloged path; drop --path and --gemini")
+        if args.path or args.gemini or args.compare_with:
+            raise UsageError("--catalog analyzes every cataloged path; drop --path, --gemini and --compare")
         # Each row is the single analyze of its path; the ORI row keeps the
         # original recipe, as in verification.catalog_spec.
         rows = [
@@ -374,6 +382,23 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _environment() -> dict:
+    """numpy version, BLAS name and version (None when numpy does not
+    report them) and the BLAS thread variables that are set."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_thread_vars": {v: os.environ[v] for v in _BLAS_THREAD_VARS if v in os.environ},
+    }
+
+
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
     checks = []
@@ -408,6 +433,7 @@ def _cmd_verify(args) -> int:
     if args.as_json:
         doc = {
             "seed": seed,
+            "environment": _environment(),
             "checks": [
                 {
                     "name": c.name,

@@ -2,31 +2,47 @@
 
 Executes a model spec on real double-precision tensors laid out as
 (batch, channels, freq, time). Convolutions are direct, no FFT and no
-approximation, and the input is padded once (not at all when the padding is
-zero). Three regimes follow, chosen by the layer's shape alone:
+approximation. Three regimes follow, chosen by the layer's shape alone:
 
 * Depthwise convolutions (one input and one output channel per group) build
-  no column buffer: each kernel tap scales the same strided slice by its
-  per-channel weight into one output-sized scratch array, which is added in
-  place to the (batch, channels, freq, time) output.
+  no column buffer and no padded copy of the map: one block of channels at
+  a time, at most :data:`DEPTHWISE_BUDGET` bytes, is copied into a
+  zero-bordered scratch, and each kernel tap scales a strided slice of it
+  by its per-channel weight into a block-sized tap array, which is added in
+  place to the block's output channels. The taps run in the same order as
+  over the whole map, so the output is bit-identical to a whole-map pass.
 * 1x1 convolutions build no column buffer either: the input, subsampled when
   the layer strides, is the right-hand operand of one GEMM per group, so a
   stride-1 pointwise conv copies nothing and a strided one only its
   subsample.
-* Other dense and grouped convolutions use a tap-major im2col. A column
-  buffer of at most :data:`COLUMN_BUDGET` bytes, shape (groups,
-  in/groups * kf * kt, rows * batch * T_out), is filled with one
-  strided-slice copy per kernel tap for a block of output rows, and one
-  grouped matrix multiplication with the (groups, out/groups,
-  in/groups * kf * kt) kernel matrix writes those rows of the output in
-  (channels, freq, batch, time) order, which for a single input is already
-  the (batch, channels, freq, time) layout. A buffer that fits the budget
-  whole is one block and one GEMM.
+* Other dense and grouped convolutions pad the input once (not at all when
+  the padding is zero) and use a tap-major im2col. A column buffer of at
+  most :data:`COLUMN_BUDGET` bytes, shape (groups, in/groups * kf * kt,
+  rows * batch * T_out), is filled with one strided-slice copy per kernel
+  tap for a block of output rows, and one grouped matrix multiplication
+  with the (groups, out/groups, in/groups * kf * kt) kernel matrix writes
+  those rows of the output in (channels, freq, batch, time) order, which
+  for a single input is already the (batch, channels, freq, time) layout. A
+  buffer that fits the budget whole is one block and one GEMM.
+
+A fully connected layer multiplies one block of at most
+:data:`COLUMN_BUDGET` bytes of weight rows at a time.
 
 :func:`run_model` without explicit weights draws each layer's weights just
 before the layer runs, from the same seeded generator and in the same order
 as :func:`init_weights`, and drops them after use, so a model's weights are
-never all held at once.
+never all held at once. A fully connected layer's weight matrix is drawn
+one row block at a time as the product reads it, then its bias, so the head
+matrix is never held whole either.
+
+Ownership: ReLUs and residual adds write in place, but only into maps the
+running :func:`run_model` call allocated and nothing else reads. The
+caller's input, given weights, a block input that the shortcut still reads
+and any view of it (the subsample shortcut) are never written; a layer that
+returns its input, such as the BN identity, passes that input's ownership
+on. So a residual block holds its input, the branch map and the output of
+the layer running, plus that layer's bounded scratch, and no head matrix is
+held whole.
 
 An :class:`OpCounter` accumulates the multiply count of every convolution
 and fully connected layer under the same MAC convention the symbolic side
@@ -82,6 +98,11 @@ DEFAULT_SEED = 20240417
 #: block of output rows at a time; 4 MiB measured fastest on 80x300 maps,
 #: where a 32-channel 3x3 would otherwise need 55 MB at once.
 COLUMN_BUDGET = 4 << 20
+#: Bytes of zero-bordered scratch a depthwise convolution pads one block of
+#: channels into (at least one channel; one 80x300 channel is 198 KB). On
+#: DF-ResNet182's 59 depthwise layers at 80x300, 256 KiB measured fastest:
+#: 247 ms, against 272 ms at 4 MiB and 359 ms padding the whole map.
+DEPTHWISE_BUDGET = 256 << 10
 
 
 class KernelError(ValueError):
@@ -143,8 +164,9 @@ def conv2d_forward(
 
     ``weight`` has shape (out_channels, in_channels // groups, kf, kt).
     Depthwise layers (in/groups == out/groups == 1) accumulate one per-tap
-    multiply into the output. 1x1 layers multiply the kernel matrix with
-    the (strided) input directly. Other layers fill a tap-major im2col
+    multiply into the output, padding one block of channels at a time. 1x1
+    layers multiply the kernel matrix with the (strided) input directly.
+    Other layers fill a tap-major im2col
     buffer of at most :data:`COLUMN_BUDGET` bytes one block of output rows
     at a time, each block one grouped GEMM written straight into its rows
     of the output. The counter gains exactly one multiply per kernel tap
@@ -165,26 +187,41 @@ def conv2d_forward(
     pf, pt = layer.padding
     df, dt = layer.dilation
     sf, st = layer.stride.freq, layer.stride.time
-    xp = np.pad(x, ((0, 0), (0, 0), (pf, pf), (pt, pt))) if pf or pt else x
+    depthwise = cg == 1 and og == 1
+    # A depthwise conv pads one block of channels at a time instead.
+    xp = np.pad(x, ((0, 0), (0, 0), (pf, pf), (pt, pt))) if (pf or pt) and not depthwise else x
+    f_pad, t_pad = x.shape[2] + 2 * pf, x.shape[3] + 2 * pt
     span_f = df * (kf - 1) + 1
     span_t = dt * (kt - 1) + 1
-    if xp.shape[2] < span_f or xp.shape[3] < span_t:
+    if f_pad < span_f or t_pad < span_t:
         raise KernelError(
             f"spatial input {x.shape[2]}x{x.shape[3]} too small for kernel span {span_f}x{span_t}"
         )
-    f_out = (xp.shape[2] - span_f) // sf + 1
-    t_out = (xp.shape[3] - span_t) // st + 1
-    if cg == 1 and og == 1:
-        # Depthwise: output channel c reads input channel c only, so each
-        # tap is a per-channel scale of one strided slice, accumulated in
-        # place through one output-sized scratch array (no column buffer).
+    f_out = (f_pad - span_f) // sf + 1
+    t_out = (t_pad - span_t) // st + 1
+    if depthwise:
+        # Output channel c reads input channel c only, so each tap is a
+        # per-channel scale of one strided slice. One block of channels at
+        # a time is padded into a scratch of at most DEPTHWISE_BUDGET bytes,
+        # and its taps are added in place to those output channels through
+        # a block-sized tap array, in whole-map tap order: bit-identical to
+        # one pass over a padded map, with no padded copy of the map.
         out = np.zeros((b, g, f_out, t_out))
-        tap = np.empty_like(out)
-        for i in range(kf):
-            for j in range(kt):
-                window = xp[..., i * df : i * df + sf * f_out : sf, j * dt : j * dt + st * t_out : st]
-                np.multiply(window, weight[:, 0, i, j, None, None], out=tap)
-                out += tap
+        ch = max(1, min(g, DEPTHWISE_BUDGET // (8 * b * f_pad * t_pad)))
+        pad = np.zeros((b, ch, f_pad, t_pad)) if pf or pt else None
+        tap = np.empty((b, ch, f_out, t_out))
+        for c0 in range(0, g, ch):
+            n = min(ch, g - c0)
+            src = x[:, c0 : c0 + n]
+            if pad is not None:
+                pad[:, :n, pf : pf + x.shape[2], pt : pt + x.shape[3]] = src
+                src = pad[:, :n]
+            acc, scaled = out[:, c0 : c0 + n], tap[:, :n]
+            for i in range(kf):
+                for j in range(kt):
+                    window = src[..., i * df : i * df + sf * f_out : sf, j * dt : j * dt + st * t_out : st]
+                    np.multiply(window, weight[c0 : c0 + n, 0, i, j, None, None], out=scaled)
+                    acc += scaled
     elif kf == kt == 1:
         # 1x1: the input, subsampled when the conv strides, is itself the
         # (cg, F_out*T_out) operand of each group's GEMM; at stride 1 the
@@ -196,7 +233,7 @@ def conv2d_forward(
         # tap (i, j); columns run over output positions in (F_out, B, T_out)
         # order, so each block of output rows is one contiguous column range
         # of the (groups, out/groups, F_out*B*T_out) output.
-        xg = xp.reshape(b, g, cg, xp.shape[2], xp.shape[3]).transpose(1, 2, 3, 0, 4)
+        xg = xp.reshape(b, g, cg, f_pad, t_pad).transpose(1, 2, 3, 0, 4)
         taps = cg * kf * kt
         row = b * t_out
         rows = max(1, min(f_out, COLUMN_BUDGET // (8 * g * taps * row)))
@@ -292,11 +329,22 @@ def fully_connected_forward(
     x: np.ndarray, layer: FullyConnected, weight: np.ndarray, bias: np.ndarray | None,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
+    """``x @ weight.T + bias``, one block of weight rows at a time.
+
+    A block holds at most :data:`COLUMN_BUDGET` bytes of ``weight``.
+    ``weight`` is read one slice of leading rows at a time, in order, and
+    ``bias`` after it, so drawn-on-read weights (:class:`_Deferred`) work
+    as well as arrays and give the same result.
+    """
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise KernelError(f"{layer.name}: expected (batch, {layer.in_dim}) input, got {x.shape}")
-    out = x @ weight.T
+    rows = max(1, COLUMN_BUDGET // (8 * layer.in_dim))
+    out = np.empty((x.shape[0], layer.out_dim))
+    for r0 in range(0, layer.out_dim, rows):
+        r1 = min(r0 + rows, layer.out_dim)
+        np.matmul(x, weight[r0:r1].T, out=out[:, r0:r1])
     if layer.bias:
-        out = out + bias
+        out += bias[: layer.out_dim]
     if counter is not None:
         counter.multiplies += x.shape[0] * layer.in_dim * layer.out_dim
     return out
@@ -354,19 +402,21 @@ def _subsample(x: np.ndarray, stride: StridePair) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _layer_params(spec: ModelSpec, draw):
+def _layer_params(spec: ModelSpec, draw, draw_fc=None):
     """(layer name, params) for every weighted layer, in entry order, each
-    array made by ``draw(*shape)``. The order fixes which draws of a seeded
+    array made by ``draw(*shape)``, or by ``draw_fc(*shape)`` for a fully
+    connected layer when given. The order fixes which draws of a seeded
     generator each layer receives."""
+    draw_fc = draw_fc or draw
     for entry in spec.entries:
         layer = entry.layer
         if isinstance(layer, Conv2d):
             kf, kt = layer.kernel
             yield layer.name, {"w": draw(layer.out_channels, layer.in_channels // layer.groups, kf, kt)}
         elif isinstance(layer, FullyConnected):
-            params = {"w": draw(layer.out_dim, layer.in_dim)}
+            params = {"w": draw_fc(layer.out_dim, layer.in_dim)}
             if layer.bias:
-                params["b"] = draw(layer.out_dim)
+                params["b"] = draw_fc(layer.out_dim)
             yield layer.name, params
         elif isinstance(layer, SqueezeExcite):
             hidden = layer.channels // layer.reduction
@@ -398,16 +448,38 @@ def zero_weights(spec: ModelSpec) -> dict[str, dict]:
     return dict(_layer_params(spec, lambda *shape: np.zeros(shape)))
 
 
+class _Deferred:
+    """An array drawn when read, one slice of leading rows at a time.
+
+    A run of uniform draws of r rows holds exactly those rows of one draw
+    of the whole array, so slices read in order, each once, give the values
+    and the generator order of drawing it whole.
+    """
+
+    def __init__(self, draw, shape: tuple[int, ...]) -> None:
+        self._draw, self._shape, self._next = draw, shape, 0
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop = rows.start or 0, min(rows.stop, self._shape[0])
+        if start != self._next:
+            raise KernelError(f"drawn rows read out of order: {start} after {self._next}")
+        self._next = stop
+        return self._draw(stop - start, *self._shape[1:])
+
+
 class _DrawnWeights:
     """``init_weights(spec, seed)`` drawn one layer at a time.
 
     Looking up a layer draws its params and keeps nothing, so at most one
-    layer's weights are alive. Lookups must come in entry order, the order
-    in which :func:`run_model` executes layers.
+    layer's weights are alive; a fully connected layer's are
+    :class:`_Deferred`, drawn block by block as the product reads them.
+    Lookups must come in entry order, the order in which :func:`run_model`
+    executes layers.
     """
 
     def __init__(self, spec: ModelSpec, seed: int) -> None:
-        self._params = _layer_params(spec, _uniform_draw(seed))
+        draw = _uniform_draw(seed)
+        self._params = _layer_params(spec, draw, lambda *shape: _Deferred(draw, shape))
 
     def __getitem__(self, name: str) -> dict:
         drawn, params = next(self._params, (None, None))
@@ -416,7 +488,9 @@ class _DrawnWeights:
         return params
 
 
-def _apply(layer, x, weights, counter):
+def _apply(layer, x, weights, counter, owned=False):
+    """One layer's output. ``owned`` marks ``x`` as an array the running
+    model allocated and nothing else reads, which a ReLU then overwrites."""
     if isinstance(layer, Conv2d):
         return conv2d_forward(x, layer, weights[layer.name]["w"], counter)
     if isinstance(layer, BatchNorm2d):
@@ -424,7 +498,9 @@ def _apply(layer, x, weights, counter):
         # shift: an exact identity.
         return x
     if isinstance(layer, Activation):
-        return np.maximum(x, 0.0) if layer.fn == "relu" else _sigmoid(x)
+        if layer.fn != "relu":
+            return _sigmoid(x)
+        return np.maximum(x, 0.0, out=x if owned else None)
     if isinstance(layer, MaxPool2d):
         return maxpool2d_forward(x, layer)
     if isinstance(layer, SqueezeExcite):
@@ -439,6 +515,16 @@ def _apply(layer, x, weights, counter):
         params = weights[layer.name]
         return fully_connected_forward(x, layer, params["w"], params.get("b"), counter)
     raise KernelError(f"cannot execute layer {type(layer).__name__}")
+
+
+def _step(layer, x, owned, weights, counter, records):
+    """(output, owned) of one layer, its shape recorded. An output that may
+    share memory with ``x`` (the BN identity, an in-place ReLU) keeps the
+    ownership of ``x``; any other output is a fresh array, owned."""
+    y = _apply(layer, x, weights, counter, owned)
+    if records is not None:
+        _record_shape(records, layer.name, y)
+    return y, owned or not np.may_share_memory(x, y)
 
 
 def _record_shape(records, name, value):
@@ -459,42 +545,37 @@ def residual_block_forward(
 
     The shortcut is the identity when shapes are preserved, a parameter-free
     strided subsampling when only the spatial shape changes, and the
-    segment's projection layers otherwise.
+    segment's projection layers otherwise. Layers after the add act on the
+    merged map.
+
+    ``x`` is never written, since the shortcut reads it. A ReLU works in
+    place, and the add merges the shortcut into the branch in place, only
+    on arrays this call allocated; the result is always such an array.
     """
-    block_in = x
-    branch = block_in
-    shortcut = block_in
-    merged = None
+    branch = shortcut = x
+    owned = merged = False
     for entry in segment.entries:
         layer = entry.layer
         if isinstance(layer, Add):
             if layer.shortcut is ShortcutKind.SUBSAMPLE:
-                shortcut = _subsample(block_in, layer.stride)
+                shortcut = _subsample(x, layer.stride)
             elif layer.shortcut is ShortcutKind.IDENTITY:
-                shortcut = block_in
+                shortcut = x
             if branch.shape != shortcut.shape:
                 raise KernelError(
                     f"{layer.name}: branch {branch.shape} != shortcut {shortcut.shape}"
                 )
-            merged = branch + shortcut
+            branch = np.add(branch, shortcut, out=branch if owned else None)
+            owned = merged = True
             if records is not None:
-                _record_shape(records, layer.name, merged)
+                _record_shape(records, layer.name, branch)
         elif entry.role is Role.SHORTCUT:
-            shortcut = _apply(layer, shortcut, weights, counter)
-            if records is not None:
-                _record_shape(records, layer.name, shortcut)
+            shortcut, _ = _step(layer, shortcut, False, weights, counter, records)
         else:
-            if merged is not None:
-                merged = _apply(layer, merged, weights, counter)
-                if records is not None:
-                    _record_shape(records, layer.name, merged)
-            else:
-                branch = _apply(layer, branch, weights, counter)
-                if records is not None:
-                    _record_shape(records, layer.name, branch)
-    if merged is None:
+            branch, owned = _step(layer, branch, owned, weights, counter, records)
+    if not merged:
         raise KernelError("residual segment executed without an add layer")
-    return merged
+    return branch
 
 
 def run_model(
@@ -508,7 +589,16 @@ def run_model(
     Without ``weights``, each layer's weights are drawn from ``seed`` just
     before the layer runs and dropped after it, with the values
     ``init_weights(spec, seed)`` would give, so at most one layer's weights
-    are held at a time.
+    are held at a time; a fully connected layer's are drawn one block of
+    rows at a time as its product reads them, so no whole head matrix is
+    held either. Given weights go through the same blocked product, so both
+    modes give bit-identical embeddings.
+
+    ``x`` and ``weights`` are never written: ReLUs and residual adds work
+    in place only on maps this call allocated (see the module docstring),
+    so a block holds its input, the branch map and the output of the layer
+    running, plus that layer's scratch of at most :data:`COLUMN_BUDGET` or
+    :data:`DEPTHWISE_BUDGET` bytes.
 
     Returns the embedding matrix (batch, embedding_dim), the op counter, and
     one (layer name, output shape) record per layer; 4D shapes drop the
@@ -522,13 +612,13 @@ def run_model(
     counter = OpCounter()
     records: list[tuple[str, tuple[int, ...]]] = []
 
+    owned = False  # x is the caller's until a layer allocates
     for segment in spec.segments():
         if segment.kind == "linear":
             for entry in segment.entries:
-                x = _apply(entry.layer, x, weights, counter)
-                _record_shape(records, entry.layer.name, x)
-            continue
-        x = residual_block_forward(x, segment, weights, counter, records)
+                x, owned = _step(entry.layer, x, owned, weights, counter, records)
+        else:
+            x, owned = residual_block_forward(x, segment, weights, counter, records), True
 
     return RunResult(embedding=x, counter=counter, shapes=tuple(records))
 

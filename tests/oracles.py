@@ -75,6 +75,28 @@ def loop_conv2d(x, weight, stride=(1, 1), padding=(0, 0), dilation=(1, 1), group
     return out
 
 
+def whole_map_depthwise(x, weight, stride=(1, 1), padding=(0, 0), dilation=(1, 1)):
+    """Depthwise convolution over one zero-padded copy of the whole map,
+    each tap's product added to the output in (row, column) tap order: the
+    accumulation order a channel-blocked kernel must keep to match it bit
+    for bit."""
+    b, c, f, t = x.shape
+    _, _, kf, kt = weight.shape
+    sf, st = stride
+    pf, pt = padding
+    df, dt = dilation
+    xp = np.zeros((b, c, f + 2 * pf, t + 2 * pt))
+    xp[:, :, pf : pf + f, pt : pt + t] = x
+    f_out = conv_out_size_direct(f, kf, pf, df, sf)
+    t_out = conv_out_size_direct(t, kt, pt, dt, st)
+    out = np.zeros((b, c, f_out, t_out))
+    for i in range(kf):
+        for j in range(kt):
+            window = xp[:, :, i * df : i * df + sf * f_out : sf, j * dt : j * dt + st * t_out : st]
+            out += window * weight[:, 0, i, j, None, None]
+    return out
+
+
 def two_pass_stats_pool(x, eps=1e-10):
     """Temporal statistics pooling with per-cell Python loops."""
     b, c, f, t = x.shape

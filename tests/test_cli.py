@@ -128,6 +128,18 @@ class TestAnalyze:
         assert out == ""
         assert "NOPE" in err
 
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_compare_with_machine_output_is_usage_error(self, capsys, flag):
+        # Neither machine-readable output has delta fields.
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--compare", "T14c", flag)
+        assert code == 1 and out == ""
+        assert "usage error: --compare prints a text report" in err
+
+    def test_catalog_rejects_compare(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--compare", "T14c")
+        assert code == 1 and out == ""
+        assert "usage error" in err
+
     def test_gemini_compares_against_named_path(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--gemini", "--compare", "MOD")
         assert code == 0
@@ -304,6 +316,19 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["failures"] == 0
         assert all(c["multiplies"] == c["analytic_flops"] for c in doc["checks"])
+
+    def test_json_records_run_environment(self, capsys, monkeypatch):
+        import numpy as np
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        code, out, _ = run_cli(capsys, "verify", "--gradcheck", "--gradcheck-trials", "1", "--json")
+        assert code == 0
+        env = json.loads(out)["environment"]
+        assert set(env) == {"numpy", "blas_name", "blas_version", "blas_thread_vars"}
+        assert env["numpy"] == np.__version__
+        assert env["blas_thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert "MKL_NUM_THREADS" not in env["blas_thread_vars"]
 
     def test_gradcheck_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--gradcheck", "--gradcheck-trials", "6")

@@ -7,16 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_conv2d, two_pass_stats_pool
+from oracles import loop_conv2d, two_pass_stats_pool, whole_map_depthwise
 from stride_lab import numkernel
 from stride_lab.analysis import count_flops, layer_flops, trace
 from stride_lab.builder import build, make_request
-from stride_lab.layers import Conv2d, TensorShape
+from stride_lab.layers import (
+    Activation,
+    Add,
+    BatchNorm2d,
+    Conv2d,
+    FullyConnected,
+    LayerEntry,
+    Segment,
+    ShortcutKind,
+    TensorShape,
+)
 from stride_lab.numkernel import (
     KernelError,
     OpCounter,
     conv2d_backward,
     conv2d_forward,
+    fully_connected_forward,
     gradcheck_conv,
     init_weights,
     residual_block_forward,
@@ -25,12 +36,23 @@ from stride_lab.numkernel import (
     zero_weights,
 )
 from stride_lab.strides import StridePair
-from stride_lab.verification import gradcheck_suite, verify_spec_numeric
+from stride_lab.verification import catalog_spec, gradcheck_suite, verify_spec_numeric
 
 
 def small_spec():
     return build(make_request("modified_resnet", 18, path="MOD", base_channels=4,
                               embedding_dim=16, input_freq_bins=16))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, tracemalloc peak bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @st.composite
@@ -136,9 +158,11 @@ class TestConvForward:
     @given(case=conv_cases())
     @settings(max_examples=40, deadline=None)
     def test_one_row_blocks_match_loop_oracle_on_drawn_layers(self, case):
-        # A zero budget fills and multiplies one output row at a time.
+        # Zero budgets fill and multiply one output row, and pad one
+        # depthwise channel, at a time.
         layer, x, w = case
-        with mock.patch.object(numkernel, "COLUMN_BUDGET", 0):
+        with mock.patch.object(numkernel, "COLUMN_BUDGET", 0), \
+                mock.patch.object(numkernel, "DEPTHWISE_BUDGET", 0):
             got = conv2d_forward(x, layer, w)
         want = loop_conv2d(
             x, w,
@@ -154,30 +178,45 @@ class TestConvForward:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1, 32, 80, 300))
         w = rng.normal(size=(32, 32, 3, 3))
-        tracemalloc.start()
-        try:
-            out = conv2d_forward(x, layer, w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(conv2d_forward, x, layer, w)
         assert out.shape == (1, 32, 80, 300)
         assert peak < 2 * (x.nbytes + out.nbytes)
 
     def test_depthwise_builds_no_column_buffer(self):
-        # Padded input, output and one scratch array fit in 4x the output;
-        # a (C, 9, F*T) column buffer alone would be 9x.
+        # The output plus one channel block of padded input and of tap
+        # products, each at most DEPTHWISE_BUDGET bytes; a padded copy of
+        # the whole map alone would be 1.06x the output, a (C, 9, F*T)
+        # column buffer 9x.
         layer = Conv2d("dw", 64, 64, (3, 3), padding=(1, 1), groups=64)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1, 64, 40, 150))
         w = rng.normal(size=(64, 1, 3, 3))
-        tracemalloc.start()
-        try:
-            out = conv2d_forward(x, layer, w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(conv2d_forward, x, layer, w)
         assert out.shape == (1, 64, 40, 150)
-        assert peak < 4 * out.nbytes
+        assert peak < out.nbytes + 3 * numkernel.DEPTHWISE_BUDGET
+        assert peak < 1.3 * out.nbytes
+
+    @pytest.mark.parametrize("budget", [0, 40_000, numkernel.DEPTHWISE_BUDGET])
+    @pytest.mark.parametrize(
+        "batch,channels,spatial,stride,padding,dilation",
+        [
+            (1, 7, (40, 61), (1, 1), (1, 1), (1, 1)),
+            (2, 5, (17, 23), (2, 1), (1, 1), (1, 1)),
+            (1, 6, (12, 19), (2, 2), (2, 1), (2, 1)),
+            (3, 4, (9, 11), (1, 2), (0, 0), (1, 1)),
+        ],
+    )
+    def test_depthwise_blocks_equal_whole_map_pass_bit_for_bit(
+        self, budget, batch, channels, spatial, stride, padding, dilation
+    ):
+        layer = Conv2d("dw", channels, channels, (3, 3), stride=StridePair(stride[1], stride[0]),
+                       padding=padding, dilation=dilation, groups=channels)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(batch, channels, *spatial))
+        w = rng.normal(size=(channels, 1, 3, 3))
+        with mock.patch.object(numkernel, "DEPTHWISE_BUDGET", budget):
+            got = conv2d_forward(x, layer, w)
+        assert np.array_equal(got, whole_map_depthwise(x, w, stride, padding, dilation))
 
     def test_input_smaller_than_kernel_span_raises(self):
         layer = Conv2d("c", 2, 2, (3, 3), padding=(0, 1), dilation=(2, 1))
@@ -224,7 +263,59 @@ class TestConvForward:
             assert out.shape[1:] == sym.as_tuple()
 
 
+class TestFullyConnected:
+    @pytest.mark.parametrize("budget", [0, 8 * 7 * 5, numkernel.COLUMN_BUDGET])
+    def test_row_blocks_match_one_product(self, budget):
+        layer = FullyConnected("fc", 7, 23)
+        rng = np.random.default_rng(6)
+        x, w, b = rng.normal(size=(3, 7)), rng.normal(size=(23, 7)), rng.normal(size=23)
+        with mock.patch.object(numkernel, "COLUMN_BUDGET", budget):
+            got = fully_connected_forward(x, layer, w, b)
+        np.testing.assert_allclose(got, x @ w.T + b, rtol=1e-12)
+
+    def test_drawn_rows_must_be_read_in_order(self):
+        rows = numkernel._Deferred(lambda *shape: np.zeros(shape), (6, 4))
+        assert rows[0:2].shape == (2, 4)
+        with pytest.raises(KernelError, match="drawn rows read out of order: 4 after 2"):
+            rows[4:6]
+
+
+def hand_block(branch):
+    """A hand-built block segment: the given branch layers, the add, a ReLU."""
+    entries = [LayerEntry(layer, stage=2, block=1) for layer in branch]
+    entries.append(LayerEntry(Add("b.add", ShortcutKind.IDENTITY), stage=2, block=1))
+    entries.append(LayerEntry(Activation("b.act_out"), stage=2, block=1))
+    return Segment(kind="block", entries=tuple(entries))
+
+
 class TestResidualBlock:
+    @pytest.mark.parametrize(
+        "branch", [[Activation("b.act")], [BatchNorm2d("b.bn", 3), Activation("b.act")], []],
+        ids=["relu-first", "identity-then-relu", "empty"],
+    )
+    def test_block_leaves_its_input_unchanged(self, branch):
+        x = np.random.default_rng(2).normal(size=(1, 3, 5, 6))
+        before = x.copy()
+        records = []
+        out = residual_block_forward(x, hand_block(branch), {}, records=records)
+        assert np.array_equal(x, before)
+        branch_out = np.maximum(before, 0.0) if branch else before
+        assert np.array_equal(out, np.maximum(branch_out + before, 0.0))
+        assert [name for name, _ in records] == [layer.name for layer in branch] + ["b.add", "b.act_out"]
+        assert not np.may_share_memory(out, x)
+
+    def test_strided_block_leaves_its_input_unchanged(self):
+        # The subsample shortcut is a view of the block input.
+        spec = build(make_request("gemini_resnet", 18, path="T14c", base_channels=4,
+                                  embedding_dim=16, input_freq_bins=16))
+        block = next(s for s in spec.segments() if s.kind == "block"
+                     and s.entries[-2].layer.shortcut is ShortcutKind.SUBSAMPLE)
+        channels = block.entries[0].layer.in_channels
+        x = np.random.default_rng(5).normal(size=(1, channels, 8, 20))
+        before = x.copy()
+        residual_block_forward(x, block, init_weights(spec, 3))
+        assert np.array_equal(x, before)
+
     def test_zero_branch_identity_shortcut_returns_input(self):
         spec = small_spec()
         block = next(s for s in spec.segments() if s.kind == "block")
@@ -331,6 +422,42 @@ class TestRunModel:
         drawn = run_model(spec, x, seed=31).embedding
         assert np.array_equal(drawn, run_model(spec, x, weights=init_weights(spec, 31)).embedding)
 
+    def test_leaves_input_and_weights_unchanged(self):
+        spec = small_spec()
+        x = np.random.default_rng(4).normal(size=(1, 1, 16, 40))
+        weights = init_weights(spec, 5)
+        before_x = x.copy()
+        before_w = init_weights(spec, 5)
+        run_model(spec, x, weights=weights)
+        run_model(spec, x, seed=5)
+        assert np.array_equal(x, before_x)
+        for name, params in before_w.items():
+            for key, value in params.items():
+                assert np.array_equal(weights[name][key], value), (name, key)
+
+    def test_depthwise_model_holds_few_feature_maps(self):
+        # DF-ResNet182 MOD's largest map is stage 2's 128 x 80 x T. A
+        # depthwise conv needs its input and its output; the block input
+        # is a quarter map. A whole-map padded copy, an output-sized tap
+        # scratch and out-of-place ReLUs and adds put the peak near 4 maps.
+        spec = build(make_request("df_resnet", 182, path="MOD"))
+        frames = 64
+        largest = 8 * max(int(np.prod(r.out_shape)) for r in trace(spec, time=frames, include_head=False))
+        x = np.random.default_rng(4).normal(size=(1, 1, 80, frames))
+        _, peak = traced_peak(run_model, spec, x)
+        assert peak < 2.5 * largest
+
+    def test_head_matrix_is_never_held_whole(self):
+        # F50 keeps the full 80 frequency bins: its head is 2*256*80 x 256,
+        # 84 MB of float64, drawn and multiplied one block of rows at a time.
+        spec = catalog_spec("F50")
+        fc = spec.entries[-1].layer
+        head_bytes = 8 * fc.in_dim * fc.out_dim
+        assert head_bytes > 80e6
+        x = np.random.default_rng(4).normal(size=(1, 1, 80, 64))
+        _, peak = traced_peak(run_model, spec, x)
+        assert peak < head_bytes / 2
+
     def test_weights_are_drawn_per_layer(self):
         # ResNet50 MOD holds 84.7 MiB of weights, 40 MiB of them in the
         # head's fully connected layer; drawing a layer's weights only when
@@ -340,12 +467,7 @@ class TestRunModel:
         weight_bytes = sum(a.nbytes for params in weights.values() for a in params.values())
         del weights
         x = np.random.default_rng(4).normal(size=(1, 1, 80, 64))
-        tracemalloc.start()
-        try:
-            run_model(spec, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(run_model, spec, x)
         assert peak < weight_bytes / 2
 
     def test_zero_weights_give_zero_embedding(self):
