@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: enumerate | build | analyze | compare | verify | metrics | render.
-Exit codes: 0 success, 1 usage error, 2 build/input error, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error, 2 build/input error (including a
+stdout closed before the output was written), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -173,6 +173,7 @@ def _build_parser() -> _Parser:
     p_metrics.add_argument("--p-target", type=float, default=0.01)
     p_metrics.add_argument("--c-fa", type=float, default=1.0)
     p_metrics.add_argument("--c-miss", type=float, default=1.0)
+    p_metrics.add_argument("--json", action="store_true", dest="as_json")
 
     p_render = sub.add_parser("render", help="emit trellis diagrams as Graphviz DOT")
     p_render.add_argument("--highlight", help="comma-separated configuration names to overlay")
@@ -483,6 +484,21 @@ def _cmd_metrics(args) -> int:
         return EXIT_BUILD
     n_target = len(trials.target_scores)
     n_nontarget = len(trials.nontarget_scores)
+    if args.as_json:
+        doc = {
+            "trials": len(trials.trials),
+            "targets": n_target,
+            "nontargets": n_nontarget,
+            "eer": eer,
+            "eer_threshold": eer_thr,
+            "min_dcf": dcf,
+            "min_dcf_threshold": dcf_thr,
+            "p_target": args.p_target,
+            "c_fa": args.c_fa,
+            "c_miss": args.c_miss,
+        }
+        print(json.dumps(doc, indent=2))
+        return EXIT_OK
     print(f"trials     {len(trials.trials)} ({n_target} target / {n_nontarget} nontarget)")
     print(f"EER        {100.0 * eer:.3f}%  threshold {eer_thr:.6f}")
     print(
@@ -514,7 +530,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flush here, so a closed pipe raises inside this handler rather
+        # than at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``). Point stdout at devnull so the
+        # interpreter's own final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BUILD
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

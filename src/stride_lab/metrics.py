@@ -13,18 +13,25 @@ metrics sweep exactly that candidate set:
 Both metrics depend only on the ordering of scores, so they are invariant
 under any strictly increasing transform of all scores.
 
-A score file is parsed in one pass: each line is split and its field count
-and label checked, then all scores are converted and checked for finiteness
-together. When any line is bad, the ``ScoreFileError`` names the first bad
-line and its number; a line is checked for field count, label, score syntax
-and finiteness, in that order. A ``TrialScoreSet`` builds its score and
-label arrays once; EER and minDCF read those cached arrays.
+A ``TrialScoreSet`` stores two read-only arrays, ``scores`` (float64) and
+``is_target`` (bool). Its ``trials`` is a read-only sequence view of
+``(float, bool)`` pairs over them, so no pair is built unless one is read.
+``operating_points`` sorts a set once and caches its read-only result on
+the set, so EER and minDCF of one set share one sweep.
+
+A score file is parsed without an object per line: the comment-stripped,
+non-blank lines are joined and split into tokens once, and the structure
+is checked by counts (two tokens per line, a label at the start of every
+line, a label at every even token). When any check fails, the text is
+scanned line by line and the ``ScoreFileError`` names the first bad line
+and its number; a line is checked for field count, label, score syntax
+and finiteness, in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
@@ -56,71 +63,151 @@ class ScoreFileError(ValueError):
 _LABELS = ("target", "nontarget")
 
 
-@dataclass(frozen=True)
+class _TrialPairs(Sequence):
+    """Read-only ``(score, is_target)`` pairs over a set's two arrays.
+
+    ``len`` is O(1); items are Python ``(float, bool)`` pairs, built as they
+    are read. Compares, hashes and prints as the tuple of its pairs.
+    """
+
+    __slots__ = ("_scores", "_is_target")
+
+    def __init__(self, scores: np.ndarray, is_target: np.ndarray):
+        self._scores = scores
+        self._is_target = is_target
+
+    def __len__(self) -> int:
+        return self._scores.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(zip(self._scores[index].tolist(), self._is_target[index].tolist()))
+        return float(self._scores[index]), bool(self._is_target[index])
+
+    def __iter__(self):
+        return zip(self._scores.tolist(), self._is_target.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _TrialPairs)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class TrialScoreSet:
     """Labeled similarity scores; at least one target and one non-target.
 
-    Equality and hashing use ``trials`` only; the score and label arrays
-    the metrics read are built once, at construction.
+    Built from ``(score, is_target)`` pairs, from two score lists, or from a
+    score file. Holds only the read-only ``scores`` and ``is_target`` arrays
+    (plus the cached operating points). Equality, hashing and ``repr`` go by
+    the trial sequence, as for a tuple of pairs: ``-0.0`` equals ``0.0``.
     """
 
-    trials: tuple[tuple[float, bool], ...]
-    _scores: np.ndarray = field(init=False, repr=False, compare=False)
-    _is_target: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("scores", "is_target", "_points")
 
-    def __post_init__(self) -> None:
-        n = len(self.trials)
-        is_target = np.fromiter(map(itemgetter(1), self.trials), dtype=bool, count=n)
+    def __init__(self, trials: Iterable[tuple[float, bool]]):
+        pairs = tuple(trials)
+        self._set(np.fromiter(map(itemgetter(0), pairs), dtype=float, count=len(pairs)),
+                  np.fromiter(map(itemgetter(1), pairs), dtype=bool, count=len(pairs)))
+
+    def _set(self, scores: np.ndarray, is_target: np.ndarray) -> None:
+        """Check and freeze two arrays this set now owns."""
         targets = int(np.count_nonzero(is_target))
-        nontargets = n - targets
+        nontargets = is_target.size - targets
         if targets < 1 or nontargets < 1:
             raise ValueError(
                 f"need at least one target and one non-target trial "
                 f"(got {targets} / {nontargets})"
             )
-        scores = np.fromiter(map(itemgetter(0), self.trials), dtype=float, count=n)
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
         scores.flags.writeable = False
         is_target.flags.writeable = False
-        object.__setattr__(self, "_scores", scores)
-        object.__setattr__(self, "_is_target", is_target)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "is_target", is_target)
+        object.__setattr__(self, "_points", None)
+
+    @classmethod
+    def _from_arrays(cls, scores: np.ndarray, is_target: np.ndarray) -> "TrialScoreSet":
+        trials = cls.__new__(cls)
+        trials._set(scores, is_target)
+        return trials
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TrialScoreSet is immutable; cannot set {name!r}")
+
+    @property
+    def trials(self) -> _TrialPairs:
+        return _TrialPairs(self.scores, self.is_target)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return bool(np.array_equal(self.scores, other.scores)
+                    and np.array_equal(self.is_target, other.is_target))
+
+    def __hash__(self) -> int:
+        # Adding 0.0 maps -0.0 to 0.0, so equal sets hash equal.
+        return hash(((self.scores + 0.0).tobytes(), self.is_target.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"TrialScoreSet(trials={self.trials!r})"
 
     @classmethod
     def from_scores(cls, target_scores, nontarget_scores) -> "TrialScoreSet":
-        trials = [(float(s), True) for s in target_scores]
-        trials += [(float(s), False) for s in nontarget_scores]
-        return cls(trials=tuple(trials))
+        targets = np.fromiter(map(float, target_scores), dtype=float)
+        nontargets = np.fromiter(map(float, nontarget_scores), dtype=float)
+        is_target = np.repeat([True, False], [targets.size, nontargets.size])
+        return cls._from_arrays(np.concatenate([targets, nontargets]), is_target)
 
     @classmethod
     def from_text(cls, text: str) -> "TrialScoreSet":
         """Parse ``label score`` lines; ``#`` starts a comment.
 
-        One pass splits the lines and checks field counts and labels; the
-        score strings are then converted and checked for finiteness all at
-        once. On any bad line the text is scanned again to raise the
-        ``ScoreFileError`` of the first one.
+        The non-blank lines, comments stripped and left-stripped, are joined
+        and split once. Each line then holds exactly ``label score`` if and
+        only if: there are two tokens per line, every line starts with a
+        label, every even token is a label and every odd token a float (no
+        float starts like a label, so a label at the start of a line sits at
+        an even token, and every line but the last has an even token count).
+        On any failure the text is scanned again to raise the
+        ``ScoreFileError`` of the first bad line.
         """
-        labels = []
-        scores = []
-        for raw in text.splitlines():
-            fields = raw.split("#", 1)[0].split()
-            if not fields:
-                continue
-            if len(fields) != 2 or fields[0] not in _LABELS:
-                _raise_first_bad_line(text)
-            labels.append(fields[0] == "target")
-            scores.append(fields[1])
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [line.split("#", 1)[0] if "#" in line else line for line in lines]
+        lines = [line for line in map(str.lstrip, lines) if line]
+        n = len(lines)
+        joined = "\n".join(lines)
+        del lines
+        starts = (joined.startswith(_LABELS) + joined.count("\ntarget")
+                  + joined.count("\nnontarget"))
+        tokens = joined.split()
+        del joined
+        if starts != n or len(tokens) != 2 * n:
+            _raise_first_bad_line(text)
+        labels = tokens[0::2]
+        values = tokens[1::2]
+        del tokens
+        if not set(labels).issubset(_LABELS):
+            _raise_first_bad_line(text)
+        # Only the two labels are left, and "target" is the shorter one.
+        is_target = np.fromiter(map(len, labels), dtype=np.int8, count=n) == len("target")
+        del labels
         try:
-            values = list(map(float, scores))
+            scores = np.fromiter(map(float, values), dtype=float, count=n)
         except ValueError:
             _raise_first_bad_line(text)
-        del scores
-        if not np.isfinite(values).all():
+        if not np.isfinite(scores).all():
             _raise_first_bad_line(text)
-        if not values:
+        if not n:
             raise ScoreFileError(0, "no trials found")
-        return cls(trials=tuple(zip(values, labels)))
+        return cls._from_arrays(scores, is_target)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrialScoreSet":
@@ -128,11 +215,11 @@ class TrialScoreSet:
 
     @property
     def target_scores(self) -> np.ndarray:
-        return self._scores[self._is_target]
+        return self.scores[self.is_target]
 
     @property
     def nontarget_scores(self) -> np.ndarray:
-        return self._scores[~self._is_target]
+        return self.scores[~self.is_target]
 
 
 def _raise_first_bad_line(text: str) -> NoReturn:
@@ -160,25 +247,39 @@ def _raise_first_bad_line(text: str) -> NoReturn:
 
 
 def operating_points(trials: TrialScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(thresholds, false-accept rates, false-reject rates).
+    """(thresholds, false-accept rates, false-reject rates), read-only.
 
     One point per unique score (accept iff score >= threshold) plus a final
-    reject-everything point. Raises when no threshold can change a decision.
+    reject-everything point. Computed from one sort on the first call and
+    cached on ``trials``; later calls return the same arrays. Raises when no
+    threshold can change a decision.
     """
-    targets = np.sort(trials.target_scores)
-    nontargets = np.sort(trials.nontarget_scores)
-    unique = np.unique(np.concatenate([targets, nontargets]))
-    if unique.size < 2:
+    if trials._points is not None:
+        return trials._points
+    order = np.argsort(trials.scores)
+    ranked = trials.scores[order]
+    is_target = trials.is_target[order]
+    # Index of the first trial at each unique score: every trial before it
+    # scores lower, so is rejected at that threshold.
+    first = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    if first.size < 2:
         raise DegenerateScoresError("all trial scores are identical")
+    targets_below = (np.cumsum(is_target) - is_target)[first]
+    n_target = int(np.count_nonzero(is_target))
+    unique = ranked[first]
     # Reject-everything surrogate threshold: reported as the max score.
     thresholds = np.concatenate([unique, unique[-1:]])
-    frr = np.empty(unique.size + 1)
-    far = np.empty(unique.size + 1)
-    frr[:-1] = np.searchsorted(targets, unique, side="left") / targets.size
-    far[:-1] = 1.0 - np.searchsorted(nontargets, unique, side="left") / nontargets.size
+    frr = np.empty(first.size + 1)
+    far = np.empty(first.size + 1)
+    frr[:-1] = targets_below / n_target
+    far[:-1] = 1.0 - (first - targets_below) / (is_target.size - n_target)
     frr[-1] = 1.0
     far[-1] = 0.0
-    return thresholds, far, frr
+    for array in (thresholds, far, frr):
+        array.flags.writeable = False
+    points = thresholds, far, frr
+    object.__setattr__(trials, "_points", points)
+    return points
 
 
 def compute_eer(trials: TrialScoreSet) -> tuple[float, float]:

@@ -396,6 +396,18 @@ def _check_model(spec: ModelSpec) -> None:
             found[kind].add(layer.scale)
         elif kind is FullyConnected:
             head = layer  # the last projection makes the embedding
+    # Both walkers merge a block's shortcut at its one add; with none the
+    # block cannot run, and a second add would merge the shortcut twice.
+    for segment in spec.segments():
+        if segment.kind != "block":
+            continue
+        adds = sum(type(entry.layer) is Add for entry in segment.entries)
+        if adds != 1:
+            first = segment.entries[0]
+            raise SpecFormatError(
+                f"residual block stage{first.stage}.block{first.block} has {adds} add layers, "
+                f"expected exactly one"
+            )
     if head is not None and head.out_dim != spec.embedding_dim:
         raise SpecFormatError(
             f"embedding_dim {spec.embedding_dim} does not match {head.name} out_dim {head.out_dim}"

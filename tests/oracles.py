@@ -28,7 +28,7 @@ from stride_lab.layers import (
     StageSpec,
     TemporalStatsPool,
 )
-from stride_lab.metrics import ScoreFileError
+from stride_lab.metrics import DegenerateScoresError, ScoreFileError
 from stride_lab.strides import StridePair, TrellisPath
 
 
@@ -159,6 +159,25 @@ def sweep_min_dcf(scores, labels, p_target=0.01, c_fa=1.0, c_miss=1.0):
     return best, best_thr
 
 
+def three_sort_operating_points(trials):
+    """(thresholds, far, frr) of a ``TrialScoreSet`` from three sorts: each
+    class sorted on its own, ``np.unique`` over both, and the rates counted
+    by binary search. Same arithmetic as the package, so equal under ``==``."""
+    targets = np.sort(trials.target_scores)
+    nontargets = np.sort(trials.nontarget_scores)
+    unique = np.unique(np.concatenate([targets, nontargets]))
+    if unique.size < 2:
+        raise DegenerateScoresError("all trial scores are identical")
+    thresholds = np.concatenate([unique, unique[-1:]])
+    frr = np.empty(unique.size + 1)
+    far = np.empty(unique.size + 1)
+    frr[:-1] = np.searchsorted(targets, unique, side="left") / targets.size
+    far[:-1] = 1.0 - np.searchsorted(nontargets, unique, side="left") / nontargets.size
+    frr[-1] = 1.0
+    far[-1] = 0.0
+    return thresholds, far, frr
+
+
 def random_trials(rng, n_min=10, n_max=120, separation=None):
     """A random labeled trial set with at least one score per class."""
     n = int(rng.integers(n_min, n_max + 1))
@@ -259,6 +278,16 @@ def _first_layer(doc, kind):
     return next(layer for layer in doc["layers"] if layer["kind"] == kind)
 
 
+def _layer_index(doc, name):
+    return next(i for i, layer in enumerate(doc["layers"]) if layer["name"] == name)
+
+
+def _duplicate_add(doc):
+    """A renamed second copy of a block's add, placed after its last layer."""
+    add = dict(doc["layers"][_layer_index(doc, "stage2.block1.add")], name="stage2.block1.add2")
+    doc["layers"].insert(_layer_index(doc, "stage2.block1.act_out") + 1, add)
+
+
 #: Schema-v1 mutations that a type-strict loader must reject, applied in
 #: place to a ResNet34 document: id -> (mutate(doc), message fragment).
 MALFORMED_SPECS = {
@@ -301,4 +330,8 @@ MALFORMED_SPECS = {
                                 "se_reduction 4 does not match the SqueezeExcite layers (none)"),
     "res2net-scale-without-res2net": (lambda d: d.update(res2net_scale=4),
                                       "res2net_scale 4 does not match the Res2NetConv layers (none)"),
+    "block-with-two-adds": (_duplicate_add,
+                            "residual block stage2.block1 has 2 add layers, expected exactly one"),
+    "block-without-add": (lambda d: d["layers"].pop(_layer_index(d, "stage2.block1.add")),
+                          "residual block stage2.block1 has 0 add layers, expected exactly one"),
 }

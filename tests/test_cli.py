@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stride_lab.cli import main
 from stride_lab.serialize import parse_table
 
-from oracles import MALFORMED_SPECS
+from oracles import MALFORMED_SPECS, random_trials, sweep_eer, sweep_min_dcf
 
 
 def run_cli(capsys, *argv):
@@ -449,6 +454,70 @@ class TestMetricsCommand:
         assert code == 2
         assert "finite and positive" in err
         assert "minDCF" not in out
+
+    def test_json_matches_text_and_oracle(self, capsys, tmp_path):
+        rng = np.random.default_rng(23)
+        scores, labels = random_trials(rng, n_min=400, n_max=600)
+        lines = [f"{'target' if l else 'nontarget'} {float(s)!r}" for s, l in zip(scores, labels)]
+        score_file = tmp_path / "scores.txt"
+        score_file.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "metrics", str(score_file), "--json",
+                                 "--p-target", "0.05", "--c-fa", "2")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert sorted(doc) == sorted([
+            "trials", "targets", "nontargets", "eer", "eer_threshold", "min_dcf",
+            "min_dcf_threshold", "p_target", "c_fa", "c_miss",
+        ])
+        assert (doc["trials"], doc["targets"]) == (len(labels), sum(labels))
+        assert doc["nontargets"] == len(labels) - sum(labels)
+        assert (doc["p_target"], doc["c_fa"], doc["c_miss"]) == (0.05, 2.0, 1.0)
+        ref_eer, ref_eer_thr = sweep_eer(scores, labels)
+        ref_dcf, ref_dcf_thr = sweep_min_dcf(scores, labels, p_target=0.05, c_fa=2.0)
+        assert doc["eer"] == pytest.approx(ref_eer, abs=1e-9)
+        assert doc["eer_threshold"] == pytest.approx(ref_eer_thr, abs=1e-9)
+        assert doc["min_dcf"] == pytest.approx(ref_dcf, abs=1e-9)
+        assert doc["min_dcf_threshold"] == ref_dcf_thr
+
+        code, out, _ = run_cli(capsys, "metrics", str(score_file),
+                               "--p-target", "0.05", "--c-fa", "2")
+        assert code == 0
+        rows = {line.split()[0]: line.split() for line in out.splitlines()}
+        assert rows["trials"][1] == str(doc["trials"])
+        assert rows["EER"][1] == f"{100.0 * doc['eer']:.3f}%"
+        assert rows["EER"][3] == f"{doc['eer_threshold']:.6f}"
+        assert rows["minDCF"][1] == f"{doc['min_dcf']:.4f}"
+        assert rows["minDCF"][3] == f"{doc['min_dcf_threshold']:.6f}"
+
+    @pytest.mark.parametrize("text", ["target 0.9\noops\n", "target 0.5\nnontarget 0.5\n"],
+                             ids=["bad-line", "degenerate"])
+    def test_json_error_prints_nothing_on_stdout(self, capsys, tmp_path, text):
+        score_file = tmp_path / "scores.txt"
+        score_file.write_text(text)
+        code, out, err = run_cli(capsys, "metrics", str(score_file), "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (``| head``) gets no traceback."""
+
+    @pytest.mark.parametrize("argv", [["enumerate", "--paths"], ["enumerate"]],
+                             ids=["written-while-running", "flushed-at-exit"])
+    def test_closed_stdout_exits_2_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        try:
+            done = subprocess.run([sys.executable, "-m", "stride_lab.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr
+        assert done.stderr == ""
+        assert done.returncode == 2
 
 
 class TestRenderCommand:

@@ -1,17 +1,27 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_parse_trials, random_trials, sweep_eer, sweep_min_dcf
+from oracles import (
+    loop_parse_trials,
+    random_trials,
+    sweep_eer,
+    sweep_min_dcf,
+    three_sort_operating_points,
+)
+from stride_lab import metrics
 from stride_lab.metrics import (
     DegenerateScoresError,
     ScoreFileError,
     TrialScoreSet,
     compute_eer,
     compute_min_dcf,
+    operating_points,
 )
 
 
@@ -67,6 +77,68 @@ class TestTrialScoreSet:
         trials.nontarget_scores[0] = 5.0
         assert list(trials.target_scores) == [0.9, 0.8]
         assert list(trials.nontarget_scores) == [0.1]
+
+    def test_signed_zeros_compare_and_hash_equal(self):
+        sets = [
+            TrialScoreSet.from_text("target -0.0\nnontarget 1\n"),
+            TrialScoreSet(trials=((0.0, True), (1.0, False))),
+            TrialScoreSet.from_scores([-0.0], [1]),
+        ]
+        for a in sets:
+            for b in sets:
+                assert a == b
+                assert hash(a) == hash(b)
+        assert sets[0] != TrialScoreSet.from_scores([1.0], [-0.0])
+        assert sets[0] != TrialScoreSet.from_scores([-0.0, 1.0], [1.0])
+
+    def test_trials_is_a_read_only_view_of_python_pairs(self):
+        trials = TrialScoreSet.from_text("nontarget -2\ntarget 1.5\ntarget 0.25\n")
+        view = trials.trials
+        assert list(view) == [(-2.0, False), (1.5, True), (0.25, True)]
+        assert all(type(s) is float and type(t) is bool for s, t in view)
+        assert view[1] == (1.5, True) and type(view[-1][0]) is float
+        assert view[1:] == ((1.5, True), (0.25, True))
+        assert view == ((-2.0, False), (1.5, True), (0.25, True))
+        assert hash(view) == hash(tuple(view))
+        assert repr(view) == repr(tuple(view))
+        with pytest.raises(TypeError):
+            view[0] = (0.0, True)
+        with pytest.raises(AttributeError):
+            trials.trials = ()
+
+    def test_trials_len_builds_no_pairs(self):
+        half = np.linspace(-1.0, 1.0, 50_000)
+        trials = TrialScoreSet.from_scores(half, half)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            n = len(trials.trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 100_000
+        assert peak < 4096  # a list of the pairs alone would take about 800 KB
+
+    def test_arrays_and_operating_points_are_read_only_and_cached(self):
+        trials = TrialScoreSet.from_text("target 0.9\nnontarget 0.1\ntarget 0.1\n")
+        assert trials.scores.dtype == np.float64 and trials.is_target.dtype == bool
+        points = operating_points(trials)
+        for array in (trials.scores, trials.is_target, *points):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        again = operating_points(trials)
+        assert again is points
+        assert all(a is b for a, b in zip(again, points))
+        with pytest.raises(AttributeError):
+            trials.scores = np.zeros(3)
+
+    def test_split_pair_fails_on_its_first_line(self):
+        # Two tokens per line on average, and every even token a label:
+        # only the label at the start of line 2 is missing.
+        with pytest.raises(ScoreFileError) as err:
+            TrialScoreSet.from_text("target 0.5 target\n0.6\n")
+        assert str(err.value) == "line 1: expected 'label score', got 'target 0.5 target'"
 
 
 class TestComputeEer:
@@ -193,10 +265,15 @@ _LABEL_TOKENS = ("target", "nontarget", "Target", "NONTARGET", "positive")
 _SCORE_TOKENS = (
     "0.5", "-1.25", "7", "nan", "-inf", "inf", "1e400", "1_0", "0x10", "\u0663", "high",
 )
-_OTHER_TOKENS = ("#", "# note", "", "target 0.5 extra")
-# Line breaks for str.splitlines (\x0b and \x1c are also whitespace to
-# str.split), and a plain space, which joins two fragments into one line.
-_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x1c")
+_OTHER_TOKENS = (
+    "#", "# note", "", "target 0.5 extra",
+    # Indented lines, whitespace-only lines, and a pair split across two
+    # lines with a label where the break should be.
+    "  target 0.5", "\t nontarget -1", " \t ", "target 0.5 target\n0.6",
+)
+# Line breaks for str.splitlines (\x0b, \x1c and \x85 are also whitespace
+# to str.split), and a plain space, which joins two fragments into one line.
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028")
 _SEPARATORS = _LINE_BREAKS + (" ",)
 _valid_lines = st.builds(
     "{} {}".format,
@@ -247,3 +324,44 @@ class TestParserDifferential:
         assert _exact(got.trials) == _exact(want.trials)
         np.testing.assert_array_equal(got.target_scores, [s for s, t in want.trials if t])
         np.testing.assert_array_equal(got.nontarget_scores, [s for s, t in want.trials if not t])
+
+
+@st.composite
+def tied_trial_sets(draw):
+    """Target and non-target score lists with heavy ties: scores rounded to
+    0-2 decimals (so -0.0 next to 0.0), down to one trial per class, and
+    sometimes every trial tied but one."""
+    n_target = draw(st.integers(1, 30))
+    n_nontarget = draw(st.integers(1, 30))
+    decimals = draw(st.integers(0, 2))
+    value = st.floats(-3, 3).map(lambda v: round(v, decimals))
+    n = n_target + n_nontarget
+    if draw(st.booleans()):
+        scores = [draw(value)] * n
+        scores[draw(st.integers(0, n - 1))] = draw(value)
+    else:
+        scores = draw(st.lists(value, min_size=n, max_size=n))
+    return scores[:n_target], scores[n_target:]
+
+
+class TestOneSortOperatingPoints:
+    @given(data=tied_trial_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_three_sort_reference(self, data):
+        targets, nontargets = data
+        trials = TrialScoreSet.from_scores(targets, nontargets)
+        reference = TrialScoreSet.from_scores(targets, nontargets)
+        try:
+            want_points = three_sort_operating_points(reference)
+        except DegenerateScoresError:
+            with pytest.raises(DegenerateScoresError):
+                operating_points(trials)
+            return
+        with mock.patch.object(metrics, "operating_points", three_sort_operating_points):
+            want = (compute_eer(reference), compute_min_dcf(reference),
+                    compute_min_dcf(reference, p_target=0.3, c_fa=2.0, c_miss=0.5))
+        got = (compute_eer(trials), compute_min_dcf(trials),
+               compute_min_dcf(trials, p_target=0.3, c_fa=2.0, c_miss=0.5))
+        assert got == want
+        for got_array, want_array in zip(operating_points(trials), want_points):
+            assert got_array.tolist() == want_array.tolist()
