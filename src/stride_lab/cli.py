@@ -47,6 +47,7 @@ from .strides import (
 )
 from .trellis import enumerate_endpoints, enumerate_paths, golden_gemini_endpoints
 from .verification import (
+    VERIFY_DTYPE,
     default_seed,
     gradcheck_suite,
     verify_catalog_configs,
@@ -434,6 +435,7 @@ def _cmd_verify(args) -> int:
     if args.as_json:
         doc = {
             "seed": seed,
+            "dtype": VERIFY_DTYPE.name,
             "environment": _environment(),
             "checks": [
                 {

@@ -1,8 +1,17 @@
 """Minimal numeric engine for verifying the symbolic analysis.
 
-Executes a model spec on real double-precision tensors laid out as
-(batch, channels, freq, time). Convolutions are direct, no FFT and no
-approximation. Three regimes follow, chosen by the layer's shape alone:
+Executes a model spec on real tensors laid out as (batch, channels, freq,
+time). Convolutions are direct, no FFT and no approximation.
+
+Every layer computes in its input's precision: float32 input stays float32
+end to end, and any other input computes in float64. Weights are drawn in
+float64 and cast to that precision once per layer, so a seed gives the same
+weights in both. Precision cannot change a verification verdict: the output
+shapes and multiply counts that :mod:`stride_lab.verification` compares are
+read from array dimensions, never from values. Float64 input runs exactly
+the float64 arithmetic it always has, bit for bit.
+
+Three conv regimes follow, chosen by the layer's shape alone:
 
 * Depthwise convolutions (one input and one output channel per group) build
   no column buffer and no padded copy of the map: one block of channels at
@@ -47,6 +56,14 @@ held whole.
 An :class:`OpCounter` accumulates the multiply count of every convolution
 and fully connected layer under the same MAC convention the symbolic side
 uses, so the two can be compared for exact equality.
+
+:func:`run_model` checks its input and every layer output it allocates for
+non-finite values, so an overflow raises :class:`KernelError` naming the
+first layer whose output is not finite, never a numpy warning. Float32
+tops out at 3.4e38. On uniform [-1, 1] input at 80x300, the largest
+|activation| measured over every preset is about 4e13 (ORI152, whose
+global average pooling squares nothing); the statistics-pooling families
+stay below 6e4, so the squares they pool stay below 4e9.
 
 Gradients are provided for single convolution layers only, enough to verify
 the kernel against central finite differences.
@@ -93,10 +110,11 @@ __all__ = [
 
 STATS_EPS = 1e-10
 DEFAULT_SEED = 20240417
-#: Bytes of float64 column buffer one dense or grouped k x k convolution may
-#: hold. A conv whose whole buffer is larger fills and multiplies it one
-#: block of output rows at a time; 4 MiB measured fastest on 80x300 maps,
-#: where a 32-channel 3x3 would otherwise need 55 MB at once.
+#: Bytes of column buffer, in the working precision, one dense or grouped
+#: k x k convolution may hold. A conv whose whole buffer is larger fills and
+#: multiplies it one block of output rows at a time; 4 MiB measured fastest
+#: on 80x300 maps, where a float64 32-channel 3x3 would otherwise need 55 MB
+#: at once.
 COLUMN_BUDGET = 4 << 20
 #: Bytes of zero-bordered scratch a depthwise convolution pads one block of
 #: channels into (at least one channel; one 80x300 channel is 198 KB). On
@@ -123,11 +141,22 @@ class RunResult:
     shapes: tuple[tuple[str, tuple[int, ...]], ...]
 
 
+def _work_dtype(x: np.ndarray) -> np.dtype:
+    """The dtype a layer computes ``x`` in: float32 for float32 input,
+    float64 for any other."""
+    return x.dtype if x.dtype == np.float32 else np.dtype(np.float64)
+
+
 def _require_tensor4(x: np.ndarray, where: str) -> None:
     if x.ndim != 4:
         raise KernelError(f"{where}: expected a (batch, channels, freq, time) tensor, got {x.shape}")
     if not np.isfinite(x).all():
         raise KernelError(f"{where}: tensor contains non-finite values")
+
+
+def _require_finite_output(y: np.ndarray, name: str) -> None:
+    if not np.isfinite(y).all():
+        raise KernelError(f"{name}: first layer with a non-finite output ({y.dtype} overflow)")
 
 
 def _gather_windows(
@@ -169,8 +198,10 @@ def conv2d_forward(
     Other layers fill a tap-major im2col
     buffer of at most :data:`COLUMN_BUDGET` bytes one block of output rows
     at a time, each block one grouped GEMM written straight into its rows
-    of the output. The counter gains exactly one multiply per kernel tap
-    per output value.
+    of the output. The output and every scratch buffer are in the working
+    precision of ``x`` (float32 or float64), and ``weight`` is cast to it
+    once. The counter gains exactly one multiply per kernel tap per output
+    value.
     """
     _require_tensor4(x, layer.name)
     b, cin, _, _ = x.shape
@@ -184,6 +215,8 @@ def conv2d_forward(
         raise KernelError(
             f"{layer.name}: weight shape {weight.shape} != {(layer.out_channels, cg, kf, kt)}"
         )
+    work = _work_dtype(x)
+    weight = weight.astype(work, copy=False)
     pf, pt = layer.padding
     df, dt = layer.dilation
     sf, st = layer.stride.freq, layer.stride.time
@@ -206,10 +239,10 @@ def conv2d_forward(
         # and its taps are added in place to those output channels through
         # a block-sized tap array, in whole-map tap order: bit-identical to
         # one pass over a padded map, with no padded copy of the map.
-        out = np.zeros((b, g, f_out, t_out))
-        ch = max(1, min(g, DEPTHWISE_BUDGET // (8 * b * f_pad * t_pad)))
-        pad = np.zeros((b, ch, f_pad, t_pad)) if pf or pt else None
-        tap = np.empty((b, ch, f_out, t_out))
+        out = np.zeros((b, g, f_out, t_out), work)
+        ch = max(1, min(g, DEPTHWISE_BUDGET // (work.itemsize * b * f_pad * t_pad)))
+        pad = np.zeros((b, ch, f_pad, t_pad), work) if pf or pt else None
+        tap = np.empty((b, ch, f_out, t_out), work)
         for c0 in range(0, g, ch):
             n = min(ch, g - c0)
             src = x[:, c0 : c0 + n]
@@ -236,10 +269,10 @@ def conv2d_forward(
         xg = xp.reshape(b, g, cg, f_pad, t_pad).transpose(1, 2, 3, 0, 4)
         taps = cg * kf * kt
         row = b * t_out
-        rows = max(1, min(f_out, COLUMN_BUDGET // (8 * g * taps * row)))
-        buf = np.empty(g * taps * rows * row)
+        rows = max(1, min(f_out, COLUMN_BUDGET // (work.itemsize * g * taps * row)))
+        buf = np.empty(g * taps * rows * row, work)
         w = weight.reshape(g, og, taps)
-        out = np.empty((g, og, f_out * row))
+        out = np.empty((g, og, f_out * row), work)
         for r0 in range(0, f_out, rows):
             n = min(rows, f_out - r0)
             cols = buf[: g * taps * n * row].reshape(g, cg, kf, kt, n, b, t_out)
@@ -331,20 +364,22 @@ def fully_connected_forward(
 ) -> np.ndarray:
     """``x @ weight.T + bias``, one block of weight rows at a time.
 
-    A block holds at most :data:`COLUMN_BUDGET` bytes of ``weight``.
-    ``weight`` is read one slice of leading rows at a time, in order, and
-    ``bias`` after it, so drawn-on-read weights (:class:`_Deferred`) work
-    as well as arrays and give the same result.
+    A block holds at most :data:`COLUMN_BUDGET` bytes of ``weight`` cast to
+    the working precision of ``x``. ``weight`` is read one slice of leading
+    rows at a time, in order, and ``bias`` after it, so drawn-on-read
+    weights (:class:`_Deferred`) work as well as arrays and give the same
+    result.
     """
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise KernelError(f"{layer.name}: expected (batch, {layer.in_dim}) input, got {x.shape}")
-    rows = max(1, COLUMN_BUDGET // (8 * layer.in_dim))
-    out = np.empty((x.shape[0], layer.out_dim))
+    work = _work_dtype(x)
+    rows = max(1, COLUMN_BUDGET // (work.itemsize * layer.in_dim))
+    out = np.empty((x.shape[0], layer.out_dim), work)
     for r0 in range(0, layer.out_dim, rows):
         r1 = min(r0 + rows, layer.out_dim)
-        np.matmul(x, weight[r0:r1].T, out=out[:, r0:r1])
+        np.matmul(x, weight[r0:r1].astype(work, copy=False).T, out=out[:, r0:r1])
     if layer.bias:
-        out += bias[: layer.out_dim]
+        out += bias[: layer.out_dim].astype(work, copy=False)
     if counter is not None:
         counter.multiplies += x.shape[0] * layer.in_dim * layer.out_dim
     return out
@@ -363,9 +398,11 @@ def squeeze_excite_forward(
     if c != layer.channels:
         raise KernelError(f"{layer.name}: channel mismatch")
     hidden = layer.channels // layer.reduction
+    work = _work_dtype(x)
+    w1, b1, w2, b2 = (params[k].astype(work, copy=False) for k in ("w1", "b1", "w2", "b2"))
     squeezed = x.mean(axis=(2, 3))
-    h = np.maximum(squeezed @ params["w1"].T + params["b1"], 0.0)
-    gate = _sigmoid(h @ params["w2"].T + params["b2"])
+    h = np.maximum(squeezed @ w1.T + b1, 0.0)
+    gate = _sigmoid(h @ w2.T + b2)
     if counter is not None:
         counter.multiplies += b * (c * hidden + hidden * c)
     return x * gate[:, :, None, None]
@@ -524,7 +561,10 @@ def _step(layer, x, owned, weights, counter, records):
     y = _apply(layer, x, weights, counter, owned)
     if records is not None:
         _record_shape(records, layer.name, y)
-    return y, owned or not np.may_share_memory(x, y)
+    if np.may_share_memory(x, y):
+        return y, owned  # x's own buffer, still finite
+    _require_finite_output(y, layer.name)
+    return y, True
 
 
 def _record_shape(records, name, value):
@@ -567,6 +607,7 @@ def residual_block_forward(
                 )
             branch = np.add(branch, shortcut, out=branch if owned else None)
             owned = merged = True
+            _require_finite_output(branch, layer.name)
             if records is not None:
                 _record_shape(records, layer.name, branch)
         elif entry.role is Role.SHORTCUT:
@@ -600,6 +641,10 @@ def run_model(
     running, plus that layer's scratch of at most :data:`COLUMN_BUDGET` or
     :data:`DEPTHWISE_BUDGET` bytes.
 
+    Every layer computes in the precision of ``x`` (float32 stays float32,
+    anything else is float64), and a layer whose output is not finite
+    raises :class:`KernelError`.
+
     Returns the embedding matrix (batch, embedding_dim), the op counter, and
     one (layer name, output shape) record per layer; 4D shapes drop the
     batch axis so they compare directly against the symbolic trace.
@@ -613,12 +658,15 @@ def run_model(
     records: list[tuple[str, tuple[int, ...]]] = []
 
     owned = False  # x is the caller's until a layer allocates
-    for segment in spec.segments():
-        if segment.kind == "linear":
-            for entry in segment.entries:
-                x, owned = _step(entry.layer, x, owned, weights, counter, records)
-        else:
-            x, owned = residual_block_forward(x, segment, weights, counter, records), True
+    # An overflow surfaces as the KernelError of the first layer whose
+    # output is not finite, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for segment in spec.segments():
+            if segment.kind == "linear":
+                for entry in segment.entries:
+                    x, owned = _step(entry.layer, x, owned, weights, counter, records)
+            else:
+                x, owned = residual_block_forward(x, segment, weights, counter, records), True
 
     return RunResult(embedding=x, counter=counter, shapes=tuple(records))
 

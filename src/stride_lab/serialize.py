@@ -397,15 +397,18 @@ def _check_model(spec: ModelSpec) -> None:
         elif kind is FullyConnected:
             head = layer  # the last projection makes the embedding
     # Both walkers merge a block's shortcut at its one add; with none the
-    # block cannot run, and a second add would merge the shortcut twice.
+    # block cannot run, a second add would merge the shortcut twice, and
+    # outside a block there is no shortcut to merge.
     for segment in spec.segments():
+        adds = [entry.layer.name for entry in segment.entries if type(entry.layer) is Add]
         if segment.kind != "block":
+            if adds:
+                raise SpecFormatError(f"add layer {adds[0]!r} is outside any residual block")
             continue
-        adds = sum(type(entry.layer) is Add for entry in segment.entries)
-        if adds != 1:
+        if len(adds) != 1:
             first = segment.entries[0]
             raise SpecFormatError(
-                f"residual block stage{first.stage}.block{first.block} has {adds} add layers, "
+                f"residual block stage{first.stage}.block{first.block} has {len(adds)} add layers, "
                 f"expected exactly one"
             )
     if head is not None and head.out_dim != spec.embedding_dim:

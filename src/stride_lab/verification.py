@@ -4,6 +4,13 @@ Each check builds a spec, runs it on a real tensor, and demands that the
 numeric per-layer output shapes equal the symbolic trace and that the
 instrumented multiply count equals the analytic MAC count exactly. The two
 sides are computed by independent code paths.
+
+The numeric run is in single precision (:data:`VERIFY_DTYPE`), about twice
+the GEMM rate of float64. Precision cannot change a verdict: shapes and
+multiply counts are read from array dimensions, never from values; only an
+overflow could, and it fails the run with a :class:`~.numkernel.KernelError`
+naming the layer. The gradient checks stay in float64, where central
+differences are accurate.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ __all__ = [
 ]
 
 SEED_ENV_VAR = "STRIDE_LAB_SEED"
+#: Precision of the input, and so of every layer, of a numeric check.
+VERIFY_DTYPE = np.dtype(np.float32)
 
 
 def default_seed() -> int:
@@ -58,13 +67,16 @@ def verify_spec_numeric(
     seed: int | None = None,
     name: str | None = None,
 ) -> CheckResult:
-    """Numeric run vs symbolic trace: shapes per layer, multiplies exactly."""
+    """Numeric run vs symbolic trace: shapes per layer, multiplies exactly.
+
+    The input is drawn from ``seed`` in float64 and cast to
+    :data:`VERIFY_DTYPE`, so a seed names the same input as before."""
     if seed is None:
         seed = default_seed()
     label = name or spec.display_name
     symbolic = trace(spec, time=time)
     rng = np.random.default_rng(np.uint64(seed))
-    x = rng.uniform(-1.0, 1.0, size=(1, 1, spec.input_freq_bins, time))
+    x = rng.uniform(-1.0, 1.0, size=(1, 1, spec.input_freq_bins, time)).astype(VERIFY_DTYPE)
     result = run_model(spec, x, seed=seed)
     analytic = count_flops(spec, TensorShape(1, spec.input_freq_bins, time))
 

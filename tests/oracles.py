@@ -5,7 +5,8 @@ loop orders, two-pass statistics) so it shares no code path with the
 package implementations it checks. ``reference_doc`` is the schema-v1
 document built as plain dicts from ``dataclasses.fields``, for
 ``json.dumps(..., indent=2)`` to encode. ``MALFORMED_SPECS`` holds the spec
-documents that both the loader tests and the CLI tests expect rejected.
+documents that both the loader tests and the CLI tests expect rejected, and
+``preset_requests`` draws build requests over every preset family and depth.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import dataclasses
 import enum
 
 import numpy as np
+from hypothesis import strategies as st
 
+from stride_lab.builder import make_request
+from stride_lab.catalog import GOLDEN_GEMINI_FACTORS
 from stride_lab.layers import (
     Activation,
     Add,
@@ -29,7 +33,7 @@ from stride_lab.layers import (
     TemporalStatsPool,
 )
 from stride_lab.metrics import DegenerateScoresError, ScoreFileError
-from stride_lab.strides import StridePair, TrellisPath
+from stride_lab.strides import StridePair, TrellisPath, final_factors, iter_all_paths
 
 
 def conv_out_size_direct(r_in, kernel, padding, dilation, stride):
@@ -282,6 +286,13 @@ def _layer_index(doc, name):
     return next(i for i, layer in enumerate(doc["layers"]) if layer["name"] == name)
 
 
+def _add_outside_block(doc):
+    """A copy of a block's add, renamed and outside any block, placed
+    before that block."""
+    add = dict(doc["layers"][_layer_index(doc, "stage2.block1.add")], name="stem.add", block=None)
+    doc["layers"].insert(_layer_index(doc, "stage2.block1.conv1"), add)
+
+
 def _duplicate_add(doc):
     """A renamed second copy of a block's add, placed after its last layer."""
     add = dict(doc["layers"][_layer_index(doc, "stage2.block1.add")], name="stage2.block1.add2")
@@ -334,4 +345,38 @@ MALFORMED_SPECS = {
                             "residual block stage2.block1 has 2 add layers, expected exactly one"),
     "block-without-add": (lambda d: d["layers"].pop(_layer_index(d, "stage2.block1.add")),
                           "residual block stage2.block1 has 0 add layers, expected exactly one"),
+    "add-outside-block": (_add_outside_block, "add layer 'stem.add' is outside any residual block"),
 }
+
+
+PRESETS = {
+    "original_resnet": (18, 34, 50, 101, 152),
+    "modified_resnet": (18, 34, 50, 101, 152),
+    "gemini_resnet": (18, 34, 50, 101, 152),
+    "sd_resnet": (22, 38),
+    # Label pairs with the same blocks: the second counts a stage-2
+    # downsampling conv, which only a path striding at stage 2 gets.
+    "df_resnet": ((59, 60), (113, 114), (182, 183)),
+}
+ALL_PATHS = tuple(iter_all_paths())
+GOLDEN_PATHS = tuple(p for p in ALL_PATHS if final_factors(p) in GOLDEN_GEMINI_FACTORS)
+
+
+@st.composite
+def preset_requests(draw, freq_bins=st.integers(1, 200), base_channels=st.none(),
+                    embedding_dim=st.just(256)):
+    """A preset family and depth on any of its paths, with or without SE
+    and Res2Net; ``build`` may still reject the options for the family."""
+    family = draw(st.sampled_from(sorted(PRESETS)))
+    path = draw(st.sampled_from(GOLDEN_PATHS if family == "gemini_resnet" else ALL_PATHS))
+    depth = draw(st.sampled_from(PRESETS[family]))
+    if family == "df_resnet":
+        depth = depth[0] if path.steps[1].is_unit() else depth[1]
+    return make_request(
+        family, depth, path=path,
+        input_freq_bins=draw(freq_bins),
+        se_reduction=draw(st.sampled_from((None, 2, 4))),
+        res2net_scale=draw(st.sampled_from((None, 2, 4))),
+        base_channels=draw(base_channels),
+        embedding_dim=draw(embedding_dim),
+    )

@@ -28,8 +28,9 @@ from stride_lab.layers import (
     GlobalAvgPool,
     TensorShape,
 )
-from stride_lab.catalog import GOLDEN_GEMINI_FACTORS
-from stride_lab.strides import StridePair, final_factors, iter_all_paths, resolve_name
+from stride_lab.strides import StridePair, resolve_name
+
+from oracles import preset_requests
 
 
 def stage_end_shapes(spec, freq, time):
@@ -293,35 +294,7 @@ class TestElaborationStructure:
         assert spec.path.label == "MOD"
 
 
-_PRESETS = {
-    "original_resnet": (18, 34, 50, 101, 152),
-    "modified_resnet": (18, 34, 50, 101, 152),
-    "gemini_resnet": (18, 34, 50, 101, 152),
-    "sd_resnet": (22, 38),
-    # Label pairs with the same blocks: the second counts a stage-2
-    # downsampling conv, which only a path striding at stage 2 gets.
-    "df_resnet": ((59, 60), (113, 114), (182, 183)),
-}
-_ALL_PATHS = tuple(iter_all_paths())
-_GOLDEN_PATHS = tuple(p for p in _ALL_PATHS if final_factors(p) in GOLDEN_GEMINI_FACTORS)
-
-
-@st.composite
-def _requests(draw):
-    family = draw(st.sampled_from(sorted(_PRESETS)))
-    path = draw(st.sampled_from(_GOLDEN_PATHS if family == "gemini_resnet" else _ALL_PATHS))
-    depth = draw(st.sampled_from(_PRESETS[family]))
-    if family == "df_resnet":
-        depth = depth[0] if path.steps[1].is_unit() else depth[1]
-    return make_request(
-        family, depth, path=path,
-        input_freq_bins=draw(st.integers(1, 200)),
-        se_reduction=draw(st.sampled_from((None, 2, 4))),
-        res2net_scale=draw(st.sampled_from((None, 2, 4))),
-    )
-
-
-@given(req=_requests(), time=st.integers(1, 400))
+@given(req=preset_requests(), time=st.integers(1, 400))
 @settings(max_examples=200, deadline=None)
 def test_head_size_and_walked_params_match_the_trace(req, time):
     try:

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stride_lab import verification
 from stride_lab.cli import main
+from stride_lab.numkernel import run_model
 from stride_lab.serialize import parse_table
 
 from oracles import MALFORMED_SPECS, random_trials, sweep_eer, sweep_min_dcf
@@ -240,6 +243,23 @@ class TestBuildAndVerifySpec:
         assert f"stage2.maxpool: {message}" in err
         assert "Traceback" not in out + err
 
+    def test_float32_overflow_is_build_error(self, capsys, tmp_path, monkeypatch):
+        # An input scaled to 1e30 overflows the statistics pooling in
+        # float32: a KernelError naming the layer, exit 2, no warning.
+        spec_file = tmp_path / "model.json"
+        run_cli(capsys, "build", "resnet", "34", "--path", "MOD", "-o", str(spec_file))
+
+        def scaled_run(spec, x, **kwargs):
+            return run_model(spec, x * np.float32(1e30), **kwargs)
+
+        monkeypatch.setattr(verification, "run_model", scaled_run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "--spec", str(spec_file), "--frames", "48")
+        assert code == 2
+        assert "error: head.pool: first layer with a non-finite output (float32 overflow)" in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("mutation", sorted(MALFORMED_SPECS))
     def test_malformed_spec_is_build_error(self, capsys, tmp_path, mutation):
         spec_file = tmp_path / "model.json"
@@ -334,6 +354,13 @@ class TestVerifyCommand:
         assert env["numpy"] == np.__version__
         assert env["blas_thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
         assert "MKL_NUM_THREADS" not in env["blas_thread_vars"]
+
+    def test_json_reports_working_precision(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--frames", "48", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc)[:3] == ["seed", "dtype", "environment"]
+        assert doc["dtype"] == "float32"
 
     def test_gradcheck_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--gradcheck", "--gradcheck-trials", "6")

