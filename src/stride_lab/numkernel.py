@@ -4,12 +4,13 @@ Executes a model spec on real tensors laid out as (batch, channels, freq,
 time). Convolutions are direct, no FFT and no approximation.
 
 Every layer computes in its input's precision: float32 input stays float32
-end to end, and any other input computes in float64. Weights are drawn in
-float64 and cast to that precision once per layer, so a seed gives the same
-weights in both. Precision cannot change a verification verdict: the output
-shapes and multiply counts that :mod:`stride_lab.verification` compares are
-read from array dimensions, never from values. Float64 input runs exactly
-the float64 arithmetic it always has, bit for bit.
+end to end, and any other input computes in float64. Seeded weights are a
+cyclic read of one block of :data:`WEIGHT_BLOCK` uniform values, drawn once
+in float64 and cast once to the working precision, so a seed gives the same
+weights in both, and a weight costs a copy instead of a random draw.
+Neither precision nor weight values can change a verification verdict: the
+output shapes and multiply counts that :mod:`stride_lab.verification`
+compares are read from array dimensions, never from values.
 
 Three conv regimes follow, chosen by the layer's shape alone:
 
@@ -24,24 +25,25 @@ Three conv regimes follow, chosen by the layer's shape alone:
   the layer strides, is the right-hand operand of one GEMM per group, so a
   stride-1 pointwise conv copies nothing and a strided one only its
   subsample.
-* Other dense and grouped convolutions pad the input once (not at all when
-  the padding is zero) and use a tap-major im2col. A column buffer of at
-  most :data:`COLUMN_BUDGET` bytes, shape (groups, in/groups * kf * kt,
-  rows * batch * T_out), is filled with one strided-slice copy per kernel
-  tap for a block of output rows, and one grouped matrix multiplication
-  with the (groups, out/groups, in/groups * kf * kt) kernel matrix writes
-  those rows of the output in (channels, freq, batch, time) order, which
-  for a single input is already the (batch, channels, freq, time) layout. A
-  buffer that fits the budget whole is one block and one GEMM.
+* Other dense and grouped convolutions pad the input once into a zeroed
+  array (not at all when the padding is zero) and use a tap-major im2col.
+  A column buffer of at most :data:`COLUMN_BUDGET` bytes, shape (groups,
+  in/groups * kf * kt, rows * batch * T_out), is filled with one
+  strided-slice copy per kernel tap for a block of output rows, and one
+  grouped matrix multiplication with the (groups, out/groups, in/groups *
+  kf * kt) kernel matrix writes those rows of the output in (channels,
+  freq, batch, time) order, which for a single input is already the
+  (batch, channels, freq, time) layout. A buffer that fits the budget
+  whole is one block and one GEMM.
 
 A fully connected layer multiplies one block of at most
 :data:`COLUMN_BUDGET` bytes of weight rows at a time.
 
-:func:`run_model` without explicit weights draws each layer's weights just
-before the layer runs, from the same seeded generator and in the same order
-as :func:`init_weights`, and drops them after use, so a model's weights are
-never all held at once. A fully connected layer's weight matrix is drawn
-one row block at a time as the product reads it, then its bias, so the head
+:func:`run_model` without explicit weights reads each layer's weights just
+before the layer runs, from the same seeded block and in the same order as
+:func:`init_weights`, and drops them after use, so a model's weights are
+never all held at once. A fully connected layer's weight matrix is read one
+row block at a time as the product reads it, then its bias, so the head
 matrix is never held whole either.
 
 Ownership: ReLUs and residual adds write in place, but only into maps the
@@ -71,6 +73,7 @@ the kernel against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +124,11 @@ COLUMN_BUDGET = 4 << 20
 #: DF-ResNet182's 59 depthwise layers at 80x300, 256 KiB measured fastest:
 #: 247 ms, against 272 ms at 4 MiB and 359 ms padding the whole map.
 DEPTHWISE_BUDGET = 256 << 10
+#: Length of the seeded block that weights are read from cyclically. Rows r
+#: and r + d of an (out, fan_in) weight are equal exactly when d * fan_in is
+#: a multiple of the length, so it is a prime: with 65,536, rows 0 and 64 of
+#: ResNet34 MOD's 5,120-wide head would be equal.
+WEIGHT_BLOCK = 65521
 
 
 class KernelError(ValueError):
@@ -221,9 +229,11 @@ def conv2d_forward(
     df, dt = layer.dilation
     sf, st = layer.stride.freq, layer.stride.time
     depthwise = cg == 1 and og == 1
-    # A depthwise conv pads one block of channels at a time instead.
-    xp = np.pad(x, ((0, 0), (0, 0), (pf, pf), (pt, pt))) if (pf or pt) and not depthwise else x
     f_pad, t_pad = x.shape[2] + 2 * pf, x.shape[3] + 2 * pt
+    xp = x
+    if (pf or pt) and not depthwise:  # a depthwise conv pads per channel block
+        xp = np.zeros((b, cin, f_pad, t_pad), x.dtype)
+        xp[:, :, pf : pf + x.shape[2], pt : pt + x.shape[3]] = x
     span_f = df * (kf - 1) + 1
     span_t = dt * (kt - 1) + 1
     if f_pad < span_f or t_pad < span_t:
@@ -470,13 +480,32 @@ def _layer_params(spec: ModelSpec, draw, draw_fc=None):
             }
 
 
-def _uniform_draw(seed: int):
-    rng = np.random.default_rng(np.uint64(seed))
-    return lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
+def _uniform_draw(seed: int, dtype=np.float64):
+    """``draw(*shape)``: a fresh ``dtype`` array of the next ``prod(shape)``
+    values of one seeded block of :data:`WEIGHT_BLOCK` uniform [-0.1, 0.1]
+    values, read cyclically. The block is drawn once in float64 and cast
+    once, so a float32 weight is the cast of the float64 one."""
+    block = np.random.default_rng(np.uint64(seed)).uniform(-0.1, 0.1, WEIGHT_BLOCK).astype(dtype)
+    pos = 0
+
+    def draw(*shape: int) -> np.ndarray:
+        nonlocal pos
+        out = np.empty(math.prod(shape), block.dtype)
+        done = 0
+        while done < out.size:
+            n = min(out.size - done, block.size - pos)
+            out[done : done + n] = block[pos : pos + n]
+            done += n
+            pos = (pos + n) % block.size
+        return out.reshape(shape)
+
+    return draw
 
 
 def init_weights(spec: ModelSpec, seed: int = DEFAULT_SEED) -> dict[str, dict]:
-    """Deterministic uniform [-0.1, 0.1] weights keyed by layer name."""
+    """Deterministic uniform [-0.1, 0.1] float64 weights keyed by layer
+    name: the seed's weight block read cyclically in entry order (see
+    :data:`WEIGHT_BLOCK`)."""
     return dict(_layer_params(spec, _uniform_draw(seed)))
 
 
@@ -488,9 +517,9 @@ def zero_weights(spec: ModelSpec) -> dict[str, dict]:
 class _Deferred:
     """An array drawn when read, one slice of leading rows at a time.
 
-    A run of uniform draws of r rows holds exactly those rows of one draw
-    of the whole array, so slices read in order, each once, give the values
-    and the generator order of drawing it whole.
+    Drawing r rows reads the next r rows' worth of the cyclic weight block,
+    so slices read in order, each once, give the values and the block
+    position of drawing the whole array at once.
     """
 
     def __init__(self, draw, shape: tuple[int, ...]) -> None:
@@ -505,7 +534,7 @@ class _Deferred:
 
 
 class _DrawnWeights:
-    """``init_weights(spec, seed)`` drawn one layer at a time.
+    """``init_weights(spec, seed)`` drawn one layer at a time, in ``dtype``.
 
     Looking up a layer draws its params and keeps nothing, so at most one
     layer's weights are alive; a fully connected layer's are
@@ -514,8 +543,8 @@ class _DrawnWeights:
     executes layers.
     """
 
-    def __init__(self, spec: ModelSpec, seed: int) -> None:
-        draw = _uniform_draw(seed)
+    def __init__(self, spec: ModelSpec, seed: int, dtype=np.float64) -> None:
+        draw = _uniform_draw(seed, dtype)
         self._params = _layer_params(spec, draw, lambda *shape: _Deferred(draw, shape))
 
     def __getitem__(self, name: str) -> dict:
@@ -627,13 +656,14 @@ def run_model(
 ) -> RunResult:
     """Execute a spec end to end.
 
-    Without ``weights``, each layer's weights are drawn from ``seed`` just
-    before the layer runs and dropped after it, with the values
-    ``init_weights(spec, seed)`` would give, so at most one layer's weights
-    are held at a time; a fully connected layer's are drawn one block of
-    rows at a time as its product reads them, so no whole head matrix is
-    held either. Given weights go through the same blocked product, so both
-    modes give bit-identical embeddings.
+    Without ``weights``, each layer's weights are read from the block of
+    ``seed`` (see :data:`WEIGHT_BLOCK`), already in the working precision,
+    just before the layer runs and dropped after it, with the values
+    ``init_weights(spec, seed)`` would give cast to that precision, so at
+    most one layer's weights are held at a time; a fully connected layer's
+    are read one block of rows at a time as its product reads them, so no
+    whole head matrix is held either. Given weights go through the same
+    blocked product, so both modes give bit-identical embeddings.
 
     ``x`` and ``weights`` are never written: ReLUs and residual adds work
     in place only on maps this call allocated (see the module docstring),
@@ -653,7 +683,7 @@ def run_model(
     if x.shape[1] != 1:
         raise KernelError("backbones take single-channel spectrogram input")
     if weights is None:
-        weights = _DrawnWeights(spec, seed)
+        weights = _DrawnWeights(spec, seed, _work_dtype(x))
     counter = OpCounter()
     records: list[tuple[str, tuple[int, ...]]] = []
 

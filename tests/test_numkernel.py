@@ -605,6 +605,76 @@ class TestRunModel:
         assert set(dtypes) == {np.dtype(np.float32)}
 
 
+def weight_arrays(weights):
+    """(layer.key, array) for every array of an ``init_weights`` result."""
+    for name, params in weights.items():
+        for key, value in params.items():
+            for w in value if isinstance(value, list) else [value]:
+                yield f"{name}.{key}", w
+
+
+def weight_block_faults(spec, seed):
+    """Every broken promise of ``init_weights(spec, seed)``: a value outside
+    [-0.1, 0.1], or two equal rows of a conv (out x in/groups*kf*kt) or
+    fully connected weight."""
+    faults = []
+    for label, w in weight_arrays(init_weights(spec, seed)):
+        if np.abs(w).max() > 0.1:
+            faults.append(f"{label}: value outside [-0.1, 0.1]")
+        if w.ndim >= 2:
+            rows = w.reshape(w.shape[0], -1)
+            if len(np.unique(rows, axis=0)) < len(rows):
+                faults.append(f"{label}: equal rows in {w.shape}")
+    return faults
+
+
+class TestWeightBlock:
+    @given(
+        req=preset_requests(freq_bins=st.integers(8, 48), base_channels=st.sampled_from((4, 8)),
+                            embedding_dim=st.just(16)),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_values_rows_and_seeds(self, req, seed):
+        # Base width 8 draws more than one block (one 64-channel 3x3 conv
+        # is 36,864 values), so rows and layers wrap around it.
+        try:
+            spec = build(req)
+        except BuildError:
+            assume(False)
+        assert weight_block_faults(spec, seed) == []
+        first, again, other = (weight_arrays(init_weights(spec, s)) for s in (seed, seed, seed + 1))
+        for (label, w), (_, w_again), (_, w_other) in zip(first, again, other, strict=True):
+            assert np.array_equal(w, w_again), label
+            assert not np.array_equal(w, w_other), label
+
+    @pytest.mark.parametrize("block,spec", [
+        # ResNet34 MOD's head is 256 x 5,120; 5,120 * 64 is 5 * 65,536.
+        (1 << 16, lambda: build(make_request("modified_resnet", 34, path="MOD"))),
+        (1 << 6, small_spec),
+    ], ids=["resnet34-head", "small-resnet18"])
+    def test_row_check_fails_on_a_power_of_two_block(self, block, spec, monkeypatch):
+        spec = spec()
+        assert weight_block_faults(spec, 1) == []
+        monkeypatch.setattr(numkernel, "WEIGHT_BLOCK", block)
+        assert any("equal rows" in fault for fault in weight_block_faults(spec, 1))
+
+    @given(sizes=st.lists(st.integers(0, 20), max_size=8))
+    def test_draws_read_the_block_cyclically(self, sizes):
+        # A block of 7 makes every wrap-around reachable with small draws.
+        with mock.patch.object(numkernel, "WEIGHT_BLOCK", 7):
+            block = numkernel._uniform_draw(3)(7)
+            draw = numkernel._uniform_draw(3)
+            parts = [draw(n) for n in sizes]
+            draw32 = numkernel._uniform_draw(3, np.float32)
+            parts32 = [draw32(n) for n in sizes]
+        want = np.resize(block, sum(sizes))
+        assert np.array_equal(np.concatenate([block[:0], *parts]), want)
+        assert np.array_equal(np.concatenate([block[:0].astype(np.float32), *parts32]),
+                              want.astype(np.float32))
+        assert all(p.dtype == np.float32 for p in parts32)
+
+
 class TestGradcheck:
     def test_pointwise_single_channel_is_exact(self):
         layer = Conv2d("c", 1, 1, (1, 1))
