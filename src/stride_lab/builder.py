@@ -10,11 +10,23 @@ Shortcut policy: a parametrized 1x1 projection (plus batch norm) is inserted
 exactly when a block changes its channel count. A block that only changes
 spatial resolution uses a parameter-free strided subsampling shortcut, which
 keeps the parameter count of every path to a given endpoint identical.
+
+Residual blocks are memoized. A block's entries depend only on its block
+kind, stage, block index, input, inner and output channels, stride, SE
+reduction and Res2Net scale, and those arguments are the memo's key, typed
+(a ``4.0`` never answers for a ``4``). Blocks 2..n of a stage never stride,
+so the paths of a trellis sweep rebuild only each stage's first block. The
+memo holds at most ``_BLOCK_MEMO_SIZE`` = 1024 blocks, least recently used
+first out, at 2-3 KB a block: every preset family and depth on all 1024
+paths, without SE or Res2Net, fills 236 of them. Specs from different
+builds share the memoized entries, which are frozen, so a spec's bytes,
+equality and counts do not depend on what was built before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .catalog import GOLDEN_GEMINI_FACTORS, PRINCIPAL_CONFIG
 from .layers import (
@@ -79,6 +91,9 @@ _SD_PRESETS: dict[int, tuple[int, ...]] = {
 
 _BOTTLENECK_EXPANSION = 4
 _DF_EXPANSION = 4
+
+#: Most residual blocks the memo keeps (see the module docstring).
+_BLOCK_MEMO_SIZE = 1024
 
 
 class BuildError(ValueError):
@@ -203,6 +218,25 @@ def _validate_depth(req: BuildRequest, kind: BlockKind, sd_flags: tuple[bool, ..
         )
 
 
+def _check_integers(req: BuildRequest) -> None:
+    """Sizes must be positive ints and options ints or None, bools and floats
+    refused: a spec carrying either writes JSON its own loader rejects."""
+    sizes = {
+        "depth_label": req.depth_label,
+        "base_channels": req.base_channels,
+        "embedding_dim": req.embedding_dim,
+        "input_freq_bins": req.input_freq_bins,
+    }
+    sizes.update((f"block_counts[{i}]", count) for i, count in enumerate(req.block_counts))
+    for name, value in sizes.items():
+        if type(value) is not int or value < 1:
+            raise BuildError(f"{name} must be a positive integer, got {value!r}")
+    for name in ("se_reduction", "res2net_scale"):
+        value = getattr(req, name)
+        if value is not None and type(value) is not int:
+            raise BuildError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_options(req: BuildRequest, kind: BlockKind) -> None:
     if req.se_reduction is not None:
         if req.se_reduction < 1:
@@ -221,7 +255,6 @@ def _check_options(req: BuildRequest, kind: BlockKind) -> None:
 
 
 def _basic_block(
-    entries: list[LayerEntry],
     stage: int,
     block: int,
     in_ch: int,
@@ -229,7 +262,7 @@ def _basic_block(
     stride: StridePair,
     se_reduction: int | None,
     res2net_scale: int | None,
-) -> None:
+) -> tuple[LayerEntry, ...]:
     prefix = f"stage{stage}.block{block}"
     main = [
         Conv2d(f"{prefix}.conv1", in_ch, out_ch, (3, 3), stride=stride, padding=(1, 1)),
@@ -245,11 +278,10 @@ def _basic_block(
                 BatchNorm2d(f"{prefix}.bn2", out_ch),
             ]
         )
-    _close_block(entries, prefix, stage, block, main, in_ch, out_ch, stride, se_reduction)
+    return _close_block(prefix, stage, block, main, in_ch, out_ch, stride, se_reduction)
 
 
 def _bottleneck_block(
-    entries: list[LayerEntry],
     stage: int,
     block: int,
     in_ch: int,
@@ -257,7 +289,7 @@ def _bottleneck_block(
     out_ch: int,
     stride: StridePair,
     se_reduction: int | None,
-) -> None:
+) -> tuple[LayerEntry, ...]:
     prefix = f"stage{stage}.block{block}"
     main = [
         Conv2d(f"{prefix}.conv1", in_ch, width, (1, 1)),
@@ -269,10 +301,10 @@ def _bottleneck_block(
         Conv2d(f"{prefix}.conv3", width, out_ch, (1, 1)),
         BatchNorm2d(f"{prefix}.bn3", out_ch),
     ]
-    _close_block(entries, prefix, stage, block, main, in_ch, out_ch, stride, se_reduction)
+    return _close_block(prefix, stage, block, main, in_ch, out_ch, stride, se_reduction)
 
 
-def _df_block(entries: list[LayerEntry], stage: int, block: int, channels: int) -> None:
+def _df_block(stage: int, block: int, channels: int) -> tuple[LayerEntry, ...]:
     hidden = channels * _DF_EXPANSION
     prefix = f"stage{stage}.block{block}"
     main = [
@@ -284,17 +316,13 @@ def _df_block(entries: list[LayerEntry], stage: int, block: int, channels: int) 
         Activation(f"{prefix}.act2"),
         Conv2d(f"{prefix}.conv3", hidden, channels, (1, 1)),
         BatchNorm2d(f"{prefix}.bn3", channels),
+        Add(f"{prefix}.add", ShortcutKind.IDENTITY),
+        Activation(f"{prefix}.act_out"),
     ]
-    for layer in main:
-        entries.append(LayerEntry(layer, stage=stage, block=block))
-    entries.append(
-        LayerEntry(Add(f"{prefix}.add", ShortcutKind.IDENTITY), stage=stage, block=block)
-    )
-    entries.append(LayerEntry(Activation(f"{prefix}.act_out"), stage=stage, block=block))
+    return tuple(LayerEntry(layer, stage=stage, block=block) for layer in main)
 
 
 def _close_block(
-    entries: list[LayerEntry],
     prefix: str,
     stage: int,
     block: int,
@@ -303,30 +331,27 @@ def _close_block(
     out_ch: int,
     stride: StridePair,
     se_reduction: int | None,
-) -> None:
-    """Append a basic or bottleneck block: its main branch (plus SE), the
+) -> tuple[LayerEntry, ...]:
+    """A basic or bottleneck block's entries: its main branch (plus SE), the
     shortcut, the merge and the output activation."""
     if se_reduction:
         main.append(SqueezeExcite(f"{prefix}.se", out_ch, se_reduction))
-    for layer in main:
-        entries.append(LayerEntry(layer, stage=stage, block=block))
+    entries = [LayerEntry(layer, stage=stage, block=block) for layer in main]
     if in_ch != out_ch:
-        entries.append(
+        entries += [
             LayerEntry(
                 Conv2d(f"{prefix}.shortcut.conv", in_ch, out_ch, (1, 1), stride=stride),
                 stage=stage,
                 block=block,
                 role=Role.SHORTCUT,
-            )
-        )
-        entries.append(
+            ),
             LayerEntry(
                 BatchNorm2d(f"{prefix}.shortcut.bn", out_ch),
                 stage=stage,
                 block=block,
                 role=Role.SHORTCUT,
-            )
-        )
+            ),
+        ]
         kind = ShortcutKind.PROJECTION
     elif not stride.is_unit():
         kind = ShortcutKind.SUBSAMPLE
@@ -334,6 +359,27 @@ def _close_block(
         kind = ShortcutKind.IDENTITY
     entries.append(LayerEntry(Add(f"{prefix}.add", kind, stride=stride), stage=stage, block=block))
     entries.append(LayerEntry(Activation(f"{prefix}.act_out"), stage=stage, block=block))
+    return tuple(entries)
+
+
+@lru_cache(maxsize=_BLOCK_MEMO_SIZE, typed=True)
+def _block(
+    kind: BlockKind,
+    stage: int,
+    block: int,
+    in_ch: int,
+    width: int,
+    out_ch: int,
+    stride: StridePair,
+    se_reduction: int | None,
+    res2net_scale: int | None,
+) -> tuple[LayerEntry, ...]:
+    """One residual block's entries, memoized on exactly these arguments."""
+    if kind is BlockKind.BASIC:
+        return _basic_block(stage, block, in_ch, out_ch, stride, se_reduction, res2net_scale)
+    if kind is BlockKind.BOTTLENECK:
+        return _bottleneck_block(stage, block, in_ch, width, out_ch, stride, se_reduction)
+    return _df_block(stage, block, out_ch)
 
 
 def _downsample_conv(
@@ -354,6 +400,7 @@ def build_body(req: BuildRequest) -> ModelSpec:
     """Elaborate the stem and the four residual stages (no head yet)."""
     if len(req.block_counts) != 4:
         raise BuildError(f"expected 4 per-stage block counts, got {req.block_counts}")
+    _check_integers(req)
     kind = _block_kind(req)
     sd_flags = _sd_flags(req)
     _validate_depth(req, kind, sd_flags)
@@ -416,16 +463,9 @@ def build_body(req: BuildRequest) -> ModelSpec:
         )
         for b in range(1, num_blocks + 1):
             stride = block_stage_stride if b == 1 else UNIT
-            if kind is BlockKind.BASIC:
-                _basic_block(
-                    entries, stage, b, in_ch, out_ch, stride, req.se_reduction, req.res2net_scale
-                )
-            elif kind is BlockKind.BOTTLENECK:
-                _bottleneck_block(
-                    entries, stage, b, in_ch, width, out_ch, stride, req.se_reduction
-                )
-            else:
-                _df_block(entries, stage, b, out_ch)
+            entries.extend(
+                _block(kind, stage, b, in_ch, width, out_ch, stride, req.se_reduction, req.res2net_scale)
+            )
             in_ch = out_ch
 
     return ModelSpec(

@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, value: int) -> None:
+    """A positive int; a bool is no int, as in the spec loader."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TensorShape:
     """A (channels, freq, time) feature-map shape; every field >= 1."""
@@ -54,9 +60,7 @@ class TensorShape:
 
     def __post_init__(self) -> None:
         for name in ("channels", "freq", "time"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _check_positive(name, getattr(self, name))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.channels, self.freq, self.time)
@@ -80,11 +84,6 @@ class ShortcutKind(enum.Enum):
     IDENTITY = "identity"
     SUBSAMPLE = "subsample"
     PROJECTION = "projection"
-
-
-def _check_positive(name: str, value: int) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)

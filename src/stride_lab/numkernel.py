@@ -115,14 +115,10 @@ STATS_EPS = 1e-10
 DEFAULT_SEED = 20240417
 #: Bytes of column buffer, in the working precision, one dense or grouped
 #: k x k convolution may hold. A conv whose whole buffer is larger fills and
-#: multiplies it one block of output rows at a time; 4 MiB measured fastest
-#: on 80x300 maps, where a float64 32-channel 3x3 would otherwise need 55 MB
-#: at once.
+#: multiplies it one block of output rows at a time.
 COLUMN_BUDGET = 4 << 20
 #: Bytes of zero-bordered scratch a depthwise convolution pads one block of
-#: channels into (at least one channel; one 80x300 channel is 198 KB). On
-#: DF-ResNet182's 59 depthwise layers at 80x300, 256 KiB measured fastest:
-#: 247 ms, against 272 ms at 4 MiB and 359 ms padding the whole map.
+#: channels into; a block holds at least one channel.
 DEPTHWISE_BUDGET = 256 << 10
 #: Length of the seeded block that weights are read from cyclically. Rows r
 #: and r + d of an (out, fan_in) weight are equal exactly when d * fan_in is

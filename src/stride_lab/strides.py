@@ -71,7 +71,7 @@ class StridePair:
 
     def __post_init__(self) -> None:
         for value in (self.time, self.freq):
-            if value not in STRIDE_VALUES:
+            if type(value) is not int or value not in STRIDE_VALUES:
                 raise ValueError(f"stride components must be 1 or 2, got {value}")
 
     def is_unit(self) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stride_lab import builder as builder_module
 from stride_lab.analysis import AnalysisError, count_flops, count_params, trace
 from stride_lab.builder import (
     BuildError,
@@ -28,9 +29,10 @@ from stride_lab.layers import (
     GlobalAvgPool,
     TensorShape,
 )
+from stride_lab.serialize import model_from_json, model_to_json
 from stride_lab.strides import StridePair, resolve_name
 
-from oracles import preset_requests
+from oracles import ALL_PATHS, GOLDEN_PATHS, PRESETS, preset_requests
 
 
 def stage_end_shapes(spec, freq, time):
@@ -311,3 +313,154 @@ def test_head_size_and_walked_params_match_the_trace(req, time):
         assert fc.in_dim == 2 * channels * freq
     walked = count_flops(spec, TensorShape(1, req.input_freq_bins, time))
     assert walked.params_by_layer == count_params(spec).params_by_layer
+
+
+def _label(family, depth, path):
+    """A depth-first preset's label for ``path``: the pair's second label
+    counts the stage-2 downsampling conv that only a stage-2 stride gets."""
+    if family != "df_resnet":
+        return depth
+    return depth[0] if resolve_name(path).steps[1].is_unit() else depth[1]
+
+
+def _memo_requests():
+    """Every family x preset depth on its default path and on a golden path
+    other than the principal one, and with SE 4 and Res2Net 4 (which some
+    families reject)."""
+    golden = GOLDEN_PATHS[-1].label
+    assert golden != "T14c"
+    for family, depths in sorted(PRESETS.items()):
+        for depth in depths:
+            default = _label(family, depth, "MOD")
+            yield make_request(family, default)
+            yield make_request(family, _label(family, depth, golden), path=golden)
+            yield make_request(family, default, se_reduction=4)
+            yield make_request(family, default, res2net_scale=4)
+
+
+def _json_or_error(req):
+    try:
+        return model_to_json(build(req))
+    except BuildError as exc:
+        return f"BuildError: {exc}"
+
+
+_memo = builder_module._block
+
+
+class TestBlockMemo:
+    def test_specs_are_byte_identical_after_every_path_was_built(self):
+        _memo.cache_clear()
+        fresh = [(req, _json_or_error(req)) for req in _memo_requests()]
+        # Refused: SE and Res2Net on the 3 depth-first presets, Res2Net on the
+        # 9 bottleneck presets.
+        assert sum(text.startswith("BuildError") for _, text in fresh) == 15
+        for template in (make_request("modified_resnet", 34), make_request("df_resnet", 182)):
+            spec = build(template)
+            for path in ALL_PATHS:
+                build(request_from_spec(spec, path=path))
+        assert _memo.cache_info().currsize <= builder_module._BLOCK_MEMO_SIZE
+        for req, text in fresh:
+            assert _json_or_error(req) == text, req
+
+    def test_memo_stays_at_its_bound(self):
+        _memo.cache_clear()
+        assert _memo.cache_info().maxsize == builder_module._BLOCK_MEMO_SIZE == 1024
+        first = make_request("modified_resnet", 34, base_channels=1)
+        text = model_to_json(build(first))
+        # A ResNet34 body has 16 blocks: 70 widths elaborate 1,120 distinct ones.
+        for channels in range(1, 71):
+            build(make_request("modified_resnet", 34, base_channels=channels))
+        assert _memo.cache_info().currsize == builder_module._BLOCK_MEMO_SIZE
+        assert model_to_json(build(first)) == text
+
+    def test_failing_request_raises_the_same_error_and_adds_nothing(self):
+        req = make_request("modified_resnet", 34, se_reduction=3)
+        before = _memo.cache_info()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(BuildError) as info:
+                build(req)
+            messages.append(str(info.value))
+        assert messages == ["stage 2: SE reduction 3 does not divide its 32 channels"] * 2
+        after = _memo.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+    def test_a_float_option_cannot_answer_for_an_int(self):
+        req = make_request("modified_resnet", 34, se_reduction=4)
+        _memo.cache_clear()
+        text = model_to_json(build(req))
+        _memo.cache_clear()
+        with pytest.raises(BuildError, match="se_reduction must be an integer, got 4.0"):
+            build(dataclasses.replace(req, se_reduction=4.0))
+        # The memo's key is typed: a block elaborated with a float reduction
+        # (past the request gate) is not served to the int request.
+        _memo(BlockKind.BASIC, 2, 1, 32, 32, 32, StridePair(1, 1), 4.0, None)
+        spec = build(req)
+        assert model_to_json(spec) == text
+        assert type(count_params(spec).params_total) is int
+
+
+class TestIntegerGate:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("depth_label", 18.0),
+            ("depth_label", True),
+            ("base_channels", 32.0),
+            ("base_channels", True),
+            ("base_channels", 0),
+            ("embedding_dim", 256.0),
+            ("embedding_dim", 0),
+            ("input_freq_bins", 80.0),
+            ("input_freq_bins", False),
+            ("block_counts", (2.0, 2, 2, 2)),
+            ("block_counts", (True, 3, 2, 2)),
+            ("block_counts", (0, 4, 2, 2)),
+            ("se_reduction", 4.0),
+            ("se_reduction", True),
+            ("res2net_scale", 4.0),
+            ("res2net_scale", True),
+        ],
+    )
+    def test_non_int_or_non_positive_values_are_refused(self, field, value):
+        req = dataclasses.replace(make_request("modified_resnet", 18), **{field: value})
+        with pytest.raises(BuildError, match=rf"{field}(\[0\])? must be"):
+            build(req)
+
+    def test_bool_option_through_make_request(self):
+        with pytest.raises(BuildError, match="se_reduction must be an integer, got True"):
+            build(make_request("modified_resnet", 18, se_reduction=True))
+
+    def test_layers_and_shapes_refuse_bools(self):
+        with pytest.raises(ValueError, match="channels must be a positive integer, got True"):
+            TensorShape(True, 80, 300)
+        with pytest.raises(ValueError, match="in_channels must be a positive integer, got True"):
+            Conv2d("conv", True, 4, (3, 3))
+        with pytest.raises(ValueError, match="stride components must be 1 or 2, got 2.0"):
+            StridePair(2.0, 1)
+
+
+_ODD_VALUES = (None, 0, -1, 1, 2, 4, 8, 2.5, 4.0, True, False)
+
+
+@given(
+    req=preset_requests(),
+    edits=st.dictionaries(
+        st.sampled_from(
+            ("depth_label", "base_channels", "embedding_dim", "input_freq_bins",
+             "se_reduction", "res2net_scale")
+        ),
+        st.sampled_from(_ODD_VALUES),
+        max_size=2,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_accepted_request_round_trips_through_json(req, edits):
+    req = dataclasses.replace(req, **edits)
+    try:
+        spec = build(req)
+    except BuildError:
+        assume(False)
+    assert model_from_json(model_to_json(spec)) == spec
+    assert type(count_params(spec).params_total) is int
