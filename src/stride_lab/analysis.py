@@ -11,12 +11,12 @@ fully connected weights plus biases.
 
 One rule table, ``_RULES``, maps each layer type to its shape, parameter,
 MAC and (for pooling and projection layers) head rule; ``propagate_shape``,
-``layer_params``, ``layer_flops``, ``trace`` and the counts all dispatch
-through it. The walk carries shapes as plain ``(C, F, T)`` tuples,
-``count_params`` calls each layer's parameter rule once, and
-``count_flops`` takes MACs and parameters from the same walk. Every entry
-is on that walk (the head included), in entry order, so its parameters
-equal ``count_params``'s layer for layer.
+``layer_flops``, ``trace`` and the counts all dispatch through it. The
+walk carries shapes as plain ``(C, F, T)`` tuples, ``count_params`` calls
+each layer's parameter rule once, and ``count_flops`` takes MACs and
+parameters from the same walk. Every entry is on that walk (the head
+included), in entry order, so its parameters equal ``count_params``'s
+layer for layer.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "count_flops",
     "count_params",
     "layer_flops",
-    "layer_params",
     "propagate_shape",
     "trace",
 ]
@@ -246,11 +245,6 @@ _NO_RULE = _Rule(_no_shape, _zero, _zero)
 def propagate_shape(shape: TensorShape, layer: Layer) -> TensorShape:
     """Feature-map shape after a single 4D-preserving layer."""
     return TensorShape(*_RULES.get(type(layer), _NO_RULE).shape(layer, shape.as_tuple()))
-
-
-def layer_params(layer: Layer) -> int:
-    """Exact learnable parameter count of one layer."""
-    return _RULES.get(type(layer), _NO_RULE).params(layer)
 
 
 def layer_flops(layer: Layer, out_shape: tuple[int, ...]) -> int:

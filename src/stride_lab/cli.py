@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: enumerate | build | analyze | compare | verify | metrics | render.
+Subcommands: enumerate | build | analyze | verify | metrics | render.
 Exit codes: 0 success, 1 usage error, 2 build/input error (including a
 stdout closed before the output was written), 3 verification failure.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import AnalysisError, compare, count_flops
-from .builder import BuildError, build, make_request
+from .builder import BuildError, build, make_request, request_from_spec
 from .catalog import CATALOG_NAMES, PRINCIPAL_CONFIG, is_cataloged
 from .diagram import trellis_dot
 from .layers import Family, TensorShape
@@ -80,6 +80,9 @@ _CLASSES = {
     "frequency-priority": PathClass.FREQUENCY_PRIORITY,
 }
 
+#: Removed command-line forms (a subcommand and its flags) and what replaces each.
+_REMOVED = {"compare": "analyze FAMILY DEPTH --path A --compare B", "enumerate --dot": "render"}
+
 
 class UsageError(Exception):
     pass
@@ -117,17 +120,15 @@ def _build_parser() -> _Parser:
     p_enum.add_argument("--endpoint", help="alpha,beta downsampling factors, e.g. 2,16")
     p_enum.add_argument("--class", dest="path_class", choices=sorted(_CLASSES))
     p_enum.add_argument("--paths", action="store_true", help="list paths instead of endpoints")
-    p_enum.add_argument("--dot", action="store_true", help="emit the trellis as Graphviz DOT")
 
-    def add_model_args(p, with_path=True):
+    def add_model_args(p):
         p.add_argument("family", choices=sorted(_FAMILIES))
         p.add_argument("depth", type=int)
-        if with_path:
-            p.add_argument("--path", help="configuration name, e.g. T14c or MOD")
-            p.add_argument(
-                "--gemini", action="store_true",
-                help=f"use the principal golden-gemini configuration ({PRINCIPAL_CONFIG})",
-            )
+        p.add_argument("--path", help="configuration name, e.g. T14c or MOD")
+        p.add_argument(
+            "--gemini", action="store_true",
+            help=f"use the principal golden-gemini configuration ({PRINCIPAL_CONFIG})",
+        )
         p.add_argument("--se", type=int, default=None, metavar="R",
                        help="add squeeze-excitation blocks with reduction R")
         p.add_argument("--res2net", type=int, default=None, metavar="S",
@@ -148,13 +149,6 @@ def _build_parser() -> _Parser:
     p_analyze.add_argument("--csv", action="store_true", dest="as_csv")
     p_analyze.add_argument("--catalog", action="store_true",
                            help="analyze every cataloged configuration")
-
-    p_compare = sub.add_parser("compare", help="complexity deltas between two configurations")
-    p_compare.add_argument("family", choices=sorted(_FAMILIES))
-    p_compare.add_argument("depth", type=int)
-    p_compare.add_argument("path_a")
-    p_compare.add_argument("path_b")
-    p_compare.add_argument("--freq-bins", type=_positive_int, default=80)
 
     p_verify = sub.add_parser("verify", help="numeric-vs-symbolic cross checks")
     p_verify.add_argument("--all-table3-configs", action="store_true",
@@ -204,14 +198,12 @@ def _write(text: str, output: str | None) -> int:
     return EXIT_OK
 
 
-def _resolve_request(
-    args, path_override: str | TrellisPath | None = None, family: Family | None = None
-):
-    """The build request of ``args``; an explicit path or family overrides
-    the command line's, and an overriding path ignores ``--gemini``."""
+def _resolve_request(args, path: str | None = None, family: Family | None = None):
+    """The build request of ``args``; an explicit path or family (a catalog
+    row's) overrides the command line's."""
     family = family or _FAMILIES[args.family]
-    path = path_override if path_override is not None else getattr(args, "path", None)
-    if getattr(args, "gemini", False) and path_override is None:
+    path = path or args.path
+    if args.gemini:
         if path is not None:
             raise UsageError("--path and --gemini are mutually exclusive")
         path = PRINCIPAL_CONFIG
@@ -239,9 +231,6 @@ def _path_row(path: TrellisPath) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.dot:
-        sys.stdout.write(trellis_dot())
-        return EXIT_OK
     wanted = _CLASSES[args.path_class] if args.path_class else None
     if args.endpoint or args.paths:
         paths = iter_all_paths()
@@ -273,26 +262,9 @@ def _cmd_build(args) -> int:
     return _write(model_to_json(spec) + "\n", args.output)
 
 
-def _describe(spec, report_2s, report_3s):
-    alpha, beta = final_factors(spec.path)
-    lines = [
-        f"config      {spec.path.label} ({classify_path(spec.path).value}, endpoint ({alpha},{beta}))",
-        f"strides     time {list(spec.path.time_strides)} / freq {list(spec.path.freq_strides)}",
-        f"model       {spec.display_name}, C={spec.base_channels}, "
-        f"blocks {[s.num_blocks for s in spec.stages]}, embedding {spec.embedding_dim}",
-        f"params      {report_2s.params_total} ({report_2s.params_millions:.2f} M)",
-        f"flops 2s    {report_2s.flops_total} ({report_2s.flops_giga:.2f} G)",
-        f"flops 3s    {report_3s.flops_total} ({report_3s.flops_giga:.2f} G)",
-    ]
-    for note in spec.notes:
-        lines.append(f"note        {note}")
-    return lines
-
-
-def _analyze_one(args, path=None, family=None):
-    spec = build(_resolve_request(args, path_override=path, family=family))
-    shape_2s = TensorShape(1, args.freq_bins, FRAMES_2S)
-    shape_3s = TensorShape(1, args.freq_bins, FRAMES_3S)
+def _analyze_spec(spec):
+    shape_2s = TensorShape(1, spec.input_freq_bins, FRAMES_2S)
+    shape_3s = TensorShape(1, spec.input_freq_bins, FRAMES_3S)
     return spec, count_flops(spec, shape_2s), count_flops(spec, shape_3s)
 
 
@@ -312,75 +284,95 @@ def _table_row(spec, report_2s, report_3s) -> TableRow:
     )
 
 
-def _cmd_analyze(args) -> int:
-    if args.compare_with and (args.as_json or args.as_csv):
-        # Neither output has delta fields, so the comparison would be dropped.
-        raise UsageError("--compare prints a text report; drop --json and --csv")
-    if args.catalog:
-        if args.family != "resnet":
-            raise UsageError("--catalog analyzes the resnet template; use 'analyze resnet DEPTH --catalog'")
-        if args.path or args.gemini or args.compare_with:
-            raise UsageError("--catalog analyzes every cataloged path; drop --path, --gemini and --compare")
-        # Each row is the single analyze of its path; the ORI row keeps the
-        # original recipe, as in verification.catalog_spec.
-        rows = [
-            _table_row(*_analyze_one(
-                args, path=name, family=Family.ORIGINAL_RESNET if name == "ORI" else None
-            ))
-            for name in CATALOG_NAMES
-        ]
-        sys.stdout.write(format_table(rows))
-        return EXIT_OK
-
-    spec, report_2s, report_3s = _analyze_one(args)
-    if args.compare_with:
-        # Resolved before any output, so a bad name prints nothing.
-        other_spec, other_2s, other_3s = _analyze_one(args, path=args.compare_with)
-        delta_2s = compare(report_2s, other_2s)
-        delta_3s = compare(report_3s, other_3s)
-    if args.as_csv:
-        sys.stdout.write(format_table([_table_row(spec, report_2s, report_3s)]))
-        return EXIT_OK
-    if args.as_json:
-        doc = {
-            "index": spec.path.label,
-            "family": spec.family.value,
-            "depth": spec.depth_label,
-            "params_total": report_2s.params_total,
-            "flops": {"2s": report_2s.flops_total, "3s": report_3s.flops_total},
-        }
-        if args.per_layer:
-            doc["params_by_layer"] = list(report_2s.params_by_layer)
-            doc["flops_by_layer_3s"] = list(report_3s.flops_by_layer)
-        print(json.dumps(doc, indent=2))
-        return EXIT_OK
-    for line in _describe(spec, report_2s, report_3s):
-        print(line)
-    if args.per_layer:
+def _render_text(rows, per_layer: bool) -> None:
+    spec, report_2s, report_3s = rows[0]
+    alpha, beta = final_factors(spec.path)
+    print(f"config      {spec.path.label} ({classify_path(spec.path).value}, endpoint ({alpha},{beta}))")
+    print(f"strides     time {list(spec.path.time_strides)} / freq {list(spec.path.freq_strides)}")
+    print(f"model       {spec.display_name}, C={spec.base_channels}, "
+          f"blocks {[s.num_blocks for s in spec.stages]}, embedding {spec.embedding_dim}")
+    print(f"params      {report_2s.params_total} ({report_2s.params_millions:.2f} M)")
+    print(f"flops 2s    {report_2s.flops_total} ({report_2s.flops_giga:.2f} G)")
+    print(f"flops 3s    {report_3s.flops_total} ({report_3s.flops_giga:.2f} G)")
+    for note in spec.notes:
+        print(f"note        {note}")
+    if per_layer:
         print("per-layer (params / 3s flops):")
         flops_map = dict(report_3s.flops_by_layer)
         for name, params in report_2s.params_by_layer:
             print(f"  {name:<32} {params:>12}  {flops_map.get(name, 0):>14}")
-    if args.compare_with:
+    if len(rows) == 2:
+        other_spec, other_2s, other_3s = rows[1]
+        delta_2s, delta_3s = compare(report_2s, other_2s), compare(report_3s, other_3s)
         print(f"compare     {spec.path.label} -> {other_spec.path.label}")
         print(f"params      {delta_2s.params_pct:+.1f}%")
         print(f"flops 2s    {delta_2s.flops_pct:+.1f}%")
         print(f"flops 3s    {delta_3s.flops_pct:+.1f}%")
-    return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    base = make_request(_FAMILIES[args.family], args.depth, path=args.path_a,
-                        input_freq_bins=args.freq_bins)
-    other = make_request(_FAMILIES[args.family], args.depth, path=args.path_b,
-                         input_freq_bins=args.freq_bins)
-    spec_a, spec_b = build(base), build(other)
-    for frames, tag in ((FRAMES_2S, "2s"), (FRAMES_3S, "3s")):
-        shape = TensorShape(1, args.freq_bins, frames)
-        delta = compare(count_flops(spec_a, shape), count_flops(spec_b, shape))
-        if tag == "2s":
-            print(f"params      {delta.params_pct:+.2f}%")
-        print(f"flops {tag}    {delta.flops_pct:+.2f}%")
+def _render_json(rows, per_layer: bool) -> None:
+    spec, report_2s, report_3s = rows[0]
+    doc = {
+        "index": spec.path.label,
+        "family": spec.family.value,
+        "depth": spec.depth_label,
+        "params_total": report_2s.params_total,
+        "flops": {"2s": report_2s.flops_total, "3s": report_3s.flops_total},
+    }
+    if per_layer:
+        doc["params_by_layer"] = list(report_2s.params_by_layer)
+        doc["flops_by_layer_3s"] = list(report_3s.flops_by_layer)
+    if len(rows) == 2:
+        other_spec, other_2s, other_3s = rows[1]
+        delta_2s, delta_3s = compare(report_2s, other_2s), compare(report_3s, other_3s)
+        doc["compare"] = {
+            "index": other_spec.path.label,
+            "params_total": other_2s.params_total,
+            "flops": {"2s": other_2s.flops_total, "3s": other_3s.flops_total},
+            "params_pct": delta_2s.params_pct,
+            "flops_pct": {"2s": delta_2s.flops_pct, "3s": delta_3s.flops_pct},
+        }
+    print(json.dumps(doc, indent=2))
+
+
+def _render_csv(rows, per_layer: bool) -> None:
+    sys.stdout.write(format_table([_table_row(*row) for row in rows]))
+
+
+def _analyze_renderer(args):
+    """The one output of ``analyze``; a flag it cannot honour is refused here."""
+    if args.catalog:
+        if args.family != "resnet":
+            raise UsageError("--catalog analyzes the resnet template; use 'analyze resnet DEPTH --catalog'")
+        if args.path is not None or args.gemini or args.compare_with is not None:
+            raise UsageError("--catalog analyzes every cataloged path; drop --path, --gemini and --compare")
+    table = args.as_csv or args.catalog
+    if table and args.as_json:
+        raise UsageError("--csv and --catalog print the CSV table; drop --json")
+    if table and args.per_layer:
+        raise UsageError("the CSV table has no per-layer columns; drop --per-layer")
+    return _render_csv if table else _render_json if args.as_json else _render_text
+
+
+def _cmd_analyze(args) -> int:
+    render = _analyze_renderer(args)
+    if args.catalog:
+        # Each row is the single analyze of its path; the ORI row keeps the
+        # original recipe, as in verification.catalog_spec.
+        specs = [
+            build(_resolve_request(
+                args, path=name, family=Family.ORIGINAL_RESNET if name == "ORI" else None
+            ))
+            for name in CATALOG_NAMES
+        ]
+    else:
+        specs = [build(_resolve_request(args))]
+        if args.compare_with is not None:
+            # The substitution the trellis ranking makes: the same model options
+            # (and, for DF-ResNet, the depth label that path implies).
+            specs.append(build(request_from_spec(specs[0], path=resolve_name(args.compare_with))))
+    # Every row is counted before any output, so an error prints nothing.
+    render([_analyze_spec(spec) for spec in specs], args.per_layer)
     return EXIT_OK
 
 
@@ -521,16 +513,24 @@ _COMMANDS = {
     "enumerate": _cmd_enumerate,
     "build": _cmd_build,
     "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
     "verify": _cmd_verify,
     "metrics": _cmd_metrics,
     "render": _cmd_render,
 }
 
 
+def _refuse_removed(argv: list[str]) -> None:
+    for form, replacement in _REMOVED.items():
+        command, *flags = form.split()
+        if argv[:1] == [command] and set(flags) <= set(argv):
+            raise UsageError(f"'{form}' was removed; use '{replacement}'")
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
+        _refuse_removed(argv)
         args = parser.parse_args(argv)
         code = _COMMANDS[args.command](args)
         # Flush here, so a closed pipe raises inside this handler rather

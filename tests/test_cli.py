@@ -1,17 +1,26 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stride_lab import verification
+from stride_lab.analysis import compare, count_flops
+from stride_lab.builder import build, make_request, request_from_spec
+from stride_lab.catalog import CATALOG_NAMES
 from stride_lab.cli import main
+from stride_lab.layers import TensorShape
 from stride_lab.numkernel import run_model
 from stride_lab.serialize import parse_table
+from stride_lab.strides import resolve_name
 
 from oracles import MALFORMED_SPECS, random_trials, sweep_eer, sweep_min_dcf
 
@@ -46,11 +55,6 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert len(lines) == 36
         assert sum("golden-gemini" in line for line in lines) == 2
-
-    def test_dot_output_has_36_nodes(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--dot")
-        assert code == 0
-        assert out.count('pos="') == 36
 
     def test_paths_flag_lists_all_1024(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--paths")
@@ -136,12 +140,63 @@ class TestAnalyze:
         assert out == ""
         assert "NOPE" in err
 
-    @pytest.mark.parametrize("flag", ["--json", "--csv"])
-    def test_compare_with_machine_output_is_usage_error(self, capsys, flag):
-        # Neither machine-readable output has delta fields.
-        code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--compare", "T14c", flag)
+    def test_compare_with_machine_output(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--compare", "T14c", "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["index"] == "MOD" and doc["params_total"] == 6634336
+        assert doc["compare"]["index"] == "T14c"
+        assert doc["compare"]["params_total"] == 5978976
+        assert round(doc["compare"]["params_pct"], 2) == -9.88
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--compare", "T14c", "--csv")
+        assert (code, err) == (0, "")
+        assert [r.index for r in parse_table(out)] == ["MOD", "T14c"]
+        assert [r.params_millions for r in parse_table(out)] == [6.63, 5.98]
+
+    @pytest.mark.parametrize("argv,request_args", [
+        (("resnet", "34", "--path", "MOD", "--compare", "T14c"), ("modified_resnet", 34, "MOD")),
+        (("resnet", "34", "--gemini", "--compare", "MOD"), ("gemini_resnet", 34, "T14c")),
+        (("dfresnet", "59", "--compare", "T14c"), ("df_resnet", 59, None)),
+        (("gemini-resnet", "34", "--compare", "MOD"), ("gemini_resnet", 34, None)),
+    ], ids=["MOD-T14c", "gemini-MOD", "df59-T14c", "gemini-resnet-MOD"])
+    def test_json_deltas_equal_analysis_compare(self, capsys, argv, request_args):
+        code, out, err = run_cli(capsys, "analyze", *argv, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)["compare"]
+        base = build(make_request(*request_args))
+        other = build(request_from_spec(base, path=resolve_name(argv[-1])))
+        reports = {
+            tag: (count_flops(base, TensorShape(1, 80, frames)),
+                  count_flops(other, TensorShape(1, 80, frames)))
+            for tag, frames in (("2s", 200), ("3s", 300))
+        }
+        deltas = {tag: compare(*pair) for tag, pair in reports.items()}
+        assert doc["index"] == argv[-1]
+        assert doc["params_total"] == reports["2s"][1].params_total
+        assert doc["flops"] == {tag: pair[1].flops_total for tag, pair in reports.items()}
+        assert doc["params_pct"] == deltas["2s"].params_pct
+        assert doc["flops_pct"] == {tag: delta.flops_pct for tag, delta in deltas.items()}
+
+    @pytest.mark.parametrize("flags", [
+        ("--json", "--csv"),
+        ("--per-layer", "--csv"),
+        ("--catalog", "--json"),
+        ("--catalog", "--per-layer"),
+    ], ids=["json-csv", "per-layer-csv", "catalog-json", "catalog-per-layer"])
+    def test_unhonoured_flag_combination_is_usage_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", *flags)
         assert code == 1 and out == ""
-        assert "usage error: --compare prints a text report" in err
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("--compare", ""), 2),
+        (("--catalog", "--path", ""), 1),
+        (("--catalog", "--compare", ""), 1),
+    ], ids=["compare", "catalog-path", "catalog-compare"])
+    def test_empty_name_is_not_dropped(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, "analyze", "resnet", "34", *argv)
+        assert code == expected and out == ""
+        assert err.startswith("usage error: " if expected == 1 else "error: ")
 
     def test_catalog_rejects_compare(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--compare", "T14c")
@@ -322,11 +377,15 @@ class TestBuildAndVerifySpec:
         assert doc["family"] == "modified_resnet"
 
 
-class TestCompareCommand:
-    def test_compare_subcommand(self, capsys):
-        code, out, _ = run_cli(capsys, "compare", "resnet", "34", "MOD", "T14c")
-        assert code == 0
-        assert "params      -9.88%" in out
+class TestRemovedForms:
+    @pytest.mark.parametrize("argv,replacement", [
+        (("compare", "resnet", "34", "MOD", "T14c"), "analyze FAMILY DEPTH --path A --compare B"),
+        (("enumerate", "--dot"), "render"),
+    ], ids=["compare", "enumerate-dot"])
+    def test_removed_form_names_its_replacement(self, capsys, argv, replacement):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and f"use '{replacement}'" in err
 
 
 class TestVerifyCommand:
@@ -406,7 +465,6 @@ class TestVerifyCommand:
         ("analyze", "resnet", "34", "--freq-bins", "0"),
         ("analyze", "resnet", "34", "--embedding-dim", "0"),
         ("build", "resnet", "34", "--embedding-dim", "-3"),
-        ("compare", "resnet", "34", "MOD", "T14c", "--freq-bins", "0"),
     ],
 )
 def test_bad_argument_value_is_usage_error(capsys, argv):
@@ -414,6 +472,34 @@ def test_bad_argument_value_is_usage_error(capsys, argv):
     assert code == 1
     assert err.startswith("usage error: ")
     assert "Traceback" not in err
+
+
+_NAMES = st.none() | st.sampled_from([*CATALOG_NAMES, "T99", "nope", ""])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["resnet", "original-resnet", "gemini-resnet", "dfresnet", "sdresnet", "nope"]),
+    depth=st.sampled_from([18, 34, 50, 101, 152, 59, 60, 113, 114, 182, 183, 22, 38, 0, 7]),
+    path=_NAMES,
+    compared=_NAMES,
+    flags=st.sets(st.sampled_from(["--gemini", "--json", "--csv", "--per-layer", "--catalog"])),
+    options=st.dictionaries(st.sampled_from(["--freq-bins", "--se", "--res2net"]), st.integers(0, 8)),
+)
+def test_any_analyze_argv_exits_cleanly(family, depth, path, compared, flags, options):
+    argv = ["analyze", family, str(depth), *sorted(flags)]
+    for option, value in [("--path", path), ("--compare", compared), *options.items()]:
+        if value is not None:
+            argv += [option, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == "", argv
+    elif "--json" in flags:
+        json.loads(out.getvalue())
 
 
 class TestMetricsCommand:
@@ -548,6 +634,11 @@ class TestClosedPipe:
 
 
 class TestRenderCommand:
+    def test_dot_output_has_36_nodes(self, capsys):
+        code, out, _ = run_cli(capsys, "render")
+        assert code == 0
+        assert out.count('pos="') == 36
+
     def test_render_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "trellis.dot"
         code, _, _ = run_cli(capsys, "render", "-o", str(out_file))
