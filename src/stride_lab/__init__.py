@@ -47,7 +47,6 @@ from .numkernel import (
     conv2d_backward,
     conv2d_forward,
     gradcheck_conv,
-    residual_block_forward,
     run_model,
     stats_pooling_forward,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "propagate_shape",
     "rank_paths_by_flops",
     "request_from_spec",
-    "residual_block_forward",
     "resolve_name",
     "run_model",
     "stats_pooling_forward",

@@ -30,17 +30,19 @@ from .layers import (
     BatchNorm2d,
     ComplexityReport,
     Conv2d,
+    FEED_MERGE,
+    FEED_SHORTCUT,
     FullyConnected,
     GlobalAvgPool,
     Layer,
     MaxPool2d,
     ModelSpec,
     Res2NetConv,
-    Role,
     ShortcutKind,
     SqueezeExcite,
     TemporalStatsPool,
     TensorShape,
+    route,
 )
 from .strides import StridePair
 
@@ -94,11 +96,6 @@ def _spatial_out(
     if t_out < 1:
         raise ShapeUnderflowError("time", layer_name, t_out)
     return f_out, t_out
-
-
-def _subsample(shape: tuple[int, int, int], stride: StridePair) -> tuple[int, int, int]:
-    """Shape after parameter-free strided slicing (ceil division)."""
-    return (shape[0], -(-shape[1] // stride.freq), -(-shape[2] // stride.time))
 
 
 # -- shape rules: (layer, (C, F, T)) -> (C, F, T), for 4D-preserving layers --
@@ -261,84 +258,57 @@ class TraceEntry:
     out_shape: tuple[int, ...]
 
 
-def _walk(spec: ModelSpec, freq: int, time: int, include_head: bool) -> list[tuple]:
-    """(layer, rule, in shape, out shape) per traced layer, in entry order."""
+def _walk(spec: ModelSpec, freq: int, time: int) -> list[tuple]:
+    """(layer, rule, in shape, out shape) per layer, in entry order, each
+    layer fed the shape that :func:`~stride_lab.layers.route` names."""
     shape: tuple[int, ...] | None = TensorShape(1, freq, time).as_tuple()
     flat: int | None = None
     records: list[tuple] = []
-
-    for segment in spec.segments():
-        if segment.kind == "linear":
-            for entry in segment.entries:
-                if entry.stage == 0 and not include_head:
-                    continue
-                layer = entry.layer
-                rule = _RULES.get(type(layer), _NO_RULE)
-                if rule.head is not None:
-                    in_repr = shape if shape is not None else (flat,)
-                    flat = rule.head(layer, shape, flat)
-                    shape = None
-                    records.append((layer, rule, in_repr, (flat,)))
-                else:
-                    if shape is None:
-                        raise AnalysisError(f"{layer.name}: feature map already flattened")
-                    out = rule.shape(layer, shape)
-                    records.append((layer, rule, shape, out))
-                    shape = out
-            continue
-
-        if shape is None:
-            raise AnalysisError("residual block after the head")
-        block_in = branch = shortcut = shape
-        merged = None
-        for entry in segment.entries:
-            layer = entry.layer
-            rule = _RULES.get(type(layer), _NO_RULE)
-            if type(layer) is Add:
-                if layer.shortcut is ShortcutKind.SUBSAMPLE:
-                    shortcut = _subsample(block_in, layer.stride)
-                elif layer.shortcut is ShortcutKind.IDENTITY:
-                    shortcut = block_in
-                if branch != shortcut:
-                    raise AnalysisError(
-                        f"{layer.name}: branch shape {branch} != shortcut shape {shortcut}"
-                    )
-                merged = branch
-                records.append((layer, rule, branch, merged))
-            elif entry.role is Role.SHORTCUT:
-                out = rule.shape(layer, shortcut)
-                records.append((layer, rule, shortcut, out))
-                shortcut = out
-            else:
-                src = merged if merged is not None else branch
-                out = rule.shape(layer, src)
-                records.append((layer, rule, src, out))
-                if merged is not None:
-                    merged = out
-                else:
-                    branch = out
-        shape = merged if merged is not None else branch
-
+    for layer, feed, opens in route(spec.entries):
+        rule = _RULES.get(type(layer), _NO_RULE)
+        if opens:
+            if shape is None:
+                raise AnalysisError("residual block after the head")
+            block_in = shortcut = shape
+        if feed is FEED_SHORTCUT:
+            out = rule.shape(layer, shortcut)
+            records.append((layer, rule, shortcut, out))
+            shortcut = out
+        elif feed is FEED_MERGE:
+            if layer.shortcut is ShortcutKind.SUBSAMPLE:  # strided slicing: ceil division
+                c, f, t = block_in
+                shortcut = (c, -(-f // layer.stride.freq), -(-t // layer.stride.time))
+            elif layer.shortcut is ShortcutKind.IDENTITY:
+                shortcut = block_in
+            if shape != shortcut:
+                raise AnalysisError(f"{layer.name}: branch shape {shape} != shortcut shape {shortcut}")
+            records.append((layer, rule, shape, shape))
+        elif rule.head is not None:
+            in_repr = shape if shape is not None else (flat,)
+            flat = rule.head(layer, shape, flat)
+            shape = None
+            records.append((layer, rule, in_repr, (flat,)))
+        else:
+            if shape is None:
+                raise AnalysisError(f"{layer.name}: feature map already flattened")
+            out = rule.shape(layer, shape)
+            records.append((layer, rule, shape, out))
+            shape = out
     return records
 
 
-def trace(
-    spec: ModelSpec,
-    freq: int | None = None,
-    time: int = 300,
-    include_head: bool = True,
-) -> tuple[TraceEntry, ...]:
+def trace(spec: ModelSpec, freq: int | None = None, time: int = 300) -> tuple[TraceEntry, ...]:
     """Propagate an input through the whole spec, one record per layer.
 
-    Residual blocks branch from their block input: main-branch layers chain,
-    shortcut layers see the block input, and the add asserts both sides meet
-    at the same shape.
+    Residual blocks are routed by :func:`~stride_lab.layers.route`: main
+    and shortcut layers chain from the block input, and the add asserts
+    both sides meet at the same shape.
     """
     if freq is None:
         freq = spec.input_freq_bins
     return tuple(
         TraceEntry(layer.name, in_shape, out_shape)
-        for layer, _, in_shape, out_shape in _walk(spec, freq, time, include_head)
+        for layer, _, in_shape, out_shape in _walk(spec, freq, time)
     )
 
 
@@ -362,7 +332,7 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
         raise AnalysisError("backbones take single-channel spectrogram input")
     params_by_layer = []
     flops_by_layer = []
-    for layer, rule, _, out_shape in _walk(spec, input_shape.freq, input_shape.time, True):
+    for layer, rule, _, out_shape in _walk(spec, input_shape.freq, input_shape.time):
         params = rule.params(layer)
         if params:
             params_by_layer.append((layer.name, params))

@@ -47,6 +47,7 @@ from .strides import (
 )
 from .trellis import enumerate_endpoints, enumerate_paths, golden_gemini_endpoints
 from .verification import (
+    SEED_ENV_VAR,
     VERIFY_DTYPE,
     default_seed,
     gradcheck_suite,
@@ -305,6 +306,7 @@ def _render_text(rows, per_layer: bool) -> None:
         other_spec, other_2s, other_3s = rows[1]
         delta_2s, delta_3s = compare(report_2s, other_2s), compare(report_3s, other_3s)
         print(f"compare     {spec.path.label} -> {other_spec.path.label}")
+        print(f"compared    {other_spec.display_name}")
         print(f"params      {delta_2s.params_pct:+.1f}%")
         print(f"flops 2s    {delta_2s.flops_pct:+.1f}%")
         print(f"flops 3s    {delta_3s.flops_pct:+.1f}%")
@@ -327,6 +329,8 @@ def _render_json(rows, per_layer: bool) -> None:
         delta_2s, delta_3s = compare(report_2s, other_2s), compare(report_3s, other_3s)
         doc["compare"] = {
             "index": other_spec.path.label,
+            "family": other_spec.family.value,
+            "depth": other_spec.depth_label,
             "params_total": other_2s.params_total,
             "flops": {"2s": other_2s.flops_total, "3s": other_3s.flops_total},
             "params_pct": delta_2s.params_pct,
@@ -393,8 +397,23 @@ def _environment() -> dict:
     }
 
 
+def _resolve_seed(args) -> int:
+    """The seed of a verify run: --seed, else the environment's (see
+    ``default_seed``). numpy seeds its generators from an unsigned 64-bit
+    integer and the gradient checks seed trial i with seed + i, so any
+    seed outside [0, 2**63) is a usage error."""
+    try:
+        seed = args.seed if args.seed is not None else default_seed()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if not 0 <= seed < 2**63:
+        source = "--seed" if args.seed is not None else SEED_ENV_VAR
+        raise UsageError(f"{source} must be in [0, 2**63), got {seed}")
+    return seed
+
+
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
+    seed = _resolve_seed(args)
     checks = []
     grad_reports = []
     ran_anything = False

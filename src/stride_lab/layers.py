@@ -3,8 +3,8 @@
 A :class:`ModelSpec` is a fully elaborated backbone: an ordered flat list of
 :class:`LayerEntry` records, each tagging its layer with the stage, residual
 block, and branch role it belongs to. The flat list is the single source of
-truth; accounting walks it per layer and the numeric kernel regroups it into
-residual segments via the annotations.
+truth; the symbolic analysis and the numeric kernel both walk it through
+:func:`route`, the one place that decides which map feeds which layer.
 
 Spatial tuples (kernel, padding, dilation) are in (freq, time) order,
 matching the (channels, freq, time) tensor layout. Strides always travel as
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from .strides import StridePair, TrellisPath
 
@@ -28,6 +27,9 @@ __all__ = [
     "BlockKind",
     "ComplexityReport",
     "Conv2d",
+    "FEED_MAP",
+    "FEED_MERGE",
+    "FEED_SHORTCUT",
     "Family",
     "FullyConnected",
     "GlobalAvgPool",
@@ -41,6 +43,7 @@ __all__ = [
     "StageSpec",
     "TemporalStatsPool",
     "TensorShape",
+    "route",
 ]
 
 
@@ -305,22 +308,56 @@ class ModelSpec:
         suffix = f" + {' + '.join(extras)}" if extras else ""
         return f"{base}{self.depth_label}{suffix}"
 
-    def segments(self) -> tuple["Segment", ...]:
-        """Group the flat entry list into linear runs (entries outside any
-        block) and residual blocks (the consecutive entries of one block)."""
-        runs = groupby(self.entries, key=lambda e: None if e.block is None else (e.stage, e.block))
-        return tuple(
-            Segment(kind="linear" if key is None else "block", entries=tuple(run))
-            for key, run in runs
+
+#: What :func:`route` feeds a layer; the layer's output replaces that map.
+#: Plain constants, and the shortcut role bound once: reading an enum member
+#: off its class costs more than the rest of a walk's step.
+FEED_MAP = "map"  # the running map
+FEED_SHORTCUT = "shortcut"  # the block's shortcut chain
+FEED_MERGE = "merge"  # the add: the shortcut merged into the running map
+_SHORTCUT_ROLE = Role.SHORTCUT
+
+
+def route(entries: Iterable[LayerEntry]) -> Iterator[tuple[Layer, str, bool]]:
+    """``(layer, feed, opens)`` per entry, in order: the one routing rule.
+
+    A residual block is a run of consecutive entries with the same
+    ``(stage, block)``; ``opens`` is True on its first entry, where the
+    running map becomes the block input. Main layers chain from the block
+    input, shortcut layers chain from it too, the block's one add merges
+    the shortcut into the running map, and layers after the add act on the
+    merged map. Entries outside any block chain on the running map. The
+    walk may start at any block boundary.
+
+    Raises :class:`ValueError` at a block without exactly one add and at an
+    add outside any block: neither can be routed.
+    """
+    stage = block = None
+    adds = 0
+    for entry in entries:
+        layer = entry.layer
+        opens = entry.block != block or entry.stage != stage
+        if opens:
+            _require_one_add(stage, block, adds)
+            stage, block, adds = entry.stage, entry.block, 0
+            opens = block is not None
+        feed = FEED_MAP
+        if type(layer) is Add:
+            if block is None:
+                raise ValueError(f"add layer {layer.name!r} is outside any residual block")
+            adds += 1
+            feed = FEED_MERGE
+        elif entry.role is _SHORTCUT_ROLE and block is not None:
+            feed = FEED_SHORTCUT
+        yield layer, feed, opens
+    _require_one_add(stage, block, adds)
+
+
+def _require_one_add(stage: int | None, block: int | None, adds: int) -> None:
+    if block is not None and adds != 1:
+        raise ValueError(
+            f"residual block stage{stage}.block{block} has {adds} add layers, expected exactly one"
         )
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A run of entries: either purely sequential or one residual block."""
-
-    kind: str  # "linear" | "block"
-    entries: tuple[LayerEntry, ...]
 
 
 @dataclass(frozen=True)

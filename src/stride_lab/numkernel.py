@@ -84,15 +84,17 @@ from .layers import (
     Add,
     BatchNorm2d,
     Conv2d,
+    FEED_MAP,
+    FEED_SHORTCUT,
     FullyConnected,
     GlobalAvgPool,
     MaxPool2d,
     ModelSpec,
     Res2NetConv,
-    Role,
     ShortcutKind,
     SqueezeExcite,
     TemporalStatsPool,
+    route,
 )
 from .strides import StridePair
 
@@ -105,7 +107,6 @@ __all__ = [
     "conv2d_forward",
     "gradcheck_conv",
     "init_weights",
-    "residual_block_forward",
     "run_model",
     "stats_pooling_forward",
     "zero_weights",
@@ -436,10 +437,6 @@ def res2net_forward(
     return np.concatenate(outs, axis=1)
 
 
-def _subsample(x: np.ndarray, stride: StridePair) -> np.ndarray:
-    return x[:, :, :: stride.freq, :: stride.time]
-
-
 # ---------------------------------------------------------------------------
 # Whole-model execution
 # ---------------------------------------------------------------------------
@@ -584,64 +581,49 @@ def _step(layer, x, owned, weights, counter, records):
     share memory with ``x`` (the BN identity, an in-place ReLU) keeps the
     ownership of ``x``; any other output is a fresh array, owned."""
     y = _apply(layer, x, weights, counter, owned)
-    if records is not None:
-        _record_shape(records, layer.name, y)
+    records.append((layer.name, tuple(int(d) for d in y.shape[1:])))  # no batch axis
     if np.may_share_memory(x, y):
         return y, owned  # x's own buffer, still finite
     _require_finite_output(y, layer.name)
     return y, True
 
 
-def _record_shape(records, name, value):
-    if value.ndim == 4:
-        records.append((name, tuple(int(d) for d in value.shape[1:])))
-    else:
-        records.append((name, (int(value.shape[1]),)))
+def _merge(layer: Add, x, owned, block_in, shortcut, records):
+    """The add's output: the shortcut merged into ``x``, in place when
+    ``x`` is owned. The identity and subsample shortcuts read the block
+    input, a projection its shortcut chain's output."""
+    if layer.shortcut is ShortcutKind.SUBSAMPLE:
+        shortcut = block_in[:, :, :: layer.stride.freq, :: layer.stride.time]
+    elif layer.shortcut is ShortcutKind.IDENTITY:
+        shortcut = block_in
+    if x.shape != shortcut.shape:
+        raise KernelError(f"{layer.name}: branch {x.shape} != shortcut {shortcut.shape}")
+    y = np.add(x, shortcut, out=x if owned else None)
+    _require_finite_output(y, layer.name)
+    records.append((layer.name, tuple(int(d) for d in y.shape[1:])))
+    return y
 
 
-def residual_block_forward(
-    x: np.ndarray,
-    segment,
-    weights: dict,
-    counter: OpCounter | None = None,
-    records: list | None = None,
-) -> np.ndarray:
-    """Execute one residual block segment: branch(x) plus shortcut(x).
-
-    The shortcut is the identity when shapes are preserved, a parameter-free
-    strided subsampling when only the spatial shape changes, and the
-    segment's projection layers otherwise. Layers after the add act on the
-    merged map.
-
-    ``x`` is never written, since the shortcut reads it. A ReLU works in
-    place, and the add merges the shortcut into the branch in place, only
-    on arrays this call allocated; the result is always such an array.
-    """
-    branch = shortcut = x
-    owned = merged = False
-    for entry in segment.entries:
-        layer = entry.layer
-        if isinstance(layer, Add):
-            if layer.shortcut is ShortcutKind.SUBSAMPLE:
-                shortcut = _subsample(x, layer.stride)
-            elif layer.shortcut is ShortcutKind.IDENTITY:
-                shortcut = x
-            if branch.shape != shortcut.shape:
-                raise KernelError(
-                    f"{layer.name}: branch {branch.shape} != shortcut {shortcut.shape}"
-                )
-            branch = np.add(branch, shortcut, out=branch if owned else None)
-            owned = merged = True
-            _require_finite_output(branch, layer.name)
-            if records is not None:
-                _record_shape(records, layer.name, branch)
-        elif entry.role is Role.SHORTCUT:
-            shortcut, _ = _step(layer, shortcut, False, weights, counter, records)
-        else:
-            branch, owned = _step(layer, branch, owned, weights, counter, records)
-    if not merged:
-        raise KernelError("residual segment executed without an add layer")
-    return branch
+def _run(entries, x, weights, counter, records):
+    """The output of ``entries``, a walk that starts at a block boundary,
+    fed as :func:`~stride_lab.layers.route` says. ``x`` is never written,
+    and neither is a block input, which the shortcut still reads: a ReLU or
+    an add works in place only on a map this walk allocated. An overflow
+    raises the KernelError of the first layer whose output is not finite,
+    not a numpy warning."""
+    owned = False  # x is the caller's until a layer allocates
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer, feed, opens in route(entries):
+            if opens:
+                block_in = shortcut = x
+                owned = False
+            if feed is FEED_MAP:
+                x, owned = _step(layer, x, owned, weights, counter, records)
+            elif feed is FEED_SHORTCUT:
+                shortcut, _ = _step(layer, shortcut, False, weights, counter, records)
+            else:
+                x, owned = _merge(layer, x, owned, block_in, shortcut, records), True
+    return x
 
 
 def run_model(
@@ -682,18 +664,7 @@ def run_model(
         weights = _DrawnWeights(spec, seed, _work_dtype(x))
     counter = OpCounter()
     records: list[tuple[str, tuple[int, ...]]] = []
-
-    owned = False  # x is the caller's until a layer allocates
-    # An overflow surfaces as the KernelError of the first layer whose
-    # output is not finite, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for segment in spec.segments():
-            if segment.kind == "linear":
-                for entry in segment.entries:
-                    x, owned = _step(entry.layer, x, owned, weights, counter, records)
-            else:
-                x, owned = residual_block_forward(x, segment, weights, counter, records), True
-
+    x = _run(spec.entries, x, weights, counter, records)
     return RunResult(embedding=x, counter=counter, shapes=tuple(records))
 
 

@@ -50,6 +50,7 @@ from .layers import (
     SqueezeExcite,
     StageSpec,
     TemporalStatsPool,
+    route,
 )
 from .strides import NUM_STAGES, STRIDE_VALUES, StridePair, TrellisPath
 
@@ -396,21 +397,13 @@ def _check_model(spec: ModelSpec) -> None:
             found[kind].add(layer.scale)
         elif kind is FullyConnected:
             head = layer  # the last projection makes the embedding
-    # Both walkers merge a block's shortcut at its one add; with none the
-    # block cannot run, a second add would merge the shortcut twice, and
-    # outside a block there is no shortcut to merge.
-    for segment in spec.segments():
-        adds = [entry.layer.name for entry in segment.entries if type(entry.layer) is Add]
-        if segment.kind != "block":
-            if adds:
-                raise SpecFormatError(f"add layer {adds[0]!r} is outside any residual block")
-            continue
-        if len(adds) != 1:
-            first = segment.entries[0]
-            raise SpecFormatError(
-                f"residual block stage{first.stage}.block{first.block} has {len(adds)} add layers, "
-                f"expected exactly one"
-            )
+    # The analysis and the kernel walk entries through layers.route, which
+    # refuses a block without exactly one add and an add outside any block.
+    try:
+        for _ in route(spec.entries):
+            pass
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from None
     if head is not None and head.out_dim != spec.embedding_dim:
         raise SpecFormatError(
             f"embedding_dim {spec.embedding_dim} does not match {head.name} out_dim {head.out_dim}"

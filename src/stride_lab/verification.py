@@ -3,7 +3,11 @@
 Each check builds a spec, runs it on a real tensor, and demands that the
 numeric per-layer output shapes equal the symbolic trace and that the
 instrumented multiply count equals the analytic MAC count exactly. The two
-sides are computed by independent code paths.
+sides share one thing: :func:`~stride_lab.layers.route`, which decides
+which map feeds which layer. The rest is independent. Numeric shapes come
+from real arrays and multiplies from the dimensions of the arrays each
+kernel multiplies; the analytic shapes, MACs and parameters come from the
+rule table ``analysis._RULES``.
 
 The numeric run is in single precision (:data:`VERIFY_DTYPE`), about twice
 the GEMM rate of float64. Precision cannot change a verdict: shapes and

@@ -200,8 +200,8 @@ class TestCountFlops:
             family = "original_resnet" if name == "ORI" else "modified_resnet"
             spec = build(make_request(family, 34, path=name))
             alpha, _ = final_factors(spec.path)
-            records = trace(spec, freq=80, time=320, include_head=False)
-            t_out = records[-1].out_shape[2]
+            pool = next(r for r in trace(spec, freq=80, time=320) if len(r.out_shape) == 1)
+            t_out = pool.in_shape[2]
             assert abs(320 / t_out - alpha) <= 1
 
     def test_flops_totals_equal_per_layer_sum(self, gemini34):

@@ -304,7 +304,7 @@ def test_head_size_and_walked_params_match_the_trace(req, time):
     except BuildError:
         assume(False)
     # The traced body output is the oracle for the head's input size.
-    channels, freq, _ = trace(build_body(req), include_head=False)[-1].out_shape
+    channels, freq, _ = trace(build_body(req))[-1].out_shape
     fc = spec.entries[-1].layer
     assert isinstance(fc, FullyConnected)
     if req.family is Family.ORIGINAL_RESNET:

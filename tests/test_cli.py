@@ -172,10 +172,14 @@ class TestAnalyze:
         }
         deltas = {tag: compare(*pair) for tag, pair in reports.items()}
         assert doc["index"] == argv[-1]
+        assert (doc["family"], doc["depth"]) == (other.family.value, other.depth_label)
         assert doc["params_total"] == reports["2s"][1].params_total
         assert doc["flops"] == {tag: pair[1].flops_total for tag, pair in reports.items()}
         assert doc["params_pct"] == deltas["2s"].params_pct
         assert doc["flops_pct"] == {tag: delta.flops_pct for tag, delta in deltas.items()}
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert (code, err) == (0, "")
+        assert f"\ncompared    {other.display_name}\n" in out
 
     @pytest.mark.parametrize("flags", [
         ("--json", "--csv"),
@@ -465,6 +469,10 @@ class TestVerifyCommand:
         ("analyze", "resnet", "34", "--freq-bins", "0"),
         ("analyze", "resnet", "34", "--embedding-dim", "0"),
         ("build", "resnet", "34", "--embedding-dim", "-3"),
+        ("verify", "--seed", "-1"),
+        ("verify", "--seed", "18446744073709551616"),
+        ("verify", "--seed", "9223372036854775808"),
+        ("verify", "--seed", "18446744073709551615", "--gradcheck"),
     ],
 )
 def test_bad_argument_value_is_usage_error(capsys, argv):
@@ -660,3 +668,17 @@ class TestSeedEnvOverride:
         monkeypatch.setenv("STRIDE_LAB_SEED", "not-an-int")
         with pytest.raises(ValueError):
             default_seed()
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "9223372036854775808"])
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("STRIDE_LAB_SEED", value)
+        code, out, err = run_cli(capsys, "verify", "--gradcheck", "--gradcheck-trials", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: STRIDE_LAB_SEED ")
+        assert "Traceback" not in err
+
+    def test_largest_seed_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("STRIDE_LAB_SEED", str(2**63 - 1))
+        code, out, _ = run_cli(capsys, "verify", "--gradcheck", "--gradcheck-trials", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**63 - 1

@@ -19,7 +19,6 @@ from stride_lab.layers import (
     Conv2d,
     FullyConnected,
     LayerEntry,
-    Segment,
     ShortcutKind,
     TensorShape,
 )
@@ -31,7 +30,6 @@ from stride_lab.numkernel import (
     fully_connected_forward,
     gradcheck_conv,
     init_weights,
-    residual_block_forward,
     run_model,
     stats_pooling_forward,
     zero_weights,
@@ -313,11 +311,96 @@ class TestFullyConnected:
 
 
 def hand_block(branch):
-    """A hand-built block segment: the given branch layers, the add, a ReLU."""
+    """A hand-built block's entries: the given branch layers, the add, a ReLU."""
     entries = [LayerEntry(layer, stage=2, block=1) for layer in branch]
     entries.append(LayerEntry(Add("b.add", ShortcutKind.IDENTITY), stage=2, block=1))
     entries.append(LayerEntry(Activation("b.act_out"), stage=2, block=1))
-    return Segment(kind="block", entries=tuple(entries))
+    return tuple(entries)
+
+
+def first_block(spec, shortcut=ShortcutKind.IDENTITY):
+    """The entries of the first residual block whose add has that shortcut."""
+    adds = [e for e in spec.entries if isinstance(e.layer, Add) and e.layer.shortcut is shortcut]
+    key = (adds[0].stage, adds[0].block)
+    return tuple(e for e in spec.entries if (e.stage, e.block) == key)
+
+
+def run_block(entries, x, weights, records=None):
+    """The kernel's private walk over one block's entries."""
+    return numkernel._run(entries, x, weights, OpCounter(), [] if records is None else records)
+
+
+#: Literal per-layer (name, out shape) records at 16 bins x 21 frames, one
+#: run of layers per case: case -> (request, records). Worked by hand from
+#: out = (in + 2p - k) // s + 1, ceil(in / s) for a subsample shortcut.
+ROUTING_TABLE = {
+    "basic-identity": (("modified_resnet", 18, "MOD", 4, {}), [
+        ("stage2.block1.conv1", (4, 16, 21)), ("stage2.block1.bn1", (4, 16, 21)),
+        ("stage2.block1.act1", (4, 16, 21)), ("stage2.block1.conv2", (4, 16, 21)),
+        ("stage2.block1.bn2", (4, 16, 21)), ("stage2.block1.add", (4, 16, 21)),
+        ("stage2.block1.act_out", (4, 16, 21)),
+    ]),
+    "basic-subsample": (("modified_resnet", 18, "T14d", 4, {}), [
+        ("stage2.block1.conv1", (4, 8, 11)), ("stage2.block1.bn1", (4, 8, 11)),
+        ("stage2.block1.act1", (4, 8, 11)), ("stage2.block1.conv2", (4, 8, 11)),
+        ("stage2.block1.bn2", (4, 8, 11)), ("stage2.block1.add", (4, 8, 11)),
+        ("stage2.block1.act_out", (4, 8, 11)), ("stage2.block2.conv1", (4, 8, 11)),
+    ]),
+    "basic-projection": (("modified_resnet", 18, "MOD", 4, {}), [
+        ("stage3.block1.conv1", (8, 8, 11)), ("stage3.block1.bn1", (8, 8, 11)),
+        ("stage3.block1.act1", (8, 8, 11)), ("stage3.block1.conv2", (8, 8, 11)),
+        ("stage3.block1.bn2", (8, 8, 11)), ("stage3.block1.shortcut.conv", (8, 8, 11)),
+        ("stage3.block1.shortcut.bn", (8, 8, 11)), ("stage3.block1.add", (8, 8, 11)),
+        ("stage3.block1.act_out", (8, 8, 11)),
+    ]),
+    "bottleneck": (("modified_resnet", 50, "MOD", 4, {}), [
+        ("stage3.block1.conv1", (8, 16, 21)), ("stage3.block1.bn1", (8, 16, 21)),
+        ("stage3.block1.act1", (8, 16, 21)), ("stage3.block1.conv2", (8, 8, 11)),
+        ("stage3.block1.bn2", (8, 8, 11)), ("stage3.block1.act2", (8, 8, 11)),
+        ("stage3.block1.conv3", (32, 8, 11)), ("stage3.block1.bn3", (32, 8, 11)),
+        ("stage3.block1.shortcut.conv", (32, 8, 11)), ("stage3.block1.shortcut.bn", (32, 8, 11)),
+        ("stage3.block1.add", (32, 8, 11)), ("stage3.block1.act_out", (32, 8, 11)),
+    ]),
+    "df": (("df_resnet", 59, "MOD", 4, {}), [
+        ("stage3.downsample.conv", (8, 8, 11)), ("stage3.downsample.bn", (8, 8, 11)),
+        ("stage3.downsample.act", (8, 8, 11)), ("stage3.block1.conv1", (32, 8, 11)),
+        ("stage3.block1.bn1", (32, 8, 11)), ("stage3.block1.act1", (32, 8, 11)),
+        ("stage3.block1.conv2", (32, 8, 11)), ("stage3.block1.bn2", (32, 8, 11)),
+        ("stage3.block1.act2", (32, 8, 11)), ("stage3.block1.conv3", (8, 8, 11)),
+        ("stage3.block1.bn3", (8, 8, 11)), ("stage3.block1.add", (8, 8, 11)),
+        ("stage3.block1.act_out", (8, 8, 11)),
+    ]),
+    "se": (("modified_resnet", 18, "MOD", 4, {"se_reduction": 2}), [
+        ("stage3.block1.conv1", (8, 8, 11)), ("stage3.block1.bn1", (8, 8, 11)),
+        ("stage3.block1.act1", (8, 8, 11)), ("stage3.block1.conv2", (8, 8, 11)),
+        ("stage3.block1.bn2", (8, 8, 11)), ("stage3.block1.se", (8, 8, 11)),
+        ("stage3.block1.shortcut.conv", (8, 8, 11)), ("stage3.block1.shortcut.bn", (8, 8, 11)),
+        ("stage3.block1.add", (8, 8, 11)), ("stage3.block1.act_out", (8, 8, 11)),
+    ]),
+    "res2net": (("modified_resnet", 18, "MOD", 8, {"res2net_scale": 4}), [
+        ("stage3.block1.conv1", (16, 8, 11)), ("stage3.block1.bn1", (16, 8, 11)),
+        ("stage3.block1.act1", (16, 8, 11)), ("stage3.block1.conv2", (16, 8, 11)),
+        ("stage3.block1.shortcut.conv", (16, 8, 11)), ("stage3.block1.shortcut.bn", (16, 8, 11)),
+        ("stage3.block1.add", (16, 8, 11)), ("stage3.block1.act_out", (16, 8, 11)),
+    ]),
+    "ori-maxpool-stem": (("original_resnet", 18, "ORI", 4, {}), [
+        ("stem.conv", (4, 8, 11)), ("stem.bn", (4, 8, 11)), ("stem.act", (4, 8, 11)),
+        ("stage2.maxpool", (4, 4, 6)), ("stage2.block1.conv1", (4, 4, 6)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTING_TABLE))
+def test_routing_table_matches_trace_and_kernel(case):
+    (family, depth, path, channels, options), expected = ROUTING_TABLE[case]
+    spec = build(make_request(family, depth, path=path, base_channels=channels,
+                              embedding_dim=8, input_freq_bins=16, **options))
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, size=(1, 1, 16, 21))
+    symbolic = [(r.name, r.out_shape) for r in trace(spec, time=21)]
+    numeric = list(run_model(spec, x, seed=1).shapes)
+    for records in (symbolic, numeric):
+        start = [name for name, _ in records].index(expected[0][0])
+        assert records[start : start + len(expected)] == expected
 
 
 class TestResidualBlock:
@@ -329,7 +412,7 @@ class TestResidualBlock:
         x = np.random.default_rng(2).normal(size=(1, 3, 5, 6))
         before = x.copy()
         records = []
-        out = residual_block_forward(x, hand_block(branch), {}, records=records)
+        out = run_block(hand_block(branch), x, {}, records)
         assert np.array_equal(x, before)
         branch_out = np.maximum(before, 0.0) if branch else before
         assert np.array_equal(out, np.maximum(branch_out + before, 0.0))
@@ -340,28 +423,34 @@ class TestResidualBlock:
         # The subsample shortcut is a view of the block input.
         spec = build(make_request("gemini_resnet", 18, path="T14c", base_channels=4,
                                   embedding_dim=16, input_freq_bins=16))
-        block = next(s for s in spec.segments() if s.kind == "block"
-                     and s.entries[-2].layer.shortcut is ShortcutKind.SUBSAMPLE)
-        channels = block.entries[0].layer.in_channels
+        block = first_block(spec, ShortcutKind.SUBSAMPLE)
+        channels = block[0].layer.in_channels
         x = np.random.default_rng(5).normal(size=(1, channels, 8, 20))
         before = x.copy()
-        residual_block_forward(x, block, init_weights(spec, 3))
+        run_block(block, x, init_weights(spec, 3))
         assert np.array_equal(x, before)
 
     def test_zero_branch_identity_shortcut_returns_input(self):
         spec = small_spec()
-        block = next(s for s in spec.segments() if s.kind == "block")
         weights = zero_weights(spec)
         x = np.abs(np.random.default_rng(2).normal(size=(1, 4, 16, 20)))
-        out = residual_block_forward(x, block, weights)
+        out = run_block(first_block(spec), x, weights)
         np.testing.assert_allclose(out, x, atol=0)
+
+    def test_zero_branch_subsample_shortcut_returns_subsampled_input(self):
+        # Post-add layers act on the merged map: with a zero branch, the
+        # block's output is the ReLU of the subsampled block input.
+        spec = build(make_request("modified_resnet", 18, path="T14d", base_channels=4,
+                                  embedding_dim=16, input_freq_bins=16))
+        x = np.abs(np.random.default_rng(2).normal(size=(1, 4, 16, 21)))
+        out = run_block(first_block(spec, ShortcutKind.SUBSAMPLE), x, zero_weights(spec))
+        np.testing.assert_allclose(out, x[:, :, ::2, ::2], atol=0)
 
     def test_drawn_weights_refuse_a_layer_out_of_entry_order(self):
         spec = small_spec()
-        block = next(s for s in spec.segments() if s.kind == "block")
         x = np.ones((1, 4, 16, 20))
         with pytest.raises(KernelError, match=r"out of entry order \(next drawn: stem\.conv\)"):
-            residual_block_forward(x, block, numkernel._DrawnWeights(spec, 1))
+            run_block(first_block(spec), x, numkernel._DrawnWeights(spec, 1))
 
     def test_identity_initialized_projection_returns_input(self):
         layer = Conv2d("proj", 3, 3, (1, 1))
@@ -525,7 +614,7 @@ class TestRunModel:
         # scratch and out-of-place ReLUs and adds put the peak near 4 maps.
         spec = build(make_request("df_resnet", 182, path="MOD"))
         frames = 64
-        largest = 8 * max(int(np.prod(r.out_shape)) for r in trace(spec, time=frames, include_head=False))
+        largest = 8 * max(int(np.prod(r.out_shape)) for r in trace(spec, time=frames) if len(r.out_shape) == 3)
         x = np.random.default_rng(4).normal(size=(1, 1, 80, frames))
         _, peak = traced_peak(run_model, spec, x)
         assert peak < 2.5 * largest
@@ -560,8 +649,8 @@ class TestRunModel:
         np.testing.assert_allclose(result.embedding, 0.0, atol=0)
 
     def test_mod34_final_feature_map(self, mod34):
-        records = trace(mod34, freq=80, time=300, include_head=False)
-        assert records[-1].out_shape == (256, 10, 38)
+        pool = next(r for r in trace(mod34, freq=80, time=300) if len(r.out_shape) == 1)
+        assert pool.in_shape == (256, 10, 38)
 
     def test_se_and_res2net_paths_execute(self):
         spec = build(make_request("modified_resnet", 18, base_channels=8,
