@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -29,6 +30,31 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: sha256 of the stdout of ``analyze`` CSV commands. The CSV table is an
+#: output format: its bytes must not move when the code that writes it does.
+CSV_DIGESTS = {
+    "resnet 34 --catalog":
+        "36dc8aa20d8d0338160f46f357679e11f7ac2455055f270e3f473aa82d10bedc",
+    "resnet 34 --catalog --freq-bins 40":
+        "733055f7ba03de51f934058ac68ecb91d71f3bf66847b3bd93bbd160db0a2df4",
+    "resnet 34 --catalog --se 4":
+        "86cd13c2aca617a9be0a22e611008ae1ec000c10816c26be90d4a073eeb8ae53",
+    "resnet 34 --path MOD --compare T14c --csv":
+        "64f00f20923726c2d709091c946702547853e98e8d64c3829da4594ac77fa0f0",
+    "dfresnet 59 --compare T14c --csv":
+        "4223a62e4c17208c1dd4dce76e827a7a8abb3a50d3f46a74fbe9a3f30c531618",
+    "original-resnet 34 --csv":
+        "dcafbc40b4766954aeb03a27e6023be510d5e2926c1897d682b5b8ba4dab28b2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CSV_DIGESTS))
+def test_csv_bytes_unchanged(capsys, argv):
+    code, out, err = run_cli(capsys, "analyze", *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CSV_DIGESTS[argv]
 
 
 class TestEnumerate:
