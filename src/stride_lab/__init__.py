@@ -13,13 +13,11 @@ from .analysis import (
     conv_out_size,
     count_flops,
     count_params,
-    propagate_shape,
     trace,
 )
 from .builder import (
     BuildError,
     BuildRequest,
-    attach_head,
     build,
     depth_from_blocks,
     make_request,
@@ -50,7 +48,7 @@ from .numkernel import (
     run_model,
     stats_pooling_forward,
 )
-from .serialize import TableRow, format_table, model_from_json, model_to_json, parse_table
+from .serialize import format_table, model_from_json, model_to_json
 from .strides import (
     PathClass,
     StridePair,
@@ -92,13 +90,11 @@ __all__ = [
     "ShapeUnderflowError",
     "StageSpec",
     "StridePair",
-    "TableRow",
     "TensorShape",
     "TrellisEndpoint",
     "TrellisPath",
     "TrialScoreSet",
     "UnknownConfigError",
-    "attach_head",
     "build",
     "canonical_name",
     "classify_path",
@@ -122,8 +118,6 @@ __all__ = [
     "make_request",
     "model_from_json",
     "model_to_json",
-    "parse_table",
-    "propagate_shape",
     "rank_paths_by_flops",
     "request_from_spec",
     "resolve_name",

@@ -10,8 +10,8 @@ pooling, and residual adds count zero. Parameters count conv kernels
 fully connected weights plus biases.
 
 One rule table, ``_RULES``, maps each layer type to its shape, parameter,
-MAC and (for pooling and projection layers) head rule; ``propagate_shape``,
-``layer_flops``, ``trace`` and the counts all dispatch through it. The
+MAC and (for pooling and projection layers) head rule; ``trace`` and the
+counts all dispatch through it. The
 walk carries shapes as plain ``(C, F, T)`` tuples, ``count_params`` calls
 each layer's parameter rule once, and ``count_flops`` takes MACs and
 parameters from the same walk. Every entry is on that walk (the head
@@ -34,7 +34,6 @@ from .layers import (
     FEED_SHORTCUT,
     FullyConnected,
     GlobalAvgPool,
-    Layer,
     MaxPool2d,
     ModelSpec,
     Res2NetConv,
@@ -54,8 +53,6 @@ __all__ = [
     "conv_out_size",
     "count_flops",
     "count_params",
-    "layer_flops",
-    "propagate_shape",
     "trace",
 ]
 
@@ -132,7 +129,7 @@ def _channel_shape(layer: SqueezeExcite | Res2NetConv, shape):
 
 
 def _no_shape(layer, shape):
-    raise AnalysisError(f"propagate_shape does not apply to {type(layer).__name__}")
+    raise AnalysisError(f"no shape rule for {type(layer).__name__}")
 
 
 # -- head rules: (layer, (C, F, T) or None, flat dim or None) -> flat dim --
@@ -239,16 +236,6 @@ _RULES = {
 _NO_RULE = _Rule(_no_shape, _zero, _zero)
 
 
-def propagate_shape(shape: TensorShape, layer: Layer) -> TensorShape:
-    """Feature-map shape after a single 4D-preserving layer."""
-    return TensorShape(*_RULES.get(type(layer), _NO_RULE).shape(layer, shape.as_tuple()))
-
-
-def layer_flops(layer: Layer, out_shape: tuple[int, ...]) -> int:
-    """Multiply-accumulate count of one layer for a given output shape."""
-    return _RULES.get(type(layer), _NO_RULE).flops(layer, out_shape)
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     """Per-layer shape record: 3-tuples are (C, F, T) maps, 1-tuples are flat."""
@@ -320,10 +307,7 @@ def count_params(spec: ModelSpec) -> ComplexityReport:
         params = _RULES.get(type(layer), _NO_RULE).params(layer)
         if params:
             by_layer.append((layer.name, params))
-    return ComplexityReport(
-        params_total=sum(v for _, v in by_layer),
-        params_by_layer=tuple(by_layer),
-    )
+    return ComplexityReport(params_by_layer=tuple(by_layer))
 
 
 def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
@@ -340,9 +324,7 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
         if flops:
             flops_by_layer.append((layer.name, flops))
     return ComplexityReport(
-        params_total=sum(v for _, v in params_by_layer),
         params_by_layer=tuple(params_by_layer),
-        flops_total=sum(v for _, v in flops_by_layer),
         flops_by_layer=tuple(flops_by_layer),
         input_shape=input_shape,
     )

@@ -53,7 +53,6 @@ from .strides import StridePair, TrellisPath, canonical_name, final_factors, res
 __all__ = [
     "BuildError",
     "BuildRequest",
-    "attach_head",
     "build",
     "default_base_channels",
     "default_block_counts",
@@ -483,26 +482,8 @@ def build_body(req: BuildRequest) -> ModelSpec:
     )
 
 
-def _with_head(spec: ModelSpec, embedding_dim: int | None = None) -> ModelSpec:
-    """Append the head, sized from the stage table and the path."""
-    if embedding_dim is None:
-        embedding_dim = spec.embedding_dim
-    channels = spec.stages[-1].out_channels
-    entries = list(spec.entries)
-    if spec.family is Family.ORIGINAL_RESNET:
-        entries.append(LayerEntry(GlobalAvgPool("head.pool"), stage=0))
-        pooled = channels
-    else:
-        entries.append(LayerEntry(TemporalStatsPool("head.pool"), stage=0))
-        pooled = 2 * channels * -(-spec.input_freq_bins // final_factors(spec.path)[1])
-    entries.append(
-        LayerEntry(FullyConnected("head.fc", pooled, embedding_dim, bias=True), stage=0)
-    )
-    return replace(spec, entries=tuple(entries), embedding_dim=embedding_dim)
-
-
-def attach_head(spec: ModelSpec, embedding_dim: int | None = None) -> ModelSpec:
-    """Append the pooling layer and the embedding projection.
+def _with_head(spec: ModelSpec) -> ModelSpec:
+    """Append the pooling layer and the ``embedding_dim`` projection.
 
     The classic image recipe keeps its channel-wise global average pool; the
     speech recipes pool first and second moments over time per
@@ -516,11 +497,18 @@ def attach_head(spec: ModelSpec, embedding_dim: int | None = None) -> ModelSpec:
     a head of the declared size, which analysis rejects: ``head.fc`` must
     take exactly the walked flat size.
     """
-    if any(isinstance(e.layer, FullyConnected) for e in spec.entries):
-        raise BuildError("spec already has a head")
-    if not spec.stages:
-        raise BuildError("spec has no stages to size a head from")
-    return _with_head(spec, embedding_dim)
+    channels = spec.stages[-1].out_channels
+    entries = list(spec.entries)
+    if spec.family is Family.ORIGINAL_RESNET:
+        entries.append(LayerEntry(GlobalAvgPool("head.pool"), stage=0))
+        pooled = channels
+    else:
+        entries.append(LayerEntry(TemporalStatsPool("head.pool"), stage=0))
+        pooled = 2 * channels * -(-spec.input_freq_bins // final_factors(spec.path)[1])
+    entries.append(
+        LayerEntry(FullyConnected("head.fc", pooled, spec.embedding_dim, bias=True), stage=0)
+    )
+    return replace(spec, entries=tuple(entries))
 
 
 def build(req: BuildRequest) -> ModelSpec:

@@ -26,10 +26,9 @@ from .metrics import (
     compute_eer,
     compute_min_dcf,
 )
-from .numkernel import KernelError
+from .numkernel import KernelError, check_seed
 from .serialize import (
     SpecFormatError,
-    TableRow,
     format_table,
     model_from_json,
     model_to_json,
@@ -47,7 +46,6 @@ from .strides import (
 )
 from .trellis import enumerate_endpoints, enumerate_paths, golden_gemini_endpoints
 from .verification import (
-    SEED_ENV_VAR,
     VERIFY_DTYPE,
     default_seed,
     gradcheck_suite,
@@ -269,19 +267,20 @@ def _analyze_spec(spec):
     return spec, count_flops(spec, shape_2s), count_flops(spec, shape_3s)
 
 
-def _table_row(spec, report_2s, report_3s) -> TableRow:
+def _table_row(spec, report_2s, report_3s) -> tuple[str, ...]:
+    """One complexity-table record, in ``TABLE_HEADER`` order."""
     alpha, beta = final_factors(spec.path)
-    return TableRow(
-        index=spec.path.label or canonical_name(spec.path),
-        path_class=classify_path(spec.path).value,
-        alpha5=alpha,
-        beta5=beta,
-        time_strides=spec.path.time_strides,
-        freq_strides=spec.path.freq_strides,
-        params_millions=round(report_2s.params_millions, 2),
-        flops_2s_giga=round(report_2s.flops_giga, 2),
-        flops_3s_giga=round(report_3s.flops_giga, 2),
-        cataloged=is_cataloged(spec.path),
+    return (
+        spec.path.label or canonical_name(spec.path),
+        classify_path(spec.path).value,
+        str(alpha),
+        str(beta),
+        "-".join(str(v) for v in spec.path.time_strides),
+        "-".join(str(v) for v in spec.path.freq_strides),
+        f"{report_2s.params_millions:.2f}",
+        f"{report_2s.flops_giga:.2f}",
+        f"{report_3s.flops_giga:.2f}",
+        "yes" if is_cataloged(spec.path) else "no",
     )
 
 
@@ -399,17 +398,11 @@ def _environment() -> dict:
 
 def _resolve_seed(args) -> int:
     """The seed of a verify run: --seed, else the environment's (see
-    ``default_seed``). numpy seeds its generators from an unsigned 64-bit
-    integer and the gradient checks seed trial i with seed + i, so any
-    seed outside [0, 2**63) is a usage error."""
+    ``default_seed``). A seed that ``check_seed`` refuses is a usage error."""
     try:
-        seed = args.seed if args.seed is not None else default_seed()
+        return default_seed() if args.seed is None else check_seed(args.seed)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if not 0 <= seed < 2**63:
-        source = "--seed" if args.seed is not None else SEED_ENV_VAR
-        raise UsageError(f"{source} must be in [0, 2**63), got {seed}")
-    return seed
+        raise UsageError(str(exc) if args.seed is None else f"--seed: {exc}") from None
 
 
 def _cmd_verify(args) -> int:

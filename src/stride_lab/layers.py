@@ -362,20 +362,22 @@ def _require_one_add(stage: int | None, block: int | None, adds: int) -> None:
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Exact parameter and multiply-accumulate counts for a model."""
+    """Exact parameter and multiply-accumulate counts for a model. The totals
+    sum the per-layer entries; a parameter-only count has no FLOPs (None)."""
 
-    params_total: int
     params_by_layer: tuple[tuple[str, int], ...]
-    flops_total: int | None = None
     flops_by_layer: tuple[tuple[str, int], ...] | None = None
     input_shape: TensorShape | None = None
 
-    def __post_init__(self) -> None:
-        if self.params_total != sum(v for _, v in self.params_by_layer):
-            raise ValueError("params_total must equal the sum of per-layer entries")
-        if self.flops_by_layer is not None:
-            if self.flops_total != sum(v for _, v in self.flops_by_layer):
-                raise ValueError("flops_total must equal the sum of per-layer entries")
+    @property
+    def params_total(self) -> int:
+        return sum(v for _, v in self.params_by_layer)
+
+    @property
+    def flops_total(self) -> int | None:
+        if self.flops_by_layer is None:
+            return None
+        return sum(v for _, v in self.flops_by_layer)
 
     @property
     def params_millions(self) -> float:
@@ -383,6 +385,5 @@ class ComplexityReport:
 
     @property
     def flops_giga(self) -> float | None:
-        if self.flops_total is None:
-            return None
-        return self.flops_total / 1e9
+        total = self.flops_total
+        return None if total is None else total / 1e9

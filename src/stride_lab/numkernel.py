@@ -103,13 +103,13 @@ __all__ = [
     "KernelError",
     "OpCounter",
     "RunResult",
+    "check_seed",
     "conv2d_backward",
     "conv2d_forward",
     "gradcheck_conv",
     "init_weights",
     "run_model",
     "stats_pooling_forward",
-    "zero_weights",
 ]
 
 STATS_EPS = 1e-10
@@ -473,12 +473,21 @@ def _layer_params(spec: ModelSpec, draw, draw_fc=None):
             }
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it is in [0, 2**63), the seed range of every seeded
+    generator here; raises :class:`ValueError` otherwise."""
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
+    return seed
+
+
 def _uniform_draw(seed: int, dtype=np.float64):
     """``draw(*shape)``: a fresh ``dtype`` array of the next ``prod(shape)``
     values of one seeded block of :data:`WEIGHT_BLOCK` uniform [-0.1, 0.1]
     values, read cyclically. The block is drawn once in float64 and cast
     once, so a float32 weight is the cast of the float64 one."""
-    block = np.random.default_rng(np.uint64(seed)).uniform(-0.1, 0.1, WEIGHT_BLOCK).astype(dtype)
+    rng = np.random.default_rng(np.uint64(check_seed(seed)))
+    block = rng.uniform(-0.1, 0.1, WEIGHT_BLOCK).astype(dtype)
     pos = 0
 
     def draw(*shape: int) -> np.ndarray:
@@ -500,11 +509,6 @@ def init_weights(spec: ModelSpec, seed: int = DEFAULT_SEED) -> dict[str, dict]:
     name: the seed's weight block read cyclically in entry order (see
     :data:`WEIGHT_BLOCK`)."""
     return dict(_layer_params(spec, _uniform_draw(seed)))
-
-
-def zero_weights(spec: ModelSpec) -> dict[str, dict]:
-    """All-zero weights (fully connected biases included)."""
-    return dict(_layer_params(spec, lambda *shape: np.zeros(shape)))
 
 
 class _Deferred:
@@ -732,7 +736,7 @@ def gradcheck_conv(
     The loss is the sum of squared outputs. Intended for small layers; the
     numeric sweep touches every weight and input coordinate.
     """
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = np.random.default_rng(np.uint64(check_seed(seed)))
     if x is None:
         x = rng.uniform(-1.0, 1.0, size=(2, layer.in_channels, 6, 7))
     kf, kt = layer.kernel

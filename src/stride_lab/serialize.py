@@ -1,4 +1,5 @@
-"""Wire formats: model-spec JSON (schema v1) and complexity-table CSV.
+"""Wire formats: model-spec JSON (schema v1), written and read, and the
+complexity-table CSV, which is written, never read.
 
 Schema v1 is generated from the spec dataclasses in :mod:`.layers`. A layer
 is ``{"stage", "block", "role", "kind", **fields}`` in field order, a stage
@@ -31,7 +32,7 @@ import csv
 import enum
 import io
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import get_type_hints
@@ -57,11 +58,9 @@ from .strides import NUM_STAGES, STRIDE_VALUES, StridePair, TrellisPath
 __all__ = [
     "SCHEMA_VERSION",
     "SpecFormatError",
-    "TableRow",
     "format_table",
     "model_from_json",
     "model_to_json",
-    "parse_table",
 ]
 
 SCHEMA_VERSION = 1
@@ -458,67 +457,10 @@ TABLE_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One complexity-table row; numeric fields carry table precision."""
-
-    index: str
-    path_class: str
-    alpha5: int
-    beta5: int
-    time_strides: tuple[int, ...]
-    freq_strides: tuple[int, ...]
-    params_millions: float
-    flops_2s_giga: float
-    flops_3s_giga: float
-    cataloged: bool
-
-    def as_record(self) -> tuple[str, ...]:
-        return (
-            self.index,
-            self.path_class,
-            str(self.alpha5),
-            str(self.beta5),
-            "-".join(str(v) for v in self.time_strides),
-            "-".join(str(v) for v in self.freq_strides),
-            f"{self.params_millions:.2f}",
-            f"{self.flops_2s_giga:.2f}",
-            f"{self.flops_3s_giga:.2f}",
-            "yes" if self.cataloged else "no",
-        )
-
-
-def format_table(rows: list[TableRow] | tuple[TableRow, ...]) -> str:
+def format_table(records) -> str:
+    """:data:`TABLE_HEADER`, then one CSV row per record of strings."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TABLE_HEADER)
-    for row in rows:
-        writer.writerow(row.as_record())
+    writer.writerows(records)
     return buffer.getvalue()
-
-
-def parse_table(text: str) -> tuple[TableRow, ...]:
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
-    if header != TABLE_HEADER:
-        raise SpecFormatError(f"unexpected CSV header {header!r}")
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        (index, path_class, alpha5, beta5, time_s, freq_s, params, f2, f3, cataloged) = record
-        rows.append(
-            TableRow(
-                index=index,
-                path_class=path_class,
-                alpha5=int(alpha5),
-                beta5=int(beta5),
-                time_strides=tuple(int(v) for v in time_s.split("-")),
-                freq_strides=tuple(int(v) for v in freq_s.split("-")),
-                params_millions=float(params),
-                flops_2s_giga=float(f2),
-                flops_3s_giga=float(f3),
-                cataloged=cataloged == "yes",
-            )
-        )
-    return tuple(rows)

@@ -55,9 +55,6 @@ class TrellisEndpoint:
     def path_class(self) -> PathClass:
         return endpoint_class(self.alpha5, self.beta5)
 
-    def on_boundary(self) -> bool:
-        return any(e in (0, NUM_STAGES) for e in self.exponents)
-
 
 @dataclass(frozen=True)
 class PathFamily:

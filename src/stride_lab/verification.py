@@ -28,7 +28,7 @@ from .analysis import count_flops, trace
 from .builder import make_request, build
 from .catalog import CATALOG_NAMES
 from .layers import Conv2d, Family, ModelSpec, TensorShape
-from .numkernel import DEFAULT_SEED, GradCheckReport, gradcheck_conv, run_model
+from .numkernel import DEFAULT_SEED, GradCheckReport, check_seed, gradcheck_conv, run_model
 from .strides import StridePair
 
 __all__ = [
@@ -45,14 +45,15 @@ VERIFY_DTYPE = np.dtype(np.float32)
 
 
 def default_seed() -> int:
-    """The numeric seed, overridable through the environment."""
+    """The numeric seed, overridable through the environment by an integer
+    that passes :func:`~.numkernel.check_seed`; else :class:`ValueError`."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        return check_seed(int(raw))
     except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer in [0, 2**63), got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def verify_spec_numeric(
         seed = default_seed()
     label = name or spec.display_name
     symbolic = trace(spec, time=time)
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = np.random.default_rng(np.uint64(check_seed(seed)))
     x = rng.uniform(-1.0, 1.0, size=(1, 1, spec.input_freq_bins, time)).astype(VERIFY_DTYPE)
     result = run_model(spec, x, seed=seed)
     analytic = count_flops(spec, TensorShape(1, spec.input_freq_bins, time))
@@ -164,15 +165,16 @@ def gradcheck_suite(
     seed: int | None = None,
 ) -> tuple[GradCheckReport, ...]:
     """Finite-difference checks over random small layers, strided and
-    depthwise cases included."""
+    depthwise cases included. Trial i seeds its check with ``seed + i``,
+    wrapped into [0, 2**63)."""
     if seed is None:
         seed = default_seed()
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = np.random.default_rng(np.uint64(check_seed(seed)))
     reports = []
     for i in range(trials):
         layer = _grad_layer(rng, i)
         f = int(rng.integers(4, 9))
         t = int(rng.integers(4, 9))
         x = rng.uniform(-1.0, 1.0, size=(1, layer.in_channels, f, t))
-        reports.append(gradcheck_conv(layer, x=x, tolerance=tolerance, seed=seed + i))
+        reports.append(gradcheck_conv(layer, x=x, tolerance=tolerance, seed=(seed + i) % 2**63))
     return tuple(reports)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,10 @@ from stride_lab.analysis import (
     conv_out_size,
     count_flops,
     count_params,
-    propagate_shape,
     trace,
 )
 from stride_lab.builder import build, make_request
-from stride_lab.layers import Conv2d, TensorShape
+from stride_lab.layers import Conv2d, LayerEntry, TensorShape
 from stride_lab.strides import StridePair, final_factors, resolve_name
 
 INPUT_2S = TensorShape(1, 80, 200)
@@ -107,36 +108,43 @@ class TestConvOutSize:
         assert conv_out_size(r, k, p, d, s) == conv_out_size_direct(r, k, p, d, s)
 
 
-class TestPropagateShape:
-    def test_conv_sets_channels_and_downsamples(self):
-        layer = Conv2d("c", 32, 64, (3, 3), stride=StridePair(2, 2), padding=(1, 1))
-        out = propagate_shape(TensorShape(32, 80, 300), layer)
-        assert out.as_tuple() == (64, 40, 150)
+def trace_convs(spec, *convs, freq, time):
+    """``trace`` of ``spec``'s fields with bare stem convs for entries."""
+    body = dataclasses.replace(spec, entries=tuple(LayerEntry(c, stage=1) for c in convs))
+    return trace(body, freq=freq, time=time)
 
-    def test_underflow_raises(self):
+
+class TestPropagateShape:
+    def test_conv_sets_channels_and_downsamples(self, mod34):
+        layer = Conv2d("c", 1, 64, (3, 3), stride=StridePair(2, 2), padding=(1, 1))
+        (record,) = trace_convs(mod34, layer, freq=80, time=300)
+        assert (record.in_shape, record.out_shape) == ((1, 80, 300), (64, 40, 150))
+
+    def test_underflow_raises(self, mod34):
         layer = Conv2d("c", 1, 1, (3, 3), padding=(0, 0))
         with pytest.raises(ShapeUnderflowError) as err:
-            propagate_shape(TensorShape(1, 2, 10), layer)
+            trace_convs(mod34, layer, freq=2, time=10)
         assert err.value.dimension == "freq"
 
-    def test_channel_mismatch_raises(self):
+    def test_channel_mismatch_raises(self, mod34):
         layer = Conv2d("c", 16, 16, (3, 3), padding=(1, 1))
-        with pytest.raises(AnalysisError):
-            propagate_shape(TensorShape(8, 10, 10), layer)
+        with pytest.raises(AnalysisError, match="expects 16 channels, got 1"):
+            trace_convs(mod34, layer, freq=10, time=10)
 
-    def test_composition_equals_flat_propagation(self):
+    def test_composition_equals_flat_propagation(self, mod34):
         rng = np.random.default_rng(3)
         for _ in range(40):
-            c1 = Conv2d("a", 4, 8, (3, 3), stride=StridePair(int(rng.integers(1, 3)), 1),
+            c1 = Conv2d("a", 1, 8, (3, 3), stride=StridePair(int(rng.integers(1, 3)), 1),
                         padding=(1, 1))
             c2 = Conv2d("b", 8, 16, (3, 3), stride=StridePair(1, int(rng.integers(1, 3))),
                         padding=(1, 1))
-            start = TensorShape(4, int(rng.integers(8, 64)), int(rng.integers(8, 64)))
-            step = propagate_shape(propagate_shape(start, c1), c2)
-            chained = start
-            for layer in [c1, c2]:
-                chained = propagate_shape(chained, layer)
-            assert step == chained
+            f, t = int(rng.integers(8, 64)), int(rng.integers(8, 64))
+            first, second = trace_convs(mod34, c1, c2, freq=f, time=t)
+            for layer in (c1, c2):
+                f = conv_out_size(f, 3, 1, 1, layer.stride.freq)
+                t = conv_out_size(t, 3, 1, 1, layer.stride.time)
+            assert first.out_shape == second.in_shape
+            assert second.out_shape == (16, f, t)
 
 
 class TestCountParams:
@@ -177,11 +185,9 @@ class TestCountFlops:
         assert abs(got_2s - ref_2s) <= 0.05 * ref_2s, f"{case} 2s: {got_2s:.3f} vs {ref_2s}"
         assert abs(got_3s - ref_3s) <= 0.05 * ref_3s, f"{case} 3s: {got_3s:.3f} vs {ref_3s}"
 
-    def test_single_pointwise_conv_is_one_mac(self):
-        layer = Conv2d("c", 1, 1, (1, 1))
-        from stride_lab.analysis import layer_flops
-
-        assert layer_flops(layer, (1, 1, 1)) == 1
+    def test_single_pointwise_conv_is_one_mac(self, mod34):
+        body = dataclasses.replace(mod34, entries=(LayerEntry(Conv2d("c", 1, 1, (1, 1)), stage=1),))
+        assert count_flops(body, TensorShape(1, 1, 1)).flops_by_layer == (("c", 1),)
 
     def test_three_seconds_costs_more_but_below_ratio(self):
         # The duration-independent head keeps the ratio at or below the

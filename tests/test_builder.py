@@ -8,7 +8,6 @@ from stride_lab import builder as builder_module
 from stride_lab.analysis import AnalysisError, count_flops, count_params, trace
 from stride_lab.builder import (
     BuildError,
-    attach_head,
     build,
     build_body,
     depth_from_blocks,
@@ -107,26 +106,18 @@ class TestHead:
         fc = [e.layer for e in mod34.entries if isinstance(e.layer, FullyConnected)][0]
         assert fc.in_dim == 2 * 256 * 10
 
-    def test_attach_head_refuses_double_head(self, mod34):
-        with pytest.raises(BuildError):
-            attach_head(mod34)
-
-    def test_attach_head_needs_a_stage_table(self):
-        body = build_body(make_request("modified_resnet", 18, path="MOD"))
-        with pytest.raises(BuildError, match="no stages"):
-            attach_head(dataclasses.replace(body, stages=()))
-
     def test_head_sized_from_a_wrong_path_fails_analysis(self):
         body = build_body(make_request("modified_resnet", 34, path="MOD"))
-        spec = attach_head(dataclasses.replace(body, path=resolve_name("T14c")))
+        spec = builder_module._with_head(dataclasses.replace(body, path=resolve_name("T14c")))
         with pytest.raises(AnalysisError, match="head.fc: expects input dim 2560, got 5120"):
             count_flops(spec, TensorShape(1, 80, 200))
 
     def test_attach_head_on_body(self):
-        body = build_body(make_request("modified_resnet", 34, path="MOD"))
-        spec = attach_head(body, embedding_dim=192)
+        body = build_body(make_request("modified_resnet", 34, path="MOD", embedding_dim=192))
+        spec = builder_module._with_head(body)
         fc = [e.layer for e in spec.entries if isinstance(e.layer, FullyConnected)][0]
-        assert fc.out_dim == 192
+        assert (fc.out_dim, spec.embedding_dim) == (192, 192)
+        assert spec == build(make_request("modified_resnet", 34, path="MOD", embedding_dim=192))
 
 
 class TestDepthFormula:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ from stride_lab.catalog import CATALOG_NAMES
 from stride_lab.cli import main
 from stride_lab.layers import TensorShape
 from stride_lab.numkernel import run_model
-from stride_lab.serialize import parse_table
+from stride_lab.serialize import TABLE_HEADER
 from stride_lab.strides import resolve_name
 
 from oracles import MALFORMED_SPECS, random_trials, sweep_eer, sweep_min_dcf
@@ -30,6 +31,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_table(text):
+    """The rows of a CSV table, as dicts of strings keyed by its header."""
+    reader = csv.DictReader(io.StringIO(text))
+    rows = list(reader)
+    assert tuple(reader.fieldnames) == TABLE_HEADER
+    return rows
 
 
 #: sha256 of the stdout of ``analyze`` CSV commands. The CSV table is an
@@ -127,33 +136,33 @@ class TestAnalyze:
         code, second, _ = run_cli(capsys, "analyze", "resnet", "34", "--catalog")
         assert code == 0
         assert first == second
-        rows = parse_table(first)
+        rows = read_table(first)
         assert len(rows) == 24
-        by_name = {r.index: r for r in rows}
-        assert by_name["MOD"].params_millions == 6.63
-        assert by_name["T14c"].params_millions == 5.98
-        assert by_name["ORI"].params_millions == 21.41
-        assert all(r.cataloged for r in rows)
+        by_name = {r["index"]: r for r in rows}
+        assert by_name["MOD"]["params_millions"] == "6.63"
+        assert by_name["T14c"]["params_millions"] == "5.98"
+        assert by_name["ORI"]["params_millions"] == "21.41"
+        assert all(r["cataloged"] == "yes" for r in rows)
 
     def test_catalog_rows_follow_model_options(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--freq-bins", "40")
         assert code == 0
-        by_name = {r.index: r for r in parse_table(out)}
+        by_name = {r["index"]: r for r in read_table(out)}
         code, single, _ = run_cli(
             capsys, "analyze", "resnet", "34", "--path", "MOD", "--freq-bins", "40", "--csv"
         )
         assert code == 0
-        assert parse_table(single) == (by_name["MOD"],)
+        assert read_table(single) == [by_name["MOD"]]
         assert single.splitlines()[1] in out.splitlines()
         code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--se", "4")
         assert code == 0
-        with_se = {r.index: r for r in parse_table(out)}
-        assert with_se["MOD"].params_millions > 6.63
+        with_se = {r["index"]: r for r in read_table(out)}
+        assert float(with_se["MOD"]["params_millions"]) > 6.63
 
     def test_catalog_at_three_freq_bins(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--freq-bins", "3")
         assert code == 0, err
-        assert len(parse_table(out)) == 24
+        assert len(read_table(out)) == 24
 
     def test_catalog_rejects_a_path(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--catalog", "--path", "MOD")
@@ -176,8 +185,8 @@ class TestAnalyze:
         assert round(doc["compare"]["params_pct"], 2) == -9.88
         code, out, err = run_cli(capsys, "analyze", "resnet", "34", "--compare", "T14c", "--csv")
         assert (code, err) == (0, "")
-        assert [r.index for r in parse_table(out)] == ["MOD", "T14c"]
-        assert [r.params_millions for r in parse_table(out)] == [6.63, 5.98]
+        assert [r["index"] for r in read_table(out)] == ["MOD", "T14c"]
+        assert [r["params_millions"] for r in read_table(out)] == ["6.63", "5.98"]
 
     @pytest.mark.parametrize("argv,request_args", [
         (("resnet", "34", "--path", "MOD", "--compare", "T14c"), ("modified_resnet", 34, "MOD")),
@@ -247,9 +256,9 @@ class TestAnalyze:
     def test_single_row_csv(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--path", "T14c", "--csv")
         assert code == 0
-        rows = parse_table(out)
-        assert len(rows) == 1 and rows[0].index == "T14c"
-        assert rows[0].params_millions == 5.98
+        rows = read_table(out)
+        assert len(rows) == 1 and rows[0]["index"] == "T14c"
+        assert rows[0]["params_millions"] == "5.98"
 
     def test_per_layer_breakdown(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "resnet", "18", "--path", "MOD", "--per-layer")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import PRESETS, loop_conv2d, preset_requests, two_pass_stats_pool, whole_map_depthwise
 from stride_lab import numkernel, verification
-from stride_lab.analysis import count_flops, layer_flops, trace
+from stride_lab.analysis import conv_out_size, count_flops, trace
 from stride_lab.builder import BuildError, build, make_request
 from stride_lab.layers import (
     Activation,
@@ -32,7 +32,6 @@ from stride_lab.numkernel import (
     init_weights,
     run_model,
     stats_pooling_forward,
-    zero_weights,
 )
 from stride_lab.strides import StridePair
 from stride_lab.verification import catalog_spec, gradcheck_suite, verify_spec_numeric
@@ -41,6 +40,12 @@ from stride_lab.verification import catalog_spec, gradcheck_suite, verify_spec_n
 def small_spec():
     return build(make_request("modified_resnet", 18, path="MOD", base_channels=4,
                               embedding_dim=16, input_freq_bins=16))
+
+
+def zero_weights(spec):
+    """All-zero weights (fully connected biases included), keyed as
+    ``init_weights`` keys them."""
+    return dict(numkernel._layer_params(spec, lambda *shape: np.zeros(shape)))
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -259,8 +264,11 @@ class TestConvForward:
         x = rng.normal(size=(1, 4, 9, 11))
         counter = OpCounter()
         out = conv2d_forward(x, layer, rng.normal(size=(8, 4, 3, 3)), counter)
-        expected = layer_flops(layer, (8, out.shape[2], out.shape[3]))
-        assert counter.multiplies == expected
+        f_out = conv_out_size(9, 3, 1, 1, layer.stride.freq)
+        t_out = conv_out_size(11, 3, 1, 1, layer.stride.time)
+        assert out.shape == (1, 8, f_out, t_out)
+        # k_f * k_t * (in_channels / groups) * out_channels * F_out * T_out
+        assert counter.multiplies == 3 * 3 * 4 * 8 * f_out * t_out
 
     def test_rejects_wrong_weight_shape(self):
         layer = Conv2d("c", 4, 8, (3, 3), padding=(1, 1))
@@ -273,8 +281,6 @@ class TestConvForward:
             conv2d_forward(np.zeros((1, 3, 5, 5)), layer, np.zeros((8, 4, 3, 3)))
 
     def test_output_shape_matches_symbolic(self):
-        from stride_lab.analysis import propagate_shape
-
         rng = np.random.default_rng(9)
         for _ in range(25):
             cin = int(rng.integers(1, 5))
@@ -289,8 +295,9 @@ class TestConvForward:
             out = conv2d_forward(
                 rng.normal(size=(1, cin, f, t)), layer, rng.normal(size=(cout, cin, k, k))
             )
-            sym = propagate_shape(TensorShape(cin, f, t), layer)
-            assert out.shape[1:] == sym.as_tuple()
+            sym = tuple(conv_out_size(n, k, k // 2, 1, s)
+                        for n, s in ((f, layer.stride.freq), (t, layer.stride.time)))
+            assert out.shape[1:] == (cout, *sym)
 
 
 class TestFullyConnected:
@@ -794,3 +801,34 @@ class TestGradcheck:
         strided = [r for r in reports if not r.layer.stride.is_unit()]
         depthwise = [r for r in reports if r.layer.groups > 1]
         assert strided and depthwise
+
+
+class TestSeedRange:
+    """Every seeded entry point takes a seed in [0, 2**63) and refuses any
+    other with ``ValueError``, before numpy sees it."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_verify_refuses_seed(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*63\)"):
+            verify_spec_numeric(small_spec(), time=32, seed=seed)
+
+    def test_run_model_refuses_seed(self):
+        x = np.zeros((1, 1, 16, 32))
+        with pytest.raises(ValueError, match=r"got -1$"):
+            run_model(small_spec(), x, seed=-1)
+
+    def test_gradcheck_refuses_seed(self):
+        with pytest.raises(ValueError, match=r"got -1$"):
+            gradcheck_suite(trials=1, seed=-1)
+        with pytest.raises(ValueError, match=r"got -1$"):
+            gradcheck_conv(Conv2d("c", 1, 1, (1, 1)), seed=-1)
+
+    def test_environment_seed_out_of_range(self, monkeypatch):
+        monkeypatch.setenv("STRIDE_LAB_SEED", "-5")
+        with pytest.raises(ValueError, match=r"^STRIDE_LAB_SEED must be an integer in \[0, 2\*\*63\)"):
+            gradcheck_suite(trials=1)
+
+    def test_largest_seed_wraps_trial_seeds(self):
+        reports = gradcheck_suite(trials=2, seed=2**63 - 1)
+        assert len(reports) == 2 and all(r.passed for r in reports)
+        assert numkernel.check_seed(2**63 - 1) == 2**63 - 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from stride_lab import cli
 from stride_lab.analysis import AnalysisError, count_flops
 from stride_lab.builder import BuildError, build, make_request
 from stride_lab.catalog import GOLDEN_GEMINI_FACTORS
@@ -15,11 +16,9 @@ from stride_lab.diagram import trellis_dot
 from stride_lab.layers import TensorShape
 from stride_lab.serialize import (
     SpecFormatError,
-    TableRow,
     format_table,
     model_from_json,
     model_to_json,
-    parse_table,
 )
 from stride_lab.strides import final_factors, iter_all_paths, resolve_name
 from stride_lab.verification import catalog_spec
@@ -312,23 +311,8 @@ def test_mutated_document_loads_or_is_rejected(spec, data, tmp_path, capsys):
 
 class TestTableCsv:
     def make_row(self):
-        path = resolve_name("T14c")
-        return TableRow(
-            index="T14c",
-            path_class="time_priority",
-            alpha5=2,
-            beta5=16,
-            time_strides=path.time_strides,
-            freq_strides=path.freq_strides,
-            params_millions=5.98,
-            flops_2s_giga=4.35,
-            flops_3s_giga=6.52,
-            cataloged=True,
-        )
-
-    def test_format_parse_round_trip(self):
-        rows = (self.make_row(),)
-        assert parse_table(format_table(rows)) == rows
+        spec = build(make_request("gemini_resnet", 34, path="T14c"))
+        return cli._table_row(*cli._analyze_spec(spec))
 
     def test_header_is_fixed(self):
         text = format_table([self.make_row()])
@@ -337,13 +321,9 @@ class TestTableCsv:
             "params_millions,flops_2s_giga,flops_3s_giga,cataloged"
         )
 
-    def test_rejects_foreign_header(self):
-        with pytest.raises(SpecFormatError):
-            parse_table("a,b,c\n1,2,3\n")
-
     def test_numeric_formatting_two_decimals(self):
         line = format_table([self.make_row()]).splitlines()[1]
-        assert ",5.98,4.35,6.52," in line
+        assert line == "T14c,time_priority,2,16,1-1-2-1-1,1-2-2-2-2,5.98,4.35,6.52,yes"
 
 
 class TestTrellisDot:

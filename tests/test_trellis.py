@@ -83,8 +83,8 @@ class TestGoldenGemini:
             assert endpoint.path_class is PathClass.TIME_PRIORITY
 
     def test_neither_on_boundary(self):
+        assert [e.exponents for e in golden_gemini_endpoints()] == [(1, 4), (2, 3)]
         for endpoint in golden_gemini_endpoints():
-            assert not endpoint.on_boundary()
             assert all(e not in (0, 5) for e in endpoint.exponents)
 
 
