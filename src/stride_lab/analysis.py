@@ -17,11 +17,21 @@ each layer's parameter rule once, and ``count_flops`` takes MACs and
 parameters from the same walk. Every entry is on that walk (the head
 included), in entry order, so its parameters equal ``count_params``'s
 layer for layer.
+
+The walk may start at any block boundary from a given shape, and it
+returns the shape it ends at. A block's counts and output shape depend
+only on its entries and its input shape, so a trellis ranking
+(:func:`~stride_lab.trellis.rank_paths_by_flops`) walks each distinct block
+once per input shape and adds up the totals it keeps for it, in a memo
+that lives for that one ranking call. A single ``count_flops`` walks the
+whole spec in one pass and keeps nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .layers import (
@@ -34,6 +44,7 @@ from .layers import (
     FEED_SHORTCUT,
     FullyConnected,
     GlobalAvgPool,
+    LayerEntry,
     MaxPool2d,
     ModelSpec,
     Res2NetConv,
@@ -245,13 +256,21 @@ class TraceEntry:
     out_shape: tuple[int, ...]
 
 
-def _walk(spec: ModelSpec, freq: int, time: int) -> list[tuple]:
-    """(layer, rule, in shape, out shape) per layer, in entry order, each
-    layer fed the shape that :func:`~stride_lab.layers.route` names."""
-    shape: tuple[int, ...] | None = TensorShape(1, freq, time).as_tuple()
+def _walk(entries, shape: tuple[int, ...]) -> tuple[list[tuple], tuple[int, ...]]:
+    """(layer, rule, in shape, out shape) per entry, in entry order, each
+    layer fed the shape that :func:`~stride_lab.layers.route` names, and
+    the shape after the last entry.
+
+    The walk may start at any block boundary, from a ``(C, F, T)`` map or,
+    once a head layer has flattened it, from an ``(n,)`` vector; it returns
+    its end shape in the same form, so a run that starts where another
+    ended continues it exactly.
+    """
     flat: int | None = None
+    if len(shape) == 1:
+        (flat,), shape = shape, None
     records: list[tuple] = []
-    for layer, feed, opens in route(spec.entries):
+    for layer, feed, opens in route(entries):
         rule = _RULES.get(type(layer), _NO_RULE)
         if opens:
             if shape is None:
@@ -281,7 +300,7 @@ def _walk(spec: ModelSpec, freq: int, time: int) -> list[tuple]:
             out = rule.shape(layer, shape)
             records.append((layer, rule, shape, out))
             shape = out
-    return records
+    return records, (shape if shape is not None else (flat,))
 
 
 def trace(spec: ModelSpec, freq: int | None = None, time: int = 300) -> tuple[TraceEntry, ...]:
@@ -293,10 +312,8 @@ def trace(spec: ModelSpec, freq: int | None = None, time: int = 300) -> tuple[Tr
     """
     if freq is None:
         freq = spec.input_freq_bins
-    return tuple(
-        TraceEntry(layer.name, in_shape, out_shape)
-        for layer, _, in_shape, out_shape in _walk(spec, freq, time)
-    )
+    records, _ = _walk(spec.entries, TensorShape(1, freq, time).as_tuple())
+    return tuple(TraceEntry(layer.name, in_shape, out_shape) for layer, _, in_shape, out_shape in records)
 
 
 def count_params(spec: ModelSpec) -> ComplexityReport:
@@ -316,7 +333,7 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
         raise AnalysisError("backbones take single-channel spectrogram input")
     params_by_layer = []
     flops_by_layer = []
-    for layer, rule, _, out_shape in _walk(spec, input_shape.freq, input_shape.time):
+    for layer, rule, _, out_shape in _walk(spec.entries, input_shape.as_tuple())[0]:
         params = rule.params(layer)
         if params:
             params_by_layer.append((layer.name, params))
@@ -328,6 +345,51 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
         flops_by_layer=tuple(flops_by_layer),
         input_shape=input_shape,
     )
+
+
+#: A run of entries with one ``(stage, block)``: a residual block, or
+#: plumbing outside blocks when ``block`` is None.
+_RUN_KEY = attrgetter("stage", "block")
+
+
+def _run_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...]) -> tuple:
+    """``(run, params, MACs, out shape)`` of one run walked from ``shape``."""
+    records, out = _walk(run, shape)
+    return (run, sum(rule.params(layer) for layer, rule, _, _ in records),
+            sum(rule.flops(layer, out_shape) for layer, rule, _, out_shape in records), out)
+
+
+def _memo_totals(spec: ModelSpec, input_shape: TensorShape, memo: dict) -> tuple[int, int]:
+    """The ``(params_total, flops_total)`` of ``count_flops(spec,
+    input_shape)``, each residual block counted once per ``memo`` and input
+    shape.
+
+    ``memo`` maps ``(id(first entry), in shape)`` to one block's
+    :func:`_run_totals`. A hit counts only if its entries equal the
+    block's: the same objects (the builder shares a memoized block's
+    entries between specs) compare at once, equal values compare field by
+    field, and a first entry reused ahead of other layers misses. The memo
+    holds the entries it keys, so no key's id is reused while it lives.
+    Runs outside blocks (stem, downsampling convs, head) are built afresh
+    for every spec and are walked every time.
+    """
+    if input_shape.channels != 1:
+        raise AnalysisError("backbones take single-channel spectrogram input")
+    shape = input_shape.as_tuple()
+    params_total = flops_total = 0
+    for (_, block), run in groupby(spec.entries, _RUN_KEY):
+        run = tuple(run)
+        if block is None:
+            totals = _run_totals(run, shape)
+        else:
+            key = (id(run[0]), shape)
+            totals = memo.get(key)
+            if totals is None or totals[0] != run:
+                totals = memo[key] = _run_totals(run, shape)
+        _, params, flops, shape = totals
+        params_total += params
+        flops_total += flops
+    return params_total, flops_total
 
 
 @dataclass(frozen=True)

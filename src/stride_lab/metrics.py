@@ -102,10 +102,10 @@ class _TrialPairs(Sequence):
 class TrialScoreSet:
     """Labeled similarity scores; at least one target and one non-target.
 
-    Built from ``(score, is_target)`` pairs, from two score lists, or from a
-    score file. Holds only the read-only ``scores`` and ``is_target`` arrays
-    (plus the cached operating points). Equality, hashing and ``repr`` go by
-    the trial sequence, as for a tuple of pairs: ``-0.0`` equals ``0.0``.
+    Built from ``(score, is_target)`` pairs or from a score file. Holds
+    only the read-only ``scores`` and ``is_target`` arrays (plus the cached
+    operating points). Equality, hashing and ``repr`` go by the trial
+    sequence, as for a tuple of pairs: ``-0.0`` equals ``0.0``.
     """
 
     __slots__ = ("scores", "is_target", "_points")
@@ -157,13 +157,6 @@ class TrialScoreSet:
 
     def __repr__(self) -> str:
         return f"TrialScoreSet(trials={self.trials!r})"
-
-    @classmethod
-    def from_scores(cls, target_scores, nontarget_scores) -> "TrialScoreSet":
-        targets = np.fromiter(map(float, target_scores), dtype=float)
-        nontargets = np.fromiter(map(float, nontarget_scores), dtype=float)
-        is_target = np.repeat([True, False], [targets.size, nontargets.size])
-        return cls._from_arrays(np.concatenate([targets, nontargets]), is_target)
 
     @classmethod
     def from_text(cls, text: str) -> "TrialScoreSet":

@@ -117,25 +117,30 @@ def rank_paths_by_flops(
     re-elaborated; parameter counts are asserted identical across the family.
     Paths that underflow the input shape are reported with an error and sort
     last instead of aborting the ranking.
+
+    The totals are ``count_flops``'s, but each distinct residual block is
+    walked once per input shape it meets: every later path that reaches the
+    same block at the same shape reuses its params, MACs and output shape
+    from a memo that lives for this call only.
     """
-    from .analysis import ShapeUnderflowError, count_flops, count_params
+    from .analysis import ShapeUnderflowError, _memo_totals, count_params
     from .builder import build, request_from_spec
 
     ranked: list[RankedPath] = []
     params_seen: set[int] = set()
+    memo: dict = {}
     for path in family.paths:
         name = canonical_name(path)
         spec = build(request_from_spec(spec_template, path=path))
         try:
-            report = count_flops(spec, input_shape)
+            params, flops = _memo_totals(spec, input_shape, memo)
         except ShapeUnderflowError as exc:
             ranked.append(RankedPath(path, name, rank=-1, flops_total=0,
                                      params_total=count_params(spec).params_total,
                                      error=str(exc)))
             continue
-        params_seen.add(report.params_total)
-        ranked.append(RankedPath(path, name, rank=-1, flops_total=report.flops_total,
-                                 params_total=report.params_total))
+        params_seen.add(params)
+        ranked.append(RankedPath(path, name, rank=-1, flops_total=flops, params_total=params))
     if len(params_seen) > 1:
         raise AssertionError(
             f"parameter count varies within family ({family.endpoint.alpha5}, "

@@ -7,6 +7,8 @@ document built as plain dicts from ``dataclasses.fields``, for
 ``json.dumps(..., indent=2)`` to encode. ``MALFORMED_SPECS`` holds the spec
 documents that both the loader tests and the CLI tests expect rejected, and
 ``preset_requests`` draws build requests over every preset family and depth.
+``rank_rows_by_count_flops`` ranks a trellis family with no block memo:
+one whole ``count_flops`` per path.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import enum
 import numpy as np
 from hypothesis import strategies as st
 
+from stride_lab import builder
+from stride_lab.analysis import ShapeUnderflowError, count_flops, count_params
 from stride_lab.builder import make_request
 from stride_lab.catalog import GOLDEN_GEMINI_FACTORS
 from stride_lab.layers import (
@@ -33,7 +37,13 @@ from stride_lab.layers import (
     TemporalStatsPool,
 )
 from stride_lab.metrics import DegenerateScoresError, ScoreFileError
-from stride_lab.strides import StridePair, TrellisPath, final_factors, iter_all_paths
+from stride_lab.strides import (
+    StridePair,
+    TrellisPath,
+    canonical_name,
+    final_factors,
+    iter_all_paths,
+)
 
 
 def conv_out_size_direct(r_in, kernel, padding, dilation, stride):
@@ -380,3 +390,29 @@ def preset_requests(draw, freq_bins=st.integers(1, 200), base_channels=st.none()
         base_channels=draw(base_channels),
         embedding_dim=draw(embedding_dim),
     )
+
+
+def rank_rows_by_count_flops(family, input_shape, template):
+    """``[name, rank, flops_total, params_total, error]`` per path, as
+    ``rank_paths_by_flops`` ranks them, with no memo: every path is built
+    (through ``builder.build``, so a test's patch applies) and counted by
+    a whole ``count_flops``. Raises the ranking's AssertionError when the
+    params of the counted paths differ."""
+    valid, invalid = [], []
+    for path in family.paths:
+        spec = builder.build(builder.request_from_spec(template, path=path))
+        try:
+            report = count_flops(spec, input_shape)
+        except ShapeUnderflowError as exc:
+            invalid.append([canonical_name(path), 0, count_params(spec).params_total, str(exc)])
+        else:
+            valid.append([canonical_name(path), report.flops_total, report.params_total, None])
+    params = sorted({row[2] for row in valid})
+    if len(params) > 1:
+        endpoint = family.endpoint
+        raise AssertionError(
+            f"parameter count varies within family ({endpoint.alpha5}, {endpoint.beta5}): {params}"
+        )
+    valid.sort(key=lambda row: (-row[1], row[0]))
+    return [[name, rank, flops, params, error]
+            for rank, (name, flops, params, error) in enumerate(valid + invalid, start=1)]

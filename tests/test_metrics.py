@@ -25,6 +25,14 @@ from stride_lab.metrics import (
 )
 
 
+def scored(target_scores, nontarget_scores):
+    """A set of the given target scores, then the given non-target scores."""
+    targets = np.asarray(target_scores, dtype=float)
+    nontargets = np.asarray(nontarget_scores, dtype=float)
+    is_target = np.repeat([True, False], [targets.size, nontargets.size])
+    return TrialScoreSet._from_arrays(np.concatenate([targets, nontargets]), is_target)
+
+
 class TestTrialScoreSet:
     def test_requires_both_classes(self):
         with pytest.raises(ValueError):
@@ -72,7 +80,7 @@ class TestTrialScoreSet:
         assert repr(built) == "TrialScoreSet(trials=((1.5, True), (-2.0, False)))"
 
     def test_score_arrays_are_fresh_copies(self):
-        trials = TrialScoreSet.from_scores([0.9, 0.8], [0.1])
+        trials = scored([0.9, 0.8], [0.1])
         trials.target_scores[0] = -1.0
         trials.nontarget_scores[0] = 5.0
         assert list(trials.target_scores) == [0.9, 0.8]
@@ -82,14 +90,14 @@ class TestTrialScoreSet:
         sets = [
             TrialScoreSet.from_text("target -0.0\nnontarget 1\n"),
             TrialScoreSet(trials=((0.0, True), (1.0, False))),
-            TrialScoreSet.from_scores([-0.0], [1]),
+            scored([-0.0], [1]),
         ]
         for a in sets:
             for b in sets:
                 assert a == b
                 assert hash(a) == hash(b)
-        assert sets[0] != TrialScoreSet.from_scores([1.0], [-0.0])
-        assert sets[0] != TrialScoreSet.from_scores([-0.0, 1.0], [1.0])
+        assert sets[0] != scored([1.0], [-0.0])
+        assert sets[0] != scored([-0.0, 1.0], [1.0])
 
     def test_trials_is_a_read_only_view_of_python_pairs(self):
         trials = TrialScoreSet.from_text("nontarget -2\ntarget 1.5\ntarget 0.25\n")
@@ -108,7 +116,7 @@ class TestTrialScoreSet:
 
     def test_trials_len_builds_no_pairs(self):
         half = np.linspace(-1.0, 1.0, 50_000)
-        trials = TrialScoreSet.from_scores(half, half)
+        trials = scored(half, half)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -143,17 +151,17 @@ class TestTrialScoreSet:
 
 class TestComputeEer:
     def test_perfectly_separated(self):
-        trials = TrialScoreSet.from_scores([1.0, 0.9], [0.1, 0.0])
+        trials = scored([1.0, 0.9], [0.1, 0.0])
         eer, _ = compute_eer(trials)
         assert eer == 0.0
 
     def test_perfectly_inverted(self):
-        trials = TrialScoreSet.from_scores([0.1, 0.0], [1.0, 0.9])
+        trials = scored([0.1, 0.0], [1.0, 0.9])
         eer, _ = compute_eer(trials)
         assert eer == 1.0
 
     def test_degenerate_scores_rejected(self):
-        trials = TrialScoreSet.from_scores([0.5], [0.5])
+        trials = scored([0.5], [0.5])
         with pytest.raises(DegenerateScoresError):
             compute_eer(trials)
 
@@ -169,21 +177,21 @@ class TestComputeEer:
 
     def test_half_for_interleaved(self):
         # Same score multiset in both classes: chance behavior.
-        trials = TrialScoreSet.from_scores([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+        trials = scored([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
         eer, _ = compute_eer(trials)
         assert 0.0 < eer <= 1.0
 
 
 class TestComputeMinDcf:
     def test_perfectly_separated_is_zero(self):
-        trials = TrialScoreSet.from_scores([1.0, 0.9], [0.1, 0.0])
+        trials = scored([1.0, 0.9], [0.1, 0.0])
         dcf, _ = compute_min_dcf(trials)
         assert dcf == 0.0
 
     def test_zero_discrimination_is_one(self):
         # Identical score distributions: rejecting everything is optimal.
         scores = [0.1, 0.4, 0.7, 0.9]
-        trials = TrialScoreSet.from_scores(scores, scores)
+        trials = scored(scores, scores)
         dcf, _ = compute_min_dcf(trials, p_target=0.01)
         assert dcf == pytest.approx(1.0, abs=1e-12)
 
@@ -198,7 +206,7 @@ class TestComputeMinDcf:
             assert thr == pytest.approx(ref_thr, abs=1e-9)
 
     def test_validates_parameters(self):
-        trials = TrialScoreSet.from_scores([1.0], [0.0])
+        trials = scored([1.0], [0.0])
         with pytest.raises(ValueError):
             compute_min_dcf(trials, p_target=0.0)
         with pytest.raises(ValueError):
@@ -209,12 +217,12 @@ class TestComputeMinDcf:
         [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
     )
     def test_rejects_non_finite_costs(self, c_fa, c_miss):
-        trials = TrialScoreSet.from_scores([1.0], [0.0])
+        trials = scored([1.0], [0.0])
         with pytest.raises(ValueError, match="finite and positive"):
             compute_min_dcf(trials, c_fa=c_fa, c_miss=c_miss)
 
     def test_degenerate_scores_rejected(self):
-        trials = TrialScoreSet.from_scores([0.5, 0.5], [0.5])
+        trials = scored([0.5, 0.5], [0.5])
         with pytest.raises(DegenerateScoresError):
             compute_min_dcf(trials)
 
@@ -246,8 +254,8 @@ class TestMonotoneInvariance:
         ordered = sorted(set(targets) | set(nontargets))
         mapped_values = [transform(v) for v in ordered]
         assume(all(b > a for a, b in zip(mapped_values, mapped_values[1:])))
-        base = TrialScoreSet.from_scores(targets, nontargets)
-        mapped = TrialScoreSet.from_scores(
+        base = scored(targets, nontargets)
+        mapped = scored(
             [transform(v) for v in targets], [transform(v) for v in nontargets]
         )
         eer_a, _ = compute_eer(base)
@@ -349,8 +357,8 @@ class TestOneSortOperatingPoints:
     @settings(max_examples=300, deadline=None)
     def test_equals_three_sort_reference(self, data):
         targets, nontargets = data
-        trials = TrialScoreSet.from_scores(targets, nontargets)
-        reference = TrialScoreSet.from_scores(targets, nontargets)
+        trials = scored(targets, nontargets)
+        reference = scored(targets, nontargets)
         try:
             want_points = three_sort_operating_points(reference)
         except DegenerateScoresError:

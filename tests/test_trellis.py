@@ -1,13 +1,23 @@
+import dataclasses
 import itertools
 from math import comb
 
 import numpy as np
 import pytest
 
-from stride_lab.analysis import count_flops, count_params
+from oracles import rank_rows_by_count_flops
+from stride_lab import builder
+from stride_lab.analysis import _memo_totals, count_flops, trace
 from stride_lab.builder import build, make_request, request_from_spec
-from stride_lab.layers import TensorShape
-from stride_lab.strides import PathClass, TrellisPath, classify_path
+from stride_lab.layers import Conv2d, TensorShape
+from stride_lab.serialize import model_from_json, model_to_json
+from stride_lab.strides import (
+    PathClass,
+    TrellisPath,
+    classify_path,
+    downsampling_factors,
+    iter_all_paths,
+)
 from stride_lab.trellis import (
     PathFamily,
     TrellisEndpoint,
@@ -169,3 +179,152 @@ class TestEarlierDownsamplingMonotonicity:
                     INPUT_3S,
                 ).flops_total
                 assert moved <= base, (time, freq, time2, freq2)
+
+
+def _rows(ranked):
+    return [[r.name, r.rank, r.flops_total, r.params_total, r.error] for r in ranked]
+
+
+def _ranking_outcome(rank, family, shape, template):
+    """The rows of ``rank``, or the AssertionError it raised, as text."""
+    try:
+        return rank(family, shape, template)
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+def _assert_ranks_as_oracle(template, shape):
+    """All 36 endpoint families rank as the memo-free oracle ranks them;
+    returns the rows (or error texts) per endpoint."""
+    outcomes = []
+    for endpoint in enumerate_endpoints():
+        family = enumerate_paths(endpoint)
+        got = _ranking_outcome(lambda *a: _rows(rank_paths_by_flops(*a)), family, shape, template)
+        assert got == _ranking_outcome(rank_rows_by_count_flops, family, shape, template), endpoint
+        outcomes.append(got)
+    return outcomes
+
+
+def _count_flops_totals(spec, shape):
+    """``(params_total, flops_total)`` of one whole ``count_flops``."""
+    report = count_flops(spec, shape)
+    return report.params_total, report.flops_total
+
+
+class TestBlockMemoExactness:
+    """The block-count memo of a ranking gives exactly the totals of a whole
+    ``count_flops`` per path."""
+
+    @pytest.mark.parametrize("family, depth, path, options, frames", [
+        ("modified_resnet", 34, "MOD", {}, 300),
+        ("modified_resnet", 50, "MOD", {}, 200),
+        ("original_resnet", 34, "ORI", {}, 200),
+        ("gemini_resnet", 34, "T14c", {}, 300),
+        ("sd_resnet", 38, "MOD", {}, 200),
+        ("modified_resnet", 34, "MOD", {"se_reduction": 8}, 300),
+        ("modified_resnet", 34, "MOD", {"res2net_scale": 4}, 300),
+        # Odd and small: most paths reach their late blocks at T = 1.
+        ("modified_resnet", 34, "MOD", {}, 3),
+    ])
+    def test_every_endpoint_ranks_as_the_oracle(self, family, depth, path, options, frames):
+        template = build(make_request(family, depth, path=path, **options))
+        outcomes = _assert_ranks_as_oracle(template, TensorShape(1, 80, frames))
+        assert all(isinstance(rows, list) for rows in outcomes)
+
+    def test_df_resnet_raises_the_oracles_assertion(self):
+        template = build(make_request("df_resnet", 182, path="MOD"))
+        outcomes = _assert_ranks_as_oracle(template, TensorShape(1, 80, 300))
+        raised = [o for o in outcomes if isinstance(o, str)]
+        assert len(raised) == 24
+        assert all(o.startswith("AssertionError: parameter count varies within family") for o in raised)
+
+    def test_underflowing_paths_rank_last_as_the_oracle(self, monkeypatch):
+        # No built layer underflows (every stride maps n to ceil(n/2)), so
+        # unpad the time axis of SD-ResNet's four downsampling convs: each
+        # then takes 2 frames, and a path underflows when it halves T early.
+        plain_build = builder.build
+
+        def unpadded_build(request):
+            spec = plain_build(request)
+            entries = tuple(
+                dataclasses.replace(e, layer=dataclasses.replace(e.layer, padding=(1, 0)))
+                if e.layer.name.endswith("downsample.conv") else e
+                for e in spec.entries
+            )
+            return dataclasses.replace(spec, entries=entries)
+
+        monkeypatch.setattr(builder, "build", unpadded_build)
+        template = build(make_request("sd_resnet", 38, path="MOD"))
+        outcomes = _assert_ranks_as_oracle(template, TensorShape(1, 80, 21))
+        errors = [row[4] for rows in outcomes for row in rows]
+        assert 0 < sum(e is not None for e in errors) < len(errors)
+        assert all(e is None or "time dimension underflows" in e for e in errors)
+
+    def test_equal_blocks_from_json_hit_by_value(self, mod34):
+        loaded = model_from_json(model_to_json(mod34))
+        # Each block opens with the built spec's entry, then goes on with
+        # the loaded spec's copies: equal values, other objects.
+        mixed = tuple(
+            built if built.block is not None and (i == 0 or mod34.entries[i - 1].block != built.block)
+            else copy
+            for i, (built, copy) in enumerate(zip(mod34.entries, loaded.entries))
+        )
+        mixed = dataclasses.replace(loaded, entries=mixed)
+        assert any(a is not b for a, b in zip(mixed.entries, mod34.entries))
+        memo = {}
+        assert _memo_totals(mod34, INPUT_3S, memo) == _count_flops_totals(mod34, INPUT_3S)
+        keys = set(memo)
+        assert _memo_totals(mixed, INPUT_3S, memo) == _count_flops_totals(mixed, INPUT_3S)
+        assert set(memo) == keys
+        assert _memo_totals(loaded, INPUT_3S, memo) == _count_flops_totals(loaded, INPUT_3S)
+
+    def test_reused_first_entry_ahead_of_other_layers_misses(self, mod34):
+        # stage3.block2 keeps its first entry object; its second conv
+        # becomes a 1x1, which keeps the shapes and changes the counts.
+        entries = list(mod34.entries)
+        index = next(i for i, e in enumerate(entries) if e.layer.name == "stage3.block2.conv2")
+        conv = entries[index].layer
+        assert isinstance(conv, Conv2d) and entries[index - 3].layer.name == "stage3.block2.conv1"
+        entries[index] = dataclasses.replace(
+            entries[index], layer=dataclasses.replace(conv, kernel=(1, 1), padding=(0, 0)))
+        other = dataclasses.replace(mod34, entries=tuple(entries))
+        assert _count_flops_totals(other, INPUT_3S) != _count_flops_totals(mod34, INPUT_3S)
+        for first, second in ((mod34, other), (other, mod34)):
+            memo = {}
+            assert _memo_totals(first, INPUT_3S, memo) == _count_flops_totals(first, INPUT_3S)
+            assert _memo_totals(second, INPUT_3S, memo) == _count_flops_totals(second, INPUT_3S)
+
+    def test_one_memo_serves_two_input_shapes(self, mod34):
+        memo = {}
+        shapes = (TensorShape(1, 80, 200), INPUT_3S, TensorShape(1, 80, 200))
+        for shape in shapes:
+            assert _memo_totals(mod34, shape, memo) == _count_flops_totals(mod34, shape)
+        assert {key[1] for key in memo} >= {(64, 40, 100), (64, 40, 150)}
+
+
+class TestClosedFormPrecondition:
+    """Every stage of every path ends at ``(ceil(80/beta_s), ceil(T/alpha_s))``,
+    the shape a closed-form count of the stride space relies on."""
+
+    @pytest.mark.parametrize("family, depth, path", [
+        ("modified_resnet", 34, "MOD"),
+        ("modified_resnet", 50, "MOD"),
+        ("df_resnet", 182, "MOD"),
+        ("original_resnet", 34, "ORI"),
+        ("sd_resnet", 38, "MOD"),
+    ])
+    def test_each_stage_ends_at_the_ceiling_of_its_factors(self, family, depth, path):
+        template = build(make_request(family, depth, path=path))
+        frames = 301
+        paths = tuple(iter_all_paths())
+        assert len(paths) == 1024
+        for path in paths:
+            spec = build(request_from_spec(template, path=path))
+            stage_of = {e.layer.name: e.stage for e in spec.entries}
+            last = {}
+            for record in trace(spec, freq=80, time=frames):
+                if stage_of[record.name]:
+                    last[stage_of[record.name]] = record.out_shape[1:]
+            want = {stage: (-(-80 // beta), -(-frames // alpha))
+                    for stage, (alpha, beta) in enumerate(downsampling_factors(path), start=1)}
+            assert last == want, path
