@@ -175,8 +175,7 @@ def _zero(layer, out_shape=None) -> int:
 
 def _conv_params(layer: Conv2d) -> int:
     kf, kt = layer.kernel
-    count = kf * kt * (layer.in_channels // layer.groups) * layer.out_channels
-    return count + layer.out_channels if layer.bias else count
+    return kf * kt * (layer.in_channels // layer.groups) * layer.out_channels
 
 
 def _conv_flops(layer: Conv2d, out_shape) -> int:
@@ -303,16 +302,21 @@ def _walk(entries, shape: tuple[int, ...]) -> tuple[list[tuple], tuple[int, ...]
     return records, (shape if shape is not None else (flat,))
 
 
-def trace(spec: ModelSpec, freq: int | None = None, time: int = 300) -> tuple[TraceEntry, ...]:
+def _start(input_shape: TensorShape) -> tuple[int, int, int]:
+    """The walk's start tuple for ``input_shape``: a backbone input has one channel."""
+    if input_shape.channels != 1:
+        raise AnalysisError("backbones take single-channel spectrogram input")
+    return input_shape.as_tuple()
+
+
+def trace(spec: ModelSpec, input_shape: TensorShape) -> tuple[TraceEntry, ...]:
     """Propagate an input through the whole spec, one record per layer.
 
     Residual blocks are routed by :func:`~stride_lab.layers.route`: main
     and shortcut layers chain from the block input, and the add asserts
     both sides meet at the same shape.
     """
-    if freq is None:
-        freq = spec.input_freq_bins
-    records, _ = _walk(spec.entries, TensorShape(1, freq, time).as_tuple())
+    records, _ = _walk(spec.entries, _start(input_shape))
     return tuple(TraceEntry(layer.name, in_shape, out_shape) for layer, _, in_shape, out_shape in records)
 
 
@@ -329,11 +333,9 @@ def count_params(spec: ModelSpec) -> ComplexityReport:
 
 def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
     """Exact MAC count for one input shape (batch of one)."""
-    if input_shape.channels != 1:
-        raise AnalysisError("backbones take single-channel spectrogram input")
     params_by_layer = []
     flops_by_layer = []
-    for layer, rule, _, out_shape in _walk(spec.entries, input_shape.as_tuple())[0]:
+    for layer, rule, _, out_shape in _walk(spec.entries, _start(input_shape))[0]:
         params = rule.params(layer)
         if params:
             params_by_layer.append((layer.name, params))
@@ -373,9 +375,7 @@ def _memo_totals(spec: ModelSpec, input_shape: TensorShape, memo: dict) -> tuple
     Runs outside blocks (stem, downsampling convs, head) are built afresh
     for every spec and are walked every time.
     """
-    if input_shape.channels != 1:
-        raise AnalysisError("backbones take single-channel spectrogram input")
-    shape = input_shape.as_tuple()
+    shape = _start(input_shape)
     params_total = flops_total = 0
     for (_, block), run in groupby(spec.entries, _RUN_KEY):
         run = tuple(run)

@@ -194,21 +194,21 @@ def _block_kind(req: BuildRequest) -> BlockKind:
     return default_block_counts(req.family, req.depth_label)[0]
 
 
-def _sd_flags(req: BuildRequest) -> tuple[bool, bool, bool, bool]:
-    """Which of stages 2..5 get a separate downsampling conv."""
-    if req.family is Family.SD_RESNET:
+def _sd_flags(family: Family, path: TrellisPath) -> tuple[bool, bool, bool, bool]:
+    """Which of stages 2..5 get a separate downsampling conv: the one rule
+    behind the depth labels that count them."""
+    if family is Family.SD_RESNET:
         return (True, True, True, True)
-    if req.family is Family.DF_RESNET:
+    if family is Family.DF_RESNET:
         # Channel width changes force one at stages 3..5; stage 2 only needs
         # one when the path actually strides there.
-        return (not req.path.steps[1].is_unit(), True, True, True)
+        return (not path.steps[1].is_unit(), True, True, True)
     return (False, False, False, False)
 
 
 def _validate_depth(req: BuildRequest, kind: BlockKind, sd_flags: tuple[bool, ...]) -> None:
-    m = sum(req.block_counts)
-    extra = sum(1 for flag in sd_flags if flag)
-    expected = depth_from_blocks(kind, m, extra)
+    extra = sum(sd_flags)
+    expected = depth_from_blocks(kind, sum(req.block_counts), extra)
     if expected != req.depth_label:
         detail = f" incl. {extra} downsampling convs" if extra else ""
         raise BuildError(
@@ -401,7 +401,7 @@ def build_body(req: BuildRequest) -> ModelSpec:
         raise BuildError(f"expected 4 per-stage block counts, got {req.block_counts}")
     _check_integers(req)
     kind = _block_kind(req)
-    sd_flags = _sd_flags(req)
+    sd_flags = _sd_flags(req.family, req.path)
     _validate_depth(req, kind, sd_flags)
     _check_options(req, kind)
 
@@ -518,24 +518,20 @@ def build(req: BuildRequest) -> ModelSpec:
 
 def request_from_spec(spec: ModelSpec, path: TrellisPath | None = None) -> BuildRequest:
     """Recover the build request a spec was elaborated from, optionally
-    substituting a different stride configuration."""
+    substituting a different stride configuration; the depth label counts
+    the blocks and the new path's :func:`_sd_flags` downsampling convs."""
     new_path = path if path is not None else spec.path
     family = spec.family
     if family is Family.GEMINI_RESNET and final_factors(new_path) not in GOLDEN_GEMINI_FACTORS:
         family = Family.MODIFIED_RESNET
-    depth = spec.depth_label
-    if family is Family.DF_RESNET and path is not None:
-        # Keep the depth label consistent with the substituted path's
-        # stage-2 downsampling conv.
-        kind = BlockKind.DF_INVERTED
-        extra = 3 + (0 if new_path.steps[1].is_unit() else 1)
-        depth = depth_from_blocks(kind, sum(s.num_blocks for s in spec.stages), extra)
+    block_counts = tuple(s.num_blocks for s in spec.stages)
+    kind = spec.stages[0].kind if spec.stages else None  # no stages: 0 blocks, refused
     return BuildRequest(
         family=family,
-        depth_label=depth,
+        depth_label=depth_from_blocks(kind, sum(block_counts), sum(_sd_flags(family, new_path))),
         path=new_path,
         base_channels=spec.base_channels,
-        block_counts=tuple(s.num_blocks for s in spec.stages),
+        block_counts=block_counts,
         embedding_dim=spec.embedding_dim,
         input_freq_bins=spec.input_freq_bins,
         se_reduction=spec.se_reduction,

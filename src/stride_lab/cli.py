@@ -80,7 +80,8 @@ _CLASSES = {
 }
 
 #: Removed command-line forms (a subcommand and its flags) and what replaces each.
-_REMOVED = {"compare": "analyze FAMILY DEPTH --path A --compare B", "enumerate --dot": "render"}
+_REMOVED = {"compare": "analyze FAMILY DEPTH --path A --compare B", "enumerate --dot": "render",
+            "verify --all-table3-configs": "verify --all-catalog-configs"}
 
 
 class UsageError(Exception):
@@ -150,8 +151,6 @@ def _build_parser() -> _Parser:
                            help="analyze every cataloged configuration")
 
     p_verify = sub.add_parser("verify", help="numeric-vs-symbolic cross checks")
-    p_verify.add_argument("--all-table3-configs", action="store_true",
-                          help="check the strategic-search configuration set")
     p_verify.add_argument("--all-catalog-configs", action="store_true",
                           help="check every cataloged configuration")
     p_verify.add_argument("--gradcheck", action="store_true")
@@ -420,10 +419,6 @@ def _cmd_verify(args) -> int:
             return EXIT_BUILD
         checks.append(verify_spec_numeric(spec, time=args.frames, seed=seed))
 
-    table3 = CATALOG_NAMES[:18]
-    if args.all_table3_configs:
-        ran_anything = True
-        checks.extend(verify_catalog_configs(table3, time=args.frames, seed=seed))
     if args.all_catalog_configs:
         ran_anything = True
         checks.extend(verify_catalog_configs(CATALOG_NAMES, time=args.frames, seed=seed))

@@ -114,6 +114,8 @@ class Conv2d:
             raise ValueError(f"{self.name}: kernel and dilation components must be >= 1")
         if min(self.padding) < 0:
             raise ValueError(f"{self.name}: padding components must be >= 0")
+        if self.bias:
+            raise ValueError(f"{self.name}: conv bias is not supported; a batch norm follows every conv")
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class _TrialPairs(Sequence):
     """Read-only ``(score, is_target)`` pairs over a set's two arrays.
 
     ``len`` is O(1); items are Python ``(float, bool)`` pairs, built as they
-    are read. Compares, hashes and prints as the tuple of its pairs.
+    are read.
     """
 
     __slots__ = ("_scores", "_is_target")
@@ -79,24 +79,11 @@ class _TrialPairs(Sequence):
     def __len__(self) -> int:
         return self._scores.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(zip(self._scores[index].tolist(), self._is_target[index].tolist()))
+    def __getitem__(self, index: int) -> tuple[float, bool]:
         return float(self._scores[index]), bool(self._is_target[index])
 
     def __iter__(self):
         return zip(self._scores.tolist(), self._is_target.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _TrialPairs)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 class TrialScoreSet:
@@ -104,8 +91,7 @@ class TrialScoreSet:
 
     Built from ``(score, is_target)`` pairs or from a score file. Holds
     only the read-only ``scores`` and ``is_target`` arrays (plus the cached
-    operating points). Equality, hashing and ``repr`` go by the trial
-    sequence, as for a tuple of pairs: ``-0.0`` equals ``0.0``.
+    operating points).
     """
 
     __slots__ = ("scores", "is_target", "_points")
@@ -144,19 +130,6 @@ class TrialScoreSet:
     @property
     def trials(self) -> _TrialPairs:
         return _TrialPairs(self.scores, self.is_target)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return bool(np.array_equal(self.scores, other.scores)
-                    and np.array_equal(self.is_target, other.is_target))
-
-    def __hash__(self) -> int:
-        # Adding 0.0 maps -0.0 to 0.0, so equal sets hash equal.
-        return hash(((self.scores + 0.0).tobytes(), self.is_target.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"TrialScoreSet(trials={self.trials!r})"
 
     @classmethod
     def from_text(cls, text: str) -> "TrialScoreSet":

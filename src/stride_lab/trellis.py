@@ -83,6 +83,7 @@ class RankedPath:
     rank: int
     flops_total: int
     params_total: int
+    #: Always None (no built path underflows); the benchmark's ranking digest reads it.
     error: str | None = None
 
 
@@ -115,15 +116,15 @@ def rank_paths_by_flops(
 
     Every path is substituted into the template's build request and
     re-elaborated; parameter counts are asserted identical across the family.
-    Paths that underflow the input shape are reported with an error and sort
-    last instead of aborting the ranking.
+    No built path underflows the input shape (every striding layer maps n to
+    ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.
 
     The totals are ``count_flops``'s, but each distinct residual block is
     walked once per input shape it meets: every later path that reaches the
     same block at the same shape reuses its params, MACs and output shape
     from a memo that lives for this call only.
     """
-    from .analysis import ShapeUnderflowError, _memo_totals, count_params
+    from .analysis import _memo_totals
     from .builder import build, request_from_spec
 
     ranked: list[RankedPath] = []
@@ -132,13 +133,7 @@ def rank_paths_by_flops(
     for path in family.paths:
         name = canonical_name(path)
         spec = build(request_from_spec(spec_template, path=path))
-        try:
-            params, flops = _memo_totals(spec, input_shape, memo)
-        except ShapeUnderflowError as exc:
-            ranked.append(RankedPath(path, name, rank=-1, flops_total=0,
-                                     params_total=count_params(spec).params_total,
-                                     error=str(exc)))
-            continue
+        params, flops = _memo_totals(spec, input_shape, memo)
         params_seen.add(params)
         ranked.append(RankedPath(path, name, rank=-1, flops_total=flops, params_total=params))
     if len(params_seen) > 1:
@@ -146,7 +141,5 @@ def rank_paths_by_flops(
             f"parameter count varies within family ({family.endpoint.alpha5}, "
             f"{family.endpoint.beta5}): {sorted(params_seen)}"
         )
-    valid = [r for r in ranked if r.error is None]
-    invalid = [r for r in ranked if r.error is not None]
-    valid.sort(key=lambda r: (-r.flops_total, r.name))
-    return tuple(replace(r, rank=i + 1) for i, r in enumerate(valid + invalid))
+    ranked.sort(key=lambda r: (-r.flops_total, r.name))
+    return tuple(replace(r, rank=i + 1) for i, r in enumerate(ranked))

@@ -79,11 +79,12 @@ def verify_spec_numeric(
     if seed is None:
         seed = default_seed()
     label = name or spec.display_name
-    symbolic = trace(spec, time=time)
+    shape = TensorShape(1, spec.input_freq_bins, time)
+    symbolic = trace(spec, shape)
     rng = np.random.default_rng(np.uint64(check_seed(seed)))
     x = rng.uniform(-1.0, 1.0, size=(1, 1, spec.input_freq_bins, time)).astype(VERIFY_DTYPE)
     result = run_model(spec, x, seed=seed)
-    analytic = count_flops(spec, TensorShape(1, spec.input_freq_bins, time))
+    analytic = count_flops(spec, shape)
 
     problems = []
     if len(symbolic) != len(result.shapes):

@@ -8,7 +8,8 @@ document built as plain dicts from ``dataclasses.fields``, for
 documents that both the loader tests and the CLI tests expect rejected, and
 ``preset_requests`` draws build requests over every preset family and depth.
 ``rank_rows_by_count_flops`` ranks a trellis family with no block memo:
-one whole ``count_flops`` per path.
+one whole ``count_flops`` per path. ``parent_depth_label`` is the depth
+label rule ``request_from_spec`` had before ``builder._sd_flags`` held it.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 from stride_lab import builder
-from stride_lab.analysis import ShapeUnderflowError, count_flops, count_params
-from stride_lab.builder import make_request
+from stride_lab.analysis import count_flops
+from stride_lab.builder import depth_from_blocks, make_request
 from stride_lab.catalog import GOLDEN_GEMINI_FACTORS
 from stride_lab.layers import (
     Activation,
     Add,
     BatchNorm2d,
+    BlockKind,
     Conv2d,
+    Family,
     FullyConnected,
     GlobalAvgPool,
     MaxPool2d,
@@ -309,7 +312,7 @@ def _duplicate_add(doc):
     doc["layers"].insert(_layer_index(doc, "stage2.block1.act_out") + 1, add)
 
 
-#: Schema-v1 mutations that a type-strict loader must reject, applied in
+#: Schema-v1 mutations that the loader must reject, applied in
 #: place to a ResNet34 document: id -> (mutate(doc), message fragment).
 MALFORMED_SPECS = {
     "float-out-channels": (lambda d: _first_layer(d, "conv2d").update(out_channels=32.7),
@@ -318,6 +321,8 @@ MALFORMED_SPECS = {
                            "in_channels must be an integer, got '1'"),
     "string-bias": (lambda d: _first_layer(d, "conv2d").update(bias="no"),
                     "bias must be true or false, got 'no'"),
+    "conv-bias": (lambda d: _first_layer(d, "conv2d").update(bias=True),
+                  "layer 'stem.conv': stem.conv: conv bias is not supported"),
     "float-num-blocks": (lambda d: d["stages"][0].update(num_blocks=2.9),
                          "num_blocks must be an integer, got 2.9"),
     "string-stage": (lambda d: d["layers"][0].update(stage="1"),
@@ -397,22 +402,29 @@ def rank_rows_by_count_flops(family, input_shape, template):
     ``rank_paths_by_flops`` ranks them, with no memo: every path is built
     (through ``builder.build``, so a test's patch applies) and counted by
     a whole ``count_flops``. Raises the ranking's AssertionError when the
-    params of the counted paths differ."""
-    valid, invalid = [], []
+    params of the paths differ."""
+    rows = []
     for path in family.paths:
         spec = builder.build(builder.request_from_spec(template, path=path))
-        try:
-            report = count_flops(spec, input_shape)
-        except ShapeUnderflowError as exc:
-            invalid.append([canonical_name(path), 0, count_params(spec).params_total, str(exc)])
-        else:
-            valid.append([canonical_name(path), report.flops_total, report.params_total, None])
-    params = sorted({row[2] for row in valid})
+        report = count_flops(spec, input_shape)
+        rows.append([canonical_name(path), report.flops_total, report.params_total, None])
+    params = sorted({row[2] for row in rows})
     if len(params) > 1:
         endpoint = family.endpoint
         raise AssertionError(
             f"parameter count varies within family ({endpoint.alpha5}, {endpoint.beta5}): {params}"
         )
-    valid.sort(key=lambda row: (-row[1], row[0]))
+    rows.sort(key=lambda row: (-row[1], row[0]))
     return [[name, rank, flops, params, error]
-            for rank, (name, flops, params, error) in enumerate(valid + invalid, start=1)]
+            for rank, (name, flops, params, error) in enumerate(rows, start=1)]
+
+
+def parent_depth_label(spec, path):
+    """The depth label ``request_from_spec(spec, path)`` gave while it
+    special-cased the depth-first family: the spec's own label, except that
+    a substituted DF path counts 3 downsampling convs, plus one when it
+    strides at stage 2."""
+    if spec.family is Family.DF_RESNET and path is not None:
+        extra = 3 + (0 if path.steps[1].is_unit() else 1)
+        return depth_from_blocks(BlockKind.DF_INVERTED, sum(s.num_blocks for s in spec.stages), extra)
+    return spec.depth_label

@@ -111,7 +111,7 @@ class TestConvOutSize:
 def trace_convs(spec, *convs, freq, time):
     """``trace`` of ``spec``'s fields with bare stem convs for entries."""
     body = dataclasses.replace(spec, entries=tuple(LayerEntry(c, stage=1) for c in convs))
-    return trace(body, freq=freq, time=time)
+    return trace(body, TensorShape(1, freq, time))
 
 
 class TestPropagateShape:
@@ -130,6 +130,15 @@ class TestPropagateShape:
         layer = Conv2d("c", 16, 16, (3, 3), padding=(1, 1))
         with pytest.raises(AnalysisError, match="expects 16 channels, got 1"):
             trace_convs(mod34, layer, freq=10, time=10)
+
+    def test_trace_takes_the_input_form_of_count_flops(self, mod34):
+        shape = TensorShape(2, 80, 200)
+        with pytest.raises(AnalysisError) as want:
+            count_flops(mod34, shape)
+        with pytest.raises(AnalysisError) as got:
+            trace(mod34, shape)
+        assert str(got.value) == str(want.value) == "backbones take single-channel spectrogram input"
+        assert trace(mod34, INPUT_2S)[-1].out_shape == (mod34.embedding_dim,)
 
     def test_composition_equals_flat_propagation(self, mod34):
         rng = np.random.default_rng(3)
@@ -167,6 +176,10 @@ class TestCountParams:
         a = count_flops(mod34, INPUT_2S)
         b = count_flops(mod34, INPUT_3S)
         assert a.params_total == b.params_total
+
+    def test_conv_bias_is_refused(self):
+        with pytest.raises(ValueError, match="c: conv bias is not supported"):
+            Conv2d("c", 1, 8, (3, 3), bias=True)
 
     def test_se_adds_exact_delta(self):
         base = count_params(build_case("modified_resnet", 34, "MOD")).params_total
@@ -206,7 +219,7 @@ class TestCountFlops:
             family = "original_resnet" if name == "ORI" else "modified_resnet"
             spec = build(make_request(family, 34, path=name))
             alpha, _ = final_factors(spec.path)
-            pool = next(r for r in trace(spec, freq=80, time=320) if len(r.out_shape) == 1)
+            pool = next(r for r in trace(spec, TensorShape(1, 80, 320)) if len(r.out_shape) == 1)
             t_out = pool.in_shape[2]
             assert abs(320 / t_out - alpha) <= 1
 

@@ -31,12 +31,12 @@ from stride_lab.layers import (
 from stride_lab.serialize import model_from_json, model_to_json
 from stride_lab.strides import StridePair, resolve_name
 
-from oracles import ALL_PATHS, GOLDEN_PATHS, PRESETS, preset_requests
+from oracles import ALL_PATHS, GOLDEN_PATHS, PRESETS, parent_depth_label, preset_requests
 
 
 def stage_end_shapes(spec, freq, time):
     """(channels, freq, time) after the last layer of each stage 1..5."""
-    records = {r.name: r for r in trace(spec, freq=freq, time=time)}
+    records = {r.name: r for r in trace(spec, TensorShape(1, freq, time))}
     shapes = {}
     for entry in spec.entries:
         if entry.stage >= 1:
@@ -295,7 +295,7 @@ def test_head_size_and_walked_params_match_the_trace(req, time):
     except BuildError:
         assume(False)
     # The traced body output is the oracle for the head's input size.
-    channels, freq, _ = trace(build_body(req))[-1].out_shape
+    channels, freq, _ = trace(build_body(req), TensorShape(1, req.input_freq_bins, 300))[-1].out_shape
     fc = spec.entries[-1].layer
     assert isinstance(fc, FullyConnected)
     if req.family is Family.ORIGINAL_RESNET:
@@ -430,6 +430,33 @@ class TestIntegerGate:
             Conv2d("conv", True, 4, (3, 3))
         with pytest.raises(ValueError, match="stride components must be 1 or 2, got 2.0"):
             StridePair(2.0, 1)
+
+
+def _templates():
+    """One spec per preset family and depth label; a DF label that counts a
+    stage-2 downsampling conv is built on a path that strides there."""
+    for family, depths in PRESETS.items():
+        for depth in depths:
+            if family == "df_resnet":
+                yield build(make_request(family, depth[0], path="MOD"))
+                yield build(make_request(family, depth[1], path="T14c"))
+            else:
+                yield build(make_request(family, depth))
+
+
+def test_depth_labels_follow_the_parent_rule():
+    templates = list(_templates())
+    assert len(templates) == 23
+    for spec in templates:
+        assert request_from_spec(spec).depth_label == parent_depth_label(spec, None)
+        for path in ALL_PATHS:
+            got = request_from_spec(spec, path=path).depth_label
+            assert got == parent_depth_label(spec, path), (spec.display_name, path.label)
+
+
+def test_a_spec_without_stages_is_a_build_error(mod34):
+    with pytest.raises(BuildError, match="block count must be >= 1"):
+        request_from_spec(dataclasses.replace(mod34, stages=()))
 
 
 _ODD_VALUES = (None, 0, -1, 1, 2, 4, 8, 2.5, 4.0, True, False)

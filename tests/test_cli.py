@@ -420,7 +420,8 @@ class TestRemovedForms:
     @pytest.mark.parametrize("argv,replacement", [
         (("compare", "resnet", "34", "MOD", "T14c"), "analyze FAMILY DEPTH --path A --compare B"),
         (("enumerate", "--dot"), "render"),
-    ], ids=["compare", "enumerate-dot"])
+        (("verify", "--all-table3-configs", "--frames", "40"), "verify --all-catalog-configs"),
+    ], ids=["compare", "enumerate-dot", "verify-table3"])
     def test_removed_form_names_its_replacement(self, capsys, argv, replacement):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -464,11 +465,6 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--gradcheck", "--gradcheck-trials", "6")
         assert code == 0
         assert "gradcheck" in out
-
-    def test_table3_flag_runs_18_configs(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--all-table3-configs", "--frames", "40")
-        assert code == 0
-        assert out.count("ok") == 18
 
     def test_zero_gradcheck_trials_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--gradcheck", "--gradcheck-trials", "0")

@@ -72,13 +72,6 @@ class TestTrialScoreSet:
         assert err.value.lineno == 3
         assert str(err.value) == "line 3: unparseable score '0.x'"
 
-    def test_equality_and_hash_use_trials_only(self):
-        parsed = TrialScoreSet.from_text("target 1.5\nnontarget -2\n")
-        built = TrialScoreSet(trials=((1.5, True), (-2.0, False)))
-        assert parsed == built
-        assert hash(parsed) == hash(built)
-        assert repr(built) == "TrialScoreSet(trials=((1.5, True), (-2.0, False)))"
-
     def test_score_arrays_are_fresh_copies(self):
         trials = scored([0.9, 0.8], [0.1])
         trials.target_scores[0] = -1.0
@@ -86,29 +79,12 @@ class TestTrialScoreSet:
         assert list(trials.target_scores) == [0.9, 0.8]
         assert list(trials.nontarget_scores) == [0.1]
 
-    def test_signed_zeros_compare_and_hash_equal(self):
-        sets = [
-            TrialScoreSet.from_text("target -0.0\nnontarget 1\n"),
-            TrialScoreSet(trials=((0.0, True), (1.0, False))),
-            scored([-0.0], [1]),
-        ]
-        for a in sets:
-            for b in sets:
-                assert a == b
-                assert hash(a) == hash(b)
-        assert sets[0] != scored([1.0], [-0.0])
-        assert sets[0] != scored([-0.0, 1.0], [1.0])
-
     def test_trials_is_a_read_only_view_of_python_pairs(self):
         trials = TrialScoreSet.from_text("nontarget -2\ntarget 1.5\ntarget 0.25\n")
         view = trials.trials
         assert list(view) == [(-2.0, False), (1.5, True), (0.25, True)]
         assert all(type(s) is float and type(t) is bool for s, t in view)
         assert view[1] == (1.5, True) and type(view[-1][0]) is float
-        assert view[1:] == ((1.5, True), (0.25, True))
-        assert view == ((-2.0, False), (1.5, True), (0.25, True))
-        assert hash(view) == hash(tuple(view))
-        assert repr(view) == repr(tuple(view))
         with pytest.raises(TypeError):
             view[0] = (0.0, True)
         with pytest.raises(AttributeError):

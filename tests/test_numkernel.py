@@ -403,7 +403,7 @@ def test_routing_table_matches_trace_and_kernel(case):
     spec = build(make_request(family, depth, path=path, base_channels=channels,
                               embedding_dim=8, input_freq_bins=16, **options))
     x = np.random.default_rng(1).uniform(-1.0, 1.0, size=(1, 1, 16, 21))
-    symbolic = [(r.name, r.out_shape) for r in trace(spec, time=21)]
+    symbolic = [(r.name, r.out_shape) for r in trace(spec, TensorShape(1, spec.input_freq_bins, 21))]
     numeric = list(run_model(spec, x, seed=1).shapes)
     for records in (symbolic, numeric):
         start = [name for name, _ in records].index(expected[0][0])
@@ -525,7 +525,7 @@ class TestRunModel:
         spec = small_spec()
         x = np.random.default_rng(4).normal(size=(1, 1, 16, 40))
         result = run_model(spec, x)
-        symbolic = trace(spec, freq=16, time=40)
+        symbolic = trace(spec, TensorShape(1, 16, 40))
         assert len(result.shapes) == len(symbolic)
         for (name, shape), record in zip(result.shapes, symbolic):
             assert name == record.name
@@ -621,7 +621,7 @@ class TestRunModel:
         # scratch and out-of-place ReLUs and adds put the peak near 4 maps.
         spec = build(make_request("df_resnet", 182, path="MOD"))
         frames = 64
-        largest = 8 * max(int(np.prod(r.out_shape)) for r in trace(spec, time=frames) if len(r.out_shape) == 3)
+        largest = 8 * max(int(np.prod(r.out_shape)) for r in trace(spec, TensorShape(1, spec.input_freq_bins, frames)) if len(r.out_shape) == 3)
         x = np.random.default_rng(4).normal(size=(1, 1, 80, frames))
         _, peak = traced_peak(run_model, spec, x)
         assert peak < 2.5 * largest
@@ -656,7 +656,7 @@ class TestRunModel:
         np.testing.assert_allclose(result.embedding, 0.0, atol=0)
 
     def test_mod34_final_feature_map(self, mod34):
-        pool = next(r for r in trace(mod34, freq=80, time=300) if len(r.out_shape) == 1)
+        pool = next(r for r in trace(mod34, TensorShape(1, 80, 300)) if len(r.out_shape) == 1)
         assert pool.in_shape == (256, 10, 38)
 
     def test_se_and_res2net_paths_execute(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from oracles import rank_rows_by_count_flops
 from stride_lab import builder
-from stride_lab.analysis import _memo_totals, count_flops, trace
+from stride_lab.analysis import ShapeUnderflowError, _memo_totals, count_flops, trace
 from stride_lab.builder import build, make_request, request_from_spec
 from stride_lab.layers import Conv2d, TensorShape
 from stride_lab.serialize import model_from_json, model_to_json
@@ -238,10 +239,11 @@ class TestBlockMemoExactness:
         assert len(raised) == 24
         assert all(o.startswith("AssertionError: parameter count varies within family") for o in raised)
 
-    def test_underflowing_paths_rank_last_as_the_oracle(self, monkeypatch):
+    def test_underflowing_path_raises_naming_the_layer(self, monkeypatch):
         # No built layer underflows (every stride maps n to ceil(n/2)), so
         # unpad the time axis of SD-ResNet's four downsampling convs: each
-        # then takes 2 frames, and a path underflows when it halves T early.
+        # then takes 3 frames, and the one path that halves T at every
+        # stage runs out of frames at stage 4.
         plain_build = builder.build
 
         def unpadded_build(request):
@@ -255,10 +257,11 @@ class TestBlockMemoExactness:
 
         monkeypatch.setattr(builder, "build", unpadded_build)
         template = build(make_request("sd_resnet", 38, path="MOD"))
-        outcomes = _assert_ranks_as_oracle(template, TensorShape(1, 80, 21))
-        errors = [row[4] for rows in outcomes for row in rows]
-        assert 0 < sum(e is not None for e in errors) < len(errors)
-        assert all(e is None or "time dimension underflows" in e for e in errors)
+        family = enumerate_paths(TrellisEndpoint(32, 1))
+        message = "stage4.downsample.conv: time dimension underflows to 0 (< 1)"
+        for rank in (rank_paths_by_flops, rank_rows_by_count_flops):
+            with pytest.raises(ShapeUnderflowError, match=re.escape(message)):
+                rank(family, TensorShape(1, 80, 21), template)
 
     def test_equal_blocks_from_json_hit_by_value(self, mod34):
         loaded = model_from_json(model_to_json(mod34))
@@ -322,7 +325,7 @@ class TestClosedFormPrecondition:
             spec = build(request_from_spec(template, path=path))
             stage_of = {e.layer.name: e.stage for e in spec.entries}
             last = {}
-            for record in trace(spec, freq=80, time=frames):
+            for record in trace(spec, TensorShape(1, 80, frames)):
                 if stage_of[record.name]:
                     last[stage_of[record.name]] = record.out_shape[1:]
             want = {stage: (-(-80 // beta), -(-frames // alpha))
