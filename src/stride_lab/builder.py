@@ -4,7 +4,10 @@ Families share a five-stage skeleton: a stem carrying the stage-1 stride,
 four residual stages carrying stages 2..5, and an embedding head. They
 differ in where a stage's stride lives (first block conv, the original
 recipe's max pool, or a separate downsampling conv), in block architecture,
-and in the head pooling.
+and in the head pooling. :func:`build` checks the request, then elaborates
+the stem, the stages and the head in one pass into one :class:`ModelSpec`.
+It does not run :meth:`ModelSpec.validate`, which its output passes by
+construction (a test holds it) and which would cost about a build again.
 
 Shortcut policy: a parametrized 1x1 projection (plus batch norm) is inserted
 exactly when a block changes its channel count. A block that only changes
@@ -25,7 +28,7 @@ equality and counts do not depend on what was built before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import GOLDEN_GEMINI_FACTORS, PRINCIPAL_CONFIG
@@ -315,10 +318,8 @@ def _df_block(stage: int, block: int, channels: int) -> tuple[LayerEntry, ...]:
         Activation(f"{prefix}.act2"),
         Conv2d(f"{prefix}.conv3", hidden, channels, (1, 1)),
         BatchNorm2d(f"{prefix}.bn3", channels),
-        Add(f"{prefix}.add", ShortcutKind.IDENTITY),
-        Activation(f"{prefix}.act_out"),
     ]
-    return tuple(LayerEntry(layer, stage=stage, block=block) for layer in main)
+    return _close_block(prefix, stage, block, main, channels, channels, UNIT, None)
 
 
 def _close_block(
@@ -331,8 +332,8 @@ def _close_block(
     stride: StridePair,
     se_reduction: int | None,
 ) -> tuple[LayerEntry, ...]:
-    """A basic or bottleneck block's entries: its main branch (plus SE), the
-    shortcut, the merge and the output activation."""
+    """A residual block's entries: its main branch (plus SE), the shortcut,
+    the merge and the output activation."""
     if se_reduction:
         main.append(SqueezeExcite(f"{prefix}.se", out_ch, se_reduction))
     entries = [LayerEntry(layer, stage=stage, block=block) for layer in main]
@@ -395,8 +396,17 @@ def _downsample_conv(
     entries.append(LayerEntry(Activation(f"{prefix}.act"), stage=stage))
 
 
-def build_body(req: BuildRequest) -> ModelSpec:
-    """Elaborate the stem and the four residual stages (no head yet)."""
+def build(req: BuildRequest) -> ModelSpec:
+    """Elaborate the stem, the four residual stages and the embedding head.
+
+    The classic image recipe's head is a channel-wise global average pool;
+    the speech recipes pool first and second moments over time per
+    (channel, freq) cell, flattening to 2 * C * F. C and F are not traced:
+    C is the last stage's output channels and F is
+    ``ceil(input_freq_bins / beta5)``, with ``beta5`` the path's cumulative
+    freq stride, which is exact because every striding layer maps n to
+    ceil(n / 2).
+    """
     if len(req.block_counts) != 4:
         raise BuildError(f"expected 4 per-stage block counts, got {req.block_counts}")
     _check_integers(req)
@@ -412,21 +422,13 @@ def build_body(req: BuildRequest) -> ModelSpec:
     original = req.family is Family.ORIGINAL_RESNET
 
     stem_kernel, stem_pad = ((7, 7), (3, 3)) if original else ((3, 3), (1, 1))
-    entries.append(
-        LayerEntry(
-            Conv2d("stem.conv", 1, c, stem_kernel, stride=req.path.steps[0], padding=stem_pad),
-            stage=1,
-        )
-    )
+    stem = Conv2d("stem.conv", 1, c, stem_kernel, stride=req.path.steps[0], padding=stem_pad)
+    entries.append(LayerEntry(stem, stage=1))
     entries.append(LayerEntry(BatchNorm2d("stem.bn", c), stage=1))
     entries.append(LayerEntry(Activation("stem.act"), stage=1))
     if original:
-        entries.append(
-            LayerEntry(
-                MaxPool2d("stage2.maxpool", (3, 3), stride=req.path.steps[1], padding=(1, 1)),
-                stage=2,
-            )
-        )
+        maxpool = MaxPool2d("stage2.maxpool", (3, 3), stride=req.path.steps[1], padding=(1, 1))
+        entries.append(LayerEntry(maxpool, stage=2))
         if canonical_name(req.path) != "ORI":
             notes.append("non_canonical_path_for_original_family")
 
@@ -467,6 +469,14 @@ def build_body(req: BuildRequest) -> ModelSpec:
             )
             in_ch = out_ch
 
+    if original:
+        pool, pooled = GlobalAvgPool("head.pool"), out_ch
+    else:
+        pool = TemporalStatsPool("head.pool")
+        pooled = 2 * out_ch * -(-req.input_freq_bins // final_factors(req.path)[1])
+    entries.append(LayerEntry(pool, stage=0))
+    entries.append(LayerEntry(FullyConnected("head.fc", pooled, req.embedding_dim, bias=True), stage=0))
+
     return ModelSpec(
         family=req.family,
         depth_label=req.depth_label,
@@ -480,40 +490,6 @@ def build_body(req: BuildRequest) -> ModelSpec:
         res2net_scale=req.res2net_scale,
         notes=tuple(notes),
     )
-
-
-def _with_head(spec: ModelSpec) -> ModelSpec:
-    """Append the pooling layer and the ``embedding_dim`` projection.
-
-    The classic image recipe keeps its channel-wise global average pool; the
-    speech recipes pool first and second moments over time per
-    (channel, freq) cell, tripling nothing and flattening to 2 * C * F.
-
-    C and F are read from the spec, not traced: C is the last stage's
-    ``out_channels`` and F is ``ceil(input_freq_bins / beta5)``, with
-    ``beta5`` the path's cumulative freq stride. That is exact for every
-    body the builder makes, since each of its striding layers maps n to
-    ceil(n / 2). A spec whose layers disagree with its stages or path gets
-    a head of the declared size, which analysis rejects: ``head.fc`` must
-    take exactly the walked flat size.
-    """
-    channels = spec.stages[-1].out_channels
-    entries = list(spec.entries)
-    if spec.family is Family.ORIGINAL_RESNET:
-        entries.append(LayerEntry(GlobalAvgPool("head.pool"), stage=0))
-        pooled = channels
-    else:
-        entries.append(LayerEntry(TemporalStatsPool("head.pool"), stage=0))
-        pooled = 2 * channels * -(-spec.input_freq_bins // final_factors(spec.path)[1])
-    entries.append(
-        LayerEntry(FullyConnected("head.fc", pooled, spec.embedding_dim, bias=True), stage=0)
-    )
-    return replace(spec, entries=tuple(entries))
-
-
-def build(req: BuildRequest) -> ModelSpec:
-    """Full elaboration: body plus head."""
-    return _with_head(build_body(req))
 
 
 def request_from_spec(spec: ModelSpec, path: TrellisPath | None = None) -> BuildRequest:

@@ -552,10 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnknownConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUILD
-    except (BuildError, AnalysisError, SpecFormatError, KernelError) as exc:
+    except (BuildError, AnalysisError, SpecFormatError, KernelError, UnknownConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
 

@@ -5,6 +5,8 @@ A :class:`ModelSpec` is a fully elaborated backbone: an ordered flat list of
 block, and branch role it belongs to. The flat list is the single source of
 truth; the symbolic analysis and the numeric kernel both walk it through
 :func:`route`, the one place that decides which map feeds which layer.
+Each layer checks its own fields when constructed; :meth:`ModelSpec.validate`
+is the one gate for the rules that span layers.
 
 Spatial tuples (kernel, padding, dilation) are in (freq, time) order,
 matching the (channels, freq, time) tensor layout. Strides always travel as
@@ -107,15 +109,15 @@ class Conv2d:
         _check_positive("groups", self.groups)
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValueError(
-                f"{self.name}: channels ({self.in_channels} -> {self.out_channels}) "
+                f"channels ({self.in_channels} -> {self.out_channels}) "
                 f"must be divisible by groups ({self.groups})"
             )
         if min(self.kernel) < 1 or min(self.dilation) < 1:
-            raise ValueError(f"{self.name}: kernel and dilation components must be >= 1")
+            raise ValueError("kernel and dilation components must be >= 1")
         if min(self.padding) < 0:
-            raise ValueError(f"{self.name}: padding components must be >= 0")
+            raise ValueError("padding components must be >= 0")
         if self.bias:
-            raise ValueError(f"{self.name}: conv bias is not supported; a batch norm follows every conv")
+            raise ValueError("conv bias is not supported; a batch norm follows every conv")
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,9 @@ class MaxPool2d:
 
     def __post_init__(self) -> None:
         if min(self.kernel) < 1:
-            raise ValueError(f"{self.name}: kernel components must be >= 1")
+            raise ValueError("kernel components must be >= 1")
         if min(self.padding) < 0:
-            raise ValueError(f"{self.name}: padding components must be >= 0")
+            raise ValueError("padding components must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ class SqueezeExcite:
             raise ValueError("reduction ratio must be >= 1")
         if self.channels % self.reduction:
             raise ValueError(
-                f"{self.name}: channels ({self.channels}) must be divisible by reduction ({self.reduction})"
+                f"channels ({self.channels}) must be divisible by reduction ({self.reduction})"
             )
 
 
@@ -195,7 +197,7 @@ class Res2NetConv:
             raise ValueError("res2net scale must be >= 2")
         if self.channels % self.scale:
             raise ValueError(
-                f"{self.name}: channels ({self.channels}) must split evenly into scale ({self.scale})"
+                f"channels ({self.channels}) must split evenly into scale ({self.scale})"
             )
 
     @property
@@ -309,6 +311,40 @@ class ModelSpec:
             extras.append(f"Res2Net(s={self.res2net_scale})")
         suffix = f" + {' + '.join(extras)}" if extras else ""
         return f"{base}{self.depth_label}{suffix}"
+
+    def validate(self) -> None:
+        """Check the rules no single layer can, in one :func:`route` pass:
+        positive top-level sizes, unique layer names, routable blocks,
+        ``embedding_dim`` against the head projection, and ``se_reduction``
+        and ``res2net_scale`` against their layers. Raises
+        :class:`ValueError`."""
+        for name in ("depth_label", "base_channels", "embedding_dim", "input_freq_bins"):
+            _check_positive(name, getattr(self, name))
+        # Weights and per-layer counts are keyed by name, so a repeated name
+        # would silently alias two layers.
+        seen: set[str] = set()
+        found = {SqueezeExcite: set(), Res2NetConv: set()}
+        head = None
+        for layer, _, _ in route(self.entries):
+            if layer.name in seen:
+                raise ValueError(f"duplicate layer name {layer.name!r}")
+            seen.add(layer.name)
+            kind = type(layer)
+            if kind is SqueezeExcite:
+                found[kind].add(layer.reduction)
+            elif kind is Res2NetConv:
+                found[kind].add(layer.scale)
+            elif kind is FullyConnected:
+                head = layer  # the last projection makes the embedding
+        if head is not None and head.out_dim != self.embedding_dim:
+            raise ValueError(
+                f"embedding_dim {self.embedding_dim} does not match {head.name} out_dim {head.out_dim}"
+            )
+        for name, value, kind in (("se_reduction", self.se_reduction, SqueezeExcite),
+                                  ("res2net_scale", self.res2net_scale, Res2NetConv)):
+            if found[kind] != (set() if value is None else {value}):
+                layers = ", ".join(map(str, sorted(found[kind]))) or "none"
+                raise ValueError(f"{name} {value!r} does not match the {kind.__name__} layers ({layers})")
 
 
 #: What :func:`route` feeds a layer; the layer's output replaces that map.

@@ -19,11 +19,10 @@ the template. The bytes are those of ``json.dumps(doc, indent=2)``.
 
 Loading checks every value against its field's declared type with no
 coercion, lets a field be left out only when its dataclass has a default,
-rejects keys the schema does not name, and re-validates through the
-dataclass constructors. The top-level ints must be positive,
-``embedding_dim`` must equal the head projection's ``out_dim``, and
-``se_reduction``/``res2net_scale`` must match the SE/Res2Net layers. Any
-non-conforming document raises :class:`SpecFormatError`.
+rejects keys the schema does not name, re-validates through the dataclass
+constructors, and checks the whole spec once through
+:meth:`~stride_lab.layers.ModelSpec.validate`. Any non-conforming document
+raises :class:`SpecFormatError`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .layers import (
     SqueezeExcite,
     StageSpec,
     TemporalStatsPool,
-    route,
 )
 from .strides import NUM_STAGES, STRIDE_VALUES, StridePair, TrellisPath
 
@@ -373,47 +371,6 @@ def _decode_entry(doc) -> LayerEntry:
         raise SpecFormatError(f"layer {doc.get('name')!r}: {exc}") from None
 
 
-def _check_model(spec: ModelSpec) -> None:
-    """Top-level fields against their bounds and against the layers."""
-    for name in ("depth_label", "base_channels", "embedding_dim", "input_freq_bins"):
-        value = getattr(spec, name)
-        if value < 1:
-            raise _reject(name, "a positive integer", value)
-    # Weights and per-layer counts are keyed by name, so a repeated name
-    # would silently alias two layers.
-    seen: set[str] = set()
-    found = {SqueezeExcite: set(), Res2NetConv: set()}
-    head = None
-    for entry in spec.entries:
-        layer = entry.layer
-        if layer.name in seen:
-            raise SpecFormatError(f"duplicate layer name {layer.name!r}")
-        seen.add(layer.name)
-        kind = type(layer)
-        if kind is SqueezeExcite:
-            found[kind].add(layer.reduction)
-        elif kind is Res2NetConv:
-            found[kind].add(layer.scale)
-        elif kind is FullyConnected:
-            head = layer  # the last projection makes the embedding
-    # The analysis and the kernel walk entries through layers.route, which
-    # refuses a block without exactly one add and an add outside any block.
-    try:
-        for _ in route(spec.entries):
-            pass
-    except ValueError as exc:
-        raise SpecFormatError(str(exc)) from None
-    if head is not None and head.out_dim != spec.embedding_dim:
-        raise SpecFormatError(
-            f"embedding_dim {spec.embedding_dim} does not match {head.name} out_dim {head.out_dim}"
-        )
-    for name, value, kind in (("se_reduction", spec.se_reduction, SqueezeExcite),
-                              ("res2net_scale", spec.res2net_scale, Res2NetConv)):
-        if found[kind] != (set() if value is None else {value}):
-            layers = ", ".join(map(str, sorted(found[kind]))) or "none"
-            raise SpecFormatError(f"{name} {value!r} does not match the {kind.__name__} layers ({layers})")
-
-
 def model_to_json(spec: ModelSpec) -> str:
     """The schema-v1 document of ``spec``, indented by two spaces."""
     return _write_model(spec)
@@ -435,7 +392,10 @@ def model_from_json(text: str) -> ModelSpec:
         raise SpecFormatError("missing field 'layers'")
     entries = tuple(_decode_entry(e) for e in _list(doc["layers"], "layers"))
     spec = _decode(ModelSpec, doc, entries=entries)
-    _check_model(spec)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from None
     return spec
 
 

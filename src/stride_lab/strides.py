@@ -150,14 +150,9 @@ def classify_path(path: TrellisPath) -> PathClass:
 
 # Published alternate configurations pinned to their established letter
 # suffixes, keyed by endpoint. Each entry is (time_strides, freq_strides) in
-# suffix order b, c, d. The general departure-stage rule below reproduces the
-# (2, 16) letters on its own but not the (4, 8) ones, so all six are pinned.
+# suffix order b, c, d. The general departure-stage rule below gives the
+# (2, 16) letters T14b/c/d on its own, so only the (4, 8) ones are pinned.
 _PINNED_ALTERNATES: dict[tuple[int, int], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = {
-    (2, 16): (
-        ((1, 1, 1, 2, 1), (1, 2, 2, 2, 2)),
-        ((1, 1, 2, 1, 1), (1, 2, 2, 2, 2)),
-        ((1, 2, 1, 1, 1), (1, 2, 2, 2, 2)),
-    ),
     (4, 8): (
         ((1, 1, 2, 2, 1), (1, 1, 2, 2, 2)),
         ((1, 1, 1, 2, 2), (1, 2, 2, 2, 1)),

@@ -322,7 +322,7 @@ MALFORMED_SPECS = {
     "string-bias": (lambda d: _first_layer(d, "conv2d").update(bias="no"),
                     "bias must be true or false, got 'no'"),
     "conv-bias": (lambda d: _first_layer(d, "conv2d").update(bias=True),
-                  "layer 'stem.conv': stem.conv: conv bias is not supported"),
+                  "layer 'stem.conv': conv bias is not supported"),
     "float-num-blocks": (lambda d: d["stages"][0].update(num_blocks=2.9),
                          "num_blocks must be an integer, got 2.9"),
     "string-stage": (lambda d: d["layers"][0].update(stage="1"),

@@ -178,8 +178,11 @@ class TestCountParams:
         assert a.params_total == b.params_total
 
     def test_conv_bias_is_refused(self):
-        with pytest.raises(ValueError, match="c: conv bias is not supported"):
-            Conv2d("c", 1, 8, (3, 3), bias=True)
+        # The message leaves the name to the caller: the spec loader
+        # prefixes "layer 'stem.conv': ", so the name appears once.
+        with pytest.raises(ValueError, match="^conv bias is not supported") as info:
+            Conv2d("stem.conv", 1, 8, (3, 3), bias=True)
+        assert "stem.conv" not in str(info.value)
 
     def test_se_adds_exact_delta(self):
         base = count_params(build_case("modified_resnet", 34, "MOD")).params_total

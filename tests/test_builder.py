@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +10,6 @@ from stride_lab.analysis import AnalysisError, count_flops, count_params, trace
 from stride_lab.builder import (
     BuildError,
     build,
-    build_body,
     depth_from_blocks,
     make_request,
     request_from_spec,
@@ -106,18 +106,18 @@ class TestHead:
         fc = [e.layer for e in mod34.entries if isinstance(e.layer, FullyConnected)][0]
         assert fc.in_dim == 2 * 256 * 10
 
-    def test_head_sized_from_a_wrong_path_fails_analysis(self):
-        body = build_body(make_request("modified_resnet", 34, path="MOD"))
-        spec = builder_module._with_head(dataclasses.replace(body, path=resolve_name("T14c")))
+    def test_head_sized_from_a_wrong_path_fails_analysis(self, mod34):
+        # A head sized for T14c's 5 freq bins (2 * 256 * 5) on a MOD body.
+        *body, fc = mod34.entries
+        wrong = dataclasses.replace(fc, layer=dataclasses.replace(fc.layer, in_dim=2560))
+        spec = dataclasses.replace(mod34, entries=(*body, wrong))
         with pytest.raises(AnalysisError, match="head.fc: expects input dim 2560, got 5120"):
             count_flops(spec, TensorShape(1, 80, 200))
 
-    def test_attach_head_on_body(self):
-        body = build_body(make_request("modified_resnet", 34, path="MOD", embedding_dim=192))
-        spec = builder_module._with_head(body)
-        fc = [e.layer for e in spec.entries if isinstance(e.layer, FullyConnected)][0]
-        assert (fc.out_dim, spec.embedding_dim) == (192, 192)
-        assert spec == build(make_request("modified_resnet", 34, path="MOD", embedding_dim=192))
+    def test_head_projects_to_the_embedding_dim(self):
+        spec = build(make_request("modified_resnet", 34, path="MOD", embedding_dim=192))
+        fc = spec.entries[-1].layer
+        assert (fc.name, fc.in_dim, fc.out_dim, spec.embedding_dim) == ("head.fc", 5120, 192, 192)
 
 
 class TestDepthFormula:
@@ -173,6 +173,68 @@ class TestBuildValidation:
     def test_original_non_canonical_path_noted(self):
         spec = build(make_request("original_resnet", 34, path="MOD"))
         assert "non_canonical_path_for_original_family" in spec.notes
+
+
+def _with_entries(spec, entries):
+    return dataclasses.replace(spec, entries=tuple(entries))
+
+
+def _renamed(entry, name, **fields):
+    return dataclasses.replace(entry, layer=dataclasses.replace(entry.layer, name=name), **fields)
+
+
+def _entry(spec, name):
+    return next(e for e in spec.entries if e.layer.name == name)
+
+
+#: Whole-spec rules: id -> (edit a ResNet34 MOD spec, the gate's message).
+_GATE_CASES = {
+    "duplicate-name": (
+        lambda s: _with_entries(s, (_renamed(e, "stem.conv") if e.layer.name == "stem.bn" else e
+                                    for e in s.entries)),
+        "duplicate layer name 'stem.conv'"),
+    # A copy of a block's add, outside any block, after the stem's conv, bn and act.
+    "add-outside-block": (
+        lambda s: _with_entries(s, (*s.entries[:3], _renamed(_entry(s, "stage2.block1.add"), "stem.add",
+                                                             block=None), *s.entries[3:])),
+        "add layer 'stem.add' is outside any residual block"),
+    "block-without-add": (
+        lambda s: _with_entries(s, (e for e in s.entries if e.layer.name != "stage2.block1.add")),
+        "residual block stage2.block1 has 0 add layers, expected exactly one"),
+    "embedding-mismatch": (lambda s: dataclasses.replace(s, embedding_dim=192),
+                           "embedding_dim 192 does not match head.fc out_dim 256"),
+    "se-mismatch": (lambda s: dataclasses.replace(s, se_reduction=4),
+                    "se_reduction 4 does not match the SqueezeExcite layers (none)"),
+    "res2net-mismatch": (lambda s: dataclasses.replace(s, res2net_scale=2),
+                         "res2net_scale 2 does not match the Res2NetConv layers (none)"),
+    "zero-base-channels": (lambda s: dataclasses.replace(s, base_channels=0),
+                           "base_channels must be a positive integer, got 0"),
+    "negative-freq-bins": (lambda s: dataclasses.replace(s, input_freq_bins=-80),
+                           "input_freq_bins must be a positive integer, got -80"),
+}
+
+
+class TestValidate:
+    """ModelSpec.validate, the one gate for the rules no single layer can
+    check, and the builder output that passes it without being run through it."""
+
+    @pytest.mark.parametrize("case", sorted(_GATE_CASES))
+    def test_each_whole_spec_rule(self, mod34, case):
+        edit, message = _GATE_CASES[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            edit(mod34).validate()
+
+    @pytest.mark.parametrize("family,depths", sorted(PRESETS.items()))
+    def test_preset_builds_pass(self, family, depths):
+        # Each depth on the family's default path, then on T14c.
+        for depth in depths:
+            build(make_request(family, _label(family, depth, "MOD"))).validate()
+            build(make_request(family, _label(family, depth, "T14c"), path="T14c")).validate()
+
+    @pytest.mark.parametrize("depth", [18, 34])
+    @pytest.mark.parametrize("option", ["se_reduction", "res2net_scale"])
+    def test_se_and_res2net_builds_pass(self, depth, option):
+        build(make_request("modified_resnet", depth, **{option: 4})).validate()
 
 
 class TestElaborationStructure:
@@ -295,7 +357,8 @@ def test_head_size_and_walked_params_match_the_trace(req, time):
     except BuildError:
         assume(False)
     # The traced body output is the oracle for the head's input size.
-    channels, freq, _ = trace(build_body(req), TensorShape(1, req.input_freq_bins, 300))[-1].out_shape
+    records = {r.name: r for r in trace(spec, TensorShape(1, req.input_freq_bins, 300))}
+    channels, freq, _ = records["head.pool"].in_shape
     fc = spec.entries[-1].layer
     assert isinstance(fc, FullyConnected)
     if req.family is Family.ORIGINAL_RESNET:

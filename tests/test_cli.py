@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -334,7 +335,8 @@ class TestBuildAndVerifySpec:
         code, out, err = run_cli(capsys, "verify", "--spec", str(spec_file), "--frames", "64")
         assert code == 2
         assert f"error: rejected spec {spec_file}: " in err
-        assert f"stage2.maxpool: {message}" in err
+        assert f"layer 'stage2.maxpool': {message}" in err
+        assert err.count("stage2.maxpool") == 1
         assert "Traceback" not in out + err
 
     def test_float32_overflow_is_build_error(self, capsys, tmp_path, monkeypatch):
@@ -366,6 +368,8 @@ class TestBuildAndVerifySpec:
         assert code == 2
         assert f"error: rejected spec {spec_file}: " in err
         assert message in err
+        named = re.match(r"layer '([^']+)'", message)
+        assert named is None or err.count(named[1]) == 1
         assert "Traceback" not in out + err
 
     def test_deeply_nested_spec_is_build_error(self, capsys, tmp_path):
@@ -518,6 +522,7 @@ _NAMES = st.none() | st.sampled_from([*CATALOG_NAMES, "T99", "nope", ""])
 
 @settings(max_examples=60, deadline=None)
 @given(
+    command=st.sampled_from(["analyze", "build"]),
     family=st.sampled_from(["resnet", "original-resnet", "gemini-resnet", "dfresnet", "sdresnet", "nope"]),
     depth=st.sampled_from([18, 34, 50, 101, 152, 59, 60, 113, 114, 182, 183, 22, 38, 0, 7]),
     path=_NAMES,
@@ -525,8 +530,11 @@ _NAMES = st.none() | st.sampled_from([*CATALOG_NAMES, "T99", "nope", ""])
     flags=st.sets(st.sampled_from(["--gemini", "--json", "--csv", "--per-layer", "--catalog"])),
     options=st.dictionaries(st.sampled_from(["--freq-bins", "--se", "--res2net"]), st.integers(0, 8)),
 )
-def test_any_analyze_argv_exits_cleanly(family, depth, path, compared, flags, options):
-    argv = ["analyze", family, str(depth), *sorted(flags)]
+def test_any_analyze_argv_exits_cleanly(command, family, depth, path, compared, flags, options):
+    # build takes the model arguments only: --gemini, --path and the options.
+    if command == "build":
+        flags, compared = flags & {"--gemini"}, None
+    argv = [command, family, str(depth), *sorted(flags)]
     for option, value in [("--path", path), ("--compare", compared), *options.items()]:
         if value is not None:
             argv += [option, str(value)]
@@ -537,7 +545,7 @@ def test_any_analyze_argv_exits_cleanly(family, depth, path, compared, flags, op
     assert "Traceback" not in err.getvalue()
     if code:
         assert out.getvalue() == "", argv
-    elif "--json" in flags:
+    elif "--json" in flags or command == "build":
         json.loads(out.getvalue())
 
 

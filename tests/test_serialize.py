@@ -159,16 +159,19 @@ class TestModelJson:
         doc = json.loads(model_to_json(original34))
         pool = next(l for l in doc["layers"] if l["kind"] == "maxpool2d")
         pool[field] = value
-        with pytest.raises(SpecFormatError, match=rf"stage2\.maxpool: {message}"):
+        with pytest.raises(SpecFormatError, match=rf"^layer 'stage2\.maxpool': {message}$") as info:
             model_from_json(json.dumps(doc))
+        assert str(info.value).count("stage2.maxpool") == 1
 
     @pytest.mark.parametrize("mutation", sorted(MALFORMED_SPECS))
     def test_malformed_spec_rejected(self, mod34, mutation):
         doc = json.loads(model_to_json(mod34))
         mutate, message = MALFORMED_SPECS[mutation]
         mutate(doc)
-        with pytest.raises(SpecFormatError, match=re.escape(message)):
+        with pytest.raises(SpecFormatError, match=re.escape(message)) as info:
             model_from_json(json.dumps(doc))
+        named = re.match(r"layer '([^']+)'", message)
+        assert named is None or str(info.value).count(named[1]) == 1
 
     @pytest.mark.parametrize("family,depth,options", [
         ("original_resnet", 18, {}),
