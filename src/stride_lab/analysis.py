@@ -19,12 +19,13 @@ included), in entry order, so its parameters equal ``count_params``'s
 layer for layer.
 
 The walk may start at any block boundary from a given shape, and it
-returns the shape it ends at. A block's counts and output shape depend
-only on its entries and its input shape, so a trellis ranking
-(:func:`~stride_lab.trellis.rank_paths_by_flops`) walks each distinct block
-once per input shape and adds up the totals it keeps for it, in a memo
-that lives for that one ranking call. A single ``count_flops`` walks the
-whole spec in one pass and keeps nothing.
+returns the shape it ends at. A run's counts and output shape depend only
+on its entries and its input shape, whether the run is a residual block or
+the stem, max pool, downsampling conv or head between blocks. So a trellis
+ranking (:func:`~stride_lab.trellis.rank_paths_by_flops`) walks each
+distinct run once per input shape and adds up the totals it keeps for it,
+in a memo that lives for that one ranking call. A single ``count_flops``
+walks the whole spec in one pass and keeps nothing.
 """
 
 from __future__ import annotations
@@ -350,7 +351,8 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
 
 
 #: A run of entries with one ``(stage, block)``: a residual block, or
-#: plumbing outside blocks when ``block`` is None.
+#: plumbing outside blocks (stem, max pool, downsampling conv, head) when
+#: ``block`` is None.
 _RUN_KEY = attrgetter("stage", "block")
 
 
@@ -363,29 +365,25 @@ def _run_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...]) -> tuple:
 
 def _memo_totals(spec: ModelSpec, input_shape: TensorShape, memo: dict) -> tuple[int, int]:
     """The ``(params_total, flops_total)`` of ``count_flops(spec,
-    input_shape)``, each residual block counted once per ``memo`` and input
-    shape.
+    input_shape)``, each run of entries counted once per ``memo`` and
+    input shape.
 
-    ``memo`` maps ``(id(first entry), in shape)`` to one block's
-    :func:`_run_totals`. A hit counts only if its entries equal the
-    block's: the same objects (the builder shares a memoized block's
-    entries between specs) compare at once, equal values compare field by
+    ``memo`` maps ``(id(first entry), in shape)`` to one run's
+    :func:`_run_totals`, for every run: residual blocks and the plumbing
+    between them alike. A hit counts only if its entries equal the run's:
+    the same objects (the builder shares memoized stems, stages, blocks and
+    heads between specs) compare at once, equal values compare field by
     field, and a first entry reused ahead of other layers misses. The memo
     holds the entries it keys, so no key's id is reused while it lives.
-    Runs outside blocks (stem, downsampling convs, head) are built afresh
-    for every spec and are walked every time.
     """
     shape = _start(input_shape)
     params_total = flops_total = 0
-    for (_, block), run in groupby(spec.entries, _RUN_KEY):
+    for _, run in groupby(spec.entries, _RUN_KEY):
         run = tuple(run)
-        if block is None:
-            totals = _run_totals(run, shape)
-        else:
-            key = (id(run[0]), shape)
-            totals = memo.get(key)
-            if totals is None or totals[0] != run:
-                totals = memo[key] = _run_totals(run, shape)
+        key = (id(run[0]), shape)
+        totals = memo.get(key)
+        if totals is None or totals[0] != run:
+            totals = memo[key] = _run_totals(run, shape)
         _, params, flops, shape = totals
         params_total += params
         flops_total += flops

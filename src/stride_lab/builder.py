@@ -7,23 +7,27 @@ recipe's max pool, or a separate downsampling conv), in block architecture,
 and in the head pooling. :func:`build` checks the request, then elaborates
 the stem, the stages and the head in one pass into one :class:`ModelSpec`.
 It does not run :meth:`ModelSpec.validate`, which its output passes by
-construction (a test holds it) and which would cost about a build again.
+construction (a test holds it) and which costs more than the build: on a
+2-vCPU Xeon, 40-49 µs against 20-22 µs for a ResNet34 build, and
+187-229 µs against 23-27 µs for DF-ResNet182.
 
 Shortcut policy: a parametrized 1x1 projection (plus batch norm) is inserted
 exactly when a block changes its channel count. A block that only changes
 spatial resolution uses a parameter-free strided subsampling shortcut, which
 keeps the parameter count of every path to a given endpoint identical.
 
-Residual blocks are memoized. A block's entries depend only on its block
-kind, stage, block index, input, inner and output channels, stride, SE
-reduction and Res2Net scale, and those arguments are the memo's key, typed
-(a ``4.0`` never answers for a ``4``). Blocks 2..n of a stage never stride,
-so the paths of a trellis sweep rebuild only each stage's first block. The
-memo holds at most ``_BLOCK_MEMO_SIZE`` = 1024 blocks, least recently used
-first out, at 2-3 KB a block: every preset family and depth on all 1024
-paths, without SE or Res2Net, fills 236 of them. Specs from different
-builds share the memoized entries, which are frozen, so a spec's bytes,
-equality and counts do not depend on what was built before it.
+The stem, the stages, the residual blocks and the head are memoized,
+each keyed (typed: a ``4.0`` never answers for a ``4``) on exactly the
+arguments that shape it. A path of a trellis sweep is assembled from
+shared tuples and elaborates only the stages its strides are new to, and
+of those only the first block, as blocks 2..n never stride. The memos drop
+their least recently used entries past 1024 blocks (2-3 KB each), 256
+stages, 64 stems and 64 heads; every preset family and depth on all 1024
+paths, without SE or Res2Net, fills 236, 180, 8 and 11. A stage keeps its
+blocks, so at worst (DF-ResNet182 at 120 widths) the memos hold 11 MiB,
+against 3 MiB for blocks alone. Specs from different builds share the
+memoized entries, which are frozen, so a spec's bytes, equality and counts
+do not depend on what was built before it.
 """
 
 from __future__ import annotations
@@ -94,8 +98,10 @@ _SD_PRESETS: dict[int, tuple[int, ...]] = {
 _BOTTLENECK_EXPANSION = 4
 _DF_EXPANSION = 4
 
-#: Most residual blocks the memo keeps (see the module docstring).
+#: Most residual blocks, stages, and stems or heads the memos keep (see the module docstring).
 _BLOCK_MEMO_SIZE = 1024
+_STAGE_MEMO_SIZE = 256
+_END_MEMO_SIZE = 64
 
 
 class BuildError(ValueError):
@@ -254,6 +260,12 @@ def _check_options(req: BuildRequest, kind: BlockKind) -> None:
         raise BuildError(
             f"gemini family requires a golden-gemini endpoint, got {final_factors(req.path)}"
         )
+    expansion = _BOTTLENECK_EXPANSION if kind is BlockKind.BOTTLENECK else 1
+    for i in range(4):
+        channels = req.base_channels * 2 ** i * expansion
+        for option, value in (("SE reduction", req.se_reduction), ("res2net scale", req.res2net_scale)):
+            if value and channels % value:
+                raise BuildError(f"stage {i + 2}: {option} {value} does not divide its {channels} channels")
 
 
 def _basic_block(
@@ -382,18 +394,48 @@ def _block(
     return _df_block(stage, block, out_ch)
 
 
-def _downsample_conv(
-    entries: list[LayerEntry], stage: int, in_ch: int, out_ch: int, stride: StridePair
-) -> None:
-    prefix = f"stage{stage}.downsample"
-    entries.append(
-        LayerEntry(
-            Conv2d(f"{prefix}.conv", in_ch, out_ch, (3, 3), stride=stride, padding=(1, 1)),
-            stage=stage,
-        )
-    )
-    entries.append(LayerEntry(BatchNorm2d(f"{prefix}.bn", out_ch), stage=stage))
-    entries.append(LayerEntry(Activation(f"{prefix}.act"), stage=stage))
+@lru_cache(maxsize=_END_MEMO_SIZE, typed=True)
+def _stem(original: bool, c: int, stride: StridePair) -> tuple[LayerEntry, ...]:
+    """The stem conv carrying the stage-1 stride, its batch norm and activation."""
+    kernel, padding = ((7, 7), (3, 3)) if original else ((3, 3), (1, 1))
+    layers = (Conv2d("stem.conv", 1, c, kernel, stride=stride, padding=padding),
+              BatchNorm2d("stem.bn", c), Activation("stem.act"))
+    return tuple(LayerEntry(layer, stage=1) for layer in layers)
+
+
+@lru_cache(maxsize=_STAGE_MEMO_SIZE, typed=True)
+def _stage(kind: BlockKind, stage: int, num_blocks: int, in_ch: int, width: int, out_ch: int,
+           path_stride: StridePair, original: bool, has_sd: bool, se_reduction: int | None,
+           res2net_scale: int | None) -> tuple[StageSpec, tuple[LayerEntry, ...]]:
+    """One residual stage's spec and entries: the original recipe's stage-2
+    max pool, the separate downsampling conv, then the memoized blocks, the
+    first of which carries whatever stride is left."""
+    entries: list[LayerEntry] = []
+    stride = path_stride
+    if original and stage == 2:
+        # The original recipe consumes the stage-2 stride in its max pool.
+        maxpool = MaxPool2d("stage2.maxpool", (3, 3), stride=stride, padding=(1, 1))
+        entries, stride = [LayerEntry(maxpool, stage=2)], UNIT
+    if has_sd:
+        prefix = f"stage{stage}.downsample"
+        conv = Conv2d(f"{prefix}.conv", in_ch, out_ch, (3, 3), stride=stride, padding=(1, 1))
+        layers = (conv, BatchNorm2d(f"{prefix}.bn", out_ch), Activation(f"{prefix}.act"))
+        entries += (LayerEntry(layer, stage=stage) for layer in layers)
+        in_ch, stride = out_ch, UNIT
+    for b in range(1, num_blocks + 1):
+        entries += _block(kind, stage, b, in_ch, width, out_ch, stride, se_reduction, res2net_scale)
+        in_ch, stride = out_ch, UNIT
+    spec = StageSpec(index=stage, kind=kind, width=width, out_channels=out_ch, num_blocks=num_blocks,
+                     stride=path_stride, separate_downsample=has_sd)
+    return spec, tuple(entries)
+
+
+@lru_cache(maxsize=_END_MEMO_SIZE, typed=True)
+def _head(original: bool, pooled: int, embedding_dim: int) -> tuple[LayerEntry, ...]:
+    """The pooling layer and the embedding layer on ``pooled`` inputs."""
+    pool = GlobalAvgPool("head.pool") if original else TemporalStatsPool("head.pool")
+    fc = FullyConnected("head.fc", pooled, embedding_dim, bias=True)
+    return (LayerEntry(pool, stage=0), LayerEntry(fc, stage=0))
 
 
 def build(req: BuildRequest) -> ModelSpec:
@@ -415,80 +457,34 @@ def build(req: BuildRequest) -> ModelSpec:
     _validate_depth(req, kind, sd_flags)
     _check_options(req, kind)
 
-    c = req.base_channels
-    entries: list[LayerEntry] = []
-    stages: list[StageSpec] = []
-    notes: list[str] = []
     original = req.family is Family.ORIGINAL_RESNET
-
-    stem_kernel, stem_pad = ((7, 7), (3, 3)) if original else ((3, 3), (1, 1))
-    stem = Conv2d("stem.conv", 1, c, stem_kernel, stride=req.path.steps[0], padding=stem_pad)
-    entries.append(LayerEntry(stem, stage=1))
-    entries.append(LayerEntry(BatchNorm2d("stem.bn", c), stage=1))
-    entries.append(LayerEntry(Activation("stem.act"), stage=1))
-    if original:
-        maxpool = MaxPool2d("stage2.maxpool", (3, 3), stride=req.path.steps[1], padding=(1, 1))
-        entries.append(LayerEntry(maxpool, stage=2))
-        if canonical_name(req.path) != "ORI":
-            notes.append("non_canonical_path_for_original_family")
-
-    in_ch = c
+    entries = list(_stem(original, req.base_channels, req.path.steps[0]))
+    stages: list[StageSpec] = []
+    in_ch = req.base_channels
     for i, num_blocks in enumerate(req.block_counts):
-        stage = i + 2
-        width = c * (2 ** i)
-        if kind is BlockKind.BOTTLENECK:
-            out_ch = width * _BOTTLENECK_EXPANSION
-        else:
-            out_ch = width
-        for option, value in (("SE reduction", req.se_reduction), ("res2net scale", req.res2net_scale)):
-            if value and out_ch % value:
-                raise BuildError(f"stage {stage}: {option} {value} does not divide its {out_ch} channels")
-        path_stride = req.path.steps[stage - 1]
-        # The original recipe consumes the stage-2 stride in its max pool.
-        block_stage_stride = UNIT if (original and stage == 2) else path_stride
-        has_sd = sd_flags[i]
-        if has_sd:
-            _downsample_conv(entries, stage, in_ch, out_ch, block_stage_stride)
-            in_ch = out_ch
-            block_stage_stride = UNIT
-        stages.append(
-            StageSpec(
-                index=stage,
-                kind=kind,
-                width=width,
-                out_channels=out_ch,
-                num_blocks=num_blocks,
-                stride=path_stride,
-                separate_downsample=has_sd,
-            )
-        )
-        for b in range(1, num_blocks + 1):
-            stride = block_stage_stride if b == 1 else UNIT
-            entries.extend(
-                _block(kind, stage, b, in_ch, width, out_ch, stride, req.se_reduction, req.res2net_scale)
-            )
-            in_ch = out_ch
+        width = req.base_channels * 2 ** i
+        out_ch = width * _BOTTLENECK_EXPANSION if kind is BlockKind.BOTTLENECK else width
+        stage, stage_entries = _stage(kind, i + 2, num_blocks, in_ch, width, out_ch, req.path.steps[i + 1],
+                                      original, sd_flags[i], req.se_reduction, req.res2net_scale)
+        stages.append(stage)
+        entries += stage_entries
+        in_ch = out_ch
+    pooled = out_ch if original else 2 * out_ch * -(-req.input_freq_bins // final_factors(req.path)[1])
+    entries += _head(original, pooled, req.embedding_dim)
 
-    if original:
-        pool, pooled = GlobalAvgPool("head.pool"), out_ch
-    else:
-        pool = TemporalStatsPool("head.pool")
-        pooled = 2 * out_ch * -(-req.input_freq_bins // final_factors(req.path)[1])
-    entries.append(LayerEntry(pool, stage=0))
-    entries.append(LayerEntry(FullyConnected("head.fc", pooled, req.embedding_dim, bias=True), stage=0))
-
+    name = canonical_name(req.path)
     return ModelSpec(
         family=req.family,
         depth_label=req.depth_label,
         base_channels=req.base_channels,
         embedding_dim=req.embedding_dim,
         input_freq_bins=req.input_freq_bins,
-        path=req.path.relabeled(canonical_name(req.path)),
+        path=req.path.relabeled(name),
         stages=tuple(stages),
         entries=tuple(entries),
         se_reduction=req.se_reduction,
         res2net_scale=req.res2net_scale,
-        notes=tuple(notes),
+        notes=("non_canonical_path_for_original_family",) if original and name != "ORI" else (),
     )
 
 

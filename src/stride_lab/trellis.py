@@ -114,14 +114,16 @@ def rank_paths_by_flops(
 ) -> tuple[RankedPath, ...]:
     """Order a family's paths by descending analytic FLOPs.
 
-    Every path is substituted into the template's build request and
-    re-elaborated; parameter counts are asserted identical across the family.
+    Every path is substituted into the template's build request and built,
+    which assembles it from the builder's memoized stems, stages, blocks and
+    heads; parameter counts are asserted identical across the family.
     No built path underflows the input shape (every striding layer maps n to
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.
 
-    The totals are ``count_flops``'s, but each distinct residual block is
+    The totals are ``count_flops``'s, but each distinct run of entries (a
+    residual block, or the stem, max pool, downsampling conv or head) is
     walked once per input shape it meets: every later path that reaches the
-    same block at the same shape reuses its params, MACs and output shape
+    same run at the same shape reuses its params, MACs and output shape
     from a memo that lives for this call only.
     """
     from .analysis import _memo_totals

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stride_lab import analysis
 from stride_lab import builder as builder_module
 from stride_lab.analysis import AnalysisError, count_flops, count_params, trace
 from stride_lab.builder import (
@@ -30,6 +31,7 @@ from stride_lab.layers import (
 )
 from stride_lab.serialize import model_from_json, model_to_json
 from stride_lab.strides import StridePair, resolve_name
+from stride_lab.trellis import TrellisEndpoint, enumerate_paths, rank_paths_by_flops
 
 from oracles import ALL_PATHS, GOLDEN_PATHS, PRESETS, parent_depth_label, preset_requests
 
@@ -400,11 +402,27 @@ def _json_or_error(req):
 
 
 _memo = builder_module._block
+#: Every builder memo with its bound.
+_MEMOS = {
+    builder_module._block: builder_module._BLOCK_MEMO_SIZE,
+    builder_module._stage: builder_module._STAGE_MEMO_SIZE,
+    builder_module._stem: builder_module._END_MEMO_SIZE,
+    builder_module._head: builder_module._END_MEMO_SIZE,
+}
+
+
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+def _memo_states():
+    return [(memo.cache_info().currsize, memo.cache_info().misses) for memo in _MEMOS]
 
 
 class TestBlockMemo:
     def test_specs_are_byte_identical_after_every_path_was_built(self):
-        _memo.cache_clear()
+        _clear_memos()
         fresh = [(req, _json_or_error(req)) for req in _memo_requests()]
         # Refused: SE and Res2Net on the 3 depth-first presets, Res2Net on the
         # 9 bottleneck presets.
@@ -413,32 +431,36 @@ class TestBlockMemo:
             spec = build(template)
             for path in ALL_PATHS:
                 build(request_from_spec(spec, path=path))
-        assert _memo.cache_info().currsize <= builder_module._BLOCK_MEMO_SIZE
+        for memo, bound in _MEMOS.items():
+            assert memo.cache_info().currsize <= bound
         for req, text in fresh:
             assert _json_or_error(req) == text, req
 
     def test_memo_stays_at_its_bound(self):
-        _memo.cache_clear()
+        _clear_memos()
         assert _memo.cache_info().maxsize == builder_module._BLOCK_MEMO_SIZE == 1024
+        for memo, bound in _MEMOS.items():
+            assert memo.cache_info().maxsize == bound
         first = make_request("modified_resnet", 34, base_channels=1)
         text = model_to_json(build(first))
-        # A ResNet34 body has 16 blocks: 70 widths elaborate 1,120 distinct ones.
+        # A ResNet34 has 4 stages of 16 blocks, 1 stem and 1 head: 70 widths
+        # elaborate 1,120 distinct blocks, 280 stages, 70 stems and 70 heads.
         for channels in range(1, 71):
             build(make_request("modified_resnet", 34, base_channels=channels))
-        assert _memo.cache_info().currsize == builder_module._BLOCK_MEMO_SIZE
+        for memo, bound in _MEMOS.items():
+            assert memo.cache_info().currsize == bound, memo
         assert model_to_json(build(first)) == text
 
     def test_failing_request_raises_the_same_error_and_adds_nothing(self):
         req = make_request("modified_resnet", 34, se_reduction=3)
-        before = _memo.cache_info()
+        before = _memo_states()
         messages = []
         for _ in range(2):
             with pytest.raises(BuildError) as info:
                 build(req)
             messages.append(str(info.value))
         assert messages == ["stage 2: SE reduction 3 does not divide its 32 channels"] * 2
-        after = _memo.cache_info()
-        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+        assert _memo_states() == before
 
     def test_a_float_option_cannot_answer_for_an_int(self):
         req = make_request("modified_resnet", 34, se_reduction=4)
@@ -453,6 +475,51 @@ class TestBlockMemo:
         spec = build(req)
         assert model_to_json(spec) == text
         assert type(count_params(spec).params_total) is int
+
+    def _two_paths(self, template):
+        """Two paths to the endpoint (4, 8) with the same first two strides."""
+        paths = enumerate_paths(TrellisEndpoint(4, 8)).paths
+        first = paths[0]
+        second = next(p for p in paths[1:] if p.steps[:2] == first.steps[:2])
+        return [build(request_from_spec(template, path=p)) for p in (first, second)]
+
+    @pytest.mark.parametrize("family, depth", [("modified_resnet", 34), ("original_resnet", 34)])
+    def test_paths_of_one_endpoint_share_their_stem_and_head(self, family, depth):
+        a, b = self._two_paths(build(make_request(family, depth)))
+        assert a.path != b.path
+        outside = [(x, y) for x, y in zip(a.entries, b.entries) if x.block is None]
+        # Stem (3 entries), the original recipe's max pool, and the head (2).
+        assert len(outside) == (6 if family == "original_resnet" else 5)
+        assert all(x is y for x, y in outside)
+
+    def test_counting_a_second_path_walks_no_run_outside_blocks(self, monkeypatch):
+        a, b = self._two_paths(build(make_request("original_resnet", 34)))
+        walked = []
+        plain = analysis._run_totals
+
+        def recording(run, shape):
+            walked.append(run[0].block)
+            return plain(run, shape)
+
+        monkeypatch.setattr(analysis, "_run_totals", recording)
+        memo = {}
+        analysis._memo_totals(a, TensorShape(1, 80, 300), memo)
+        assert None in walked
+        walked.clear()
+        totals = analysis._memo_totals(b, TensorShape(1, 80, 300), memo)
+        count = count_flops(b, TensorShape(1, 80, 300))
+        assert totals == (count.params_total, count.flops_total)
+        assert walked and None not in walked
+
+    def test_cold_and_warm_memos_rank_alike(self):
+        family = enumerate_paths(TrellisEndpoint(4, 8))
+        shape = TensorShape(1, 80, 200)
+        for req in (make_request("modified_resnet", 50), make_request("sd_resnet", 38)):
+            template = build(req)
+            _clear_memos()
+            cold = rank_paths_by_flops(family, shape, template)
+            warm = rank_paths_by_flops(family, shape, template)
+            assert len(cold) == 100 and cold == warm
 
 
 class TestIntegerGate:

@@ -549,6 +549,59 @@ def test_any_analyze_argv_exits_cleanly(command, family, depth, path, compared, 
         json.loads(out.getvalue())
 
 
+_SCORE_LINES = st.sampled_from([
+    "target 0.9", "nontarget 0.1", "target 0.5", "nontarget 0.5", "target -3", "target nan",
+    "nontarget inf", "target 1e400", "target", "0.5 target", "target 0.1 extra", "spoof 0.3",
+    "# comment", "target 0.2 # note", "", "  nontarget\t0.7", "\ufefftarget 0.4",
+])
+_ARGV_VALUES = {
+    "enumerate": {
+        "--endpoint": st.sampled_from(["2,16", "4,8", "1,1", "32,32", "3,8", "64,1", "2", "2,16,1",
+                                       "a,b", "", ",", "-2,4", " 2, 16", "0,0"]),
+        "--class": st.sampled_from(["time-priority", "equal", "frequency-priority", "nope", ""]),
+    },
+    "render": {
+        "--highlight": st.lists(_NAMES.filter(lambda n: n is not None), max_size=3).map(",".join),
+        "-o": st.sampled_from(["out.dot", "missing/out.dot", ".", ""]),
+    },
+    "metrics": {
+        option: st.sampled_from(["0.01", "0.5", "0", "1", "-1", "nan", "inf", "abc", "1e-300", ""])
+        for option in ("--p-target", "--c-fa", "--c-miss")
+    },
+}
+_ARGV_FLAGS = {"enumerate": ("--paths", "--dot"), "metrics": ("--json",)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(sorted(_ARGV_VALUES)),
+    lines=st.lists(_SCORE_LINES, max_size=6),
+    score_file=st.sampled_from(["scores.txt", "absent.txt", "."]),
+)
+def test_any_enumerate_render_or_metrics_argv_exits_cleanly(
+    data, command, lines, score_file, tmp_path_factory
+):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "scores.txt").write_text("\n".join(lines))
+    flags = {flag for flag in _ARGV_FLAGS.get(command, ()) if data.draw(st.booleans())}
+    options = data.draw(st.fixed_dictionaries({}, optional=_ARGV_VALUES[command]))
+    argv = [command, *sorted(flags)]
+    if command == "metrics":
+        argv.append(str(tmp / score_file))
+    for option, value in options.items():
+        argv += [option, str(tmp / value) if option == "-o" and value else value]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == "", argv
+    elif "--json" in flags:
+        json.loads(out.getvalue())
+
+
 class TestMetricsCommand:
     def test_perfectly_separated_file(self, capsys, tmp_path):
         score_file = tmp_path / "scores.txt"

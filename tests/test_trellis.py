@@ -278,6 +278,18 @@ class TestBlockMemoExactness:
         assert _memo_totals(mod34, INPUT_3S, memo) == _count_flops_totals(mod34, INPUT_3S)
         keys = set(memo)
         assert _memo_totals(mixed, INPUT_3S, memo) == _count_flops_totals(mixed, INPUT_3S)
+        # Every block hits the built spec's key by value and adds none; the
+        # stem and the head, outside blocks, open with the loaded copies and
+        # are the only new keys.
+        head = next(i for i, e in enumerate(mixed.entries) if e.stage == 0)
+        head_in = trace(mixed, INPUT_3S)[head].in_shape
+        assert mixed.entries[0] is loaded.entries[0] and mixed.entries[head] is loaded.entries[head]
+        assert set(memo) - keys == {
+            (id(mixed.entries[0]), INPUT_3S.as_tuple()),
+            (id(mixed.entries[head]), head_in),
+        }
+        keys = set(memo)
+        assert _memo_totals(mixed, INPUT_3S, memo) == _count_flops_totals(mixed, INPUT_3S)
         assert set(memo) == keys
         assert _memo_totals(loaded, INPUT_3S, memo) == _count_flops_totals(loaded, INPUT_3S)
 
