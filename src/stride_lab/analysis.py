@@ -22,16 +22,18 @@ The walk may start at any block boundary from a given shape, and it
 returns the shape it ends at. A run's counts and output shape depend only
 on its entries and its input shape, whether the run is a residual block or
 the stem, max pool, downsampling conv or head between blocks. So a trellis
-ranking (:func:`~stride_lab.trellis.rank_paths_by_flops`) walks each
-distinct run once per input shape and adds up the totals it keeps for it,
-in a memo that lives for that one ranking call. A single ``count_flops``
-walks the whole spec in one pass and keeps nothing.
+ranking (:func:`~stride_lab.trellis.rank_paths_by_flops`) adds up totals
+from two memos, of stage runs and of blocks, keyed by input shape, that
+live for that one ranking call: a stage seen before at its shape costs one
+lookup and one slice compare, and only a new stage is counted block by
+block. A single ``count_flops`` walks the whole spec in one pass and
+keeps nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -350,6 +352,9 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
     )
 
 
+#: A stage run: consecutive entries with one ``stage`` (the stem, one
+#: residual stage with its max pool or downsampling conv, or the head).
+_STAGE_KEY = attrgetter("stage")
 #: A run of entries with one ``(stage, block)``: a residual block, or
 #: plumbing outside blocks (stem, max pool, downsampling conv, head) when
 #: ``block`` is None.
@@ -363,30 +368,56 @@ def _run_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...]) -> tuple:
             sum(rule.flops(layer, out_shape) for layer, rule, _, out_shape in records), out)
 
 
-def _memo_totals(spec: ModelSpec, input_shape: TensorShape, memo: dict) -> tuple[int, int]:
-    """The ``(params_total, flops_total)`` of ``count_flops(spec,
-    input_shape)``, each run of entries counted once per ``memo`` and
-    input shape.
+def _stage_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...], blocks: dict) -> tuple:
+    """``(run, params, MACs, out shape)`` of one stage run walked from
+    ``shape``: each ``(stage, block)`` run in it is looked up in ``blocks``
+    by ``(id(first entry), in shape)`` and walked only on a miss."""
+    params = flops = 0
+    for _, block in groupby(run, _RUN_KEY):
+        block = tuple(block)
+        key = (id(block[0]), shape)
+        totals = blocks.get(key)
+        if totals is None or totals[0] != block:
+            totals = blocks[key] = _run_totals(block, shape)
+        _, block_params, block_flops, shape = totals
+        params += block_params
+        flops += block_flops
+    return run, params, flops, shape
 
-    ``memo`` maps ``(id(first entry), in shape)`` to one run's
-    :func:`_run_totals`, for every run: residual blocks and the plumbing
-    between them alike. A hit counts only if its entries equal the run's:
-    the same objects (the builder shares memoized stems, stages, blocks and
-    heads between specs) compare at once, equal values compare field by
-    field, and a first entry reused ahead of other layers misses. The memo
-    holds the entries it keys, so no key's id is reused while it lives.
+
+def _memo_totals(spec: ModelSpec, input_shape: TensorShape, stages: dict, blocks: dict) -> tuple[int, int]:
+    """The ``(params_total, flops_total)`` of ``count_flops(spec,
+    input_shape)``, from a memo of stage runs and one of blocks.
+
+    Both map ``(id(first entry), in shape)`` to a run's totals; they are
+    apart because a stage and its first block open with the same entry.
+    A stage hit costs one slice compare, which short-cuts on identity (the
+    builder shares memoized entries between specs) and compares equal
+    copies field by field. It counts only if the spec's stage run is
+    exactly the memo's, so a first entry reused ahead of other layers, or
+    a longer or shorter stage, misses; a miss counts that stage through
+    :func:`_stage_totals`. Each memo holds the entries it keys, so no
+    key's id is reused while it lives.
     """
+    entries = spec.entries
+    end = len(entries)
     shape = _start(input_shape)
-    params_total = flops_total = 0
-    for _, run in groupby(spec.entries, _RUN_KEY):
-        run = tuple(run)
-        key = (id(run[0]), shape)
-        totals = memo.get(key)
-        if totals is None or totals[0] != run:
-            totals = memo[key] = _run_totals(run, shape)
-        _, params, flops, shape = totals
+    params_total = flops_total = i = 0
+    while i < end:
+        key = (id(entries[i]), shape)
+        totals = stages.get(key)
+        if totals is not None:
+            run = totals[0]
+            j = i + len(run)
+            if entries[i:j] != run or (j < end and entries[j].stage == run[0].stage):
+                totals = None
+        if totals is None:
+            run = tuple(next(groupby(islice(entries, i, None), _STAGE_KEY))[1])
+            totals = stages[key] = _stage_totals(run, shape, blocks)
+        run, params, flops, shape = totals
         params_total += params
         flops_total += flops
+        i += len(run)
     return params_total, flops_total
 
 

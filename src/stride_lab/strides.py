@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -253,15 +254,23 @@ def _base_name(alpha5: int, beta5: int) -> str:
     return f"{prefix}{alpha5.bit_length() - 1}{beta5.bit_length() - 1}"
 
 
+@functools.lru_cache(maxsize=None)
+def _family_names(alpha5: int, beta5: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], str]:
+    """``{(time_strides, freq_strides): name}`` for every path to an
+    endpoint: rank ``r`` in :func:`_family_order` takes suffix ``r``, and
+    the first path of a reserved endpoint takes the reserved name."""
+    order = _family_order(alpha5, beta5)
+    base = _base_name(alpha5, beta5)
+    names = {config: base + _suffix(rank) for rank, config in enumerate(order)}
+    if (alpha5, beta5) in _RESERVED_EQUAL:
+        names[order[0]] = _RESERVED_EQUAL[(alpha5, beta5)]
+    return names
+
+
 def canonical_name(path: TrellisPath) -> str:
     """Stable, injective short name for a path (e.g. ``T14c``, ``MOD``)."""
-    alpha5, beta5 = final_factors(path)
-    config = (path.time_strides, path.freq_strides)
-    order = _family_order(alpha5, beta5)
-    rank = order.index(config)
-    if rank == 0 and (alpha5, beta5) in _RESERVED_EQUAL:
-        return _RESERVED_EQUAL[(alpha5, beta5)]
-    return _base_name(alpha5, beta5) + _suffix(rank)
+    time, freq = path.time_strides, path.freq_strides
+    return _family_names(math.prod(time), math.prod(freq))[(time, freq)]
 
 
 _NAME_PATTERN = re.compile(r"^(?P<cls>[TFE])(?P<a>[0-5])(?P<b>[0-5])(?P<suffix>[a-z]{0,2})$")
@@ -293,13 +302,18 @@ def resolve_name(name: str) -> TrellisPath:
     return TrellisPath.from_lists(time, freq, label=cleaned)
 
 
+#: The four stride pairs, shared by the memoized paths.
+_STEPS = {(t, f): StridePair(t, f) for t in STRIDE_VALUES for f in STRIDE_VALUES}
+
+
+@functools.lru_cache(maxsize=None, typed=True)
 def paths_to_endpoint(alpha5: int, beta5: int) -> tuple[TrellisPath, ...]:
-    """All paths reaching (alpha5, beta5), in canonical naming order."""
-    paths = []
-    for time, freq in _family_order(alpha5, beta5):
-        path = TrellisPath.from_lists(time, freq)
-        paths.append(path.relabeled(canonical_name(path)))
-    return tuple(paths)
+    """All paths reaching (alpha5, beta5), in canonical naming order, each
+    labelled with its name. Memoized: every call for an endpoint returns
+    the same tuple of frozen paths (36 tuples, 1024 paths in all)."""
+    names = _family_names(alpha5, beta5)
+    return tuple(TrellisPath(tuple(_STEPS[step] for step in zip(time, freq)), names[(time, freq)])
+                 for time, freq in _family_order(alpha5, beta5))
 
 
 def iter_all_paths():

@@ -9,8 +9,9 @@ FLOPs, depending on how early the downsampling happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from .catalog import GOLDEN_GEMINI_FACTORS
 from .layers import ModelSpec, TensorShape
@@ -19,7 +20,6 @@ from .strides import (
     NUM_STAGES,
     PathClass,
     TrellisPath,
-    canonical_name,
     endpoint_class,
     paths_to_endpoint,
 )
@@ -114,34 +114,35 @@ def rank_paths_by_flops(
 ) -> tuple[RankedPath, ...]:
     """Order a family's paths by descending analytic FLOPs.
 
-    Every path is substituted into the template's build request and built,
-    which assembles it from the builder's memoized stems, stages, blocks and
-    heads; parameter counts are asserted identical across the family.
+    Every path is substituted into the template's build request and built
+    once, which assembles it from the builder's memoized stems, stages,
+    blocks and heads; parameter counts are asserted identical across the
+    family, and each path is named by its build.
     No built path underflows the input shape (every striding layer maps n to
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.
 
-    The totals are ``count_flops``'s, but each distinct run of entries (a
-    residual block, or the stem, max pool, downsampling conv or head) is
-    walked once per input shape it meets: every later path that reaches the
-    same run at the same shape reuses its params, MACs and output shape
-    from a memo that lives for this call only.
+    The totals are ``count_flops``'s, from memos of stage runs and of
+    blocks that live for this call only (``analysis._memo_totals``): a
+    path whose stage was seen at the same input shape reuses its counts,
+    and a new stage is counted block by block, sharing blocks 2..n with
+    its stride variants.
     """
     from .analysis import _memo_totals
     from .builder import build, request_from_spec
 
-    ranked: list[RankedPath] = []
+    rows = []
     params_seen: set[int] = set()
-    memo: dict = {}
+    stages, blocks = {}, {}
     for path in family.paths:
-        name = canonical_name(path)
         spec = build(request_from_spec(spec_template, path=path))
-        params, flops = _memo_totals(spec, input_shape, memo)
+        params, flops = _memo_totals(spec, input_shape, stages, blocks)
         params_seen.add(params)
-        ranked.append(RankedPath(path, name, rank=-1, flops_total=flops, params_total=params))
+        rows.append((-flops, spec.path.label, path, params))
     if len(params_seen) > 1:
         raise AssertionError(
             f"parameter count varies within family ({family.endpoint.alpha5}, "
             f"{family.endpoint.beta5}): {sorted(params_seen)}"
         )
-    ranked.sort(key=lambda r: (-r.flops_total, r.name))
-    return tuple(replace(r, rank=i + 1) for i, r in enumerate(ranked))
+    rows.sort(key=itemgetter(0, 1))  # rows are (-flops, name, path, params)
+    return tuple(RankedPath(path, name, rank, -neg_flops, params)
+                 for rank, (neg_flops, name, path, params) in enumerate(rows, start=1))

@@ -10,6 +10,10 @@ documents that both the loader tests and the CLI tests expect rejected, and
 ``rank_rows_by_count_flops`` ranks a trellis family with no block memo:
 one whole ``count_flops`` per path. ``parent_depth_label`` is the depth
 label rule ``request_from_spec`` had before ``builder._sd_flags`` held it.
+``canonical_name_by_index`` and ``paths_to_endpoint_by_index`` are the
+naming rule and the path list before names were looked up in a dict: a
+path's rank is its index in its endpoint's family order, and every call
+makes fresh paths.
 """
 
 from __future__ import annotations
@@ -41,8 +45,12 @@ from stride_lab.layers import (
 )
 from stride_lab.metrics import DegenerateScoresError, ScoreFileError
 from stride_lab.strides import (
+    _RESERVED_EQUAL,
     StridePair,
     TrellisPath,
+    _base_name,
+    _family_order,
+    _suffix,
     canonical_name,
     final_factors,
     iter_all_paths,
@@ -428,3 +436,23 @@ def parent_depth_label(spec, path):
         extra = 3 + (0 if path.steps[1].is_unit() else 1)
         return depth_from_blocks(BlockKind.DF_INVERTED, sum(s.num_blocks for s in spec.stages), extra)
     return spec.depth_label
+
+
+def canonical_name_by_index(path):
+    """The name of ``path`` by a linear search for its rank in its
+    endpoint's family order."""
+    alpha5, beta5 = final_factors(path)
+    rank = _family_order(alpha5, beta5).index((path.time_strides, path.freq_strides))
+    if rank == 0 and (alpha5, beta5) in _RESERVED_EQUAL:
+        return _RESERVED_EQUAL[(alpha5, beta5)]
+    return _base_name(alpha5, beta5) + _suffix(rank)
+
+
+def paths_to_endpoint_by_index(alpha5, beta5):
+    """Fresh paths to ``(alpha5, beta5)`` in family order, each labelled by
+    ``canonical_name_by_index``."""
+    paths = []
+    for time, freq in _family_order(alpha5, beta5):
+        path = TrellisPath.from_lists(time, freq)
+        paths.append(path.relabeled(canonical_name_by_index(path)))
+    return tuple(paths)

@@ -502,11 +502,11 @@ class TestBlockMemo:
             return plain(run, shape)
 
         monkeypatch.setattr(analysis, "_run_totals", recording)
-        memo = {}
-        analysis._memo_totals(a, TensorShape(1, 80, 300), memo)
+        memos = {}, {}
+        analysis._memo_totals(a, TensorShape(1, 80, 300), *memos)
         assert None in walked
         walked.clear()
-        totals = analysis._memo_totals(b, TensorShape(1, 80, 300), memo)
+        totals = analysis._memo_totals(b, TensorShape(1, 80, 300), *memos)
         count = count_flops(b, TensorShape(1, 80, 300))
         assert totals == (count.params_total, count.flops_total)
         assert walked and None not in walked

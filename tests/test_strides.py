@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import canonical_name_by_index, paths_to_endpoint_by_index
 from stride_lab.strides import (
     PathClass,
     StridePair,
@@ -161,6 +162,12 @@ class TestCanonicalName:
         assert len(names) == 100
         assert len(set(names)) == 100
 
+    def test_dict_lookup_names_as_the_index_rule(self):
+        # Unlabelled paths from the brute force, so no label is echoed back.
+        for time, freq in brute_force_paths():
+            path = TrellisPath.from_lists(time, freq)
+            assert canonical_name(path) == canonical_name_by_index(path)
+
     def test_identity_path_name(self):
         assert canonical_name(TrellisPath.from_lists([1] * 5, [1] * 5)) == "E00"
 
@@ -179,3 +186,30 @@ class TestCanonicalName:
             resolved = resolve_name(path.label)
             assert resolved.time_strides == path.time_strides
             assert resolved.freq_strides == path.freq_strides
+
+
+ENDPOINTS = [(2 ** a, 2 ** b) for a in range(6) for b in range(6)]
+
+
+class TestPathsToEndpoint:
+    def test_two_calls_return_the_same_tuple(self):
+        for endpoint in ENDPOINTS:
+            first = paths_to_endpoint(*endpoint)
+            assert type(first) is tuple and paths_to_endpoint(*endpoint) is first
+
+    def test_order_and_labels_match_the_index_rule(self):
+        for endpoint in ENDPOINTS:
+            got = paths_to_endpoint(*endpoint)
+            want = paths_to_endpoint_by_index(*endpoint)
+            assert got == want
+            assert [p.label for p in got] == [p.label for p in want]
+
+    def test_iter_all_paths_matches_the_index_rule(self):
+        want = [p for endpoint in ENDPOINTS for p in paths_to_endpoint_by_index(*endpoint)]
+        got = list(iter_all_paths())
+        assert got == want and len(got) == 1024
+        assert len({p.label for p in got}) == 1024
+
+    def test_refuses_a_non_endpoint(self):
+        with pytest.raises(ValueError, match="invalid endpoint"):
+            paths_to_endpoint(3, 8)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import rank_rows_by_count_flops
-from stride_lab import builder
+from stride_lab import analysis, builder
 from stride_lab.analysis import ShapeUnderflowError, _memo_totals, count_flops, trace
 from stride_lab.builder import build, make_request, request_from_spec
 from stride_lab.layers import Conv2d, TensorShape
@@ -18,6 +18,7 @@ from stride_lab.strides import (
     classify_path,
     downsampling_factors,
     iter_all_paths,
+    resolve_name,
 )
 from stride_lab.trellis import (
     PathFamily,
@@ -81,6 +82,15 @@ class TestEnumeratePaths:
         endpoint = TrellisEndpoint(2, 16)
         with pytest.raises(ValueError):
             PathFamily(endpoint=endpoint, paths=enumerate_paths(endpoint).paths[:3])
+
+    def test_family_checks_the_count_of_a_shared_path_tuple(self):
+        # enumerate_paths hands out the memoized tuple of its endpoint; a
+        # family on another endpoint still refuses it by count.
+        shared = enumerate_paths(TrellisEndpoint(2, 16)).paths
+        assert enumerate_paths(TrellisEndpoint(2, 16)).paths is shared
+        with pytest.raises(ValueError, match=r"\(4, 8\) must have 100 paths, got 25"):
+            PathFamily(endpoint=TrellisEndpoint(4, 8), paths=shared)
+        assert len(enumerate_paths(TrellisEndpoint(4, 8)).paths) == 100
 
 
 class TestGoldenGemini:
@@ -263,7 +273,7 @@ class TestBlockMemoExactness:
             with pytest.raises(ShapeUnderflowError, match=re.escape(message)):
                 rank(family, TensorShape(1, 80, 21), template)
 
-    def test_equal_blocks_from_json_hit_by_value(self, mod34):
+    def test_equal_stages_from_json_hit_by_value(self, mod34):
         loaded = model_from_json(model_to_json(mod34))
         # Each block opens with the built spec's entry, then goes on with
         # the loaded spec's copies: equal values, other objects.
@@ -274,24 +284,23 @@ class TestBlockMemoExactness:
         )
         mixed = dataclasses.replace(loaded, entries=mixed)
         assert any(a is not b for a, b in zip(mixed.entries, mod34.entries))
-        memo = {}
-        assert _memo_totals(mod34, INPUT_3S, memo) == _count_flops_totals(mod34, INPUT_3S)
-        keys = set(memo)
-        assert _memo_totals(mixed, INPUT_3S, memo) == _count_flops_totals(mixed, INPUT_3S)
-        # Every block hits the built spec's key by value and adds none; the
-        # stem and the head, outside blocks, open with the loaded copies and
-        # are the only new keys.
+        stages, blocks = {}, {}
+        assert _memo_totals(mod34, INPUT_3S, stages, blocks) == _count_flops_totals(mod34, INPUT_3S)
+        keys = set(stages), set(blocks)
+        assert _memo_totals(mixed, INPUT_3S, stages, blocks) == _count_flops_totals(mixed, INPUT_3S)
+        # Every residual stage opens with its first block's built entry and
+        # hits the built spec's key by value; the stem and the head, outside
+        # blocks, open with the loaded copies and are the only new keys of
+        # either memo.
         head = next(i for i, e in enumerate(mixed.entries) if e.stage == 0)
         head_in = trace(mixed, INPUT_3S)[head].in_shape
         assert mixed.entries[0] is loaded.entries[0] and mixed.entries[head] is loaded.entries[head]
-        assert set(memo) - keys == {
-            (id(mixed.entries[0]), INPUT_3S.as_tuple()),
-            (id(mixed.entries[head]), head_in),
-        }
-        keys = set(memo)
-        assert _memo_totals(mixed, INPUT_3S, memo) == _count_flops_totals(mixed, INPUT_3S)
-        assert set(memo) == keys
-        assert _memo_totals(loaded, INPUT_3S, memo) == _count_flops_totals(loaded, INPUT_3S)
+        new = {(id(mixed.entries[0]), INPUT_3S.as_tuple()), (id(mixed.entries[head]), head_in)}
+        assert set(stages) - keys[0] == new and set(blocks) - keys[1] == new
+        keys = set(stages), set(blocks)
+        assert _memo_totals(mixed, INPUT_3S, stages, blocks) == _count_flops_totals(mixed, INPUT_3S)
+        assert (set(stages), set(blocks)) == keys
+        assert _memo_totals(loaded, INPUT_3S, stages, blocks) == _count_flops_totals(loaded, INPUT_3S)
 
     def test_reused_first_entry_ahead_of_other_layers_misses(self, mod34):
         # stage3.block2 keeps its first entry object; its second conv
@@ -305,16 +314,92 @@ class TestBlockMemoExactness:
         other = dataclasses.replace(mod34, entries=tuple(entries))
         assert _count_flops_totals(other, INPUT_3S) != _count_flops_totals(mod34, INPUT_3S)
         for first, second in ((mod34, other), (other, mod34)):
-            memo = {}
-            assert _memo_totals(first, INPUT_3S, memo) == _count_flops_totals(first, INPUT_3S)
-            assert _memo_totals(second, INPUT_3S, memo) == _count_flops_totals(second, INPUT_3S)
+            memos = {}, {}
+            assert _memo_totals(first, INPUT_3S, *memos) == _count_flops_totals(first, INPUT_3S)
+            assert _memo_totals(second, INPUT_3S, *memos) == _count_flops_totals(second, INPUT_3S)
 
     def test_one_memo_serves_two_input_shapes(self, mod34):
-        memo = {}
+        memos = {}, {}
         shapes = (TensorShape(1, 80, 200), INPUT_3S, TensorShape(1, 80, 200))
         for shape in shapes:
-            assert _memo_totals(mod34, shape, memo) == _count_flops_totals(mod34, shape)
-        assert {key[1] for key in memo} >= {(64, 40, 100), (64, 40, 150)}
+            assert _memo_totals(mod34, shape, *memos) == _count_flops_totals(mod34, shape)
+        for memo in memos:
+            assert {key[1] for key in memo} >= {(64, 40, 100), (64, 40, 150)}
+
+
+def _recording_run_totals(monkeypatch):
+    """Patch ``analysis._run_totals`` to list the first layer name of every
+    run it walks; returns that list."""
+    walked = []
+    plain = analysis._run_totals
+
+    def recording(run, shape):
+        walked.append(run[0].layer.name)
+        return plain(run, shape)
+
+    monkeypatch.setattr(analysis, "_run_totals", recording)
+    return walked
+
+
+class TestStageMemo:
+    """A ranking counts a built path one stage run at a time: a stage seen
+    at its input shape costs one memo lookup, and only a stage met for the
+    first time is counted block by block."""
+
+    def _short34(self, mod34):
+        """ResNet34 with block counts (3, 4, 5, 3): stage 4 drops its sixth
+        block, so it opens with the same entry and ends earlier."""
+        entries = tuple(e for e in mod34.entries if (e.stage, e.block) != (4, 6))
+        stages = tuple(dataclasses.replace(s, num_blocks=5) if s.index == 4 else s for s in mod34.stages)
+        return dataclasses.replace(mod34, entries=entries, stages=stages)
+
+    def test_shorter_stage_with_the_same_first_entry_misses(self, mod34):
+        short = self._short34(mod34)
+        assert len(short.entries) < len(mod34.entries)
+        assert _count_flops_totals(short, INPUT_3S) != _count_flops_totals(mod34, INPUT_3S)
+        for first, second in ((mod34, short), (short, mod34)):
+            stages, blocks = {}, {}
+            assert _memo_totals(first, INPUT_3S, stages, blocks) == _count_flops_totals(first, INPUT_3S)
+            assert _memo_totals(second, INPUT_3S, stages, blocks) == _count_flops_totals(second, INPUT_3S)
+            # The stage-4 key now holds the second spec's whole stage 4.
+            start = next(i for i, e in enumerate(second.entries) if e.stage == 4)
+            run = next(v[0] for k, v in stages.items() if k[0] == id(second.entries[start]))
+            assert run == tuple(e for e in second.entries if e.stage == 4)
+
+    def test_a_path_whose_stages_are_all_seen_walks_no_run(self, mod34, monkeypatch):
+        # The third path strides like the second up to stage 2, where both
+        # reach (2, 2), and like the first from stage 3 on.
+        first = TrellisPath.from_lists((2, 1, 2, 2, 1), (2, 1, 1, 2, 2))
+        second = TrellisPath.from_lists((1, 2, 1, 1, 1), (1, 2, 1, 1, 1))
+        third = TrellisPath.from_lists((1, 2, 2, 2, 1), (1, 2, 1, 2, 2))
+        specs = [build(request_from_spec(mod34, path=p)) for p in (first, second, third)]
+        walked = _recording_run_totals(monkeypatch)
+        stages, blocks = {}, {}
+        for spec in specs[:2]:
+            assert _memo_totals(spec, INPUT_3S, stages, blocks) == _count_flops_totals(spec, INPUT_3S)
+        assert walked
+        walked.clear()
+
+        def no_stage_walk(run, shape, blocks):
+            raise AssertionError(f"stage {run[0].stage} counted again")
+
+        monkeypatch.setattr(analysis, "_stage_totals", no_stage_walk)
+        assert _memo_totals(specs[2], INPUT_3S, stages, blocks) == _count_flops_totals(specs[2], INPUT_3S)
+        assert walked == []
+
+    def test_json_loaded_copies_in_a_shared_memo_count_exactly(self, mod34, monkeypatch):
+        t14c = build(request_from_spec(mod34, path=resolve_name("T14c")))
+        specs = [mod34, model_from_json(model_to_json(mod34)),
+                 t14c, model_from_json(model_to_json(t14c))]
+        stages, blocks = {}, {}
+        for shape in (INPUT_3S, TensorShape(1, 80, 200)):
+            for spec in specs:
+                assert _memo_totals(spec, shape, stages, blocks) == _count_flops_totals(spec, shape)
+        # Counted again, every loaded stage hits its own key.
+        walked = _recording_run_totals(monkeypatch)
+        for spec in specs:
+            assert _memo_totals(spec, INPUT_3S, stages, blocks) == _count_flops_totals(spec, INPUT_3S)
+        assert walked == []
 
 
 class TestClosedFormPrecondition:
