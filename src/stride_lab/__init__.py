@@ -52,18 +52,18 @@ from .serialize import format_table, model_from_json, model_to_json
 from .strides import (
     PathClass,
     StridePair,
+    TrellisEndpoint,
     TrellisPath,
     UnknownConfigError,
     canonical_name,
     classify_path,
     downsampling_factors,
+    enumerate_endpoints,
     final_factors,
     resolve_name,
 )
 from .trellis import (
     PathFamily,
-    TrellisEndpoint,
-    enumerate_endpoints,
     enumerate_paths,
     golden_gemini_endpoints,
     rank_paths_by_flops,

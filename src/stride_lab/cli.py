@@ -39,12 +39,13 @@ from .strides import (
     UnknownConfigError,
     canonical_name,
     classify_path,
+    enumerate_endpoints,
     final_factors,
     iter_all_paths,
     paths_to_endpoint,
     resolve_name,
 )
-from .trellis import enumerate_endpoints, enumerate_paths, golden_gemini_endpoints
+from .trellis import enumerate_paths, golden_gemini_endpoints
 from .verification import (
     VERIFY_DTYPE,
     default_seed,

@@ -9,7 +9,13 @@ endpoints are drawn with a double ring and a gold fill.
 from __future__ import annotations
 
 from .catalog import GOLDEN_GEMINI_FACTORS
-from .strides import NUM_STAGES, TrellisPath, canonical_name, downsampling_factors
+from .strides import (
+    NUM_STAGES,
+    TrellisPath,
+    canonical_name,
+    downsampling_factors,
+    enumerate_endpoints,
+)
 
 __all__ = ["trellis_dot"]
 
@@ -35,22 +41,16 @@ def trellis_dot(paths: tuple[TrellisPath, ...] = ()) -> str:
         "  rankdir=TB;",
         '  node [shape=circle, fontsize=10, style=filled, fillcolor=white];',
     ]
-    for a in range(NUM_STAGES + 1):
-        for b in range(NUM_STAGES + 1):
-            attrs = [f'label="({2 ** a},{2 ** b})"', f'pos="{b},{-a}!"']
-            if (2 ** a, 2 ** b) in golden:
-                attrs.append("peripheries=2")
-                attrs.append("fillcolor=gold")
-            lines.append(f"  {_node_id(a, b)} [{', '.join(attrs)}];")
-    for a in range(NUM_STAGES + 1):
-        for b in range(NUM_STAGES + 1):
-            for (da, db), label in _MOVES:
-                na, nb = a + da, b + db
-                if na > NUM_STAGES or nb > NUM_STAGES:
-                    continue
-                lines.append(
-                    f'  {_node_id(a, b)} -> {_node_id(na, nb)} [label="{label}", color=gray60];'
-                )
+    edges = []
+    for endpoint in enumerate_endpoints():
+        a, b = endpoint.exponents
+        attrs = [f'label="({endpoint.alpha5},{endpoint.beta5})"', f'pos="{b},{-a}!"']
+        if (endpoint.alpha5, endpoint.beta5) in golden:
+            attrs += ["peripheries=2", "fillcolor=gold"]
+        lines.append(f"  {_node_id(a, b)} [{', '.join(attrs)}];")
+        edges += [f'  {_node_id(a, b)} -> {_node_id(a + da, b + db)} [label="{label}", color=gray60];'
+                  for (da, db), label in _MOVES if max(a + da, b + db) <= NUM_STAGES]
+    lines += edges
     for i, path in enumerate(paths):
         color = _PALETTE[i % len(_PALETTE)]
         name = path.label or canonical_name(path)

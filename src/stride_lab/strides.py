@@ -1,10 +1,13 @@
-"""Stride pairs, trellis paths, and the canonical naming scheme.
+"""Stride pairs, trellis endpoints and paths, and the canonical naming scheme.
 
 A backbone's downsampling plan is a five-step sequence of per-stage
 (time, frequency) stride pairs, each component restricted to 1 or 2.
 Running products of the strides give the cumulative downsampling
 factors (alpha_n, beta_n); the pair after stage 5 is the path's
-endpoint on the 6x6 trellis grid.
+endpoint on the 6x6 trellis grid. An endpoint's two factors are each an
+``int`` (not a ``bool``) and a power of two in 1..32;
+:class:`TrellisEndpoint` is the one check of that rule, and anything else
+raises ``ValueError``.
 
 Paths are named by endpoint and rank within their endpoint family:
 
@@ -30,12 +33,14 @@ from dataclasses import dataclass
 __all__ = [
     "PathClass",
     "StridePair",
+    "TrellisEndpoint",
     "TrellisPath",
     "UnknownConfigError",
     "canonical_name",
     "classify_path",
     "downsampling_factors",
     "endpoint_class",
+    "enumerate_endpoints",
     "final_factors",
     "iter_all_paths",
     "paths_to_endpoint",
@@ -145,6 +150,34 @@ def classify_path(path: TrellisPath) -> PathClass:
     return endpoint_class(*final_factors(path))
 
 
+@dataclass(frozen=True)
+class TrellisEndpoint:
+    """A node on the final column of the trellis: (alpha_5, beta_5)."""
+
+    alpha5: int
+    beta5: int
+
+    def __post_init__(self) -> None:
+        for value in (self.alpha5, self.beta5):
+            if type(value) is not int or value not in ENDPOINT_FACTORS:
+                raise ValueError(f"invalid endpoint ({self.alpha5!r}, {self.beta5!r}): factors "
+                                 "must be ints that are powers of two in 1..32")
+
+    @property
+    def exponents(self) -> tuple[int, int]:
+        return (self.alpha5.bit_length() - 1, self.beta5.bit_length() - 1)
+
+    @property
+    def path_class(self) -> PathClass:
+        return endpoint_class(self.alpha5, self.beta5)
+
+
+def enumerate_endpoints() -> tuple[TrellisEndpoint, ...]:
+    """The 36 endpoints of the 6x6 exponent grid, in deterministic order."""
+    return tuple(TrellisEndpoint(2 ** a, 2 ** b)
+                 for a in range(NUM_STAGES + 1) for b in range(NUM_STAGES + 1))
+
+
 # ---------------------------------------------------------------------------
 # Endpoint families and canonical naming
 # ---------------------------------------------------------------------------
@@ -190,9 +223,7 @@ def _suffix_rank(suffix: str) -> int:
     indexes = [_SUFFIX_ALPHABET.index(ch) for ch in suffix]
     if len(indexes) == 1:
         return indexes[0] + 1
-    if len(indexes) == 2:
-        return n + indexes[0] * n + indexes[1] + 1
-    raise UnknownConfigError(f"unparseable suffix {suffix!r}")
+    return n + indexes[0] * n + indexes[1] + 1
 
 
 def _latest_tuple(factor: int) -> tuple[int, ...]:
@@ -228,20 +259,13 @@ def _family_order(alpha5: int, beta5: int) -> tuple[tuple[tuple[int, ...], tuple
     The latest-downsampling path comes first (bare name), pinned published
     alternates follow in their established order, and the remaining paths are
     sorted by departing later from the canonical path, ties broken
-    lexicographically.
+    lexicographically. The endpoint must be valid: callers check it first.
     """
-    if alpha5 not in ENDPOINT_FACTORS or beta5 not in ENDPOINT_FACTORS:
-        raise ValueError(f"invalid endpoint ({alpha5}, {beta5})")
     canon = (_latest_tuple(alpha5), _latest_tuple(beta5))
     pinned = _PINNED_ALTERNATES.get((alpha5, beta5), ())
     placed = {canon, *pinned}
-    rest = []
-    for time in _dim_tuples(alpha5):
-        for freq in _dim_tuples(beta5):
-            config = (time, freq)
-            if config in placed:
-                continue
-            rest.append(config)
+    rest = [config for config in itertools.product(_dim_tuples(alpha5), _dim_tuples(beta5))
+            if config not in placed]
     rest.sort(key=lambda cfg: (-_first_departure(cfg[0], cfg[1], *canon), cfg[0], cfg[1]))
     return (canon, *pinned, *rest)
 
@@ -273,7 +297,8 @@ def canonical_name(path: TrellisPath) -> str:
     return _family_names(math.prod(time), math.prod(freq))[(time, freq)]
 
 
-_NAME_PATTERN = re.compile(r"^(?P<cls>[TFE])(?P<a>[0-5])(?P<b>[0-5])(?P<suffix>[a-z]{0,2})$")
+# Suffixes are drawn from _SUFFIX_ALPHABET, which has no ``a``.
+_NAME_PATTERN = re.compile(r"^(?P<cls>[TFE])(?P<a>[0-5])(?P<b>[0-5])(?P<suffix>[b-z]{0,2})$")
 
 
 def resolve_name(name: str) -> TrellisPath:
@@ -281,8 +306,7 @@ def resolve_name(name: str) -> TrellisPath:
     cleaned = name.strip()
     for endpoint, reserved in _RESERVED_EQUAL.items():
         if cleaned.upper() == reserved:
-            time, freq = _family_order(*endpoint)[0]
-            return TrellisPath.from_lists(time, freq, label=reserved)
+            return paths_to_endpoint(*endpoint)[0]
     match = _NAME_PATTERN.match(cleaned)
     if match is None:
         raise UnknownConfigError(f"unrecognized configuration name {cleaned!r}")
@@ -292,25 +316,30 @@ def resolve_name(name: str) -> TrellisPath:
     if _CLASS_PREFIX[endpoint_class(alpha5, beta5)] != cls:
         raise UnknownConfigError(f"{cleaned!r}: prefix {cls!r} does not match endpoint ({alpha5}, {beta5})")
     rank = _suffix_rank(match.group("suffix"))
-    order = _family_order(alpha5, beta5)
-    if rank >= len(order):
-        raise UnknownConfigError(f"{cleaned!r}: endpoint ({alpha5}, {beta5}) has only {len(order)} paths")
+    paths = paths_to_endpoint(alpha5, beta5)
+    if rank >= len(paths):
+        raise UnknownConfigError(f"{cleaned!r}: endpoint ({alpha5}, {beta5}) has only {len(paths)} paths")
     if rank == 0 and (alpha5, beta5) in _RESERVED_EQUAL:
         reserved = _RESERVED_EQUAL[(alpha5, beta5)]
         raise UnknownConfigError(f"{cleaned!r}: this configuration is named {reserved!r}")
-    time, freq = order[rank]
-    return TrellisPath.from_lists(time, freq, label=cleaned)
+    return paths[rank]
 
 
 #: The four stride pairs, shared by the memoized paths.
 _STEPS = {(t, f): StridePair(t, f) for t in STRIDE_VALUES for f in STRIDE_VALUES}
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def paths_to_endpoint(alpha5: int, beta5: int) -> tuple[TrellisPath, ...]:
     """All paths reaching (alpha5, beta5), in canonical naming order, each
-    labelled with its name. Memoized: every call for an endpoint returns
-    the same tuple of frozen paths (36 tuples, 1024 paths in all)."""
+    labelled with its name. The endpoint is checked before any memo is
+    read; every call for a valid endpoint returns the same tuple of frozen
+    paths (36 tuples, 1024 paths in all)."""
+    TrellisEndpoint(alpha5, beta5)
+    return _labelled_paths(alpha5, beta5)
+
+
+@functools.lru_cache(maxsize=None)
+def _labelled_paths(alpha5: int, beta5: int) -> tuple[TrellisPath, ...]:
     names = _family_names(alpha5, beta5)
     return tuple(TrellisPath(tuple(_STEPS[step] for step in zip(time, freq)), names[(time, freq)])
                  for time, freq in _family_order(alpha5, beta5))
@@ -318,6 +347,5 @@ def paths_to_endpoint(alpha5: int, beta5: int) -> tuple[TrellisPath, ...]:
 
 def iter_all_paths():
     """All 4^5 = 1024 stride configurations, in endpoint-major order."""
-    for alpha_exp in range(NUM_STAGES + 1):
-        for beta_exp in range(NUM_STAGES + 1):
-            yield from paths_to_endpoint(2 ** alpha_exp, 2 ** beta_exp)
+    for endpoint in enumerate_endpoints():
+        yield from paths_to_endpoint(endpoint.alpha5, endpoint.beta5)

@@ -1,34 +1,23 @@
-"""Enumeration of the stride space: endpoints, path families, FLOPs ranking.
+"""Path families on the stride trellis and their FLOPs ranking.
 
-The trellis is the 6x6 grid of reachable cumulative downsampling states
-(alpha_5, beta_5), both powers of two with exponent 0..5. Every 5-step
-{1,2}-stride configuration is a path on the grid; paths sharing an endpoint
-form a family whose members have identical parameter counts but different
-FLOPs, depending on how early the downsampling happens.
+The trellis's endpoints and paths live in :mod:`.strides`; this module
+groups the paths sharing an endpoint into a family, whose members have
+identical parameter counts but different FLOPs, depending on how early
+the downsampling happens, and ranks a family by those FLOPs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from operator import itemgetter
 
 from .catalog import GOLDEN_GEMINI_FACTORS
 from .layers import ModelSpec, TensorShape
-from .strides import (
-    ENDPOINT_FACTORS,
-    NUM_STAGES,
-    PathClass,
-    TrellisPath,
-    endpoint_class,
-    paths_to_endpoint,
-)
+from .strides import TrellisEndpoint, TrellisPath, paths_to_endpoint
 
 __all__ = [
     "PathFamily",
     "RankedPath",
-    "TrellisEndpoint",
-    "enumerate_endpoints",
     "enumerate_paths",
     "golden_gemini_endpoints",
     "rank_paths_by_flops",
@@ -36,42 +25,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TrellisEndpoint:
-    """A node on the final column of the trellis: (alpha_5, beta_5)."""
-
-    alpha5: int
-    beta5: int
-
-    def __post_init__(self) -> None:
-        for value in (self.alpha5, self.beta5):
-            if value not in ENDPOINT_FACTORS:
-                raise ValueError(f"endpoint factors must be powers of two in 1..32, got {value}")
-
-    @property
-    def exponents(self) -> tuple[int, int]:
-        return (self.alpha5.bit_length() - 1, self.beta5.bit_length() - 1)
-
-    @property
-    def path_class(self) -> PathClass:
-        return endpoint_class(self.alpha5, self.beta5)
-
-
-@dataclass(frozen=True)
 class PathFamily:
     """All stride configurations converging on one endpoint."""
 
     endpoint: TrellisEndpoint
-    paths: tuple[TrellisPath, ...]
 
-    def __post_init__(self) -> None:
-        expected = comb(NUM_STAGES, self.endpoint.exponents[0]) * comb(
-            NUM_STAGES, self.endpoint.exponents[1]
-        )
-        if len(self.paths) != expected:
-            raise ValueError(
-                f"endpoint ({self.endpoint.alpha5}, {self.endpoint.beta5}) "
-                f"must have {expected} paths, got {len(self.paths)}"
-            )
+    @property
+    def paths(self) -> tuple[TrellisPath, ...]:
+        """The endpoint's memoized, labelled paths in canonical naming order."""
+        return paths_to_endpoint(self.endpoint.alpha5, self.endpoint.beta5)
 
 
 @dataclass(frozen=True)
@@ -87,18 +49,9 @@ class RankedPath:
     error: str | None = None
 
 
-def enumerate_endpoints() -> tuple[TrellisEndpoint, ...]:
-    """The 36 endpoints of the 6x6 exponent grid, in deterministic order."""
-    return tuple(
-        TrellisEndpoint(2 ** a, 2 ** b)
-        for a in range(NUM_STAGES + 1)
-        for b in range(NUM_STAGES + 1)
-    )
-
-
 def enumerate_paths(endpoint: TrellisEndpoint) -> PathFamily:
     """All paths whose stride products equal the endpoint factors."""
-    return PathFamily(endpoint=endpoint, paths=paths_to_endpoint(endpoint.alpha5, endpoint.beta5))
+    return PathFamily(endpoint)
 
 
 def golden_gemini_endpoints() -> tuple[TrellisEndpoint, TrellisEndpoint]:

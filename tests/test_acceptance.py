@@ -16,12 +16,8 @@ from stride_lab.catalog import CATALOG_NAMES
 from stride_lab.layers import TensorShape
 from stride_lab.metrics import TrialScoreSet, compute_eer, compute_min_dcf
 from stride_lab.serialize import TABLE_HEADER
-from stride_lab.trellis import (
-    TrellisEndpoint,
-    enumerate_endpoints,
-    enumerate_paths,
-    rank_paths_by_flops,
-)
+from stride_lab.strides import TrellisEndpoint, enumerate_endpoints
+from stride_lab.trellis import enumerate_paths, rank_paths_by_flops
 from stride_lab.verification import gradcheck_suite, verify_catalog_configs
 
 INPUT_2S = TensorShape(1, 80, 200)

@@ -30,8 +30,8 @@ from stride_lab.layers import (
     TensorShape,
 )
 from stride_lab.serialize import model_from_json, model_to_json
-from stride_lab.strides import StridePair, resolve_name
-from stride_lab.trellis import TrellisEndpoint, enumerate_paths, rank_paths_by_flops
+from stride_lab.strides import StridePair, TrellisEndpoint, resolve_name
+from stride_lab.trellis import enumerate_paths, rank_paths_by_flops
 
 from oracles import ALL_PATHS, GOLDEN_PATHS, PRESETS, parent_depth_label, preset_requests
 

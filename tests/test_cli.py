@@ -517,7 +517,8 @@ def test_bad_argument_value_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
-_NAMES = st.none() | st.sampled_from([*CATALOG_NAMES, "T99", "nope", ""])
+_NAMES = (st.none() | st.sampled_from([*CATALOG_NAMES, "T99", "nope", ""])
+          | st.from_regex(r"[TFE][0-5][0-5][a-z]{0,2}", fullmatch=True))
 
 
 @settings(max_examples=60, deadline=None)

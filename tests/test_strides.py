@@ -1,6 +1,17 @@
+import inspect
 import itertools
+import json
+import os
+import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import canonical_name_by_index, paths_to_endpoint_by_index
 from stride_lab.strides import (
@@ -11,6 +22,7 @@ from stride_lab.strides import (
     canonical_name,
     classify_path,
     downsampling_factors,
+    enumerate_endpoints,
     final_factors,
     iter_all_paths,
     paths_to_endpoint,
@@ -176,6 +188,17 @@ class TestCanonicalName:
             with pytest.raises(UnknownConfigError):
                 resolve_name(bad)
 
+    @pytest.mark.parametrize("name, message", [
+        # Suffixes start at ``b``: an ``a`` is no suffix letter.
+        ("T14a", "unrecognized configuration name 'T14a'"),
+        ("T14ab", "unrecognized configuration name 'T14ab'"),
+        ("T14ba", "unrecognized configuration name 'T14ba'"),
+        ("E33", "this configuration is named 'MOD'"),
+    ])
+    def test_resolve_refuses_with_a_typed_error(self, name, message):
+        with pytest.raises(UnknownConfigError, match=re.escape(message)):
+            resolve_name(name)
+
     def test_resolve_rejects_wrong_class_prefix(self):
         # (2, 16) is time-priority, so an F name cannot point at it.
         with pytest.raises(UnknownConfigError):
@@ -213,3 +236,63 @@ class TestPathsToEndpoint:
     def test_refuses_a_non_endpoint(self):
         with pytest.raises(ValueError, match="invalid endpoint"):
             paths_to_endpoint(3, 8)
+
+
+def _answers(alpha, beta):
+    """What ``TrellisEndpoint`` and ``paths_to_endpoint`` make of one pair:
+    ``"ValueError"``, or ``"ok"`` and the labelled paths."""
+    from stride_lab.strides import TrellisEndpoint, paths_to_endpoint
+    answers = []
+    for call in (paths_to_endpoint, TrellisEndpoint):
+        try:
+            result = call(alpha, beta)
+        except ValueError:
+            answers.append("ValueError")
+        else:
+            answers.append([[p.label, p.time_strides, p.freq_strides] for p in result]
+                           if call is paths_to_endpoint else "ok")
+    return json.loads(json.dumps(answers))
+
+
+def _fresh_answers(alpha, beta):
+    """``_answers`` in a new interpreter, where no memo has been filled."""
+    script = ("import json, pickle, sys\n" + inspect.getsource(_answers)
+              + "print(json.dumps(_answers(*pickle.load(sys.stdin.buffer))))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script],
+                          input=pickle.dumps((alpha, beta)), capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return json.loads(done.stdout)
+
+
+_FACTORS = (
+    st.sampled_from((1, 2, 4, 8, 16, 32))
+    | st.integers(-64, 64)
+    | st.floats() | st.sampled_from((1.0, 4.0, 32.0))
+    | st.booleans()
+    | st.builds(np.int64, st.integers(-64, 64))
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(alpha=_FACTORS, beta=_FACTORS)
+@example(alpha=4.0, beta=8)
+@example(alpha=True, beta=8)
+@example(alpha=np.int64(4), beta=8)
+@example(alpha=3, beta=8)
+@example(alpha=64, beta=8)
+@example(alpha=0, beta=8)
+@example(alpha=-4, beta=8)
+def test_an_endpoint_gets_one_answer_fresh_or_warm(alpha, beta):
+    """A pair is an endpoint iff both factors are ints (not bools) and
+    powers of two in 1..32; the answer does not depend on what ran first."""
+    for endpoint in enumerate_endpoints():
+        paths_to_endpoint(endpoint.alpha5, endpoint.beta5)
+    warm = _answers(alpha, beta)
+    assert _fresh_answers(alpha, beta) == warm
+    if all(type(v) is int and v in (1, 2, 4, 8, 16, 32) for v in (alpha, beta)):
+        want = [[p.label, list(p.time_strides), list(p.freq_strides)]
+                for p in paths_to_endpoint_by_index(alpha, beta)]
+        assert warm == [want, "ok"]
+    else:
+        assert warm == ["ValueError", "ValueError"]

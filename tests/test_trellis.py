@@ -14,16 +14,17 @@ from stride_lab.layers import Conv2d, TensorShape
 from stride_lab.serialize import model_from_json, model_to_json
 from stride_lab.strides import (
     PathClass,
+    TrellisEndpoint,
     TrellisPath,
     classify_path,
     downsampling_factors,
+    enumerate_endpoints,
     iter_all_paths,
+    paths_to_endpoint,
     resolve_name,
 )
 from stride_lab.trellis import (
     PathFamily,
-    TrellisEndpoint,
-    enumerate_endpoints,
     enumerate_paths,
     golden_gemini_endpoints,
     rank_paths_by_flops,
@@ -78,19 +79,14 @@ class TestEnumeratePaths:
         total = sum(len(enumerate_paths(e).paths) for e in enumerate_endpoints())
         assert total == 1024
 
-    def test_family_rejects_wrong_size(self):
-        endpoint = TrellisEndpoint(2, 16)
-        with pytest.raises(ValueError):
-            PathFamily(endpoint=endpoint, paths=enumerate_paths(endpoint).paths[:3])
-
-    def test_family_checks_the_count_of_a_shared_path_tuple(self):
-        # enumerate_paths hands out the memoized tuple of its endpoint; a
-        # family on another endpoint still refuses it by count.
-        shared = enumerate_paths(TrellisEndpoint(2, 16)).paths
-        assert enumerate_paths(TrellisEndpoint(2, 16)).paths is shared
-        with pytest.raises(ValueError, match=r"\(4, 8\) must have 100 paths, got 25"):
-            PathFamily(endpoint=TrellisEndpoint(4, 8), paths=shared)
-        assert len(enumerate_paths(TrellisEndpoint(4, 8)).paths) == 100
+    def test_family_paths_are_its_endpoints_memoized_tuple(self):
+        # A family holds only its endpoint, so it cannot carry paths of
+        # another endpoint or a wrong count of them.
+        for endpoint in enumerate_endpoints():
+            assert PathFamily(endpoint).paths is paths_to_endpoint(endpoint.alpha5, endpoint.beta5)
+            assert enumerate_paths(endpoint) == PathFamily(endpoint)
+        with pytest.raises(TypeError):
+            PathFamily(TrellisEndpoint(2, 16), paths=paths_to_endpoint(4, 8))
 
 
 class TestGoldenGemini:
