@@ -314,8 +314,9 @@ class ModelSpec:
 
     def validate(self) -> None:
         """Check the rules no single layer can, in one :func:`route` pass:
-        positive top-level sizes, unique layer names, routable blocks,
-        ``embedding_dim`` against the head projection, and ``se_reduction``
+        positive top-level sizes, unique layer names, routable blocks, a
+        head projection (the last :class:`FullyConnected`) whose ``out_dim``
+        is ``embedding_dim``, and ``se_reduction``
         and ``res2net_scale`` against their layers. Raises
         :class:`ValueError`."""
         for name in ("depth_label", "base_channels", "embedding_dim", "input_freq_bins"):
@@ -336,7 +337,9 @@ class ModelSpec:
                 found[kind].add(layer.scale)
             elif kind is FullyConnected:
                 head = layer  # the last projection makes the embedding
-        if head is not None and head.out_dim != self.embedding_dim:
+        if head is None:
+            raise ValueError(f"no FullyConnected layer makes the embedding (embedding_dim {self.embedding_dim})")
+        if head.out_dim != self.embedding_dim:
             raise ValueError(
                 f"embedding_dim {self.embedding_dim} does not match {head.name} out_dim {head.out_dim}"
             )

@@ -17,12 +17,19 @@ a few converters render ``null``, ``true``/``false``, pairs and escaped
 strings (:func:`json.encoder.encode_basestring_ascii`), and one ``%`` fills
 the template. The bytes are those of ``json.dumps(doc, indent=2)``.
 
-Loading checks every value against its field's declared type with no
-coercion, lets a field be left out only when its dataclass has a default,
-rejects keys the schema does not name, re-validates through the dataclass
-constructors, and checks the whole spec once through
+Loading goes through one decoder per class, compiled once, at import, from
+the same field plans into straight-line Python source (as :mod:`dataclasses`
+compiles ``__init__``): one per layer class, which also decodes its entry's
+slot, one for :class:`StageSpec` and one for the top level, which calls a
+path decoder. Each checks the object's keys once, rejecting any the schema
+does not name; then, field by field in plan order, it takes the default of a
+missing field or rejects it if its dataclass has none, and checks a present
+value's exact type inline, with no coercion. It calls the dataclass
+constructor positionally, so every ``__post_init__`` rule runs. The whole
+spec is then checked once through
 :meth:`~stride_lab.layers.ModelSpec.validate`. Any non-conforming document
-raises :class:`SpecFormatError`.
+raises :class:`SpecFormatError`, whose text names the first failing field
+and, for a layer, the layer.
 """
 
 from __future__ import annotations
@@ -82,10 +89,11 @@ class SpecFormatError(ValueError):
     """Raised when a spec document cannot be parsed or validated."""
 
 
-# A checker takes a decoded JSON value and its field name, and returns the
-# field value or raises SpecFormatError. A slot takes a field's attribute
-# path and the indentation of its key line, and returns the field's JSON
-# text with %-placeholders plus one (attribute path, converter or None) per
+# A load is Python source that checks the local ``v``, the JSON value of
+# field ``{n}`` (a literal), and leaves the field's value in ``v``; the
+# loaders compiled below inline it. A slot takes a field's attribute path
+# and the indentation of its key line, and returns the field's JSON text
+# with %-placeholders plus one (attribute path, converter or None) per
 # placeholder; a None converter means the value fills its placeholder as is.
 
 
@@ -93,24 +101,10 @@ def _reject(name: str, expected: str, value) -> SpecFormatError:
     return SpecFormatError(f"{name} must be {expected}, got {value!r}")
 
 
-def _exact(cls: type, expected: str):
-    """Checker accepting only values of type ``cls`` itself (a bool is no int)."""
-
-    def check(value, name: str):
-        if type(value) is not cls:
-            raise _reject(name, expected, value)
-        return value
-
-    return check
-
-
-_int = _exact(int, "an integer")
-_bool = _exact(bool, "true or false")
-_list = _exact(list, "a list")
-
-
-def _optional_int(value, name: str) -> int | None:
-    return None if value is None else _int(value, name)
+def _list(value, name: str) -> list:
+    if type(value) is not list:
+        raise _reject(name, "a list", value)
+    return value
 
 
 def _str(value, name: str) -> str:
@@ -121,12 +115,6 @@ def _str(value, name: str) -> str:
 
 def _strings(value, name: str) -> tuple[str, ...]:
     return tuple(_str(v, f"{name} item") for v in _list(value, name))
-
-
-def _pair(value, name: str) -> tuple[int, int]:
-    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
-        return (value[0], value[1])
-    raise _reject(name, "a 2-element list of integers", value)
 
 
 _STRIDES = {(t, f): StridePair(t, f) for t in STRIDE_VALUES for f in STRIDE_VALUES}
@@ -143,20 +131,25 @@ def _stride(value, name: str) -> StridePair:
 _PATH_KEYS = frozenset(("label", "time_strides", "freq_strides"))
 
 
+def _ints(value, name: str) -> tuple[int, ...]:
+    for v in _list(value, name):
+        if type(v) is not int:
+            raise _reject(name, "an integer", v)
+    return tuple(value)
+
+
 def _path(value, name: str) -> TrellisPath:
     if type(value) is not dict:
         raise _reject(name, "an object", value)
     _check_keys(value, _PATH_KEYS, "path ")
-    time, freq = (
-        tuple(_int(v, key) for v in _list(value.get(key), key))
-        for key in ("time_strides", "freq_strides")
-    )
+    time = _ints(value.get("time_strides"), "time_strides")
+    freq = _ints(value.get("freq_strides"), "freq_strides")
     label = value.get("label")
     return TrellisPath.from_lists(time, freq, label=None if label is None else _str(label, "label"))
 
 
 def _stages(value, name: str) -> tuple[StageSpec, ...]:
-    return tuple(_decode_stage(s) for s in _list(value, name))
+    return tuple(_load_stage(doc) for doc in _list(value, name))
 
 
 def _check_keys(doc: dict, known: frozenset, where: str) -> None:
@@ -211,36 +204,47 @@ def _stages_slot(attr: str, pad: str):
     return "%s", ((attr, lambda stages: _array([write(s) for s in stages], pad)),)
 
 
+#: Names the compiled loaders read, besides each loader's own constants.
+_LOAD_ENV = {
+    "SpecFormatError": SpecFormatError, "_reject": _reject, "_check_keys": _check_keys,
+    "_stride": _stride, "_strings": _strings, "_path": _path, "_stages": _stages,
+}
+
+
 def _enum_codec(cls: type[enum.Enum]):
     members = {member.value: member for member in cls}
     # Values go into the template between baked-in quotes.
     assert all(_quote(value) == f'"{value}"' for value in members)
-
-    def check(value, name: str):
-        if type(value) is str and value in members:
-            return members[value]
-        raise _reject(name, f"one of {sorted(members)}", value)
-
-    return check, lambda attr, pad: ('"%s"', ((f"{attr}.value", None),))
+    table, expected = f"_{cls.__name__}", f"one of {sorted(members)}"
+    _LOAD_ENV[table] = members
+    load = (f"if type(v) is not str or v not in {table}: raise _reject({{n}}, {expected!r}, v)\n"
+            f"v = {table}[v]")
+    return load, lambda attr, pad: ('"%s"', ((f"{attr}.value", None),))
 
 
-#: Declared field type -> (checker, slot). Enums are added per class by
+#: Declared field type -> (load, slot). Enums are added per class by
 #: ``_plan``.
 _CODECS = {
-    int: (_int, _scalar("%d")),
-    int | None: (_optional_int, _scalar("%s", _null_or)),
-    bool: (_bool, _scalar("%s", {False: "false", True: "true"}.__getitem__)),
-    str: (_str, _scalar("%s", _quote)),
-    tuple[int, int]: (_pair, _pair_slot),
-    tuple[str, ...]: (_strings, _strings_slot),
-    StridePair: (_stride, _stride_slot),
-    TrellisPath: (_path, _path_slot),
-    tuple[StageSpec, ...]: (_stages, _stages_slot),
+    int: ("if type(v) is not int: raise _reject({n}, 'an integer', v)", _scalar("%d")),
+    int | None: ("if v is not None and type(v) is not int: raise _reject({n}, 'an integer', v)",
+                 _scalar("%s", _null_or)),
+    bool: ("if type(v) is not bool: raise _reject({n}, 'true or false', v)",
+           _scalar("%s", {False: "false", True: "true"}.__getitem__)),
+    str: ("if type(v) is not str or not v: raise _reject({n}, 'a non-empty string', v)",
+          _scalar("%s", _quote)),
+    tuple[int, int]: ("if type(v) is not list or len(v) != 2 or type(v[0]) is not int"
+                      " or type(v[1]) is not int:\n"
+                      "    raise _reject({n}, 'a 2-element list of integers', v)\n"
+                      "v = (v[0], v[1])", _pair_slot),
+    tuple[str, ...]: ("v = _strings(v, {n})", _strings_slot),
+    StridePair: ("v = _stride(v, {n})", _stride_slot),
+    TrellisPath: ("v = _path(v, {n})", _path_slot),
+    tuple[StageSpec, ...]: ("v = _stages(v, {n})", _stages_slot),
 }
 
 
 def _plan(cls: type, order: tuple[str, ...] | None = None) -> tuple:
-    """(field, checker, slot, required) per field of ``cls``, in ``order``
+    """(name, load, slot, field) per field of ``cls``, in ``order``
     (default: declaration order). Fields outside ``order`` are skipped."""
     hints = get_type_hints(cls)
     by_name = {f.name: f for f in fields(cls)}
@@ -248,8 +252,7 @@ def _plan(cls: type, order: tuple[str, ...] | None = None) -> tuple:
     for name in order or tuple(by_name):
         hint = hints[name]
         codec = _enum_codec(hint) if isinstance(hint, enum.EnumMeta) else _CODECS[hint]
-        required = by_name[name].default is MISSING and by_name[name].default_factory is MISSING
-        plan.append((name, *codec, required))
+        plan.append((name, *codec, by_name[name]))
     return tuple(plan)
 
 
@@ -305,22 +308,6 @@ def _layers_slot(attr: str, pad: str):
     return "%s", ((attr, render),)
 
 
-def _decode(cls: type, doc, **given):
-    """Build ``cls`` from the JSON object ``doc`` by its plan, on top of
-    the already-decoded fields in ``given``."""
-    try:
-        for name, check, _, required in _PLANS[cls]:
-            if name in doc:
-                given[name] = check(doc[name], name)
-            elif required:
-                raise SpecFormatError(f"missing field {name!r}")
-        return cls(**given)
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(str(exc)) from exc
-
-
-_LAYER_CLASSES = {kind: cls for cls, kind in _LAYER_KINDS.items()}
-
 #: ModelSpec fields in document order; ``entries`` travels as ``layers``.
 _MODEL_FIELDS = (
     "family", "depth_label", "base_channels", "embedding_dim", "input_freq_bins",
@@ -350,25 +337,55 @@ _write_model = _writer(
 )
 
 
-def _decode_stage(doc) -> StageSpec:
-    if type(doc) is not dict:
-        raise _reject("StageSpec", "an object", doc)
-    _check_keys(doc, _STAGE_KEYS, "stage ")
-    return _decode(StageSpec, doc)
+def _load_lines(cls: type, env: dict) -> list[str]:
+    """Source that reads the fields of ``cls``'s plan from the JSON object
+    ``doc`` in plan order into ``f_<field>`` locals (a missing field takes
+    its default or is rejected, a present one passes its load), then calls
+    ``cls`` positionally on them into ``obj``. Constants go into ``env``."""
+    lines = []
+    for name, load, _, field in _PLANS[cls]:
+        if field.default is not MISSING:
+            env[f"d_{name}"] = field.default
+            absent = f"v = d_{name}"
+        elif field.default_factory is not MISSING:
+            env[f"d_{name}"] = field.default_factory
+            absent = f"v = d_{name}()"
+        else:
+            message = f"missing field {name!r}"
+            absent = f"raise SpecFormatError({message!r})"
+        lines += [f"if {name!r} in doc:", f"    v = doc[{name!r}]",
+                  *(f"    {line}" for line in load.format(n=repr(name)).splitlines()),
+                  "else:", f"    {absent}", f"f_{name} = v"]
+    env[cls.__name__] = cls
+    return [*lines, f"obj = {cls.__name__}({', '.join(f'f_{f.name}' for f in fields(cls))})"]
 
 
-def _decode_entry(doc) -> LayerEntry:
-    if type(doc) is not dict:
-        raise _reject("layer", "an object", doc)
-    try:
-        kind = doc.get("kind")
-        cls = _LAYER_CLASSES.get(kind) if type(kind) is str else None
-        if cls is None:
-            raise SpecFormatError(f"unknown layer kind {kind!r}")
-        _check_keys(doc, _LAYER_KEYS[cls], "")
-        return _decode(LayerEntry, doc, layer=_decode(cls, doc))
-    except SpecFormatError as exc:
-        raise SpecFormatError(f"layer {doc.get('name')!r}: {exc}") from None
+def _loader(parts: list, error: str, params: str = "doc", **env):
+    """Compile ``parts`` (source lines, and classes to decode into ``obj``
+    by :func:`_load_lines`) into ``load(params)``, which returns ``obj``
+    and turns a ``TypeError`` or ``ValueError`` into the SpecFormatError
+    ``error``, an expression of ``exc``."""
+    env.update(_LOAD_ENV)
+    lines = [line for part in parts
+             for line in ([part] if type(part) is str else _load_lines(part, env))]
+    body = "".join(f"\n        {line}" for line in [*lines, "return obj"])
+    exec(f"def load({params}):\n    try:{body}\n    except (TypeError, ValueError) as exc:"
+         f"\n        raise SpecFormatError({error}) from None", env)
+    return env["load"]
+
+
+# Compiled once: loading is on the analyze hot path. A layer loader checks
+# the keys, decodes and builds the layer, then its entry's slot, and names
+# the layer in every error.
+_LOAD_LAYER = {
+    kind: _loader(["if not doc.keys() <= KEYS: _check_keys(doc, KEYS, '')", cls,
+                   "f_layer = obj", LayerEntry],
+                  "f\"layer {doc.get('name')!r}: {exc}\"", KEYS=_LAYER_KEYS[cls])
+    for cls, kind in _LAYER_KINDS.items()
+}
+_load_stage = _loader(["if type(doc) is not dict: raise _reject('StageSpec', 'an object', doc)",
+                       "_check_keys(doc, KEYS, 'stage ')", StageSpec], "str(exc)", KEYS=_STAGE_KEYS)
+_load_model = _loader([ModelSpec], "str(exc)", params="doc, f_entries")
 
 
 def model_to_json(spec: ModelSpec) -> str:
@@ -390,8 +407,16 @@ def model_from_json(text: str) -> ModelSpec:
     _check_keys(doc, _MODEL_KEYS, "")
     if "layers" not in doc:
         raise SpecFormatError("missing field 'layers'")
-    entries = tuple(_decode_entry(e) for e in _list(doc["layers"], "layers"))
-    spec = _decode(ModelSpec, doc, entries=entries)
+    entries = []
+    for layer in _list(doc["layers"], "layers"):
+        if type(layer) is not dict:
+            raise _reject("layer", "an object", layer)
+        kind = layer.get("kind")
+        load = _LOAD_LAYER.get(kind) if type(kind) is str else None
+        if load is None:
+            raise SpecFormatError(f"layer {layer.get('name')!r}: unknown layer kind {kind!r}")
+        entries.append(load(layer))
+    spec = _load_model(doc, tuple(entries))
     try:
         spec.validate()
     except ValueError as exc:

@@ -4,7 +4,9 @@ Everything here is written the slow, obvious way (explicit loops, reversed
 loop orders, two-pass statistics) so it shares no code path with the
 package implementations it checks. ``reference_doc`` is the schema-v1
 document built as plain dicts from ``dataclasses.fields``, for
-``json.dumps(..., indent=2)`` to encode. ``MALFORMED_SPECS`` holds the spec
+``json.dumps(..., indent=2)`` to encode, and ``reference_model_from_json``
+is the loader that interpreted the same field plans one checker call per
+field before each class got a compiled decoder. ``MALFORMED_SPECS`` holds the spec
 documents that both the loader tests and the CLI tests expect rejected, and
 ``preset_requests`` draws build requests over every preset family and depth.
 ``rank_rows_by_count_flops`` ranks a trellis family with no block memo:
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
+from typing import get_type_hints
 
 import numpy as np
 from hypothesis import strategies as st
@@ -37,13 +41,16 @@ from stride_lab.layers import (
     Family,
     FullyConnected,
     GlobalAvgPool,
+    LayerEntry,
     MaxPool2d,
+    ModelSpec,
     Res2NetConv,
     SqueezeExcite,
     StageSpec,
     TemporalStatsPool,
 )
 from stride_lab.metrics import DegenerateScoresError, ScoreFileError
+from stride_lab.serialize import SpecFormatError
 from stride_lab.strides import (
     _RESERVED_EQUAL,
     StridePair,
@@ -299,6 +306,184 @@ def reference_doc(spec):
     return doc
 
 
+def _reject(name, expected, value):
+    return SpecFormatError(f"{name} must be {expected}, got {value!r}")
+
+
+def _exact(cls, expected):
+    def check(value, name):
+        if type(value) is not cls:
+            raise _reject(name, expected, value)
+        return value
+
+    return check
+
+
+_int = _exact(int, "an integer")
+_bool = _exact(bool, "true or false")
+_list = _exact(list, "a list")
+
+
+def _optional_int(value, name):
+    return None if value is None else _int(value, name)
+
+
+def _str(value, name):
+    if type(value) is not str or not value:
+        raise _reject(name, "a non-empty string", value)
+    return value
+
+
+def _strings(value, name):
+    return tuple(_str(v, f"{name} item") for v in _list(value, name))
+
+
+def _pair(value, name):
+    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
+        return (value[0], value[1])
+    raise _reject(name, "a 2-element list of integers", value)
+
+
+def _stride(value, name):
+    if type(value) is dict and len(value) == 2:
+        time, freq = value.get("time"), value.get("freq")
+        if type(time) is int and type(freq) is int and time in (1, 2) and freq in (1, 2):
+            return StridePair(time, freq)
+    raise _reject(name, "a {time, freq} object of 1s and 2s", value)
+
+
+def _check_keys(doc, known, where):
+    if not doc.keys() <= known:
+        key = next(k for k in doc if k not in known)
+        raise SpecFormatError(f"unknown {where}field {key!r}")
+
+
+def _path(value, name):
+    if type(value) is not dict:
+        raise _reject(name, "an object", value)
+    _check_keys(value, {"label", "time_strides", "freq_strides"}, "path ")
+    time, freq = (
+        tuple(_int(v, key) for v in _list(value.get(key), key))
+        for key in ("time_strides", "freq_strides")
+    )
+    label = value.get("label")
+    return TrellisPath.from_lists(time, freq, label=None if label is None else _str(label, "label"))
+
+
+def _stages(value, name):
+    return tuple(_decode_stage(s) for s in _list(value, name))
+
+
+def _enum_check(cls):
+    members = {member.value: member for member in cls}
+
+    def check(value, name):
+        if type(value) is str and value in members:
+            return members[value]
+        raise _reject(name, f"one of {sorted(members)}", value)
+
+    return check
+
+
+_CHECKERS = {
+    int: _int,
+    int | None: _optional_int,
+    bool: _bool,
+    str: _str,
+    tuple[int, int]: _pair,
+    tuple[str, ...]: _strings,
+    StridePair: _stride,
+    TrellisPath: _path,
+    tuple[StageSpec, ...]: _stages,
+}
+
+
+def _reference_plan(cls, order=None):
+    """(field, checker, required) per field of ``cls`` in ``order``."""
+    hints = get_type_hints(cls)
+    by_name = {f.name: f for f in dataclasses.fields(cls)}
+    return tuple(
+        (name, _enum_check(hints[name]) if isinstance(hints[name], enum.EnumMeta) else _CHECKERS[hints[name]],
+         by_name[name].default is dataclasses.MISSING and by_name[name].default_factory is dataclasses.MISSING)
+        for name in order or tuple(by_name)
+    )
+
+
+_REFERENCE_PLANS = {
+    **{cls: _reference_plan(cls) for cls in (*REFERENCE_KINDS, StageSpec)},
+    LayerEntry: _reference_plan(LayerEntry, order=("stage", "block", "role")),
+    ModelSpec: _reference_plan(ModelSpec, order=REFERENCE_MODEL_FIELDS),
+}
+_REFERENCE_CLASSES = {kind: cls for cls, kind in REFERENCE_KINDS.items()}
+
+
+def _plan_keys(*classes, extra=()):
+    return {*extra, *(name for cls in classes for name, *_ in _REFERENCE_PLANS[cls])}
+
+
+_STAGE_KEYS = _plan_keys(StageSpec)
+_LAYER_KEYS = {cls: _plan_keys(LayerEntry, cls, extra=("kind",)) for cls in REFERENCE_KINDS}
+
+
+def _decode(cls, doc, **given):
+    """Build ``cls`` from the JSON object ``doc`` by its plan, on top of
+    the already-decoded fields in ``given``: one checker call per field."""
+    try:
+        for name, check, required in _REFERENCE_PLANS[cls]:
+            if name in doc:
+                given[name] = check(doc[name], name)
+            elif required:
+                raise SpecFormatError(f"missing field {name!r}")
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(str(exc)) from exc
+
+
+def _decode_stage(doc):
+    if type(doc) is not dict:
+        raise _reject("StageSpec", "an object", doc)
+    _check_keys(doc, _STAGE_KEYS, "stage ")
+    return _decode(StageSpec, doc)
+
+
+def _decode_entry(doc):
+    if type(doc) is not dict:
+        raise _reject("layer", "an object", doc)
+    try:
+        kind = doc.get("kind")
+        cls = _REFERENCE_CLASSES.get(kind) if type(kind) is str else None
+        if cls is None:
+            raise SpecFormatError(f"unknown layer kind {kind!r}")
+        _check_keys(doc, _LAYER_KEYS[cls], "")
+        return _decode(LayerEntry, doc, layer=_decode(cls, doc))
+    except SpecFormatError as exc:
+        raise SpecFormatError(f"layer {doc.get('name')!r}: {exc}") from None
+
+
+def reference_model_from_json(text):
+    """The schema-v1 loader as a plan interpreter: a checker call per field
+    and a keyword constructor call per object."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SpecFormatError(f"invalid JSON: {exc}") from exc
+    if type(doc) is not dict:
+        raise SpecFormatError("spec document must be a JSON object")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != 1:
+        raise SpecFormatError(f"unsupported schema_version {version!r}")
+    _check_keys(doc, _plan_keys(ModelSpec, extra=("schema_version", "layers")), "")
+    if "layers" not in doc:
+        raise SpecFormatError("missing field 'layers'")
+    entries = tuple(_decode_entry(e) for e in _list(doc["layers"], "layers"))
+    spec = _decode(ModelSpec, doc, entries=entries)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from None
+    return spec
+
+
 def _first_layer(doc, kind):
     return next(layer for layer in doc["layers"] if layer["kind"] == kind)
 
@@ -360,6 +545,10 @@ MALFORMED_SPECS = {
                            "embedding_dim must be a positive integer, got 0"),
     "embedding-dim-not-head": (lambda d: d.update(embedding_dim=128),
                                "embedding_dim 128 does not match head.fc out_dim 256"),
+    "no-layers": (lambda d: d.update(layers=[]),
+                  "no FullyConnected layer makes the embedding (embedding_dim 256)"),
+    "no-head": (lambda d: d.update(layers=[layer for layer in d["layers"] if layer["stage"] != 0]),
+                "no FullyConnected layer makes the embedding (embedding_dim 256)"),
     "se-reduction-without-se": (lambda d: d.update(se_reduction=4),
                                 "se_reduction 4 does not match the SqueezeExcite layers (none)"),
     "res2net-scale-without-res2net": (lambda d: d.update(res2net_scale=4),

@@ -205,6 +205,8 @@ _GATE_CASES = {
         "residual block stage2.block1 has 0 add layers, expected exactly one"),
     "embedding-mismatch": (lambda s: dataclasses.replace(s, embedding_dim=192),
                            "embedding_dim 192 does not match head.fc out_dim 256"),
+    "no-head": (lambda s: _with_entries(s, (e for e in s.entries if e.stage != 0)),
+                "no FullyConnected layer makes the embedding (embedding_dim 256)"),
     "se-mismatch": (lambda s: dataclasses.replace(s, se_reduction=4),
                     "se_reduction 4 does not match the SqueezeExcite layers (none)"),
     "res2net-mismatch": (lambda s: dataclasses.replace(s, res2net_scale=2),

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import re
 
 import pytest
@@ -23,7 +25,7 @@ from stride_lab.serialize import (
 from stride_lab.strides import final_factors, iter_all_paths, resolve_name
 from stride_lab.verification import catalog_spec
 
-from oracles import MALFORMED_SPECS, reference_doc
+from oracles import MALFORMED_SPECS, reference_doc, reference_model_from_json
 
 
 # sha256 of model_to_json(spec) (indent 2), recorded before the field-driven
@@ -310,6 +312,101 @@ def test_mutated_document_loads_or_is_rejected(spec, data, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in out + err
+
+
+def _mutate(container, key, mutation, value=None):
+    """Apply one mutation to ``container[key]``: drop it, rename its key,
+    retype it to ``value``, nest it in a list or an object, or widen it (one
+    more item or key)."""
+    if mutation == "drop":
+        del container[key]
+    elif mutation == "rename":
+        container[key + value] = container.pop(key)
+    elif mutation == "retype":
+        container[key] = value
+    elif mutation == "nest":
+        container[key] = [container[key]] if value == "list" else {"value": container[key]}
+    elif isinstance(container[key], list):
+        container[key].append(container[key][-1] if container[key] else 1)
+    else:
+        container[key]["extra"] = 1
+
+
+def _assert_loads_like_reference(text):
+    """The loader returns the reference loader's spec, or raises
+    SpecFormatError with the reference loader's text."""
+    try:
+        expected = reference_model_from_json(text)
+    except SpecFormatError as exc:
+        with pytest.raises(SpecFormatError) as info:
+            model_from_json(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert model_from_json(text) == expected
+
+
+@given(spec=_specs(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_loader_matches_reference_loader(spec, data):
+    _assert_loads_like_reference(model_to_json(spec))
+    doc = json.loads(model_to_json(spec))
+    container, key = data.draw(st.sampled_from(list(_slots(doc))))
+    mutation = data.draw(st.sampled_from(
+        ("drop", "retype", "nest") + (("rename",) if isinstance(container, dict) else ())
+    ))
+    value = None
+    if mutation == "rename":
+        value = data.draw(st.sampled_from(("_", "s", "X")))
+    elif mutation == "retype":
+        old = container[key]
+        value = data.draw(_OTHER_JSON.filter(lambda v: type(v) is not type(old)))
+    elif mutation == "nest":
+        value = data.draw(st.sampled_from(("list", "object")))
+    _mutate(container, key, mutation, value)
+    _assert_loads_like_reference(json.dumps(doc))
+
+
+#: Values a retyped member takes in the exhaustive comparison.
+_RETYPES = (None, True, 3, "", [], {})
+
+
+def _positions(node, seen, where=(), keys=()):
+    """{schema position: key path} of the first member at each position not
+    in ``seen``: list indices collapse, except that a layer is told apart by
+    its kind."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    found = {}
+    for key, value in items:
+        kind = value.get("kind", "*") if isinstance(value, dict) else "*"
+        position = (*where, key if isinstance(node, dict) else kind)
+        if position not in seen:
+            seen.add(position)
+            found[position] = (*keys, key)
+        if isinstance(value, (dict, list)):
+            found.update(_positions(value, seen, position, (*keys, key)))
+    return found
+
+
+def test_loader_matches_reference_loader_at_every_position():
+    # Between them the two documents hold every layer kind. Each schema
+    # position is dropped, renamed, retyped to every other JSON type,
+    # emptied, nested and widened, so a decoder missing any one check
+    # differs.
+    seen = set()
+    for family in ("original_resnet", "modified_resnet"):
+        text = model_to_json(build(make_request(family, 18, se_reduction=4, res2net_scale=4)))
+        for *outer, key in _positions(json.loads(text), seen).values():
+            container = functools.reduce(operator.getitem, outer, json.loads(text))
+            old = container[key]
+            mutations = [("drop", None), ("nest", "list"), ("nest", "object")]
+            mutations += [("retype", v) for v in _RETYPES if type(v) is not type(old)]
+            mutations += [("retype", type(old)())] if type(old) in (str, list, dict) else []
+            mutations += [("rename", "_")] if isinstance(container, dict) else []
+            mutations += [("widen", None)] if isinstance(old, (dict, list)) else []
+            for mutation, value in mutations:
+                doc = json.loads(text)
+                _mutate(functools.reduce(operator.getitem, outer, doc), key, mutation, value)
+                _assert_loads_like_reference(json.dumps(doc))
 
 
 class TestTableCsv:
