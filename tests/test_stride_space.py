@@ -34,7 +34,7 @@ TEMPLATES = (
     ("gemini_resnet", 34, {}),
 )
 FRAMES = (200, 300, 21)
-FREQ_BINS = 80
+SHAPES = tuple(TensorShape(1, 80, frames) for frames in FRAMES)
 
 #: sha256 of "\n".join(rows), from oracle_rows().
 STRIDE_SPACE_DIGEST = "0c321308011add7601588b9cf436667c9405345e00ed5fece77cf59733ef181e"
@@ -60,16 +60,12 @@ def _template_rows(count_path):
     return rows
 
 
-def _shapes():
-    return [TensorShape(1, FREQ_BINS, frames) for frames in FRAMES]
-
-
 def memo_rows():
     """The rows as the ranking counts them: one memo pair per family."""
 
     def count_path():
         stages, blocks = {}, {}
-        return lambda spec: [_memo_totals(spec, shape, stages, blocks) for shape in _shapes()]
+        return lambda spec: [_memo_totals(spec, shape, stages, blocks) for shape in SHAPES]
 
     return _template_rows(count_path)
 
@@ -80,7 +76,7 @@ def oracle_rows():
 
     def count_path():
         return lambda spec: [(count_params(spec).params_total, count_flops(spec, shape).flops_total)
-                             for shape in _shapes()]
+                             for shape in SHAPES]
 
     return _template_rows(count_path)
 
