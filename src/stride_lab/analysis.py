@@ -18,23 +18,22 @@ parameters from the same walk. Every entry is on that walk (the head
 included), in entry order, so its parameters equal ``count_params``'s
 layer for layer.
 
-The walk may start at any block boundary from a given shape, and it
+The walk may start at any block boundary from a given map, and it
 returns the shape it ends at. A run's counts and output shape depend only
 on its entries and its input shape, whether the run is a residual block or
 the stem, max pool, downsampling conv or head between blocks. So a trellis
-ranking (:func:`~stride_lab.trellis.rank_paths_by_flops`) adds up totals
-from two memos, of stage runs and of blocks, keyed by input shape, that
-live for that one ranking call: a stage seen before at its shape costs one
-lookup and one slice compare, and only a new stage is counted block by
-block. A single ``count_flops`` walks the whole spec in one pass and
-keeps nothing.
+ranking (:func:`~stride_lab.trellis.rank_paths_by_flops`) sums the
+builder's own parts (``builder._parts``: the stem, four stages and the
+head, each a tuple of runs) through one memo keyed by the part or run and
+its input shape, that lives for that one ranking call: a part seen before
+at its shape costs one lookup, and only a new part is summed run by run.
+A single ``count_flops`` walks the whole spec in one pass and keeps
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, islice
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .layers import (
@@ -263,14 +262,12 @@ def _walk(entries, shape: tuple[int, ...]) -> tuple[list[tuple], tuple[int, ...]
     layer fed the shape that :func:`~stride_lab.layers.route` names, and
     the shape after the last entry.
 
-    The walk may start at any block boundary, from a ``(C, F, T)`` map or,
-    once a head layer has flattened it, from an ``(n,)`` vector; it returns
-    its end shape in the same form, so a run that starts where another
-    ended continues it exactly.
+    The walk may start at any block boundary, from a ``(C, F, T)`` map; it
+    returns its end shape, ``(C, F, T)`` or, once a head layer has
+    flattened the map, ``(n,)``, so a run that starts where another ended
+    continues it exactly.
     """
     flat: int | None = None
-    if len(shape) == 1:
-        (flat,), shape = shape, None
     records: list[tuple] = []
     for layer, feed, opens in route(entries):
         rule = _RULES.get(type(layer), _NO_RULE)
@@ -352,15 +349,6 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
     )
 
 
-#: A stage run: consecutive entries with one ``stage`` (the stem, one
-#: residual stage with its max pool or downsampling conv, or the head).
-_STAGE_KEY = attrgetter("stage")
-#: A run of entries with one ``(stage, block)``: a residual block, or
-#: plumbing outside blocks (stem, max pool, downsampling conv, head) when
-#: ``block`` is None.
-_RUN_KEY = attrgetter("stage", "block")
-
-
 def _run_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...]) -> tuple:
     """``(run, params, MACs, out shape)`` of one run walked from ``shape``."""
     records, out = _walk(run, shape)
@@ -368,56 +356,39 @@ def _run_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...]) -> tuple:
             sum(rule.flops(layer, out_shape) for layer, rule, _, out_shape in records), out)
 
 
-def _stage_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...], blocks: dict) -> tuple:
-    """``(run, params, MACs, out shape)`` of one stage run walked from
-    ``shape``: each ``(stage, block)`` run in it is looked up in ``blocks``
-    by ``(id(first entry), in shape)`` and walked only on a miss."""
+def _part_totals(part: tuple, shape: tuple[int, ...], memo: dict) -> tuple:
+    """``(part, params, MACs, out shape)`` of one part walked from ``shape``,
+    run by run, each run looked up in ``memo`` and walked only on a miss."""
     params = flops = 0
-    for _, block in groupby(run, _RUN_KEY):
-        block = tuple(block)
-        key = (id(block[0]), shape)
-        totals = blocks.get(key)
-        if totals is None or totals[0] != block:
-            totals = blocks[key] = _run_totals(block, shape)
-        _, block_params, block_flops, shape = totals
-        params += block_params
-        flops += block_flops
-    return run, params, flops, shape
-
-
-def _memo_totals(spec: ModelSpec, input_shape: TensorShape, stages: dict, blocks: dict) -> tuple[int, int]:
-    """The ``(params_total, flops_total)`` of ``count_flops(spec,
-    input_shape)``, from a memo of stage runs and one of blocks.
-
-    Both map ``(id(first entry), in shape)`` to a run's totals; they are
-    apart because a stage and its first block open with the same entry.
-    A stage hit costs one slice compare, which short-cuts on identity (the
-    builder shares memoized entries between specs) and compares equal
-    copies field by field. It counts only if the spec's stage run is
-    exactly the memo's, so a first entry reused ahead of other layers, or
-    a longer or shorter stage, misses; a miss counts that stage through
-    :func:`_stage_totals`. Each memo holds the entries it keys, so no
-    key's id is reused while it lives.
-    """
-    entries = spec.entries
-    end = len(entries)
-    shape = _start(input_shape)
-    params_total = flops_total = i = 0
-    while i < end:
-        key = (id(entries[i]), shape)
-        totals = stages.get(key)
-        if totals is not None:
-            run = totals[0]
-            j = i + len(run)
-            if entries[i:j] != run or (j < end and entries[j].stage == run[0].stage):
-                totals = None
+    for run in part:
+        totals = memo.get((id(run), shape))
         if totals is None:
-            run = tuple(next(groupby(islice(entries, i, None), _STAGE_KEY))[1])
-            totals = stages[key] = _stage_totals(run, shape, blocks)
-        run, params, flops, shape = totals
+            totals = memo[id(run), shape] = _run_totals(run, shape)
+        _, run_params, run_flops, shape = totals
+        params += run_params
+        flops += run_flops
+    return part, params, flops, shape
+
+
+def _parts_totals(parts, input_shape: TensorShape, memo: dict) -> tuple[int, int]:
+    """The ``(params_total, flops_total)`` of ``count_flops`` on the spec
+    that ``builder.build`` concatenates from ``parts``, the pairs that
+    ``builder._parts`` yields.
+
+    ``memo`` maps ``(id(part or run), in shape)`` to ``(that tuple, params,
+    MACs, out shape)``; holding the tuple keeps its id from being reused
+    while the memo lives. A part seen at its input shape costs one lookup,
+    and a new one is summed from its runs, looked up the same way.
+    """
+    shape = _start(input_shape)
+    params_total = flops_total = 0
+    for _, part in parts:
+        totals = memo.get((id(part), shape))
+        if totals is None:
+            totals = memo[id(part), shape] = _part_totals(part, shape, memo)
+        _, params, flops, shape = totals
         params_total += params
         flops_total += flops
-        i += len(run)
     return params_total, flops_total
 
 

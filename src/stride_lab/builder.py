@@ -4,12 +4,13 @@ Families share a five-stage skeleton: a stem carrying the stage-1 stride,
 four residual stages carrying stages 2..5, and an embedding head. They
 differ in where a stage's stride lives (first block conv, the original
 recipe's max pool, or a separate downsampling conv), in block architecture,
-and in the head pooling. :func:`build` checks the request, then elaborates
-the stem, the stages and the head in one pass into one :class:`ModelSpec`.
-It does not run :meth:`ModelSpec.validate`, which its output passes by
-construction (a test holds it) and which costs more than the build: on a
-2-vCPU Xeon, 40-49 µs against 20-22 µs for a ResNet34 build, and
-187-229 µs against 23-27 µs for DF-ResNet182.
+and in the head pooling. :func:`_parts` is the one rule that assembles a
+path: :func:`build` checks the request and concatenates its parts, and a
+trellis ranking counts the same parts. :func:`build` does not run
+:meth:`ModelSpec.validate`, which its output passes by construction (a test
+holds it) and which costs more than the build: on a 2-vCPU Xeon, 40-49 µs
+against 20-22 µs for a ResNet34 build, and 187-229 µs against 23-27 µs for
+DF-ResNet182.
 
 Shortcut policy: a parametrized 1x1 projection (plus batch norm) is inserted
 exactly when a block changes its channel count. A block that only changes
@@ -395,51 +396,58 @@ def _block(
 
 
 @lru_cache(maxsize=_END_MEMO_SIZE, typed=True)
-def _stem(original: bool, c: int, stride: StridePair) -> tuple[LayerEntry, ...]:
-    """The stem conv carrying the stage-1 stride, its batch norm and activation."""
+def _stem(original: bool, c: int, stride: StridePair) -> tuple[tuple[LayerEntry, ...]]:
+    """The stem part: one run of the stem conv carrying the stage-1 stride,
+    its batch norm and activation."""
     kernel, padding = ((7, 7), (3, 3)) if original else ((3, 3), (1, 1))
     layers = (Conv2d("stem.conv", 1, c, kernel, stride=stride, padding=padding),
               BatchNorm2d("stem.bn", c), Activation("stem.act"))
-    return tuple(LayerEntry(layer, stage=1) for layer in layers)
+    return (tuple(LayerEntry(layer, stage=1) for layer in layers),)
 
 
 @lru_cache(maxsize=_STAGE_MEMO_SIZE, typed=True)
 def _stage(kind: BlockKind, stage: int, num_blocks: int, in_ch: int, width: int, out_ch: int,
            path_stride: StridePair, original: bool, has_sd: bool, se_reduction: int | None,
-           res2net_scale: int | None) -> tuple[StageSpec, tuple[LayerEntry, ...]]:
-    """One residual stage's spec and entries: the original recipe's stage-2
-    max pool, the separate downsampling conv, then the memoized blocks, the
-    first of which carries whatever stride is left."""
-    entries: list[LayerEntry] = []
+           res2net_scale: int | None) -> tuple[StageSpec, tuple[tuple[LayerEntry, ...], ...]]:
+    """One residual stage's spec and part: a run of the original recipe's
+    stage-2 max pool or the separate downsampling conv, if either, then the
+    memoized blocks, the first of which carries whatever stride is left."""
+    plumbing: list[LayerEntry] = []
     stride = path_stride
     if original and stage == 2:
         # The original recipe consumes the stage-2 stride in its max pool.
         maxpool = MaxPool2d("stage2.maxpool", (3, 3), stride=stride, padding=(1, 1))
-        entries, stride = [LayerEntry(maxpool, stage=2)], UNIT
+        plumbing, stride = [LayerEntry(maxpool, stage=2)], UNIT
     if has_sd:
         prefix = f"stage{stage}.downsample"
         conv = Conv2d(f"{prefix}.conv", in_ch, out_ch, (3, 3), stride=stride, padding=(1, 1))
         layers = (conv, BatchNorm2d(f"{prefix}.bn", out_ch), Activation(f"{prefix}.act"))
-        entries += (LayerEntry(layer, stage=stage) for layer in layers)
+        plumbing += (LayerEntry(layer, stage=stage) for layer in layers)
         in_ch, stride = out_ch, UNIT
+    runs = [tuple(plumbing)] if plumbing else []
     for b in range(1, num_blocks + 1):
-        entries += _block(kind, stage, b, in_ch, width, out_ch, stride, se_reduction, res2net_scale)
+        runs.append(_block(kind, stage, b, in_ch, width, out_ch, stride, se_reduction, res2net_scale))
         in_ch, stride = out_ch, UNIT
     spec = StageSpec(index=stage, kind=kind, width=width, out_channels=out_ch, num_blocks=num_blocks,
                      stride=path_stride, separate_downsample=has_sd)
-    return spec, tuple(entries)
+    return spec, tuple(runs)
 
 
 @lru_cache(maxsize=_END_MEMO_SIZE, typed=True)
-def _head(original: bool, pooled: int, embedding_dim: int) -> tuple[LayerEntry, ...]:
-    """The pooling layer and the embedding layer on ``pooled`` inputs."""
+def _head(original: bool, pooled: int, embedding_dim: int) -> tuple[tuple[LayerEntry, ...]]:
+    """The head part: one run of the pooling layer and the embedding layer
+    on ``pooled`` inputs."""
     pool = GlobalAvgPool("head.pool") if original else TemporalStatsPool("head.pool")
     fc = FullyConnected("head.fc", pooled, embedding_dim, bias=True)
-    return (LayerEntry(pool, stage=0), LayerEntry(fc, stage=0))
+    return ((LayerEntry(pool, stage=0), LayerEntry(fc, stage=0)),)
 
 
-def build(req: BuildRequest) -> ModelSpec:
-    """Elaborate the stem, the four residual stages and the embedding head.
+def _parts(req: BuildRequest):
+    """``(StageSpec or None, part)`` for the stem, stages 2..5 and the head
+    of the unchecked ``req``, in order. A part is a tuple of runs, and a run
+    is one residual block or the plumbing outside blocks (stem, max pool,
+    downsampling conv, head); each is a memo's tuple, so it is the same
+    object on every call while its memo holds it.
 
     The classic image recipe's head is a channel-wise global average pool;
     the speech recipes pool first and second moments over time per
@@ -449,29 +457,36 @@ def build(req: BuildRequest) -> ModelSpec:
     freq stride, which is exact because every striding layer maps n to
     ceil(n / 2).
     """
-    if len(req.block_counts) != 4:
-        raise BuildError(f"expected 4 per-stage block counts, got {req.block_counts}")
-    _check_integers(req)
     kind = _block_kind(req)
     sd_flags = _sd_flags(req.family, req.path)
-    _validate_depth(req, kind, sd_flags)
-    _check_options(req, kind)
-
     original = req.family is Family.ORIGINAL_RESNET
-    entries = list(_stem(original, req.base_channels, req.path.steps[0]))
-    stages: list[StageSpec] = []
+    steps = req.path.steps
+    yield None, _stem(original, req.base_channels, steps[0])
     in_ch = req.base_channels
     for i, num_blocks in enumerate(req.block_counts):
         width = req.base_channels * 2 ** i
         out_ch = width * _BOTTLENECK_EXPANSION if kind is BlockKind.BOTTLENECK else width
-        stage, stage_entries = _stage(kind, i + 2, num_blocks, in_ch, width, out_ch, req.path.steps[i + 1],
-                                      original, sd_flags[i], req.se_reduction, req.res2net_scale)
-        stages.append(stage)
-        entries += stage_entries
+        yield _stage(kind, i + 2, num_blocks, in_ch, width, out_ch, steps[i + 1], original,
+                     sd_flags[i], req.se_reduction, req.res2net_scale)
         in_ch = out_ch
     pooled = out_ch if original else 2 * out_ch * -(-req.input_freq_bins // final_factors(req.path)[1])
-    entries += _head(original, pooled, req.embedding_dim)
+    yield None, _head(original, pooled, req.embedding_dim)
 
+
+def build(req: BuildRequest) -> ModelSpec:
+    """Check ``req``, then concatenate its :func:`_parts` into one spec."""
+    if len(req.block_counts) != 4:
+        raise BuildError(f"expected 4 per-stage block counts, got {req.block_counts}")
+    _check_integers(req)
+    kind = _block_kind(req)
+    _validate_depth(req, kind, _sd_flags(req.family, req.path))
+    _check_options(req, kind)
+
+    parts = tuple(_parts(req))
+    entries: list[LayerEntry] = []
+    for _, part in parts:
+        for run in part:
+            entries += run  # a C-level copy per run: faster than chaining entry by entry
     name = canonical_name(req.path)
     return ModelSpec(
         family=req.family,
@@ -480,11 +495,12 @@ def build(req: BuildRequest) -> ModelSpec:
         embedding_dim=req.embedding_dim,
         input_freq_bins=req.input_freq_bins,
         path=req.path.relabeled(name),
-        stages=tuple(stages),
+        stages=tuple(stage for stage, _ in parts if stage is not None),
         entries=tuple(entries),
         se_reduction=req.se_reduction,
         res2net_scale=req.res2net_scale,
-        notes=("non_canonical_path_for_original_family",) if original and name != "ORI" else (),
+        notes=(("non_canonical_path_for_original_family",)
+               if req.family is Family.ORIGINAL_RESNET and name != "ORI" else ()),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Iterable, Iterator, Union
 
 from .strides import StridePair, TrellisPath
@@ -316,9 +317,9 @@ class ModelSpec:
         """Check the rules no single layer can, in one :func:`route` pass:
         positive top-level sizes, unique layer names, routable blocks, a
         head projection (the last :class:`FullyConnected`) whose ``out_dim``
-        is ``embedding_dim``, and ``se_reduction``
-        and ``res2net_scale`` against their layers. Raises
-        :class:`ValueError`."""
+        is ``embedding_dim``, ``se_reduction`` and ``res2net_scale`` against
+        their layers, and the path's steps 2..5 against the stages' strides,
+        in order. Raises :class:`ValueError`."""
         for name in ("depth_label", "base_channels", "embedding_dim", "input_freq_bins"):
             _check_positive(name, getattr(self, name))
         # Weights and per-layer counts are keyed by name, so a repeated name
@@ -348,6 +349,10 @@ class ModelSpec:
             if found[kind] != (set() if value is None else {value}):
                 layers = ", ".join(map(str, sorted(found[kind]))) or "none"
                 raise ValueError(f"{name} {value!r} does not match the {kind.__name__} layers ({layers})")
+        strides = (stage.stride for stage in self.stages)
+        for n, (stride, step) in enumerate(zip_longest(strides, self.path.steps[1:]), start=2):
+            if stride != step:
+                raise ValueError(f"stage {n} stride {stride} does not match the path's step {step}")
 
 
 #: What :func:`route` feeds a layer; the layer's output replaces that map.

@@ -58,7 +58,7 @@ from .layers import (
     StageSpec,
     TemporalStatsPool,
 )
-from .strides import NUM_STAGES, STRIDE_VALUES, StridePair, TrellisPath
+from .strides import _STEPS, NUM_STAGES, StridePair, TrellisPath
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -117,14 +117,11 @@ def _strings(value, name: str) -> tuple[str, ...]:
     return tuple(_str(v, f"{name} item") for v in _list(value, name))
 
 
-_STRIDES = {(t, f): StridePair(t, f) for t in STRIDE_VALUES for f in STRIDE_VALUES}
-
-
 def _stride(value, name: str) -> StridePair:
     if type(value) is dict and len(value) == 2:
         key = (value.get("time"), value.get("freq"))
-        if type(key[0]) is int and type(key[1]) is int and key in _STRIDES:
-            return _STRIDES[key]
+        if type(key[0]) is int and type(key[1]) is int and key in _STEPS:
+            return _STEPS[key]
     raise _reject(name, "a {time, freq} object of 1s and 2s", value)
 
 
@@ -145,7 +142,11 @@ def _path(value, name: str) -> TrellisPath:
     time = _ints(value.get("time_strides"), "time_strides")
     freq = _ints(value.get("freq_strides"), "freq_strides")
     label = value.get("label")
-    return TrellisPath.from_lists(time, freq, label=None if label is None else _str(label, "label"))
+    label = None if label is None else _str(label, "label")
+    try:
+        return TrellisPath.from_lists(time, freq, label=label)
+    except ValueError as exc:
+        raise SpecFormatError(f"{name}: {exc}") from None
 
 
 def _stages(value, name: str) -> tuple[StageSpec, ...]:

@@ -68,27 +68,28 @@ def rank_paths_by_flops(
     """Order a family's paths by descending analytic FLOPs.
 
     Every path is substituted into the template's build request and built
-    once, which assembles it from the builder's memoized stems, stages,
-    blocks and heads; parameter counts are asserted identical across the
-    family, and each path is named by its build.
+    once; parameter counts are asserted identical across the family, and
+    each path is named by its build.
     No built path underflows the input shape (every striding layer maps n to
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.
 
-    The totals are ``count_flops``'s, from memos of stage runs and of
-    blocks that live for this call only (``analysis._memo_totals``): a
-    path whose stage was seen at the same input shape reuses its counts,
-    and a new stage is counted block by block, sharing blocks 2..n with
-    its stride variants.
+    The totals are ``count_flops``'s, summed over the builder's parts of
+    the path (``builder._parts``, the stem, stages and head that ``build``
+    concatenates) through one memo that lives for this call only
+    (``analysis._parts_totals``): a part seen at the same input shape
+    reuses its counts, and a new stage is counted block by block, sharing
+    blocks 2..n with its stride variants.
     """
-    from .analysis import _memo_totals
-    from .builder import build, request_from_spec
+    from .analysis import _parts_totals
+    from .builder import _parts, build, request_from_spec
 
     rows = []
     params_seen: set[int] = set()
-    stages, blocks = {}, {}
+    memo: dict = {}
     for path in family.paths:
-        spec = build(request_from_spec(spec_template, path=path))
-        params, flops = _memo_totals(spec, input_shape, stages, blocks)
+        req = request_from_spec(spec_template, path=path)
+        spec = build(req)
+        params, flops = _parts_totals(_parts(req), input_shape, memo)
         params_seen.add(params)
         rows.append((-flops, spec.path.label, path, params))
     if len(params_seen) > 1:

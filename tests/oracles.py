@@ -366,8 +366,11 @@ def _path(value, name):
         tuple(_int(v, key) for v in _list(value.get(key), key))
         for key in ("time_strides", "freq_strides")
     )
-    label = value.get("label")
-    return TrellisPath.from_lists(time, freq, label=None if label is None else _str(label, "label"))
+    label = None if value.get("label") is None else _str(value["label"], "label")
+    try:
+        return TrellisPath.from_lists(time, freq, label=label)
+    except ValueError as exc:
+        raise SpecFormatError(f"{name}: {exc}") from None
 
 
 def _stages(value, name):
@@ -558,6 +561,14 @@ MALFORMED_SPECS = {
     "block-without-add": (lambda d: d["layers"].pop(_layer_index(d, "stage2.block1.add")),
                           "residual block stage2.block1 has 0 add layers, expected exactly one"),
     "add-outside-block": (_add_outside_block, "add layer 'stem.add' is outside any residual block"),
+    "stride-3-in-path": (lambda d: d["path"].update(time_strides=[1, 1, 3, 1, 1]),
+                         "path: stride components must be 1 or 2, got 3"),
+    "four-time-strides": (lambda d: d["path"].update(time_strides=[1, 1, 1, 1]),
+                          "path: time and freq stride lists must have equal length"),
+    "path-not-the-stage-strides": (
+        lambda d: d["path"].update(time_strides=[2] * 5, freq_strides=[1] * 5),
+        "stage 2 stride StridePair(time=1, freq=1) does not match the path's step "
+        "StridePair(time=2, freq=1)"),
 }
 
 

@@ -30,7 +30,7 @@ from stride_lab.layers import (
     TensorShape,
 )
 from stride_lab.serialize import model_from_json, model_to_json
-from stride_lab.strides import StridePair, TrellisEndpoint, resolve_name
+from stride_lab.strides import StridePair, TrellisEndpoint, TrellisPath, resolve_name
 from stride_lab.trellis import enumerate_paths, rank_paths_by_flops
 
 from oracles import ALL_PATHS, GOLDEN_PATHS, PRESETS, parent_depth_label, preset_requests
@@ -211,6 +211,16 @@ _GATE_CASES = {
                     "se_reduction 4 does not match the SqueezeExcite layers (none)"),
     "res2net-mismatch": (lambda s: dataclasses.replace(s, res2net_scale=2),
                          "res2net_scale 2 does not match the Res2NetConv layers (none)"),
+    "path-not-the-stage-strides": (
+        lambda s: dataclasses.replace(s, path=TrellisPath.from_lists([2] * 5, [1] * 5)),
+        "stage 2 stride StridePair(time=1, freq=1) does not match the path's step "
+        "StridePair(time=2, freq=1)"),
+    "stages-out-of-order": (
+        lambda s: dataclasses.replace(s, stages=s.stages[::-1]),
+        "stage 2 stride StridePair(time=2, freq=2) does not match the path's step "
+        "StridePair(time=1, freq=1)"),
+    "stage-missing": (lambda s: dataclasses.replace(s, stages=s.stages[:3]),
+                      "stage 5 stride None does not match the path's step StridePair(time=2, freq=2)"),
     "zero-base-channels": (lambda s: dataclasses.replace(s, base_channels=0),
                            "base_channels must be a positive integer, got 0"),
     "negative-freq-bins": (lambda s: dataclasses.replace(s, input_freq_bins=-80),
@@ -373,6 +383,27 @@ def test_head_size_and_walked_params_match_the_trace(req, time):
     assert walked.params_by_layer == count_params(spec).params_by_layer
 
 
+#: One memo shared by every example of the property below, as a ranking
+#: shares one across the paths it counts.
+_SHARED_MEMO: dict = {}
+
+
+@given(req=preset_requests(), half_time=st.integers(0, 20))
+@settings(max_examples=200, deadline=None)
+def test_parts_compose_the_build_and_count_as_it(req, half_time):
+    try:
+        spec = build(req)
+    except BuildError:
+        assume(False)
+    parts = tuple(builder_module._parts(req))
+    assert spec.entries == tuple(entry for _, part in parts for run in part for entry in run)
+    assert spec.stages == tuple(stage for stage, _ in parts if stage is not None)
+    shape = TensorShape(1, req.input_freq_bins, 2 * half_time + 1)
+    count = count_flops(spec, shape)
+    totals = analysis._parts_totals(parts, shape, _SHARED_MEMO)
+    assert totals == (count.params_total, count.flops_total)
+
+
 def _label(family, depth, path):
     """A depth-first preset's label for ``path``: the pair's second label
     counts the stage-2 downsampling conv that only a stage-2 stride gets."""
@@ -479,15 +510,16 @@ class TestBlockMemo:
         assert type(count_params(spec).params_total) is int
 
     def _two_paths(self, template):
-        """Two paths to the endpoint (4, 8) with the same first two strides."""
+        """Requests for two paths to the endpoint (4, 8) with the same first
+        two strides."""
         paths = enumerate_paths(TrellisEndpoint(4, 8)).paths
         first = paths[0]
         second = next(p for p in paths[1:] if p.steps[:2] == first.steps[:2])
-        return [build(request_from_spec(template, path=p)) for p in (first, second)]
+        return [request_from_spec(template, path=p) for p in (first, second)]
 
     @pytest.mark.parametrize("family, depth", [("modified_resnet", 34), ("original_resnet", 34)])
     def test_paths_of_one_endpoint_share_their_stem_and_head(self, family, depth):
-        a, b = self._two_paths(build(make_request(family, depth)))
+        a, b = map(build, self._two_paths(build(make_request(family, depth))))
         assert a.path != b.path
         outside = [(x, y) for x, y in zip(a.entries, b.entries) if x.block is None]
         # Stem (3 entries), the original recipe's max pool, and the head (2).
@@ -504,12 +536,12 @@ class TestBlockMemo:
             return plain(run, shape)
 
         monkeypatch.setattr(analysis, "_run_totals", recording)
-        memos = {}, {}
-        analysis._memo_totals(a, TensorShape(1, 80, 300), *memos)
+        memo = {}
+        analysis._parts_totals(builder_module._parts(a), TensorShape(1, 80, 300), memo)
         assert None in walked
         walked.clear()
-        totals = analysis._memo_totals(b, TensorShape(1, 80, 300), *memos)
-        count = count_flops(b, TensorShape(1, 80, 300))
+        totals = analysis._parts_totals(builder_module._parts(b), TensorShape(1, 80, 300), memo)
+        count = count_flops(build(b), TensorShape(1, 80, 300))
         assert totals == (count.params_total, count.flops_total)
         assert walked and None not in walked
 

@@ -2,9 +2,10 @@
 for every path of every preset template at three durations, hashed against
 one digest.
 
-The rows are counted as ``rank_paths_by_flops`` counts them: each path is
-built from its template through ``request_from_spec`` and counted by
-``analysis._memo_totals``, with one pair of memos per endpoint family. The
+The rows are counted as ``rank_paths_by_flops`` counts them: each path's
+request is made from its template through ``request_from_spec``, built, and
+counted over the builder's parts by ``analysis._parts_totals``, with one
+memo per endpoint family. The
 digest was made from the memo-free oracle (``build`` + ``count_params`` +
 ``count_flops`` per path, :func:`oracle_rows`), so a change to how a path is
 built or counted that moves any integer fails here, and the failure names
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import hashlib
 
-from stride_lab.analysis import _memo_totals, count_flops, count_params
-from stride_lab.builder import build, make_request, request_from_spec
+from stride_lab.analysis import _parts_totals, count_flops, count_params
+from stride_lab.builder import _parts, build, make_request, request_from_spec
 from stride_lab.layers import TensorShape
 from stride_lab.strides import enumerate_endpoints
 from stride_lab.trellis import enumerate_paths
@@ -42,7 +43,8 @@ STRIDE_SPACE_DIGEST = "0c321308011add7601588b9cf436667c9405345e00ed5fece77cf5973
 
 def _template_rows(count_path):
     """Every row. ``count_path()`` is called once per endpoint family and
-    returns a counter: spec -> one ``(params, MACs)`` per T of FRAMES."""
+    returns a counter: (request, spec) -> one ``(params, MACs)`` per T of
+    FRAMES."""
     rows = []
     for family, depth, options in TEMPLATES:
         label = "/".join([family, str(depth), *(f"{k}={v}" for k, v in options.items())])
@@ -54,18 +56,18 @@ def _template_rows(count_path):
         for endpoint in enumerate_endpoints():
             count = count_path()
             for path in enumerate_paths(endpoint).paths:
-                spec = build(request_from_spec(template, path=path))
-                for frames, (params, macs) in zip(FRAMES, count(spec)):
+                req = request_from_spec(template, path=path)
+                for frames, (params, macs) in zip(FRAMES, count(req, build(req))):
                     rows.append(f"{label}\t{frames}\t{path.label}\t{params}\t{macs}")
     return rows
 
 
 def memo_rows():
-    """The rows as the ranking counts them: one memo pair per family."""
+    """The rows as the ranking counts them: one memo per family."""
 
     def count_path():
-        stages, blocks = {}, {}
-        return lambda spec: [_memo_totals(spec, shape, stages, blocks) for shape in SHAPES]
+        memo = {}
+        return lambda req, spec: [_parts_totals(_parts(req), shape, memo) for shape in SHAPES]
 
     return _template_rows(count_path)
 
@@ -75,7 +77,7 @@ def oracle_rows():
     per path and T."""
 
     def count_path():
-        return lambda spec: [(count_params(spec).params_total, count_flops(spec, shape).flops_total)
+        return lambda req, spec: [(count_params(spec).params_total, count_flops(spec, shape).flops_total)
                              for shape in SHAPES]
 
     return _template_rows(count_path)

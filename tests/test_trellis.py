@@ -8,10 +8,9 @@ import pytest
 
 from oracles import rank_rows_by_count_flops
 from stride_lab import analysis, builder
-from stride_lab.analysis import ShapeUnderflowError, _memo_totals, count_flops, trace
-from stride_lab.builder import build, make_request, request_from_spec
-from stride_lab.layers import Conv2d, TensorShape
-from stride_lab.serialize import model_from_json, model_to_json
+from stride_lab.analysis import ShapeUnderflowError, _parts_totals, count_flops, trace
+from stride_lab.builder import _parts, build, make_request, request_from_spec
+from stride_lab.layers import TensorShape
 from stride_lab.strides import (
     PathClass,
     TrellisEndpoint,
@@ -21,7 +20,6 @@ from stride_lab.strides import (
     enumerate_endpoints,
     iter_all_paths,
     paths_to_endpoint,
-    resolve_name,
 )
 from stride_lab.trellis import (
     PathFamily,
@@ -250,18 +248,17 @@ class TestBlockMemoExactness:
         # unpad the time axis of SD-ResNet's four downsampling convs: each
         # then takes 3 frames, and the one path that halves T at every
         # stage runs out of frames at stage 4.
-        plain_build = builder.build
+        plain_stage = builder._stage
 
-        def unpadded_build(request):
-            spec = plain_build(request)
-            entries = tuple(
+        def unpadded_stage(*args):
+            stage, part = plain_stage(*args)
+            part = tuple(tuple(
                 dataclasses.replace(e, layer=dataclasses.replace(e.layer, padding=(1, 0)))
                 if e.layer.name.endswith("downsample.conv") else e
-                for e in spec.entries
-            )
-            return dataclasses.replace(spec, entries=entries)
+                for e in run) for run in part)
+            return stage, part
 
-        monkeypatch.setattr(builder, "build", unpadded_build)
+        monkeypatch.setattr(builder, "_stage", unpadded_stage)
         template = build(make_request("sd_resnet", 38, path="MOD"))
         family = enumerate_paths(TrellisEndpoint(32, 1))
         message = "stage4.downsample.conv: time dimension underflows to 0 (< 1)"
@@ -269,58 +266,13 @@ class TestBlockMemoExactness:
             with pytest.raises(ShapeUnderflowError, match=re.escape(message)):
                 rank(family, TensorShape(1, 80, 21), template)
 
-    def test_equal_stages_from_json_hit_by_value(self, mod34):
-        loaded = model_from_json(model_to_json(mod34))
-        # Each block opens with the built spec's entry, then goes on with
-        # the loaded spec's copies: equal values, other objects.
-        mixed = tuple(
-            built if built.block is not None and (i == 0 or mod34.entries[i - 1].block != built.block)
-            else copy
-            for i, (built, copy) in enumerate(zip(mod34.entries, loaded.entries))
-        )
-        mixed = dataclasses.replace(loaded, entries=mixed)
-        assert any(a is not b for a, b in zip(mixed.entries, mod34.entries))
-        stages, blocks = {}, {}
-        assert _memo_totals(mod34, INPUT_3S, stages, blocks) == _count_flops_totals(mod34, INPUT_3S)
-        keys = set(stages), set(blocks)
-        assert _memo_totals(mixed, INPUT_3S, stages, blocks) == _count_flops_totals(mixed, INPUT_3S)
-        # Every residual stage opens with its first block's built entry and
-        # hits the built spec's key by value; the stem and the head, outside
-        # blocks, open with the loaded copies and are the only new keys of
-        # either memo.
-        head = next(i for i, e in enumerate(mixed.entries) if e.stage == 0)
-        head_in = trace(mixed, INPUT_3S)[head].in_shape
-        assert mixed.entries[0] is loaded.entries[0] and mixed.entries[head] is loaded.entries[head]
-        new = {(id(mixed.entries[0]), INPUT_3S.as_tuple()), (id(mixed.entries[head]), head_in)}
-        assert set(stages) - keys[0] == new and set(blocks) - keys[1] == new
-        keys = set(stages), set(blocks)
-        assert _memo_totals(mixed, INPUT_3S, stages, blocks) == _count_flops_totals(mixed, INPUT_3S)
-        assert (set(stages), set(blocks)) == keys
-        assert _memo_totals(loaded, INPUT_3S, stages, blocks) == _count_flops_totals(loaded, INPUT_3S)
-
-    def test_reused_first_entry_ahead_of_other_layers_misses(self, mod34):
-        # stage3.block2 keeps its first entry object; its second conv
-        # becomes a 1x1, which keeps the shapes and changes the counts.
-        entries = list(mod34.entries)
-        index = next(i for i, e in enumerate(entries) if e.layer.name == "stage3.block2.conv2")
-        conv = entries[index].layer
-        assert isinstance(conv, Conv2d) and entries[index - 3].layer.name == "stage3.block2.conv1"
-        entries[index] = dataclasses.replace(
-            entries[index], layer=dataclasses.replace(conv, kernel=(1, 1), padding=(0, 0)))
-        other = dataclasses.replace(mod34, entries=tuple(entries))
-        assert _count_flops_totals(other, INPUT_3S) != _count_flops_totals(mod34, INPUT_3S)
-        for first, second in ((mod34, other), (other, mod34)):
-            memos = {}, {}
-            assert _memo_totals(first, INPUT_3S, *memos) == _count_flops_totals(first, INPUT_3S)
-            assert _memo_totals(second, INPUT_3S, *memos) == _count_flops_totals(second, INPUT_3S)
-
     def test_one_memo_serves_two_input_shapes(self, mod34):
-        memos = {}, {}
+        memo = {}
         shapes = (TensorShape(1, 80, 200), INPUT_3S, TensorShape(1, 80, 200))
         for shape in shapes:
-            assert _memo_totals(mod34, shape, *memos) == _count_flops_totals(mod34, shape)
-        for memo in memos:
-            assert {key[1] for key in memo} >= {(64, 40, 100), (64, 40, 150)}
+            parts = _parts(request_from_spec(mod34))
+            assert _parts_totals(parts, shape, memo) == _count_flops_totals(mod34, shape)
+        assert {key[1] for key in memo} >= {(64, 40, 100), (64, 40, 150)}
 
 
 def _recording_run_totals(monkeypatch):
@@ -338,29 +290,9 @@ def _recording_run_totals(monkeypatch):
 
 
 class TestStageMemo:
-    """A ranking counts a built path one stage run at a time: a stage seen
-    at its input shape costs one memo lookup, and only a stage met for the
-    first time is counted block by block."""
-
-    def _short34(self, mod34):
-        """ResNet34 with block counts (3, 4, 5, 3): stage 4 drops its sixth
-        block, so it opens with the same entry and ends earlier."""
-        entries = tuple(e for e in mod34.entries if (e.stage, e.block) != (4, 6))
-        stages = tuple(dataclasses.replace(s, num_blocks=5) if s.index == 4 else s for s in mod34.stages)
-        return dataclasses.replace(mod34, entries=entries, stages=stages)
-
-    def test_shorter_stage_with_the_same_first_entry_misses(self, mod34):
-        short = self._short34(mod34)
-        assert len(short.entries) < len(mod34.entries)
-        assert _count_flops_totals(short, INPUT_3S) != _count_flops_totals(mod34, INPUT_3S)
-        for first, second in ((mod34, short), (short, mod34)):
-            stages, blocks = {}, {}
-            assert _memo_totals(first, INPUT_3S, stages, blocks) == _count_flops_totals(first, INPUT_3S)
-            assert _memo_totals(second, INPUT_3S, stages, blocks) == _count_flops_totals(second, INPUT_3S)
-            # The stage-4 key now holds the second spec's whole stage 4.
-            start = next(i for i, e in enumerate(second.entries) if e.stage == 4)
-            run = next(v[0] for k, v in stages.items() if k[0] == id(second.entries[start]))
-            assert run == tuple(e for e in second.entries if e.stage == 4)
+    """A ranking counts a path over the builder's parts: a stage seen at its
+    input shape costs one memo lookup, and only a stage met for the first
+    time is counted block by block."""
 
     def test_a_path_whose_stages_are_all_seen_walks_no_run(self, mod34, monkeypatch):
         # The third path strides like the second up to stage 2, where both
@@ -368,34 +300,34 @@ class TestStageMemo:
         first = TrellisPath.from_lists((2, 1, 2, 2, 1), (2, 1, 1, 2, 2))
         second = TrellisPath.from_lists((1, 2, 1, 1, 1), (1, 2, 1, 1, 1))
         third = TrellisPath.from_lists((1, 2, 2, 2, 1), (1, 2, 1, 2, 2))
-        specs = [build(request_from_spec(mod34, path=p)) for p in (first, second, third)]
+        reqs = [request_from_spec(mod34, path=p) for p in (first, second, third)]
         walked = _recording_run_totals(monkeypatch)
-        stages, blocks = {}, {}
-        for spec in specs[:2]:
-            assert _memo_totals(spec, INPUT_3S, stages, blocks) == _count_flops_totals(spec, INPUT_3S)
+        memo = {}
+        for req in reqs[:2]:
+            assert _parts_totals(_parts(req), INPUT_3S, memo) == _count_flops_totals(build(req), INPUT_3S)
         assert walked
         walked.clear()
 
-        def no_stage_walk(run, shape, blocks):
-            raise AssertionError(f"stage {run[0].stage} counted again")
+        def no_part_walk(part, shape, memo):
+            raise AssertionError(f"part of {part[0][0].layer.name} counted again")
 
-        monkeypatch.setattr(analysis, "_stage_totals", no_stage_walk)
-        assert _memo_totals(specs[2], INPUT_3S, stages, blocks) == _count_flops_totals(specs[2], INPUT_3S)
+        monkeypatch.setattr(analysis, "_part_totals", no_part_walk)
+        totals = _parts_totals(_parts(reqs[2]), INPUT_3S, memo)
+        assert totals == _count_flops_totals(build(reqs[2]), INPUT_3S)
         assert walked == []
 
-    def test_json_loaded_copies_in_a_shared_memo_count_exactly(self, mod34, monkeypatch):
-        t14c = build(request_from_spec(mod34, path=resolve_name("T14c")))
-        specs = [mod34, model_from_json(model_to_json(mod34)),
-                 t14c, model_from_json(model_to_json(t14c))]
-        stages, blocks = {}, {}
-        for shape in (INPUT_3S, TensorShape(1, 80, 200)):
-            for spec in specs:
-                assert _memo_totals(spec, shape, stages, blocks) == _count_flops_totals(spec, shape)
-        # Counted again, every loaded stage hits its own key.
+    def test_a_new_stage_walks_only_the_blocks_not_seen_at_their_shape(self, mod34, monkeypatch):
+        # Both paths reach (2, 2) after stage 3's first block, by strides
+        # swapped between stages 2 and 3: stage 3's blocks 2..4 are the same
+        # tuples at the same shape, its first block is new.
+        first = TrellisPath.from_lists((1, 2, 1, 1, 1), (1, 1, 2, 1, 1))
+        second = TrellisPath.from_lists((1, 1, 2, 1, 1), (1, 2, 1, 1, 1))
+        reqs = [request_from_spec(mod34, path=p) for p in (first, second)]
+        memo = {}
+        assert _parts_totals(_parts(reqs[0]), INPUT_3S, memo) == _count_flops_totals(build(reqs[0]), INPUT_3S)
         walked = _recording_run_totals(monkeypatch)
-        for spec in specs:
-            assert _memo_totals(spec, INPUT_3S, stages, blocks) == _count_flops_totals(spec, INPUT_3S)
-        assert walked == []
+        assert _parts_totals(_parts(reqs[1]), INPUT_3S, memo) == _count_flops_totals(build(reqs[1]), INPUT_3S)
+        assert [name for name in walked if name.startswith("stage3.")] == ["stage3.block1.conv1"]
 
 
 class TestClosedFormPrecondition:
