@@ -56,7 +56,7 @@ from .layers import (
     StageSpec,
     TemporalStatsPool,
 )
-from .strides import StridePair, TrellisPath, canonical_name, final_factors, resolve_name
+from .strides import StridePair, TrellisPath, final_factors, resolve_name
 
 __all__ = [
     "BuildError",
@@ -487,20 +487,19 @@ def build(req: BuildRequest) -> ModelSpec:
     for _, part in parts:
         for run in part:
             entries += run  # a C-level copy per run: faster than chaining entry by entry
-    name = canonical_name(req.path)
     return ModelSpec(
         family=req.family,
         depth_label=req.depth_label,
         base_channels=req.base_channels,
         embedding_dim=req.embedding_dim,
         input_freq_bins=req.input_freq_bins,
-        path=req.path.relabeled(name),
+        path=req.path,
         stages=tuple(stage for stage, _ in parts if stage is not None),
         entries=tuple(entries),
         se_reduction=req.se_reduction,
         res2net_scale=req.res2net_scale,
         notes=(("non_canonical_path_for_original_family",)
-               if req.family is Family.ORIGINAL_RESNET and name != "ORI" else ()),
+               if req.family is Family.ORIGINAL_RESNET and req.path.label != "ORI" else ()),
     )
 
 

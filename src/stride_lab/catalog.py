@@ -8,7 +8,7 @@ alternate routes to the two golden endpoints.
 
 from __future__ import annotations
 
-from .strides import TrellisPath, canonical_name
+from .strides import TrellisPath
 
 __all__ = [
     "CATALOG_NAMES",
@@ -55,4 +55,4 @@ CATALOG_NAMES = (
 
 
 def is_cataloged(path: TrellisPath) -> bool:
-    return canonical_name(path) in CATALOG_NAMES
+    return path.label in CATALOG_NAMES

@@ -37,7 +37,6 @@ from .strides import (
     PathClass,
     TrellisPath,
     UnknownConfigError,
-    canonical_name,
     classify_path,
     enumerate_endpoints,
     final_factors,
@@ -220,13 +219,12 @@ def _resolve_request(args, path: str | None = None, family: Family | None = None
 
 
 def _path_row(path: TrellisPath) -> str:
-    name = canonical_name(path)
     alpha, beta = final_factors(path)
     cls = classify_path(path).value
     time = ",".join(str(v) for v in path.time_strides)
     freq = ",".join(str(v) for v in path.freq_strides)
     flag = "catalog" if is_cataloged(path) else "extension"
-    return f"{name:<8} {cls:<20} ({alpha},{beta})  time=[{time}] freq=[{freq}]  {flag}"
+    return f"{path.label:<8} {cls:<20} ({alpha},{beta})  time=[{time}] freq=[{freq}]  {flag}"
 
 
 def _cmd_enumerate(args) -> int:
@@ -271,7 +269,7 @@ def _table_row(spec, report_2s, report_3s) -> tuple[str, ...]:
     """One complexity-table record, in ``TABLE_HEADER`` order."""
     alpha, beta = final_factors(spec.path)
     return (
-        spec.path.label or canonical_name(spec.path),
+        spec.path.label,
         classify_path(spec.path).value,
         str(alpha),
         str(beta),

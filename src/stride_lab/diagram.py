@@ -12,7 +12,6 @@ from .catalog import GOLDEN_GEMINI_FACTORS
 from .strides import (
     NUM_STAGES,
     TrellisPath,
-    canonical_name,
     downsampling_factors,
     enumerate_endpoints,
 )
@@ -53,14 +52,13 @@ def trellis_dot(paths: tuple[TrellisPath, ...] = ()) -> str:
     lines += edges
     for i, path in enumerate(paths):
         color = _PALETTE[i % len(_PALETTE)]
-        name = path.label or canonical_name(path)
         prev = (0, 0)
         for step, (alpha, beta) in zip(path.steps, downsampling_factors(path)):
             node = (alpha.bit_length() - 1, beta.bit_length() - 1)
             lines.append(
                 f"  {_node_id(*prev)} -> {_node_id(*node)} "
                 f'[label="({step.time},{step.freq})", color={color}, penwidth=2.0, '
-                f'fontcolor={color}, tooltip="{name}"];'
+                f'fontcolor={color}, tooltip="{path.label}"];'
             )
             prev = node
     lines.append("}")

@@ -6,7 +6,8 @@ block, and branch role it belongs to. The flat list is the single source of
 truth; the symbolic analysis and the numeric kernel both walk it through
 :func:`route`, the one place that decides which map feeds which layer.
 Each layer checks its own fields when constructed; :meth:`ModelSpec.validate`
-is the one gate for the rules that span layers.
+is the one gate for the rules that span layers, among them the path's
+strides (its name derives from them) against its stages' and its layers'.
 
 Spatial tuples (kernel, padding, dilation) are in (freq, time) order,
 matching the (channels, freq, time) tensor layout. Strides always travel as
@@ -318,8 +319,10 @@ class ModelSpec:
         positive top-level sizes, unique layer names, routable blocks, a
         head projection (the last :class:`FullyConnected`) whose ``out_dim``
         is ``embedding_dim``, ``se_reduction`` and ``res2net_scale`` against
-        their layers, and the path's steps 2..5 against the stages' strides,
-        in order. Raises :class:`ValueError`."""
+        their layers, the path's steps 2..5 against the stages' strides, in
+        order, then each step against the product of its stage's main-chain
+        conv and pool strides (shortcut convs left out). Raises
+        :class:`ValueError`."""
         for name in ("depth_label", "base_channels", "embedding_dim", "input_freq_bins"):
             _check_positive(name, getattr(self, name))
         # Weights and per-layer counts are keyed by name, so a repeated name
@@ -327,12 +330,18 @@ class ModelSpec:
         seen: set[str] = set()
         found = {SqueezeExcite: set(), Res2NetConv: set()}
         head = None
-        for layer, _, _ in route(self.entries):
+        layer_strides: dict[int, tuple[int, int]] = {}
+        for entry, (layer, feed, _) in zip(self.entries, route(self.entries)):
             if layer.name in seen:
                 raise ValueError(f"duplicate layer name {layer.name!r}")
             seen.add(layer.name)
             kind = type(layer)
-            if kind is SqueezeExcite:
+            if kind is Conv2d or kind is MaxPool2d:
+                stride = layer.stride  # most are unit strides, which change no product
+                if stride.time * stride.freq > 1 and feed == FEED_MAP:
+                    time, freq = layer_strides.get(entry.stage, (1, 1))
+                    layer_strides[entry.stage] = (time * stride.time, freq * stride.freq)
+            elif kind is SqueezeExcite:
                 found[kind].add(layer.reduction)
             elif kind is Res2NetConv:
                 found[kind].add(layer.scale)
@@ -353,6 +362,11 @@ class ModelSpec:
         for n, (stride, step) in enumerate(zip_longest(strides, self.path.steps[1:]), start=2):
             if stride != step:
                 raise ValueError(f"stage {n} stride {stride} does not match the path's step {step}")
+        for n, step in enumerate(self.path.steps, start=1):
+            time, freq = layer_strides.get(n, (1, 1))
+            if (time, freq) != (step.time, step.freq):
+                raise ValueError(f"stage {n} layers stride (time={time}, freq={freq}) in all, "
+                                 f"which does not match the path's step {step}")
 
 
 #: What :func:`route` feeds a layer; the layer's output replaces that map.

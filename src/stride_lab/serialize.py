@@ -27,9 +27,11 @@ missing field or rejects it if its dataclass has none, and checks a present
 value's exact type inline, with no coercion. It calls the dataclass
 constructor positionally, so every ``__post_init__`` rule runs. The whole
 spec is then checked once through
-:meth:`~stride_lab.layers.ModelSpec.validate`. Any non-conforming document
-raises :class:`SpecFormatError`, whose text names the first failing field
-and, for a layer, the layer.
+:meth:`~stride_lab.layers.ModelSpec.validate`. A path is only its strides:
+its ``label`` is written as the name they derive, and read as ``null``,
+absent, or that name, checked after ``validate()``. Any non-conforming
+document raises :class:`SpecFormatError`, whose text names the first
+failing field and, for a layer, the layer.
 """
 
 from __future__ import annotations
@@ -141,10 +143,10 @@ def _path(value, name: str) -> TrellisPath:
     _check_keys(value, _PATH_KEYS, "path ")
     time = _ints(value.get("time_strides"), "time_strides")
     freq = _ints(value.get("freq_strides"), "freq_strides")
-    label = value.get("label")
-    label = None if label is None else _str(label, "label")
+    if value.get("label") is not None:
+        _str(value["label"], "label")  # its name is checked once the spec passes validate()
     try:
-        return TrellisPath.from_lists(time, freq, label=label)
+        return TrellisPath.from_lists(time, freq)
     except ValueError as exc:
         raise SpecFormatError(f"{name}: {exc}") from None
 
@@ -190,12 +192,12 @@ def _strings_slot(attr: str, pad: str):
 def _path_slot(attr: str, pad: str):
     inner = pad + "  "
     ints = f",\n{inner}  ".join(["%d"] * NUM_STAGES)
-    text = (f'{{\n{inner}"label": %s,\n{inner}"time_strides": [\n{inner}  {ints}\n{inner}],'
+    # A name is letters and digits only, so it needs no escaping.
+    text = (f'{{\n{inner}"label": "%s",\n{inner}"time_strides": [\n{inner}  {ints}\n{inner}],'
             f'\n{inner}"freq_strides": [\n{inner}  {ints}\n{inner}]\n{pad}}}')
 
     def render(path: TrellisPath) -> str:
-        label = "null" if path.label is None else _quote(path.label)
-        return text % (label, *path.time_strides, *path.freq_strides)
+        return text % (path.label, *path.time_strides, *path.freq_strides)
 
     return "%s", ((attr, render),)
 
@@ -422,6 +424,9 @@ def model_from_json(text: str) -> ModelSpec:
         spec.validate()
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
+    label, name = doc["path"].get("label"), spec.path.label
+    if label is not None and label != name:
+        raise SpecFormatError(f"path: label {label!r} does not name its strides, which are {name!r}")
     return spec
 
 

@@ -9,7 +9,8 @@ endpoint on the 6x6 trellis grid. An endpoint's two factors are each an
 :class:`TrellisEndpoint` is the one check of that rule, and anything else
 raises ``ValueError``.
 
-Paths are named by endpoint and rank within their endpoint family:
+A path stores only its steps. This module alone derives its name
+(:attr:`TrellisPath.label`), by endpoint and rank within its endpoint family:
 
 * ``T{a}{b}`` / ``F{a}{b}`` for time-priority (alpha < beta) and
   frequency-priority (alpha > beta) endpoints, where ``a = log2 alpha5``
@@ -89,7 +90,6 @@ class TrellisPath:
     """A stride configuration: exactly five sequential stride pairs."""
 
     steps: tuple[StridePair, ...]
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.steps) != NUM_STAGES:
@@ -102,12 +102,15 @@ class TrellisPath:
         cls,
         time_strides: tuple[int, ...] | list[int],
         freq_strides: tuple[int, ...] | list[int],
-        label: str | None = None,
     ) -> "TrellisPath":
         if len(time_strides) != len(freq_strides):
             raise ValueError("time and freq stride lists must have equal length")
-        steps = tuple(StridePair(t, f) for t, f in zip(time_strides, freq_strides))
-        return cls(steps=steps, label=label)
+        return cls(tuple(StridePair(t, f) for t, f in zip(time_strides, freq_strides)))
+
+    @property
+    def label(self) -> str:
+        """The path's name, derived from its strides by :func:`canonical_name`."""
+        return canonical_name(self)
 
     @property
     def time_strides(self) -> tuple[int, ...]:
@@ -116,9 +119,6 @@ class TrellisPath:
     @property
     def freq_strides(self) -> tuple[int, ...]:
         return tuple(step.freq for step in self.steps)
-
-    def relabeled(self, label: str) -> "TrellisPath":
-        return TrellisPath(steps=self.steps, label=label)
 
 
 def downsampling_factors(path: TrellisPath) -> tuple[tuple[int, int], ...]:
@@ -216,16 +216,6 @@ def _suffix(rank: int) -> str:
     return _SUFFIX_ALPHABET[hi] + _SUFFIX_ALPHABET[lo]
 
 
-def _suffix_rank(suffix: str) -> int:
-    if suffix == "":
-        return 0
-    n = len(_SUFFIX_ALPHABET)
-    indexes = [_SUFFIX_ALPHABET.index(ch) for ch in suffix]
-    if len(indexes) == 1:
-        return indexes[0] + 1
-    return n + indexes[0] * n + indexes[1] + 1
-
-
 def _latest_tuple(factor: int) -> tuple[int, ...]:
     """Stride tuple with all downsampling packed into the latest stages."""
     exponent = factor.bit_length() - 1
@@ -278,23 +268,29 @@ def _base_name(alpha5: int, beta5: int) -> str:
     return f"{prefix}{alpha5.bit_length() - 1}{beta5.bit_length() - 1}"
 
 
+#: The four stride pairs, shared by the memoized paths.
+_STEPS = {(t, f): StridePair(t, f) for t in STRIDE_VALUES for f in STRIDE_VALUES}
+
+
 @functools.lru_cache(maxsize=None)
-def _family_names(alpha5: int, beta5: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], str]:
-    """``{(time_strides, freq_strides): name}`` for every path to an
-    endpoint: rank ``r`` in :func:`_family_order` takes suffix ``r``, and
-    the first path of a reserved endpoint takes the reserved name."""
+def _family(alpha5: int, beta5: int) -> tuple[dict, dict, tuple[TrellisPath, ...]]:
+    """The one memo of an endpoint's names: ``({(time_strides,
+    freq_strides): name}, {name: path}, paths)``. Rank ``r`` in
+    :func:`_family_order` takes suffix ``r``, and the first path of a
+    reserved endpoint takes the reserved name. Callers check the endpoint."""
     order = _family_order(alpha5, beta5)
     base = _base_name(alpha5, beta5)
     names = {config: base + _suffix(rank) for rank, config in enumerate(order)}
     if (alpha5, beta5) in _RESERVED_EQUAL:
         names[order[0]] = _RESERVED_EQUAL[(alpha5, beta5)]
-    return names
+    paths = tuple(TrellisPath(tuple(_STEPS[step] for step in zip(time, freq))) for time, freq in order)
+    return names, dict(zip(names.values(), paths)), paths
 
 
 def canonical_name(path: TrellisPath) -> str:
     """Stable, injective short name for a path (e.g. ``T14c``, ``MOD``)."""
     time, freq = path.time_strides, path.freq_strides
-    return _family_names(math.prod(time), math.prod(freq))[(time, freq)]
+    return _family(math.prod(time), math.prod(freq))[0][(time, freq)]
 
 
 # Suffixes are drawn from _SUFFIX_ALPHABET, which has no ``a``.
@@ -315,34 +311,22 @@ def resolve_name(name: str) -> TrellisPath:
     cls = match.group("cls")
     if _CLASS_PREFIX[endpoint_class(alpha5, beta5)] != cls:
         raise UnknownConfigError(f"{cleaned!r}: prefix {cls!r} does not match endpoint ({alpha5}, {beta5})")
-    rank = _suffix_rank(match.group("suffix"))
-    paths = paths_to_endpoint(alpha5, beta5)
-    if rank >= len(paths):
-        raise UnknownConfigError(f"{cleaned!r}: endpoint ({alpha5}, {beta5}) has only {len(paths)} paths")
-    if rank == 0 and (alpha5, beta5) in _RESERVED_EQUAL:
+    _, by_name, paths = _family(alpha5, beta5)
+    if cleaned in by_name:
+        return by_name[cleaned]
+    if not match.group("suffix") and (alpha5, beta5) in _RESERVED_EQUAL:
         reserved = _RESERVED_EQUAL[(alpha5, beta5)]
         raise UnknownConfigError(f"{cleaned!r}: this configuration is named {reserved!r}")
-    return paths[rank]
-
-
-#: The four stride pairs, shared by the memoized paths.
-_STEPS = {(t, f): StridePair(t, f) for t in STRIDE_VALUES for f in STRIDE_VALUES}
+    raise UnknownConfigError(f"{cleaned!r}: endpoint ({alpha5}, {beta5}) has only {len(paths)} paths")
 
 
 def paths_to_endpoint(alpha5: int, beta5: int) -> tuple[TrellisPath, ...]:
-    """All paths reaching (alpha5, beta5), in canonical naming order, each
-    labelled with its name. The endpoint is checked before any memo is
-    read; every call for a valid endpoint returns the same tuple of frozen
-    paths (36 tuples, 1024 paths in all)."""
+    """All paths reaching (alpha5, beta5), in canonical naming order. The
+    endpoint is checked before any memo is read; every call for a valid
+    endpoint returns the same tuple of frozen paths (36 tuples, 1024 paths
+    in all)."""
     TrellisEndpoint(alpha5, beta5)
-    return _labelled_paths(alpha5, beta5)
-
-
-@functools.lru_cache(maxsize=None)
-def _labelled_paths(alpha5: int, beta5: int) -> tuple[TrellisPath, ...]:
-    names = _family_names(alpha5, beta5)
-    return tuple(TrellisPath(tuple(_STEPS[step] for step in zip(time, freq)), names[(time, freq)])
-                 for time, freq in _family_order(alpha5, beta5))
+    return _family(alpha5, beta5)[2]
 
 
 def iter_all_paths():

@@ -32,7 +32,7 @@ class PathFamily:
 
     @property
     def paths(self) -> tuple[TrellisPath, ...]:
-        """The endpoint's memoized, labelled paths in canonical naming order."""
+        """The endpoint's memoized paths in canonical naming order."""
         return paths_to_endpoint(self.endpoint.alpha5, self.endpoint.beta5)
 
 
@@ -69,7 +69,7 @@ def rank_paths_by_flops(
 
     Every path is substituted into the template's build request and built
     once; parameter counts are asserted identical across the family, and
-    each path is named by its build.
+    each path is named by its strides.
     No built path underflows the input shape (every striding layer maps n to
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.
 
@@ -88,10 +88,10 @@ def rank_paths_by_flops(
     memo: dict = {}
     for path in family.paths:
         req = request_from_spec(spec_template, path=path)
-        spec = build(req)
+        build(req)
         params, flops = _parts_totals(_parts(req), input_shape, memo)
         params_seen.add(params)
-        rows.append((-flops, spec.path.label, path, params))
+        rows.append((-flops, path.label, path, params))
     if len(params_seen) > 1:
         raise AssertionError(
             f"parameter count varies within family ({family.endpoint.alpha5}, "

@@ -6,7 +6,8 @@ package implementations it checks. ``reference_doc`` is the schema-v1
 document built as plain dicts from ``dataclasses.fields``, for
 ``json.dumps(..., indent=2)`` to encode, and ``reference_model_from_json``
 is the loader that interpreted the same field plans one checker call per
-field before each class got a compiled decoder. ``MALFORMED_SPECS`` holds the spec
+field before each class got a compiled decoder; it checks a path's label
+against ``canonical_name_by_index``. ``MALFORMED_SPECS`` holds the spec
 documents that both the loader tests and the CLI tests expect rejected, and
 ``preset_requests`` draws build requests over every preset family and depth.
 ``rank_rows_by_count_flops`` ranks a trellis family with no block memo:
@@ -366,9 +367,10 @@ def _path(value, name):
         tuple(_int(v, key) for v in _list(value.get(key), key))
         for key in ("time_strides", "freq_strides")
     )
-    label = None if value.get("label") is None else _str(value["label"], "label")
+    if value.get("label") is not None:
+        _str(value["label"], "label")
     try:
-        return TrellisPath.from_lists(time, freq, label=label)
+        return TrellisPath.from_lists(time, freq)
     except ValueError as exc:
         raise SpecFormatError(f"{name}: {exc}") from None
 
@@ -465,7 +467,8 @@ def _decode_entry(doc):
 
 def reference_model_from_json(text):
     """The schema-v1 loader as a plan interpreter: a checker call per field
-    and a keyword constructor call per object."""
+    and a keyword constructor call per object, then a label that is not
+    ``null`` must be the index rule's name of the path's strides."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -484,6 +487,9 @@ def reference_model_from_json(text):
         spec.validate()
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
+    label, name = doc["path"].get("label"), canonical_name_by_index(spec.path)
+    if label not in (None, name):
+        raise SpecFormatError(f"path: label {label!r} does not name its strides, which are {name!r}")
     return spec
 
 
@@ -506,6 +512,14 @@ def _duplicate_add(doc):
     """A renamed second copy of a block's add, placed after its last layer."""
     add = dict(doc["layers"][_layer_index(doc, "stage2.block1.add")], name="stage2.block1.add2")
     doc["layers"].insert(_layer_index(doc, "stage2.block1.act_out") + 1, add)
+
+
+def _stages_and_path_claim_e33p(doc):
+    """Path and stages moved to E33p's strides, the layers left as they are."""
+    time, freq = [1, 2, 2, 2, 1], [1, 2, 2, 2, 1]
+    doc["path"].update(label="E33p", time_strides=time, freq_strides=freq)
+    for stage, t, f in zip(doc["stages"], time[1:], freq[1:]):
+        stage["stride"] = {"time": t, "freq": f}
 
 
 #: Schema-v1 mutations that the loader must reject, applied in
@@ -569,6 +583,16 @@ MALFORMED_SPECS = {
         lambda d: d["path"].update(time_strides=[2] * 5, freq_strides=[1] * 5),
         "stage 2 stride StridePair(time=1, freq=1) does not match the path's step "
         "StridePair(time=2, freq=1)"),
+    "label-not-the-strides": (lambda d: d["path"].update(label="T14c"),
+                              "path: label 'T14c' does not name its strides, which are 'MOD'"),
+    "stem-not-the-path": (
+        lambda d: d["path"].update(time_strides=[2, 1, 2, 2, 2]),
+        "stage 1 layers stride (time=1, freq=1) in all, which does not match the path's step "
+        "StridePair(time=2, freq=1)"),
+    "stages-and-path-not-the-layers": (
+        _stages_and_path_claim_e33p,
+        "stage 2 layers stride (time=1, freq=1) in all, which does not match the path's step "
+        "StridePair(time=2, freq=2)"),
 }
 
 
@@ -649,10 +673,5 @@ def canonical_name_by_index(path):
 
 
 def paths_to_endpoint_by_index(alpha5, beta5):
-    """Fresh paths to ``(alpha5, beta5)`` in family order, each labelled by
-    ``canonical_name_by_index``."""
-    paths = []
-    for time, freq in _family_order(alpha5, beta5):
-        path = TrellisPath.from_lists(time, freq)
-        paths.append(path.relabeled(canonical_name_by_index(path)))
-    return tuple(paths)
+    """Fresh paths to ``(alpha5, beta5)`` in family order."""
+    return tuple(TrellisPath.from_lists(time, freq) for time, freq in _family_order(alpha5, beta5))

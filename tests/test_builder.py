@@ -219,6 +219,18 @@ _GATE_CASES = {
         lambda s: dataclasses.replace(s, stages=s.stages[::-1]),
         "stage 2 stride StridePair(time=2, freq=2) does not match the path's step "
         "StridePair(time=1, freq=1)"),
+    # The stem's freq step (the loader's case edits its time step).
+    "stem-not-the-path": (
+        lambda s: dataclasses.replace(s, path=TrellisPath.from_lists([1, 1, 2, 2, 2], [2, 1, 2, 2, 2])),
+        "stage 1 layers stride (time=1, freq=1) in all, which does not match the path's step "
+        "StridePair(time=1, freq=2)"),
+    # Path and stages both on E33p, the layers still MOD's.
+    "stages-and-path-not-the-layers": (
+        lambda s: dataclasses.replace(s, path=resolve_name("E33p"), stages=tuple(
+            dataclasses.replace(stage, stride=step)
+            for stage, step in zip(s.stages, resolve_name("E33p").steps[1:]))),
+        "stage 2 layers stride (time=1, freq=1) in all, which does not match the path's step "
+        "StridePair(time=2, freq=2)"),
     "stage-missing": (lambda s: dataclasses.replace(s, stages=s.stages[:3]),
                       "stage 5 stride None does not match the path's step StridePair(time=2, freq=2)"),
     "zero-base-channels": (lambda s: dataclasses.replace(s, base_channels=0),

@@ -238,7 +238,8 @@ _NAME_TEXT = st.text(
 @st.composite
 def _specs(draw):
     """A built spec with drawn family, preset depth, path and SE/Res2Net,
-    its layers renamed from ``_NAME_TEXT``, notes and path label drawn too."""
+    its layers renamed from ``_NAME_TEXT`` and notes drawn too (a path's
+    label is derived from its strides, so it is not drawn)."""
     family = draw(st.sampled_from(sorted(_DEPTHS)))
     labels = draw(st.sampled_from(_DEPTHS[family]))
     path = draw(st.sampled_from(_GOLDEN_PATHS if family == "gemini_resnet" else _PATHS))
@@ -259,8 +260,7 @@ def _specs(draw):
         for i, e in enumerate(spec.entries)
     )
     notes = tuple(draw(st.lists(_NAME_TEXT.filter(bool), max_size=3)))
-    label = draw(st.one_of(st.none(), _NAME_TEXT.filter(bool)))
-    return dataclasses.replace(spec, entries=entries, notes=notes, path=spec.path.relabeled(label))
+    return dataclasses.replace(spec, entries=entries, notes=notes)
 
 
 @given(spec=_specs())

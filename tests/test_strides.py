@@ -175,7 +175,7 @@ class TestCanonicalName:
         assert len(set(names)) == 100
 
     def test_dict_lookup_names_as_the_index_rule(self):
-        # Unlabelled paths from the brute force, so no label is echoed back.
+        # Fresh paths from the brute force, not the memoized ones.
         for time, freq in brute_force_paths():
             path = TrellisPath.from_lists(time, freq)
             assert canonical_name(path) == canonical_name_by_index(path)
@@ -225,7 +225,13 @@ class TestPathsToEndpoint:
             got = paths_to_endpoint(*endpoint)
             want = paths_to_endpoint_by_index(*endpoint)
             assert got == want
-            assert [p.label for p in got] == [p.label for p in want]
+            assert [p.label for p in got] == [canonical_name_by_index(p) for p in want]
+
+    def test_every_label_is_derived_and_resolves_to_its_path(self):
+        for path in iter_all_paths():
+            fresh = TrellisPath.from_lists(path.time_strides, path.freq_strides)
+            assert fresh.label == canonical_name_by_index(path)
+            assert resolve_name(path.label) is path
 
     def test_iter_all_paths_matches_the_index_rule(self):
         want = [p for endpoint in ENDPOINTS for p in paths_to_endpoint_by_index(*endpoint)]
@@ -240,7 +246,7 @@ class TestPathsToEndpoint:
 
 def _answers(alpha, beta):
     """What ``TrellisEndpoint`` and ``paths_to_endpoint`` make of one pair:
-    ``"ValueError"``, or ``"ok"`` and the labelled paths."""
+    ``"ValueError"``, or ``"ok"`` and the paths with their names."""
     from stride_lab.strides import TrellisEndpoint, paths_to_endpoint
     answers = []
     for call in (paths_to_endpoint, TrellisEndpoint):
@@ -291,7 +297,7 @@ def test_an_endpoint_gets_one_answer_fresh_or_warm(alpha, beta):
     warm = _answers(alpha, beta)
     assert _fresh_answers(alpha, beta) == warm
     if all(type(v) is int and v in (1, 2, 4, 8, 16, 32) for v in (alpha, beta)):
-        want = [[p.label, list(p.time_strides), list(p.freq_strides)]
+        want = [[canonical_name_by_index(p), list(p.time_strides), list(p.freq_strides)]
                 for p in paths_to_endpoint_by_index(alpha, beta)]
         assert warm == [want, "ok"]
     else:
