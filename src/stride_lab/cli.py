@@ -19,13 +19,7 @@ from .builder import BuildError, build, make_request, request_from_spec
 from .catalog import CATALOG_NAMES, PRINCIPAL_CONFIG, is_cataloged
 from .diagram import trellis_dot
 from .layers import Family, TensorShape
-from .metrics import (
-    DegenerateScoresError,
-    ScoreFileError,
-    TrialScoreSet,
-    compute_eer,
-    compute_min_dcf,
-)
+from .metrics import TrialScoreSet, compute_eer, compute_min_dcf
 from .numkernel import KernelError, check_seed
 from .serialize import (
     SpecFormatError,
@@ -413,7 +407,7 @@ def _cmd_verify(args) -> int:
         ran_anything = True
         try:
             spec = model_from_json(Path(args.spec).read_text())
-        except (OSError, SpecFormatError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: rejected spec {args.spec}: {exc}", file=sys.stderr)
             return EXIT_BUILD
         checks.append(verify_spec_numeric(spec, time=args.frames, seed=seed))
@@ -479,7 +473,7 @@ def _cmd_metrics(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.score_file}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_BUILD
-    except (ScoreFileError, DegenerateScoresError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
     n_target = len(trials.target_scores)

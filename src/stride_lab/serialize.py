@@ -8,21 +8,19 @@ is its fields, and the document is ``schema_version``, the model's fields
 of exactly that type, pairs 2-element lists, strides ``{time, freq}``
 objects, enums their values.
 
-Writing goes through templates compiled once, at import, from the same
-per-class field plans the loader uses: each layer class (with its entry's
-``stage``/``block``/``role`` and its ``kind``), :class:`StageSpec` and the
-top level get one ``%``-format string with keys, two-space indentation and
-brackets baked in. Per object, one ``attrgetter`` fetches the slot values,
-a few converters render ``null``, ``true``/``false``, pairs and escaped
-strings (:func:`json.encoder.encode_basestring_ascii`), and one ``%`` fills
-the template. The bytes are those of ``json.dumps(doc, indent=2)``.
+Writing and loading go through one codec per class and direction, compiled
+once, at import, from the same per-class field plans into straight-line
+Python source (as :mod:`dataclasses` compiles ``__init__``) by one
+``exec`` step: one writer and one loader per layer class, which also
+handle its entry's ``stage``/``block``/``role`` and its ``kind``, one pair
+for :class:`StageSpec` and one for the top level. A writer is one
+``%``-format string, with keys, two-space indentation and brackets baked
+in, filled by one generated tuple of expressions; strings are escaped by
+:func:`json.encoder.encode_basestring_ascii`. Its bytes are those of
+``json.dumps(doc, indent=2)``.
 
-Loading goes through one decoder per class, compiled once, at import, from
-the same field plans into straight-line Python source (as :mod:`dataclasses`
-compiles ``__init__``): one per layer class, which also decodes its entry's
-slot, one for :class:`StageSpec` and one for the top level, which calls a
-path decoder. Each checks the object's keys once, rejecting any the schema
-does not name; then, field by field in plan order, it takes the default of a
+A loader checks the object's keys once, rejecting any the schema does not
+name; then, field by field in plan order, it takes the default of a
 missing field or rejects it if its dataclass has none, and checks a present
 value's exact type inline, with no coercion. It calls the dataclass
 constructor positionally, so every ``__post_init__`` rule runs. The whole
@@ -42,7 +40,6 @@ import io
 import json
 from dataclasses import MISSING, fields
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 from typing import get_type_hints
 
 from .layers import (
@@ -92,11 +89,11 @@ class SpecFormatError(ValueError):
 
 
 # A load is Python source that checks the local ``v``, the JSON value of
-# field ``{n}`` (a literal), and leaves the field's value in ``v``; the
-# loaders compiled below inline it. A slot takes a field's attribute path
-# and the indentation of its key line, and returns the field's JSON text
-# with %-placeholders plus one (attribute path, converter or None) per
-# placeholder; a None converter means the value fills its placeholder as is.
+# field ``{n}`` (a literal), and leaves the field's value in ``v``. A dump
+# takes the Python expression of a field's value and the indentation of its
+# key line, and returns the field's JSON text with %-placeholders plus the
+# expressions that fill them (a ``*``-expression fills several). The codecs
+# compiled below inline both.
 
 
 def _reject(name: str, expected: str, value) -> SpecFormatError:
@@ -168,50 +165,19 @@ def _array(items: list[str], pad: str) -> str:
     return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
-def _scalar(fragment: str, convert=None):
-    return lambda attr, pad: (fragment, ((attr, convert),))
-
-
-def _null_or(value):
-    return "null" if value is None else value
-
-
-def _pair_slot(attr: str, pad: str):
-    return "%s", ((attr, f"[\n{pad}  %d,\n{pad}  %d\n{pad}]".__mod__),)
-
-
-def _stride_slot(attr: str, pad: str):
-    text = f'{{\n{pad}  "time": %d,\n{pad}  "freq": %d\n{pad}}}'
-    return text, ((f"{attr}.time", None), (f"{attr}.freq", None))
-
-
-def _strings_slot(attr: str, pad: str):
-    return "%s", ((attr, lambda values: _array([_quote(v) for v in values], pad)),)
-
-
-def _path_slot(attr: str, pad: str):
-    inner = pad + "  "
-    ints = f",\n{inner}  ".join(["%d"] * NUM_STAGES)
-    # A name is letters and digits only, so it needs no escaping.
-    text = (f'{{\n{inner}"label": "%s",\n{inner}"time_strides": [\n{inner}  {ints}\n{inner}],'
-            f'\n{inner}"freq_strides": [\n{inner}  {ints}\n{inner}]\n{pad}}}')
-
-    def render(path: TrellisPath) -> str:
-        return text % (path.label, *path.time_strides, *path.freq_strides)
-
-    return "%s", ((attr, render),)
-
-
-def _stages_slot(attr: str, pad: str):
-    write = _writer(_members(StageSpec), pad + "  ")
-    return "%s", ((attr, lambda stages: _array([write(s) for s in stages], pad)),)
-
-
-#: Names the compiled loaders read, besides each loader's own constants.
-_LOAD_ENV = {
+#: Names the compiled codecs read, besides each one's own constants.
+_ENV = {
     "SpecFormatError": SpecFormatError, "_reject": _reject, "_check_keys": _check_keys,
     "_stride": _stride, "_strings": _strings, "_path": _path, "_stages": _stages,
+    "_quote": _quote, "_array": _array,
 }
+
+
+def _compile(source: str, env: dict):
+    """Run ``source``, which defines ``f``, over ``env`` and :data:`_ENV`."""
+    env.update(_ENV)
+    exec(source, env)
+    return env["f"]
 
 
 def _enum_codec(cls: type[enum.Enum]):
@@ -219,35 +185,50 @@ def _enum_codec(cls: type[enum.Enum]):
     # Values go into the template between baked-in quotes.
     assert all(_quote(value) == f'"{value}"' for value in members)
     table, expected = f"_{cls.__name__}", f"one of {sorted(members)}"
-    _LOAD_ENV[table] = members
+    _ENV[table] = members
     load = (f"if type(v) is not str or v not in {table}: raise _reject({{n}}, {expected!r}, v)\n"
             f"v = {table}[v]")
-    return load, lambda attr, pad: ('"%s"', ((f"{attr}.value", None),))
+    return load, lambda e, pad: ('"%s"', (f"{e}.value",))
 
 
-#: Declared field type -> (load, slot). Enums are added per class by
+def _path_dump(e: str, pad: str):
+    inner = pad + "  "
+    ints = f",\n{inner}  ".join(["%d"] * NUM_STAGES)
+    # A name is letters and digits only, so it needs no escaping.
+    return (f'{{\n{inner}"label": "%s",\n{inner}"time_strides": [\n{inner}  {ints}\n{inner}],'
+            f'\n{inner}"freq_strides": [\n{inner}  {ints}\n{inner}]\n{pad}}}',
+            (f"{e}.label", f"*{e}.time_strides", f"*{e}.freq_strides"))
+
+
+#: Declared field type -> (load, dump). Enums are added per class by
 #: ``_plan``.
 _CODECS = {
-    int: ("if type(v) is not int: raise _reject({n}, 'an integer', v)", _scalar("%d")),
+    int: ("if type(v) is not int: raise _reject({n}, 'an integer', v)",
+          lambda e, pad: ("%d", (e,))),
     int | None: ("if v is not None and type(v) is not int: raise _reject({n}, 'an integer', v)",
-                 _scalar("%s", _null_or)),
+                 lambda e, pad: ("%s", (f"'null' if {e} is None else {e}",))),
     bool: ("if type(v) is not bool: raise _reject({n}, 'true or false', v)",
-           _scalar("%s", {False: "false", True: "true"}.__getitem__)),
+           lambda e, pad: ("%s", (f"'true' if {e} else 'false'",))),
     str: ("if type(v) is not str or not v: raise _reject({n}, 'a non-empty string', v)",
-          _scalar("%s", _quote)),
+          lambda e, pad: ("%s", (f"_quote({e})",))),
     tuple[int, int]: ("if type(v) is not list or len(v) != 2 or type(v[0]) is not int"
                       " or type(v[1]) is not int:\n"
                       "    raise _reject({n}, 'a 2-element list of integers', v)\n"
-                      "v = (v[0], v[1])", _pair_slot),
-    tuple[str, ...]: ("v = _strings(v, {n})", _strings_slot),
-    StridePair: ("v = _stride(v, {n})", _stride_slot),
-    TrellisPath: ("v = _path(v, {n})", _path_slot),
-    tuple[StageSpec, ...]: ("v = _stages(v, {n})", _stages_slot),
+                      "v = (v[0], v[1])",
+                      lambda e, pad: (f"[\n{pad}  %d,\n{pad}  %d\n{pad}]", (f"{e}[0]", f"{e}[1]"))),
+    tuple[str, ...]: ("v = _strings(v, {n})",
+                      lambda e, pad: ("%s", (f"_array([_quote(s) for s in {e}], {pad!r})",))),
+    StridePair: ("v = _stride(v, {n})",
+                 lambda e, pad: (f'{{\n{pad}  "time": %d,\n{pad}  "freq": %d\n{pad}}}',
+                                 (f"{e}.time", f"{e}.freq"))),
+    TrellisPath: ("v = _path(v, {n})", _path_dump),
+    tuple[StageSpec, ...]: ("v = _stages(v, {n})", lambda e, pad: (
+        "%s", (f"_array([_write_stage(s) for s in {e}], {pad!r})",))),
 }
 
 
 def _plan(cls: type, order: tuple[str, ...] | None = None) -> tuple:
-    """(name, load, slot, field) per field of ``cls``, in ``order``
+    """(name, load, dump, field) per field of ``cls``, in ``order``
     (default: declaration order). Fields outside ``order`` are skipped."""
     hints = get_type_hints(cls)
     by_name = {f.name: f for f in fields(cls)}
@@ -257,58 +238,6 @@ def _plan(cls: type, order: tuple[str, ...] | None = None) -> tuple:
         codec = _enum_codec(hint) if isinstance(hint, enum.EnumMeta) else _CODECS[hint]
         plan.append((name, *codec, by_name[name]))
     return tuple(plan)
-
-
-def _members(cls: type, prefix: str = "") -> list[tuple]:
-    """(key, attribute path, slot) per field of ``cls`` by its plan."""
-    return [(name, prefix + name, slot) for name, _, slot, _ in _PLANS[cls]]
-
-
-def _writer(members: list[tuple], opad: str):
-    """Compile ``members`` into obj -> JSON object text, whose closing brace
-    is indented by ``opad`` (the opening one follows its key or list comma)."""
-    pad = opad + "  "
-    lines, paths, conversions = [], [], []
-    for key, attr, slot in members:
-        fragment, slots = slot(attr, pad)
-        lines.append(f"{pad}{_quote(key)}: {fragment}")
-        for path, convert in slots:
-            if convert is not None:
-                conversions.append((len(paths), convert))
-            paths.append(path)
-    template = "{\n" + ",\n".join(lines) + f"\n{opad}}}"
-    get = attrgetter(*paths)
-
-    def write(obj) -> str:
-        values = list(get(obj))
-        for i, convert in conversions:
-            values[i] = convert(values[i])
-        return template % tuple(values)
-
-    return write
-
-
-def _const(text: str):
-    return lambda attr, pad: (text, ())
-
-
-def _layers_slot(attr: str, pad: str):
-    writers = {
-        cls: _writer([*_members(LayerEntry), ("kind", None, _const(_quote(kind))),
-                      *_members(cls, "layer.")], pad + "  ")
-        for cls, kind in _LAYER_KINDS.items()
-    }
-
-    def render(entries) -> str:
-        items = []
-        for entry in entries:
-            write = writers.get(type(entry.layer))
-            if write is None:
-                raise SpecFormatError(f"unserializable layer {type(entry.layer).__name__}")
-            items.append(write(entry))
-        return _array(items, pad)
-
-    return "%s", ((attr, render),)
 
 
 #: ModelSpec fields in document order; ``entries`` travels as ``layers``.
@@ -332,12 +261,6 @@ def _keys(*classes: type, extra: tuple[str, ...] = ()) -> frozenset:
 _STAGE_KEYS = _keys(StageSpec)
 _MODEL_KEYS = _keys(ModelSpec, extra=("schema_version", "layers"))
 _LAYER_KEYS = {cls: _keys(LayerEntry, cls, extra=("kind",)) for cls in _LAYER_KINDS}
-
-_write_model = _writer(
-    [("schema_version", None, _const(str(SCHEMA_VERSION))), *_members(ModelSpec),
-     ("layers", "entries", _layers_slot)],
-    "",
-)
 
 
 def _load_lines(cls: type, env: dict) -> list[str]:
@@ -365,21 +288,43 @@ def _load_lines(cls: type, env: dict) -> list[str]:
 
 def _loader(parts: list, error: str, params: str = "doc", **env):
     """Compile ``parts`` (source lines, and classes to decode into ``obj``
-    by :func:`_load_lines`) into ``load(params)``, which returns ``obj``
+    by :func:`_load_lines`) into ``f(params)``, which returns ``obj``
     and turns a ``TypeError`` or ``ValueError`` into the SpecFormatError
     ``error``, an expression of ``exc``."""
-    env.update(_LOAD_ENV)
     lines = [line for part in parts
              for line in ([part] if type(part) is str else _load_lines(part, env))]
     body = "".join(f"\n        {line}" for line in [*lines, "return obj"])
-    exec(f"def load({params}):\n    try:{body}\n    except (TypeError, ValueError) as exc:"
-         f"\n        raise SpecFormatError({error}) from None", env)
-    return env["load"]
+    return _compile(f"def f({params}):\n    try:{body}\n    except (TypeError, ValueError) as exc:"
+                    f"\n        raise SpecFormatError({error}) from None", env)
 
 
-# Compiled once: loading is on the analyze hot path. A layer loader checks
-# the keys, decodes and builds the layer, then its entry's slot, and names
-# the layer in every error.
+def _dumper(parts: list, opad: str):
+    """Compile ``parts`` into ``f(o)`` -> JSON object text, whose closing
+    brace is indented by ``opad`` (the opening one follows its key or list
+    comma). A part is ``(class, expression)``, the plan's fields of the
+    object the expression gives, or ``(key, JSON text, expressions)``."""
+    pad = opad + "  "
+    lines, exprs = [], []
+    for part in parts:
+        members = ([(name, *dump(f"{part[1]}.{name}", pad)) for name, _, dump, _ in _PLANS[part[0]]]
+                   if isinstance(part[0], type) else [part])
+        for key, text, values in members:
+            lines.append(f"{pad}{_quote(key)}: {text}")
+            exprs += values
+    template = "{\n" + ",\n".join(lines) + f"\n{opad}}}"
+    return _compile(f"def f(o): return T % ({', '.join(exprs)},)", {"T": template})
+
+
+class _LayerWriters(dict):
+    """Layer class -> entry writer; any other class is refused."""
+
+    def __missing__(self, cls: type):
+        raise SpecFormatError(f"unserializable layer {cls.__name__}")
+
+
+# Compiled once: serialization is on the analyze hot path. A layer loader
+# checks the keys, decodes and builds the layer, then its entry's slot, and
+# names the layer in every error.
 _LOAD_LAYER = {
     kind: _loader(["if not doc.keys() <= KEYS: _check_keys(doc, KEYS, '')", cls,
                    "f_layer = obj", LayerEntry],
@@ -389,6 +334,16 @@ _LOAD_LAYER = {
 _load_stage = _loader(["if type(doc) is not dict: raise _reject('StageSpec', 'an object', doc)",
                        "_check_keys(doc, KEYS, 'stage ')", StageSpec], "str(exc)", KEYS=_STAGE_KEYS)
 _load_model = _loader([ModelSpec], "str(exc)", params="doc, f_entries")
+# Stages and layers are top-level list items, so each closes at four spaces.
+_ENV["_write_stage"] = _dumper([(StageSpec, "o")], "    ")
+_ENV["_write_layer"] = _LayerWriters({
+    cls: _dumper([(LayerEntry, "o"), ("kind", _quote(kind), ()), (cls, "o.layer")], "    ")
+    for cls, kind in _LAYER_KINDS.items()
+})
+_write_model = _dumper([
+    ("schema_version", str(SCHEMA_VERSION), ()), (ModelSpec, "o"),
+    ("layers", "%s", ("_array([_write_layer[type(x.layer)](x) for x in o.entries], '  ')",)),
+], "")
 
 
 def model_to_json(spec: ModelSpec) -> str:

@@ -216,14 +216,9 @@ def _suffix(rank: int) -> str:
     return _SUFFIX_ALPHABET[hi] + _SUFFIX_ALPHABET[lo]
 
 
-def _latest_tuple(factor: int) -> tuple[int, ...]:
-    """Stride tuple with all downsampling packed into the latest stages."""
-    exponent = factor.bit_length() - 1
-    return (1,) * (NUM_STAGES - exponent) + (2,) * exponent
-
-
 def _dim_tuples(factor: int) -> list[tuple[int, ...]]:
-    """All per-dimension stride tuples whose product equals ``factor``."""
+    """All per-dimension stride tuples whose product equals ``factor``; the
+    last packs all downsampling into the latest stages."""
     exponent = factor.bit_length() - 1
     tuples = []
     for positions in itertools.combinations(range(NUM_STAGES), exponent):
@@ -251,11 +246,11 @@ def _family_order(alpha5: int, beta5: int) -> tuple[tuple[tuple[int, ...], tuple
     sorted by departing later from the canonical path, ties broken
     lexicographically. The endpoint must be valid: callers check it first.
     """
-    canon = (_latest_tuple(alpha5), _latest_tuple(beta5))
+    time, freq = _dim_tuples(alpha5), _dim_tuples(beta5)
+    canon = (time[-1], freq[-1])
     pinned = _PINNED_ALTERNATES.get((alpha5, beta5), ())
     placed = {canon, *pinned}
-    rest = [config for config in itertools.product(_dim_tuples(alpha5), _dim_tuples(beta5))
-            if config not in placed]
+    rest = [config for config in itertools.product(time, freq) if config not in placed]
     rest.sort(key=lambda cfg: (-_first_departure(cfg[0], cfg[1], *canon), cfg[0], cfg[1]))
     return (canon, *pinned, *rest)
 

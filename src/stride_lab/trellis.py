@@ -41,12 +41,16 @@ class RankedPath:
     """One family member with its analytic complexity, ordered by FLOPs."""
 
     path: TrellisPath
-    name: str
     rank: int
     flops_total: int
     params_total: int
     #: Always None (no built path underflows); the benchmark's ranking digest reads it.
     error: str | None = None
+
+    @property
+    def name(self) -> str:
+        """The path's name, derived from its strides."""
+        return self.path.label
 
 
 def enumerate_paths(endpoint: TrellisEndpoint) -> PathFamily:
@@ -98,5 +102,5 @@ def rank_paths_by_flops(
             f"{family.endpoint.beta5}): {sorted(params_seen)}"
         )
     rows.sort(key=itemgetter(0, 1))  # rows are (-flops, name, path, params)
-    return tuple(RankedPath(path, name, rank, -neg_flops, params)
-                 for rank, (neg_flops, name, path, params) in enumerate(rows, start=1))
+    return tuple(RankedPath(path, rank, -neg_flops, params)
+                 for rank, (neg_flops, _, path, params) in enumerate(rows, start=1))

@@ -15,7 +15,7 @@ from stride_lab.builder import BuildError, build, make_request
 from stride_lab.catalog import GOLDEN_GEMINI_FACTORS
 from stride_lab.cli import main
 from stride_lab.diagram import trellis_dot
-from stride_lab.layers import TensorShape
+from stride_lab.layers import Conv2d, TensorShape
 from stride_lab.serialize import (
     SpecFormatError,
     format_table,
@@ -140,6 +140,17 @@ class TestModelJson:
         doc["layers"][0]["kind"] = "deconv9d"
         with pytest.raises(SpecFormatError):
             model_from_json(json.dumps(doc))
+
+    def test_unserializable_layer_refused(self, mod34):
+        @dataclasses.dataclass(frozen=True)
+        class Conv3d(Conv2d):
+            pass
+
+        entry = mod34.entries[0]
+        odd = dataclasses.replace(entry, layer=Conv3d(**vars(entry.layer)))
+        spec = dataclasses.replace(mod34, entries=(odd, *mod34.entries[1:]))
+        with pytest.raises(SpecFormatError, match=r"^unserializable layer Conv3d$"):
+            model_to_json(spec)
 
     def test_duplicate_layer_name_rejected(self):
         doc = json.loads(model_to_json(build(make_request("modified_resnet", 18, path="MOD"))))

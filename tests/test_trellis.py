@@ -23,6 +23,7 @@ from stride_lab.strides import (
 )
 from stride_lab.trellis import (
     PathFamily,
+    RankedPath,
     enumerate_paths,
     golden_gemini_endpoints,
     rank_paths_by_flops,
@@ -136,6 +137,10 @@ class TestRankPaths:
         family = enumerate_paths(TrellisEndpoint(2, 16))
         ranked = rank_paths_by_flops(family, INPUT_3S, template)
         assert ranked[0].name == "T14"
+
+    def test_hand_built_row_reports_its_paths_name(self):
+        path = TrellisPath.from_lists([1, 1, 2, 2, 2], [1, 1, 2, 2, 2])
+        assert RankedPath(path, rank=1, flops_total=0, params_total=0).name == "MOD"
 
     def test_single_path_family(self, template):
         family = enumerate_paths(TrellisEndpoint(1, 1))
