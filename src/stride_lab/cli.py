@@ -470,8 +470,9 @@ def _cmd_metrics(args) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.score_file}", file=sys.stderr)
         return EXIT_BUILD
-    except OSError as exc:
-        print(f"error: cannot read {args.score_file}: {exc.strerror or exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read {args.score_file}: {reason}", file=sys.stderr)
         return EXIT_BUILD
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 from typing import get_type_hints
 
 import numpy as np
@@ -146,6 +147,40 @@ def two_pass_stats_pool(x, eps=1e-10):
                 stds.append((var + eps) ** 0.5)
         out[n] = np.array(means + stds)
     return out
+
+
+def loop_squeeze_excite(x, w1, b1, w2, b2):
+    """Squeeze-and-excitation with per-element Python loops: each channel's
+    mean, a ReLU hidden layer, a sigmoid gate per channel, and every element
+    scaled by its channel's gate."""
+    b, c, f, t = x.shape
+    hidden = w1.shape[0]
+    out = np.zeros((b, c, f, t))
+    for n in range(b):
+        means = [sum(x[n, ci, fi, ti] for fi in range(f) for ti in range(t)) / (f * t)
+                 for ci in range(c)]
+        h = [max(b1[j] + sum(w1[j, ci] * means[ci] for ci in range(c)), 0.0)
+             for j in range(hidden)]
+        for ci in range(c):
+            gate = 1.0 / (1.0 + math.exp(-(b2[ci] + sum(w2[ci, j] * h[j] for j in range(hidden)))))
+            for fi in range(f):
+                for ti in range(t):
+                    out[n, ci, fi, ti] = x[n, ci, fi, ti] * gate
+    return out
+
+
+def loop_res2net(x, branches, padding=(1, 1)):
+    """Res2Net's hierarchical convolution through ``loop_conv2d``: the first
+    channel group passes through, and group ``i`` is convolved with
+    ``branches[i - 1]`` after adding the previous branch's output (from the
+    third group on), then ReLU'd."""
+    width = branches[0].shape[0]
+    groups = [x[:, i * width:(i + 1) * width] for i in range(len(branches) + 1)]
+    outs = [groups[0]]
+    for i, weight in enumerate(branches, start=1):
+        inp = groups[i] if i == 1 else groups[i] + outs[-1]
+        outs.append(np.maximum(loop_conv2d(inp, weight, padding=padding), 0.0))
+    return np.concatenate(outs, axis=1)
 
 
 def sweep_operating_points(scores, labels):

@@ -9,6 +9,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -658,6 +659,22 @@ class TestMetricsCommand:
         code, _, err = run_cli(capsys, "metrics", str(tmp_path))
         assert code == 2
         assert err.startswith(f"error: cannot read {tmp_path}: ")
+        assert "Traceback" not in err
+
+    def test_non_utf8_file_is_unreadable_in_any_locale(self, capsys, tmp_path):
+        # Byte 0x85 is NEL, a line break, in a latin-1 locale (simulated by
+        # making latin-1 the default text encoding); the file is read as
+        # UTF-8 whatever the locale, so it is a read error naming the path.
+        score_file = tmp_path / "scores.txt"
+        score_file.write_bytes(b"target 0.9\x85nontarget 0.1\n")
+
+        def latin1_locale(encoding, stacklevel=2):
+            return encoding or "latin-1"
+
+        with mock.patch("io.text_encoding", latin1_locale):
+            code, out, err = run_cli(capsys, "metrics", str(score_file))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {score_file}: 'utf-8' codec can't decode")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("option, value", [("--c-fa", "nan"), ("--c-miss", "inf")])

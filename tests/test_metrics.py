@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -255,9 +256,12 @@ _OTHER_TOKENS = (
     # lines with a label where the break should be.
     "  target 0.5", "\t nontarget -1", " \t ", "target 0.5 target\n0.6",
 )
-# Line breaks for str.splitlines (\x0b, \x1c and \x85 are also whitespace
-# to str.split), and a plain space, which joins two fragments into one line.
-_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028")
+# Line breaks for str.splitlines (all but \u2028 and \u2029 are also
+# whitespace to str.split), and a plain space, which joins two fragments
+# into one line.
+_LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
 _SEPARATORS = _LINE_BREAKS + (" ",)
 _valid_lines = st.builds(
     "{} {}".format,
@@ -308,6 +312,56 @@ class TestParserDifferential:
         assert _exact(got.trials) == _exact(want.trials)
         np.testing.assert_array_equal(got.target_scores, [s for s, t in want.trials if t])
         np.testing.assert_array_equal(got.nontarget_scores, [s for s, t in want.trials if not t])
+
+
+@functools.cache
+def _canonical_text(n=37_720):
+    """A VoxCeleb1-O-sized score file as a scorer writes it: ``label score``
+    and a newline per trial, nothing else."""
+    rng = np.random.default_rng(20231206)
+    half = n // 2
+    scores = np.concatenate([rng.normal(2.0, 1.0, half), rng.normal(0.0, 1.0, half)])
+    labels = ["target"] * half + ["nontarget"] * half
+    return "".join(f"{labels[i]} {scores[i]:.4f}\n" for i in rng.permutation(2 * half))
+
+
+def _mid_file(text, new):
+    """``text`` with the newline nearest past its middle replaced by ``new``."""
+    mid = text.index("\n", len(text) // 2)
+    return text[:mid] + new + text[mid + 1:]
+
+
+# Each edit of the canonical file: the parse must not depend on whether the
+# text is split as it stands or line by line.
+_CANONICAL_EDITS = {
+    "canonical": lambda t: t,
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    **{f"break-{ord(b):#x}-mid-file": (lambda t, b=b: _mid_file(t, b))
+       for b in _LINE_BREAKS if b != "\r\n"},
+    "leading-space": lambda t: " " + t,
+    "blank-line": lambda t: _mid_file(t, "\n\n"),
+    "whitespace-only-last-line": lambda t: t + " \t",
+    "comment-line": lambda t: _mid_file(t, "\n# second half\n"),
+    "trailing-comment": lambda t: _mid_file(t, "  # easy impostor\n"),
+    "no-final-newline": lambda t: t[:-1],
+    "empty": lambda t: "",
+    "nbsp-between-fields": lambda t: t.replace(" ", "\xa0", 1),
+    "extra-field-mid-file": lambda t: _mid_file(t, " 1\n"),
+    "bad-score-mid-file": lambda t: _mid_file(t, "\ntarget 0.x\n"),
+}
+
+
+class TestCanonicalFiles:
+    @pytest.mark.parametrize("edit", _CANONICAL_EDITS.values(), ids=_CANONICAL_EDITS)
+    def test_matches_loop_parser(self, edit):
+        text = edit(_canonical_text())
+        want, want_error = _parse_outcome(lambda: loop_parse_trials(text))
+        got, got_error = _parse_outcome(lambda: TrialScoreSet.from_text(text))
+        assert got_error == want_error
+        if got_error is not None:
+            return
+        assert got.scores.tobytes() == np.array([s for s, _ in want]).tobytes()
+        assert got.is_target.tolist() == [t for _, t in want]
 
 
 @st.composite

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import PRESETS, loop_conv2d, preset_requests, two_pass_stats_pool, whole_map_depthwise
+from oracles import (
+    PRESETS,
+    loop_conv2d,
+    loop_res2net,
+    loop_squeeze_excite,
+    preset_requests,
+    two_pass_stats_pool,
+    whole_map_depthwise,
+)
 from stride_lab import numkernel, verification
 from stride_lab.analysis import conv_out_size, count_flops, trace
 from stride_lab.builder import BuildError, build, make_request
@@ -19,7 +27,9 @@ from stride_lab.layers import (
     Conv2d,
     FullyConnected,
     LayerEntry,
+    Res2NetConv,
     ShortcutKind,
+    SqueezeExcite,
     TensorShape,
 )
 from stride_lab.numkernel import (
@@ -30,7 +40,9 @@ from stride_lab.numkernel import (
     fully_connected_forward,
     gradcheck_conv,
     init_weights,
+    res2net_forward,
     run_model,
+    squeeze_excite_forward,
     stats_pooling_forward,
 )
 from stride_lab.strides import StridePair
@@ -482,6 +494,23 @@ class TestSigmoid:
     def test_matches_direct_form_in_range(self):
         x = np.linspace(-30.0, 30.0, 121)
         np.testing.assert_allclose(numkernel._sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
+
+
+class TestSqueezeExciteAndRes2Net:
+    def test_squeeze_excite_matches_loop_oracle(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(2, 8, 3, 5))
+        params = {"w1": rng.normal(size=(2, 8)), "b1": rng.normal(size=2),
+                  "w2": rng.normal(size=(8, 2)), "b2": rng.normal(size=8)}
+        got = squeeze_excite_forward(x, SqueezeExcite("se", 8, 4), params)
+        np.testing.assert_allclose(got, loop_squeeze_excite(x, **params), rtol=1e-12, atol=1e-12)
+
+    def test_res2net_matches_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, 12, 4, 6))
+        branches = [0.3 * rng.normal(size=(3, 3, 3, 3)) for _ in range(3)]
+        got = res2net_forward(x, Res2NetConv("r2n", 12, 4), {"branches": branches})
+        np.testing.assert_allclose(got, loop_res2net(x, branches), rtol=1e-12, atol=1e-12)
 
 
 class TestStatsPooling:
