@@ -4,9 +4,10 @@ Families share a five-stage skeleton: a stem carrying the stage-1 stride,
 four residual stages carrying stages 2..5, and an embedding head. They
 differ in where a stage's stride lives (first block conv, the original
 recipe's max pool, or a separate downsampling conv), in block architecture,
-and in the head pooling. :func:`_parts` is the one rule that assembles a
-path: :func:`build` checks the request and concatenates its parts, and a
-trellis ranking counts the same parts. :func:`build` does not run
+and in the head pooling: the fields of a family's :class:`~.layers.Recipe`,
+which the functions here read. :func:`_parts` is the one rule that
+assembles a path: :func:`build` checks the request and concatenates its
+parts, and a trellis ranking counts the same parts. :func:`build` does not run
 :meth:`ModelSpec.validate`, which its output passes by construction (a test
 holds it) and which costs more than the build: on a 2-vCPU Xeon, 40-49 µs
 against 20-22 µs for a ResNet34 build, and 187-229 µs against 23-27 µs for
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import GOLDEN_GEMINI_FACTORS, PRINCIPAL_CONFIG
 from .layers import (
     Activation,
     Add,
@@ -49,6 +49,7 @@ from .layers import (
     LayerEntry,
     MaxPool2d,
     ModelSpec,
+    Recipe,
     Res2NetConv,
     Role,
     ShortcutKind,
@@ -62,39 +63,11 @@ __all__ = [
     "BuildError",
     "BuildRequest",
     "build",
-    "default_base_channels",
-    "default_block_counts",
     "depth_from_blocks",
     "request_from_spec",
 ]
 
 UNIT = StridePair(1, 1)
-
-#: Stage-depth presets per family. Keys are depth labels; values are
-#: (block kind, per-stage block counts). For the depth-first family the
-#: label already counts the separate downsampling convs, so the same block
-#: counts appear under two labels (3 or 4 downsampling convs).
-_RESNET_PRESETS: dict[int, tuple[BlockKind, tuple[int, ...]]] = {
-    18: (BlockKind.BASIC, (2, 2, 2, 2)),
-    34: (BlockKind.BASIC, (3, 4, 6, 3)),
-    50: (BlockKind.BOTTLENECK, (3, 4, 6, 3)),
-    101: (BlockKind.BOTTLENECK, (3, 4, 23, 3)),
-    152: (BlockKind.BOTTLENECK, (3, 8, 36, 3)),
-}
-
-_DF_PRESETS: dict[int, tuple[int, ...]] = {
-    59: (3, 3, 9, 3),
-    60: (3, 3, 9, 3),
-    113: (3, 3, 27, 3),
-    114: (3, 3, 27, 3),
-    182: (3, 8, 45, 3),
-    183: (3, 8, 45, 3),
-}
-
-_SD_PRESETS: dict[int, tuple[int, ...]] = {
-    22: (2, 2, 2, 2),
-    38: (3, 4, 6, 3),
-}
 
 _BOTTLENECK_EXPANSION = 4
 _DF_EXPANSION = 4
@@ -122,32 +95,10 @@ class BuildRequest:
     res2net_scale: int | None = None
 
 
-def default_base_channels(family: Family) -> int:
-    return 64 if family is Family.ORIGINAL_RESNET else 32
-
-
-def default_path(family: Family) -> TrellisPath:
-    if family is Family.ORIGINAL_RESNET:
-        return resolve_name("ORI")
-    if family is Family.GEMINI_RESNET:
-        return resolve_name(PRINCIPAL_CONFIG)
-    return resolve_name("MOD")
-
-
-def default_block_counts(family: Family, depth_label: int) -> tuple[BlockKind, tuple[int, ...]]:
-    if family is Family.DF_RESNET:
-        counts = _DF_PRESETS.get(depth_label)
-        if counts is None:
-            raise BuildError(f"no depth-first preset for depth {depth_label}")
-        return (BlockKind.DF_INVERTED, counts)
-    if family is Family.SD_RESNET:
-        counts = _SD_PRESETS.get(depth_label)
-        if counts is None:
-            raise BuildError(f"no separate-downsampling preset for depth {depth_label}")
-        return (BlockKind.BASIC, counts)
-    preset = _RESNET_PRESETS.get(depth_label)
+def _preset(recipe: Recipe, depth_label: int) -> tuple[BlockKind, tuple[int, ...]]:
+    preset = recipe.presets.get(depth_label)
     if preset is None:
-        raise BuildError(f"no preset for depth {depth_label}")
+        raise BuildError(f"no {recipe.display_name} preset for depth {depth_label}")
     return preset
 
 
@@ -168,17 +119,18 @@ def make_request(
             family = Family(family)
         except ValueError as exc:
             raise BuildError(f"unknown family {family!r}") from exc
+    recipe = family.recipe
+    if path is None:
+        path = recipe.default_path
     if isinstance(path, str):
         path = resolve_name(path)
-    if path is None:
-        path = default_path(family)
     if block_counts is None:
-        _, block_counts = default_block_counts(family, depth_label)
+        _, block_counts = _preset(recipe, depth_label)
     return BuildRequest(
         family=family,
         depth_label=depth_label,
         path=path,
-        base_channels=base_channels if base_channels is not None else default_base_channels(family),
+        base_channels=base_channels if base_channels is not None else recipe.base_channels,
         block_counts=tuple(block_counts),
         embedding_dim=embedding_dim,
         input_freq_bins=input_freq_bins,
@@ -196,24 +148,14 @@ def depth_from_blocks(kind: BlockKind, m: int, extra_layers: int = 0) -> int:
     return per_block * m + 2 + extra_layers
 
 
-def _block_kind(req: BuildRequest) -> BlockKind:
-    if req.family is Family.DF_RESNET:
-        return BlockKind.DF_INVERTED
-    if req.family is Family.SD_RESNET:
-        return BlockKind.BASIC
-    return default_block_counts(req.family, req.depth_label)[0]
+def _block_kind(recipe: Recipe, depth_label: int) -> BlockKind:
+    return recipe.block_kind or _preset(recipe, depth_label)[0]
 
 
-def _sd_flags(family: Family, path: TrellisPath) -> tuple[bool, bool, bool, bool]:
+def _sd_flags(recipe: Recipe, path: TrellisPath) -> tuple[bool, ...]:
     """Which of stages 2..5 get a separate downsampling conv: the one rule
     behind the depth labels that count them."""
-    if family is Family.SD_RESNET:
-        return (True, True, True, True)
-    if family is Family.DF_RESNET:
-        # Channel width changes force one at stages 3..5; stage 2 only needs
-        # one when the path actually strides there.
-        return (not path.steps[1].is_unit(), True, True, True)
-    return (False, False, False, False)
+    return recipe.downsample[not path.steps[1].is_unit()]
 
 
 def _validate_depth(req: BuildRequest, kind: BlockKind, sd_flags: tuple[bool, ...]) -> None:
@@ -246,7 +188,7 @@ def _check_integers(req: BuildRequest) -> None:
             raise BuildError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_options(req: BuildRequest, kind: BlockKind) -> None:
+def _check_options(req: BuildRequest, recipe: Recipe, kind: BlockKind) -> None:
     if req.se_reduction is not None:
         if req.se_reduction < 1:
             raise BuildError("SE reduction ratio must be >= 1")
@@ -257,10 +199,8 @@ def _check_options(req: BuildRequest, kind: BlockKind) -> None:
             raise BuildError("res2net scale must be >= 2")
         if kind is not BlockKind.BASIC:
             raise BuildError("res2net splitting is only supported on basic blocks")
-    if req.family is Family.GEMINI_RESNET and final_factors(req.path) not in GOLDEN_GEMINI_FACTORS:
-        raise BuildError(
-            f"gemini family requires a golden-gemini endpoint, got {final_factors(req.path)}"
-        )
+    if not recipe.admits(req.path):
+        raise BuildError(f"gemini family requires a golden-gemini endpoint, got {final_factors(req.path)}")
     expansion = _BOTTLENECK_EXPANSION if kind is BlockKind.BOTTLENECK else 1
     for i in range(4):
         channels = req.base_channels * 2 ** i * expansion
@@ -457,20 +397,20 @@ def _parts(req: BuildRequest):
     freq stride, which is exact because every striding layer maps n to
     ceil(n / 2).
     """
-    kind = _block_kind(req)
-    sd_flags = _sd_flags(req.family, req.path)
-    original = req.family is Family.ORIGINAL_RESNET
+    recipe = req.family.recipe
+    kind = _block_kind(recipe, req.depth_label)
+    sd_flags = _sd_flags(recipe, req.path)
     steps = req.path.steps
-    yield None, _stem(original, req.base_channels, steps[0])
+    yield None, _stem(recipe.original, req.base_channels, steps[0])
     in_ch = req.base_channels
     for i, num_blocks in enumerate(req.block_counts):
         width = req.base_channels * 2 ** i
         out_ch = width * _BOTTLENECK_EXPANSION if kind is BlockKind.BOTTLENECK else width
-        yield _stage(kind, i + 2, num_blocks, in_ch, width, out_ch, steps[i + 1], original,
+        yield _stage(kind, i + 2, num_blocks, in_ch, width, out_ch, steps[i + 1], recipe.original,
                      sd_flags[i], req.se_reduction, req.res2net_scale)
         in_ch = out_ch
-    pooled = out_ch if original else 2 * out_ch * -(-req.input_freq_bins // final_factors(req.path)[1])
-    yield None, _head(original, pooled, req.embedding_dim)
+    pooled = out_ch if recipe.original else 2 * out_ch * -(-req.input_freq_bins // final_factors(req.path)[1])
+    yield None, _head(recipe.original, pooled, req.embedding_dim)
 
 
 def build(req: BuildRequest) -> ModelSpec:
@@ -478,9 +418,10 @@ def build(req: BuildRequest) -> ModelSpec:
     if len(req.block_counts) != 4:
         raise BuildError(f"expected 4 per-stage block counts, got {req.block_counts}")
     _check_integers(req)
-    kind = _block_kind(req)
-    _validate_depth(req, kind, _sd_flags(req.family, req.path))
-    _check_options(req, kind)
+    recipe = req.family.recipe
+    kind = _block_kind(recipe, req.depth_label)
+    _validate_depth(req, kind, _sd_flags(recipe, req.path))
+    _check_options(req, recipe, kind)
 
     parts = tuple(_parts(req))
     entries: list[LayerEntry] = []
@@ -499,7 +440,7 @@ def build(req: BuildRequest) -> ModelSpec:
         se_reduction=req.se_reduction,
         res2net_scale=req.res2net_scale,
         notes=(("non_canonical_path_for_original_family",)
-               if req.family is Family.ORIGINAL_RESNET and req.path.label != "ORI" else ()),
+               if recipe.original and req.path.label != recipe.default_path else ()),
     )
 
 
@@ -509,13 +450,13 @@ def request_from_spec(spec: ModelSpec, path: TrellisPath | None = None) -> Build
     the blocks and the new path's :func:`_sd_flags` downsampling convs."""
     new_path = path if path is not None else spec.path
     family = spec.family
-    if family is Family.GEMINI_RESNET and final_factors(new_path) not in GOLDEN_GEMINI_FACTORS:
+    if not family.recipe.admits(new_path):
         family = Family.MODIFIED_RESNET
     block_counts = tuple(s.num_blocks for s in spec.stages)
     kind = spec.stages[0].kind if spec.stages else None  # no stages: 0 blocks, refused
     return BuildRequest(
         family=family,
-        depth_label=depth_from_blocks(kind, sum(block_counts), sum(_sd_flags(family, new_path))),
+        depth_label=depth_from_blocks(kind, sum(block_counts), sum(_sd_flags(family.recipe, new_path))),
         path=new_path,
         base_channels=spec.base_channels,
         block_counts=block_counts,

@@ -41,6 +41,7 @@ from .strides import (
 from .trellis import enumerate_paths, golden_gemini_endpoints
 from .verification import (
     VERIFY_DTYPE,
+    catalog_family,
     default_seed,
     gradcheck_suite,
     verify_catalog_configs,
@@ -59,13 +60,7 @@ FRAMES_3S = 300
 #: ``verify --json`` when set.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_FAMILIES = {
-    "resnet": Family.MODIFIED_RESNET,
-    "original-resnet": Family.ORIGINAL_RESNET,
-    "gemini-resnet": Family.GEMINI_RESNET,
-    "dfresnet": Family.DF_RESNET,
-    "sdresnet": Family.SD_RESNET,
-}
+_FAMILIES = {family.recipe.alias: family for family in Family}
 
 _CLASSES = {
     "time-priority": PathClass.TIME_PRIORITY,
@@ -352,14 +347,9 @@ def _analyze_renderer(args):
 def _cmd_analyze(args) -> int:
     render = _analyze_renderer(args)
     if args.catalog:
-        # Each row is the single analyze of its path; the ORI row keeps the
-        # original recipe, as in verification.catalog_spec.
-        specs = [
-            build(_resolve_request(
-                args, path=name, family=Family.ORIGINAL_RESNET if name == "ORI" else None
-            ))
-            for name in CATALOG_NAMES
-        ]
+        # Each row is the single analyze of its path, in its catalog family.
+        specs = [build(_resolve_request(args, path=name, family=catalog_family(name)))
+                 for name in CATALOG_NAMES]
     else:
         specs = [build(_resolve_request(args))]
         if args.compare_with is not None:
@@ -406,7 +396,7 @@ def _cmd_verify(args) -> int:
     if args.spec:
         ran_anything = True
         try:
-            spec = model_from_json(Path(args.spec).read_text())
+            spec = model_from_json(Path(args.spec).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             print(f"error: rejected spec {args.spec}: {exc}", file=sys.stderr)
             return EXIT_BUILD

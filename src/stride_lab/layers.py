@@ -9,6 +9,9 @@ Each layer checks its own fields when constructed; :meth:`ModelSpec.validate`
 is the one gate for the rules that span layers, among them the path's
 strides (its name derives from them) against its stages' and its layers'.
 
+A :class:`Family`'s rules are one :class:`Recipe`, a row of ``_RECIPES``
+that the builder, the CLI and display names read; one row adds a family.
+
 Spatial tuples (kernel, padding, dilation) are in (freq, time) order,
 matching the (channels, freq, time) tensor layout. Strides always travel as
 :class:`~stride_lab.strides.StridePair` values with named components, so the
@@ -18,11 +21,13 @@ two orders never mix silently.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Mapping, Union
 
-from .strides import StridePair, TrellisPath
+from .catalog import GOLDEN_GEMINI_FACTORS, PRINCIPAL_CONFIG
+from .strides import StridePair, TrellisPath, final_factors
 
 __all__ = [
     "Activation",
@@ -41,6 +46,7 @@ __all__ = [
     "LayerEntry",
     "MaxPool2d",
     "ModelSpec",
+    "Recipe",
     "Res2NetConv",
     "ShortcutKind",
     "SqueezeExcite",
@@ -80,11 +86,60 @@ class Family(enum.Enum):
     DF_RESNET = "df_resnet"
     SD_RESNET = "sd_resnet"
 
+    @functools.cached_property  # read on every build: an attribute once cached
+    def recipe(self) -> Recipe:
+        return _RECIPES[self]
+
 
 class BlockKind(enum.Enum):
     BASIC = "basic"
     BOTTLENECK = "bottleneck"
     DF_INVERTED = "df_inverted"
+
+
+@dataclass(frozen=True, eq=False)  # one per family: compared and hashed by identity
+class Recipe:
+    """One family's rules. ``presets``: depth label -> (block kind, per-stage
+    block counts); ``block_kind``, the kind at every depth if one is, lets
+    other labels build from given counts. ``original``: a 7x7 stem, a
+    stage-2 max pool and an average-pool head. ``downsample``: which of
+    stages 2..5 get a separate downsampling conv, on a path that keeps
+    stage 2's resolution, then on one that strides there. ``golden``: the
+    path must end at a golden-gemini endpoint."""
+
+    display_name: str
+    alias: str
+    presets: Mapping[int, tuple[BlockKind, tuple[int, ...]]]
+    default_path: str
+    base_channels: int = 32
+    original: bool = False
+    downsample: tuple[tuple[bool, ...], tuple[bool, ...]] = ((False,) * 4,) * 2
+    golden: bool = False
+    block_kind: BlockKind | None = None
+
+    def admits(self, path: TrellisPath) -> bool:
+        """Whether ``path`` ends where this family may end."""
+        return not self.golden or final_factors(path) in GOLDEN_GEMINI_FACTORS
+
+
+_BASIC, _BOTTLENECK, _DF = BlockKind.BASIC, BlockKind.BOTTLENECK, BlockKind.DF_INVERTED
+_RESNET_PRESETS = {18: (_BASIC, (2, 2, 2, 2)), 34: (_BASIC, (3, 4, 6, 3)), 50: (_BOTTLENECK, (3, 4, 6, 3)),
+                   101: (_BOTTLENECK, (3, 4, 23, 3)), 152: (_BOTTLENECK, (3, 8, 36, 3))}
+_RECIPES = {
+    Family.ORIGINAL_RESNET: Recipe("original ResNet", "original-resnet", _RESNET_PRESETS, "ORI",
+                                   base_channels=64, original=True),
+    Family.MODIFIED_RESNET: Recipe("modified ResNet", "resnet", _RESNET_PRESETS, "MOD"),
+    Family.GEMINI_RESNET: Recipe("Gemini ResNet", "gemini-resnet", _RESNET_PRESETS, PRINCIPAL_CONFIG,
+                                 golden=True),
+    # A depth-first label counts the separate downsampling convs, so each
+    # block count has two labels: 3 convs, or 4 on a path striding at stage 2.
+    Family.DF_RESNET: Recipe("DF-ResNet", "dfresnet", {
+        59: (_DF, (3, 3, 9, 3)), 60: (_DF, (3, 3, 9, 3)), 113: (_DF, (3, 3, 27, 3)),
+        114: (_DF, (3, 3, 27, 3)), 182: (_DF, (3, 8, 45, 3)), 183: (_DF, (3, 8, 45, 3)),
+    }, "MOD", block_kind=_DF, downsample=((False, True, True, True), (True, True, True, True))),
+    Family.SD_RESNET: Recipe("SD-ResNet", "sdresnet", {22: (_BASIC, (2, 2, 2, 2)), 38: (_BASIC, (3, 4, 6, 3))},
+                             "MOD", block_kind=_BASIC, downsample=((True, True, True, True),) * 2),
+}
 
 
 class ShortcutKind(enum.Enum):
@@ -299,20 +354,13 @@ class ModelSpec:
 
     @property
     def display_name(self) -> str:
-        base = {
-            Family.ORIGINAL_RESNET: "original ResNet",
-            Family.MODIFIED_RESNET: "modified ResNet",
-            Family.GEMINI_RESNET: "Gemini ResNet",
-            Family.DF_RESNET: "DF-ResNet",
-            Family.SD_RESNET: "SD-ResNet",
-        }[self.family]
         extras = []
         if self.se_reduction:
             extras.append("SE")
         if self.res2net_scale:
             extras.append(f"Res2Net(s={self.res2net_scale})")
         suffix = f" + {' + '.join(extras)}" if extras else ""
-        return f"{base}{self.depth_label}{suffix}"
+        return f"{self.family.recipe.display_name}{self.depth_label}{suffix}"
 
     def validate(self) -> None:
         """Check the rules no single layer can, in one :func:`route` pass:

@@ -116,11 +116,15 @@ def verify_spec_numeric(
     )
 
 
+def catalog_family(config_name: str) -> Family:
+    """A catalog row's family: the ORI row keeps the original recipe (7x7
+    stem, max pool, C=64), every other row is the modified ResNet."""
+    return Family.ORIGINAL_RESNET if config_name == "ORI" else Family.MODIFIED_RESNET
+
+
 def catalog_spec(config_name: str, depth: int = 34) -> ModelSpec:
-    """ResNet-template spec for a cataloged configuration name; the ORI row
-    uses the original recipe (7x7 stem, max pool, C=64)."""
-    family = Family.ORIGINAL_RESNET if config_name == "ORI" else Family.MODIFIED_RESNET
-    return build(make_request(family, depth, path=config_name))
+    """The spec of a cataloged configuration name, in its :func:`catalog_family`."""
+    return build(make_request(catalog_family(config_name), depth, path=config_name))
 
 
 def verify_catalog_configs(

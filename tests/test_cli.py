@@ -23,7 +23,7 @@ from stride_lab.catalog import CATALOG_NAMES
 from stride_lab.cli import main
 from stride_lab.layers import TensorShape
 from stride_lab.numkernel import run_model
-from stride_lab.serialize import TABLE_HEADER
+from stride_lab.serialize import TABLE_HEADER, model_to_json
 from stride_lab.strides import resolve_name
 
 from oracles import MALFORMED_SPECS, random_trials, sweep_eer, sweep_min_dcf
@@ -291,6 +291,31 @@ class TestBuildAndVerifySpec:
         code, out, _ = run_cli(capsys, "verify", "--spec", str(spec_file), "--frames", "48")
         assert code == 0
         assert "ok" in out
+
+    def test_utf8_spec_loads_in_any_locale(self, capsys, tmp_path, monkeypatch):
+        # A spec file is read as UTF-8 whatever the locale: in a latin-1
+        # locale (simulated by making latin-1 the default text encoding) a
+        # locale read would load the note as "cafÃ©".
+        from stride_lab import cli
+
+        doc = json.loads(model_to_json(build(make_request("modified_resnet", 18))))
+        doc["notes"] = ["café"]
+        spec_file = tmp_path / "model.json"
+        spec_file.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        loaded = []
+
+        def record(spec, **kwargs):
+            loaded.append(spec)
+            return verification.CheckResult("spec", ok=True, layers_checked=1, multiplies=1, analytic_flops=1)
+
+        def latin1_locale(encoding, stacklevel=2):
+            return encoding or "latin-1"
+
+        monkeypatch.setattr(cli, "verify_spec_numeric", record)
+        with mock.patch("io.text_encoding", latin1_locale):
+            code, _, err = run_cli(capsys, "verify", "--spec", str(spec_file))
+        assert (code, err) == (0, "")
+        assert loaded[0].notes == ("café",)
 
     def test_corrupted_spec_rejected(self, capsys, tmp_path):
         spec_file = tmp_path / "model.json"

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -251,7 +251,7 @@ _SCORE_TOKENS = (
     "0.5", "-1.25", "7", "nan", "-inf", "inf", "1e400", "1_0", "0x10", "\u0663", "high",
 )
 _OTHER_TOKENS = (
-    "#", "# note", "", "target 0.5 extra",
+    "#", "# note", "", "target 0.5 extra", "target 0.5 # note",
     # Indented lines, whitespace-only lines, and a pair split across two
     # lines with a label where the break should be.
     "  target 0.5", "\t nontarget -1", " \t ", "target 0.5 target\n0.6",
@@ -301,6 +301,9 @@ def _exact(trials):
 
 
 class TestParserDifferential:
+    # A comment after a pair in a text that is otherwise as a scorer writes
+    # it: the strategy draws one only when every separator is "\n".
+    @example(text="target 0.5 # note\nnontarget 0.1\n")
     @given(text=score_texts())
     @settings(max_examples=400, deadline=None)
     def test_matches_loop_parser(self, text):
