@@ -13,6 +13,11 @@ holds it) and which costs more than the build: on a 2-vCPU Xeon, 40-49 µs
 against 20-22 µs for a ResNet34 build, and 187-229 µs against 23-27 µs for
 DF-ResNet182.
 
+Block architecture is a table: per block kind, ``_MAIN`` lists the rows of
+its main branch, one conv each (basic: 3x3, 3x3; bottleneck: 1x1, 3x3, 1x1
+x4; depth-first inverted: 1x1 x4, depthwise 3x3, 1x1). :func:`_block`
+builds every kind from its rows, and :func:`depth_from_blocks` counts them.
+
 Shortcut policy: a parametrized 1x1 projection (plus batch norm) is inserted
 exactly when a block changes its channel count. A block that only changes
 spatial resolution uses a parameter-free strided subsampling shortcut, which
@@ -69,8 +74,15 @@ __all__ = [
 
 UNIT = StridePair(1, 1)
 
-_BOTTLENECK_EXPANSION = 4
-_DF_EXPANSION = 4
+#: Per block kind, its main branch: one row per conv, each (output channels
+#: as a multiple of the stage width, kernel size, whether it carries the
+#: block's stride, whether it is depthwise). A depth-first stage's stride is
+#: always taken by its separate downsampling conv, so no DF row carries one.
+_MAIN = {
+    BlockKind.BASIC: ((1, 3, True, False), (1, 3, False, False)),
+    BlockKind.BOTTLENECK: ((1, 1, False, False), (1, 3, True, False), (4, 1, False, False)),
+    BlockKind.DF_INVERTED: ((4, 1, False, False), (4, 3, False, True), (1, 1, False, False)),
+}
 
 #: Most residual blocks, stages, and stems or heads the memos keep (see the module docstring).
 _BLOCK_MEMO_SIZE = 1024
@@ -144,8 +156,7 @@ def depth_from_blocks(kind: BlockKind, m: int, extra_layers: int = 0) -> int:
     embedding layer (k = 2), plus any separate downsampling convs."""
     if m < 1:
         raise BuildError("block count must be >= 1")
-    per_block = 2 if kind is BlockKind.BASIC else 3
-    return per_block * m + 2 + extra_layers
+    return len(_MAIN[kind]) * m + 2 + extra_layers
 
 
 def _block_kind(recipe: Recipe, depth_label: int) -> BlockKind:
@@ -201,7 +212,7 @@ def _check_options(req: BuildRequest, recipe: Recipe, kind: BlockKind) -> None:
             raise BuildError("res2net splitting is only supported on basic blocks")
     if not recipe.admits(req.path):
         raise BuildError(f"gemini family requires a golden-gemini endpoint, got {final_factors(req.path)}")
-    expansion = _BOTTLENECK_EXPANSION if kind is BlockKind.BOTTLENECK else 1
+    expansion = _MAIN[kind][-1][0]
     for i in range(4):
         channels = req.base_channels * 2 ** i * expansion
         for option, value in (("SE reduction", req.se_reduction), ("res2net scale", req.res2net_scale)):
@@ -209,34 +220,9 @@ def _check_options(req: BuildRequest, recipe: Recipe, kind: BlockKind) -> None:
                 raise BuildError(f"stage {i + 2}: {option} {value} does not divide its {channels} channels")
 
 
-def _basic_block(
-    stage: int,
-    block: int,
-    in_ch: int,
-    out_ch: int,
-    stride: StridePair,
-    se_reduction: int | None,
-    res2net_scale: int | None,
-) -> tuple[LayerEntry, ...]:
-    prefix = f"stage{stage}.block{block}"
-    main = [
-        Conv2d(f"{prefix}.conv1", in_ch, out_ch, (3, 3), stride=stride, padding=(1, 1)),
-        BatchNorm2d(f"{prefix}.bn1", out_ch),
-        Activation(f"{prefix}.act1"),
-    ]
-    if res2net_scale:
-        main.append(Res2NetConv(f"{prefix}.conv2", out_ch, res2net_scale))
-    else:
-        main.extend(
-            [
-                Conv2d(f"{prefix}.conv2", out_ch, out_ch, (3, 3), padding=(1, 1)),
-                BatchNorm2d(f"{prefix}.bn2", out_ch),
-            ]
-        )
-    return _close_block(prefix, stage, block, main, in_ch, out_ch, stride, se_reduction)
-
-
-def _bottleneck_block(
+@lru_cache(maxsize=_BLOCK_MEMO_SIZE, typed=True)
+def _block(
+    kind: BlockKind,
     stage: int,
     block: int,
     in_ch: int,
@@ -244,49 +230,27 @@ def _bottleneck_block(
     out_ch: int,
     stride: StridePair,
     se_reduction: int | None,
+    res2net_scale: int | None,
 ) -> tuple[LayerEntry, ...]:
+    """One residual block's entries, memoized on exactly these arguments:
+    its main branch from the rows of ``_MAIN[kind]``, a Res2Net split in
+    place of conv 2 and its batch norm, then any SE, the shortcut, the merge
+    and the output activation."""
     prefix = f"stage{stage}.block{block}"
-    main = [
-        Conv2d(f"{prefix}.conv1", in_ch, width, (1, 1)),
-        BatchNorm2d(f"{prefix}.bn1", width),
-        Activation(f"{prefix}.act1"),
-        Conv2d(f"{prefix}.conv2", width, width, (3, 3), stride=stride, padding=(1, 1)),
-        BatchNorm2d(f"{prefix}.bn2", width),
-        Activation(f"{prefix}.act2"),
-        Conv2d(f"{prefix}.conv3", width, out_ch, (1, 1)),
-        BatchNorm2d(f"{prefix}.bn3", out_ch),
-    ]
-    return _close_block(prefix, stage, block, main, in_ch, out_ch, stride, se_reduction)
-
-
-def _df_block(stage: int, block: int, channels: int) -> tuple[LayerEntry, ...]:
-    hidden = channels * _DF_EXPANSION
-    prefix = f"stage{stage}.block{block}"
-    main = [
-        Conv2d(f"{prefix}.conv1", channels, hidden, (1, 1)),
-        BatchNorm2d(f"{prefix}.bn1", hidden),
-        Activation(f"{prefix}.act1"),
-        Conv2d(f"{prefix}.conv2", hidden, hidden, (3, 3), padding=(1, 1), groups=hidden),
-        BatchNorm2d(f"{prefix}.bn2", hidden),
-        Activation(f"{prefix}.act2"),
-        Conv2d(f"{prefix}.conv3", hidden, channels, (1, 1)),
-        BatchNorm2d(f"{prefix}.bn3", channels),
-    ]
-    return _close_block(prefix, stage, block, main, channels, channels, UNIT, None)
-
-
-def _close_block(
-    prefix: str,
-    stage: int,
-    block: int,
-    main: list,
-    in_ch: int,
-    out_ch: int,
-    stride: StridePair,
-    se_reduction: int | None,
-) -> tuple[LayerEntry, ...]:
-    """A residual block's entries: its main branch (plus SE), the shortcut,
-    the merge and the output activation."""
+    rows = _MAIN[kind]
+    main = []
+    ch = in_ch
+    for i, (multiple, k, strided, depthwise) in enumerate(rows, 1):
+        out = width * multiple
+        if i == 2 and res2net_scale:
+            main.append(Res2NetConv(f"{prefix}.conv2", out, res2net_scale))
+        else:
+            main.append(Conv2d(f"{prefix}.conv{i}", ch, out, (k, k), stride=stride if strided else UNIT,
+                               padding=(k // 2, k // 2), groups=out if depthwise else 1))
+            main.append(BatchNorm2d(f"{prefix}.bn{i}", out))
+        if i < len(rows):
+            main.append(Activation(f"{prefix}.act{i}"))
+        ch = out
     if se_reduction:
         main.append(SqueezeExcite(f"{prefix}.se", out_ch, se_reduction))
     entries = [LayerEntry(layer, stage=stage, block=block) for layer in main]
@@ -305,34 +269,14 @@ def _close_block(
                 role=Role.SHORTCUT,
             ),
         ]
-        kind = ShortcutKind.PROJECTION
+        shortcut = ShortcutKind.PROJECTION
     elif not stride.is_unit():
-        kind = ShortcutKind.SUBSAMPLE
+        shortcut = ShortcutKind.SUBSAMPLE
     else:
-        kind = ShortcutKind.IDENTITY
-    entries.append(LayerEntry(Add(f"{prefix}.add", kind, stride=stride), stage=stage, block=block))
+        shortcut = ShortcutKind.IDENTITY
+    entries.append(LayerEntry(Add(f"{prefix}.add", shortcut, stride=stride), stage=stage, block=block))
     entries.append(LayerEntry(Activation(f"{prefix}.act_out"), stage=stage, block=block))
     return tuple(entries)
-
-
-@lru_cache(maxsize=_BLOCK_MEMO_SIZE, typed=True)
-def _block(
-    kind: BlockKind,
-    stage: int,
-    block: int,
-    in_ch: int,
-    width: int,
-    out_ch: int,
-    stride: StridePair,
-    se_reduction: int | None,
-    res2net_scale: int | None,
-) -> tuple[LayerEntry, ...]:
-    """One residual block's entries, memoized on exactly these arguments."""
-    if kind is BlockKind.BASIC:
-        return _basic_block(stage, block, in_ch, out_ch, stride, se_reduction, res2net_scale)
-    if kind is BlockKind.BOTTLENECK:
-        return _bottleneck_block(stage, block, in_ch, width, out_ch, stride, se_reduction)
-    return _df_block(stage, block, out_ch)
 
 
 @lru_cache(maxsize=_END_MEMO_SIZE, typed=True)
@@ -401,11 +345,12 @@ def _parts(req: BuildRequest):
     kind = _block_kind(recipe, req.depth_label)
     sd_flags = _sd_flags(recipe, req.path)
     steps = req.path.steps
+    expansion = _MAIN[kind][-1][0]
     yield None, _stem(recipe.original, req.base_channels, steps[0])
     in_ch = req.base_channels
     for i, num_blocks in enumerate(req.block_counts):
         width = req.base_channels * 2 ** i
-        out_ch = width * _BOTTLENECK_EXPANSION if kind is BlockKind.BOTTLENECK else width
+        out_ch = width * expansion
         yield _stage(kind, i + 2, num_blocks, in_ch, width, out_ch, steps[i + 1], recipe.original,
                      sd_flags[i], req.se_reduction, req.res2net_scale)
         in_ch = out_ch

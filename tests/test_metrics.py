@@ -257,19 +257,21 @@ _OTHER_TOKENS = (
     "  target 0.5", "\t nontarget -1", " \t ", "target 0.5 target\n0.6",
 )
 # Line breaks for str.splitlines (all but \u2028 and \u2029 are also
-# whitespace to str.split), and a plain space, which joins two fragments
-# into one line.
+# whitespace to str.split). A noise fragment may also end in a plain space,
+# which joins it to the next fragment on one line.
 _LINE_BREAKS = (
     "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
 )
-_SEPARATORS = _LINE_BREAKS + (" ",)
+# A quarter of valid lines end in a comment, which must keep a text that
+# is otherwise as a scorer writes it off the split as it stands.
 _valid_lines = st.builds(
-    "{} {}".format,
+    "{} {}{}".format,
     st.sampled_from(("target", "nontarget")),
     st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.floats(-10, 10).map("{:.3f}".format),
     ),
+    st.sampled_from(("", "", "", " # note")),
 )
 _noise = st.one_of(
     st.builds("{} {}".format, st.sampled_from(_LABEL_TOKENS), st.sampled_from(_SCORE_TOKENS)),
@@ -279,11 +281,14 @@ _noise = st.one_of(
 
 @st.composite
 def score_texts(draw):
-    """Valid lines with up to three noise fragments spliced in."""
-    parts = draw(st.lists(st.tuples(_valid_lines, st.sampled_from(_LINE_BREAKS)), max_size=12))
+    """Valid lines with up to three noise fragments spliced in. About half
+    the texts break lines with newlines alone, as a scorer writes them, so
+    that they reach the parser's split of a text as it stands."""
+    breaks = draw(st.one_of(st.just(("\n",)), st.just(_LINE_BREAKS)))
+    parts = draw(st.lists(st.tuples(_valid_lines, st.sampled_from(breaks)), max_size=12))
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(parts)))
-        parts.insert(at, (draw(_noise), draw(st.sampled_from(_SEPARATORS))))
+        parts.insert(at, (draw(_noise), draw(st.sampled_from(breaks + (" ",)))))
     return "".join(fragment + sep for fragment, sep in parts)
 
 
