@@ -255,6 +255,9 @@ _OTHER_TOKENS = (
     # Indented lines, whitespace-only lines, and a pair split across two
     # lines with a label where the break should be.
     "  target 0.5", "\t nontarget -1", " \t ", "target 0.5 target\n0.6",
+    # A NUL that numpy's string fields would drop, and a comment ended by a
+    # lone carriage return, which numpy's comment runs past.
+    "target\x00 0.5", "target 0.5 # note\r",
 )
 # Line breaks for str.splitlines (all but \u2028 and \u2029 are also
 # whitespace to str.split). A noise fragment may also end in a plain space,
@@ -356,6 +359,13 @@ _CANONICAL_EDITS = {
     "nbsp-between-fields": lambda t: t.replace(" ", "\xa0", 1),
     "extra-field-mid-file": lambda t: _mid_file(t, " 1\n"),
     "bad-score-mid-file": lambda t: _mid_file(t, "\ntarget 0.x\n"),
+    "nul-after-label": lambda t: _mid_file(t, "\ntarget\x00 0.5\n"),
+    "comment-then-lone-cr": lambda t: _mid_file(t, " # note\r"),
+    "long-label": lambda t: _mid_file(t, "\nnontargetxx 0.5\n"),
+    "underscore-score": lambda t: _mid_file(t, "\ntarget 1_0\n"),
+    "tabs-between-fields": lambda t: t.replace(" ", "\t"),
+    "unit-separator-between-fields": lambda t: t.replace(" ", "\x1f"),
+    "comment-only": lambda t: "# header\n# no trials\n",
 }
 
 
