@@ -19,25 +19,30 @@ A ``TrialScoreSet`` stores two read-only arrays, ``scores`` (float64) and
 ``operating_points`` sorts a set once and caches its read-only result on
 the set, so EER and minDCF of one set share one sweep.
 
-A score file is parsed without an object per line: the comment-stripped,
-non-blank lines are joined and split into tokens once, and the structure
-is checked by counts (two tokens per line, a label at the start of every
-line, a label at every even token). A file as scorers write it (no ``#``,
-all ASCII, ``\\n`` its only line break, every line starting with a label)
-already is that joined text and is split as it stands: a 37,720-trial
-file parses in a median 15.2 ms instead of 19.5 ms (2-vCPU Xeon, Python
-3.11.7). When any check fails, the text is scanned line by line and the
-``ScoreFileError`` names the first bad line and its number; a line is
-checked for field count, label, score syntax and finiteness, in that order.
+A score file whose text is all ASCII, holds none of ``\\x00 \\x0b \\x0c
+\\x1c \\x1d \\x1e`` and has ``\\r`` only in ``\\r\\n`` is read by numpy's C
+text reader: on such text its lines, ``#`` comments and whitespace-split
+fields are those of ``str.splitlines`` and ``str.split`` (elsewhere a NUL
+would be dropped from the end of a label, and a comment would run past a
+lone ``\\r``). The labels and the finiteness of the scores are then
+checked on the arrays. Any other text, and any text the reader refuses or
+whose checks fail, goes through one line parser, which checks each line
+for field count, label, score syntax and finiteness, in that order: it
+raises the ``ScoreFileError`` of the first bad line, or returns the arrays
+(it reads scores such as ``1_0`` that ``float`` reads and the C reader
+does not). A 37,720-trial file parses in a median 8.8 ms, where the token
+split this replaces took 15.2 ms (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
+import io
 import math
+import numbers
+import warnings
 from collections.abc import Iterable, Sequence
 from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -64,13 +69,13 @@ class ScoreFileError(ValueError):
 
 
 _LABELS = ("target", "nontarget")
-#: The ASCII line breaks of ``str.splitlines`` other than ``\\n``.
-_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
-
-
-def _line_starts(text: str) -> int:
-    """How many ``\\n``-separated lines of ``text`` start with a label."""
-    return text.startswith(_LABELS) + text.count("\ntarget") + text.count("\nnontarget")
+#: Characters the C reader takes for whitespace or drops from a label where
+#: ``str.splitlines`` breaks a line or ``str.split`` keeps them in a field.
+_UNREAD = ("\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+#: A row of the C reader. A label longer than 10 characters is cut to 10,
+#: which is no label either.
+_ROW = np.dtype([("label", "U10"), ("score", "f8")])
+_BOOLS = (bool, np.bool_)
 
 
 class _TrialPairs(Sequence):
@@ -108,6 +113,14 @@ class TrialScoreSet:
 
     def __init__(self, trials: Iterable[tuple[float, bool]]):
         pairs = tuple(trials)
+        for index, pair in enumerate(pairs):
+            try:
+                score, is_target = pair
+            except (TypeError, ValueError):
+                score = is_target = None
+            if (not isinstance(is_target, _BOOLS) or isinstance(score, _BOOLS)
+                    or not isinstance(score, numbers.Real)):
+                raise ValueError(f"trial {index}: expected (real score, bool), got {pair!r}")
         self._set(np.fromiter(map(itemgetter(0), pairs), dtype=float, count=len(pairs)),
                   np.fromiter(map(itemgetter(1), pairs), dtype=bool, count=len(pairs)))
 
@@ -145,51 +158,30 @@ class TrialScoreSet:
     def from_text(cls, text: str) -> "TrialScoreSet":
         """Parse ``label score`` lines; ``#`` starts a comment.
 
-        The non-blank lines, comments stripped and left-stripped, are joined
-        and split once. Each line then holds exactly ``label score`` if and
-        only if: there are two tokens per line, every line starts with a
-        label, every even token is a label and every odd token a float (no
-        float starts like a label, so a label at the start of a line sits at
-        an even token, and every line but the last has an even token count).
-        Text with no ``#``, all ASCII and with ``\\n`` as its only line
-        break is that joined text already when every line starts with a
-        label, and is split as it stands. On any failure the text is scanned
-        again to raise the ``ScoreFileError`` of the first bad line.
+        Text the C reader reads as ``str.splitlines`` and ``str.split``
+        would (all ASCII, none of ``_UNREAD``, ``\\r`` only in ``\\r\\n``)
+        is read by ``np.loadtxt``, and its labels and scores are checked on
+        the arrays. Any other text, and any the reader refuses or whose
+        checks fail, is parsed line by line, which raises the
+        ``ScoreFileError`` of the first bad line.
         """
-        joined = text
-        n = text.count("\n") + (bool(text) and not text.endswith("\n"))
-        if ("#" in text or not text.isascii() or any(map(text.__contains__, _BREAKS))
-                or _line_starts(text) != n):
-            lines = text.splitlines()
-            if "#" in text:
-                lines = [line.split("#", 1)[0] if "#" in line else line for line in lines]
-            lines = [line for line in map(str.lstrip, lines) if line]
-            n = len(lines)
-            joined = "\n".join(lines)
-            del lines
-            if _line_starts(joined) != n:
-                _raise_first_bad_line(text)
-        tokens = joined.split()
-        del joined
-        if len(tokens) != 2 * n:
-            _raise_first_bad_line(text)
-        labels = tokens[0::2]
-        values = tokens[1::2]
-        del tokens
-        if not set(labels).issubset(_LABELS):
-            _raise_first_bad_line(text)
-        # Only the two labels are left, and "target" is the shorter one.
-        is_target = np.fromiter(map(len, labels), dtype=np.int8, count=n) == len("target")
-        del labels
-        try:
-            scores = np.fromiter(map(float, values), dtype=float, count=n)
-        except ValueError:
-            _raise_first_bad_line(text)
-        if not np.isfinite(scores).all():
-            _raise_first_bad_line(text)
-        if not n:
-            raise ScoreFileError(0, "no trials found")
-        return cls._from_arrays(scores, is_target)
+        if (text.isascii() and not any(map(text.__contains__, _UNREAD))
+                and ("\r" not in text or text.count("\r") == text.count("\r\n"))):
+            try:
+                with warnings.catch_warnings():
+                    # Text with no rows warns; the line parser raises for it.
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(io.StringIO(text), dtype=_ROW, comments="#", ndmin=1)
+            except ValueError:
+                pass
+            else:
+                labels = rows["label"]
+                is_target = labels == "target"
+                scores = np.ascontiguousarray(rows["score"])
+                if (scores.size and (is_target | (labels == "nontarget")).all()
+                        and np.isfinite(scores).all()):
+                    return cls._from_arrays(scores, is_target)
+        return cls._from_arrays(*_parse_lines(text))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrialScoreSet":
@@ -204,12 +196,14 @@ class TrialScoreSet:
         return self.scores[~self.is_target]
 
 
-def _raise_first_bad_line(text: str) -> NoReturn:
-    """Raise the ``ScoreFileError`` for the first bad line of ``text``.
+def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, is_target) of ``text``, parsed line by line.
 
-    Checks each line in order: field count, label, score syntax, finiteness.
-    Called only once ``from_text`` has seen that some line is bad.
+    Checks each line in order: field count, label, score syntax, finiteness,
+    and raises the ``ScoreFileError`` of the first bad line.
     """
+    scores = []
+    is_target = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:
@@ -225,7 +219,11 @@ def _raise_first_bad_line(text: str) -> NoReturn:
             raise ScoreFileError(lineno, f"unparseable score {score_text!r}") from None
         if not math.isfinite(score):
             raise ScoreFileError(lineno, f"score must be finite, got {score_text}")
-    raise AssertionError("no bad line found in a score text that failed to parse")
+        scores.append(score)
+        is_target.append(label == "target")
+    if not scores:
+        raise ScoreFileError(0, "no trials found")
+    return np.array(scores, dtype=float), np.array(is_target, dtype=bool)
 
 
 def operating_points(trials: TrialScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,26 @@ class TestTrialScoreSet:
         with pytest.raises(ValueError):
             TrialScoreSet(trials=((0.5, True), (0.7, True)))
 
+    @pytest.mark.parametrize("pairs, index", [
+        ([(0.5, "nontarget"), (0.1, True)], 0),
+        ([("0.5", True), (0.1, False)], 0),
+        ([(0.5, True), (b"0.1", False)], 1),
+        ([(0.5, True), (True, False)], 1),
+        ([(0.5, True), (0.1, 0)], 1),
+        ([(0.5, True), (0.1, np.float64(0.0))], 1),
+        ([(0.5, True), (0.1, False, 2)], 1),
+        ([(0.5, True), 0.1], 1),
+    ])
+    def test_pairs_are_type_strict(self, pairs, index):
+        with pytest.raises(ValueError, match=rf"^trial {index}: expected \(real score, bool\)"):
+            TrialScoreSet(pairs)
+
+    def test_pairs_take_python_and_numpy_reals_and_bools(self):
+        trials = TrialScoreSet([(np.float32(0.5), np.bool_(True)), (1, False),
+                                (Fraction(1, 4), True), (np.int64(-2), np.False_)])
+        assert trials.scores.tolist() == [0.5, 1.0, 0.25, -2.0]
+        assert trials.is_target.tolist() == [True, False, True, False]
+
     def test_from_text_parses_labels_and_comments(self):
         text = """
         # development trials
@@ -50,6 +71,12 @@ class TestTrialScoreSet:
         trials = TrialScoreSet.from_text(text)
         assert len(trials.trials) == 4
         assert sorted(trials.target_scores) == [0.85, 0.91]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n \t\n", "# header\n# no trials\n"])
+    def test_no_trials_found_warns_nothing(self, text):
+        with pytest.raises(ScoreFileError, match="^line 0: no trials found$"):
+            TrialScoreSet.from_text(text)
 
     def test_from_text_reports_line_numbers(self):
         with pytest.raises(ScoreFileError) as err:
