@@ -393,6 +393,7 @@ _CANONICAL_EDITS = {
     "tabs-between-fields": lambda t: t.replace(" ", "\t"),
     "unit-separator-between-fields": lambda t: t.replace(" ", "\x1f"),
     "comment-only": lambda t: "# header\n# no trials\n",
+    "overflowing-score-mid-file": lambda t: _mid_file(t, "\ntarget 1e400\n"),
 }
 
 
