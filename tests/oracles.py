@@ -131,6 +131,62 @@ def whole_map_depthwise(x, weight, stride=(1, 1), padding=(0, 0), dilation=(1, 1
     return out
 
 
+def loop_maxpool2d(x, kernel, stride=(1, 1), padding=(0, 0)):
+    """Max pooling with explicit loops over a copy of the map bordered by
+    -inf, each window's maximum taken one element at a time in reversed
+    tap order."""
+    b, c, f, t = x.shape
+    kf, kt = kernel
+    sf, st = stride
+    pf, pt = padding
+    xp = np.full((b, c, f + 2 * pf, t + 2 * pt), -np.inf)
+    xp[:, :, pf : pf + f, pt : pt + t] = x
+    f_out = conv_out_size_direct(f, kf, pf, 1, sf)
+    t_out = conv_out_size_direct(t, kt, pt, 1, st)
+    out = np.empty((b, c, f_out, t_out))
+    for n in range(b):
+        for ch in range(c):
+            for fo in range(f_out):
+                for to in range(t_out):
+                    best = -math.inf
+                    for j in reversed(range(kt)):
+                        for i in reversed(range(kf)):
+                            best = max(best, float(xp[n, ch, fo * sf + i, to * st + j]))
+                    out[n, ch, fo, to] = best
+    return out
+
+
+def loop_conv2d_backward(x, weight, grad_out, stride=(1, 1), padding=(0, 0), dilation=(1, 1),
+                         groups=1):
+    """(grad_x, grad_w) of ``sum(grad_out * conv(x, weight))``, every
+    product of an output gradient with an input or a weight added with
+    explicit loops over a zero-padded copy of the map."""
+    b, cin, f, t = x.shape
+    cout, cg, kf, kt = weight.shape
+    sf, st = stride
+    pf, pt = padding
+    df, dt = dilation
+    og = cout // groups
+    weight = np.asarray(weight, np.float64)
+    xp = np.zeros((b, cin, f + 2 * pf, t + 2 * pt))
+    xp[:, :, pf : pf + f, pt : pt + t] = x
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros((cout, cg, kf, kt))
+    for n in range(b):
+        for o in range(cout):
+            g = o // og
+            for fo in range(grad_out.shape[2]):
+                for to in range(grad_out.shape[3]):
+                    gy = float(grad_out[n, o, fo, to])
+                    for j in reversed(range(kt)):
+                        for i in reversed(range(kf)):
+                            fi, ti = fo * sf + i * df, to * st + j * dt
+                            for c in reversed(range(cg)):
+                                grad_w[o, c, i, j] += gy * xp[n, g * cg + c, fi, ti]
+                                grad_xp[n, g * cg + c, fi, ti] += gy * weight[o, c, i, j]
+    return grad_xp[:, :, pf : pf + f, pt : pt + t], grad_w
+
+
 def two_pass_stats_pool(x, eps=1e-10):
     """Temporal statistics pooling with per-cell Python loops."""
     b, c, f, t = x.shape

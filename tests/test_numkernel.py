@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from oracles import (
     PRESETS,
     loop_conv2d,
+    loop_conv2d_backward,
+    loop_maxpool2d,
     loop_res2net,
     loop_squeeze_excite,
     preset_requests,
@@ -27,6 +29,7 @@ from stride_lab.layers import (
     Conv2d,
     FullyConnected,
     LayerEntry,
+    MaxPool2d,
     Res2NetConv,
     ShortcutKind,
     SqueezeExcite,
@@ -40,6 +43,7 @@ from stride_lab.numkernel import (
     fully_connected_forward,
     gradcheck_conv,
     init_weights,
+    maxpool2d_forward,
     res2net_forward,
     run_model,
     squeeze_excite_forward,
@@ -97,6 +101,20 @@ def conv_cases(draw):
     x = rng.normal(size=(batch, groups * cg, *spatial))
     w = rng.normal(size=(groups * og, cg, *kernel))
     return layer, x, w
+
+
+@st.composite
+def pool_cases(draw):
+    """A max pool layer and an input at least one window wide; each
+    window holds at least one element of the map."""
+    kernel = tuple(draw(st.integers(1, 3)) for _ in range(2))
+    stride = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+    padding = tuple(draw(st.integers(0, k // 2)) for k in kernel)
+    spatial = tuple(k - 2 * p + draw(st.integers(0, 6)) for k, p in zip(kernel, padding))
+    layer = MaxPool2d("pool", kernel, StridePair(stride[1], stride[0]), padding)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(draw(st.integers(1, 2)), draw(st.integers(1, 3)), *spatial))
+    return layer, x
 
 
 class TestConvForward:
@@ -310,6 +328,25 @@ class TestConvForward:
             sym = tuple(conv_out_size(n, k, k // 2, 1, s)
                         for n, s in ((f, layer.stride.freq), (t, layer.stride.time)))
             assert out.shape[1:] == (cout, *sym)
+
+
+class TestMaxPool:
+    @given(case=pool_cases(), dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_oracle_exactly(self, case, dtype):
+        layer, x = case
+        x = x.astype(dtype)
+        got = maxpool2d_forward(x, layer)
+        want = loop_maxpool2d(x, layer.kernel, (layer.stride.freq, layer.stride.time), layer.padding)
+        assert got.dtype == dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_stem_pool_shape_matches_symbolic(self):
+        layer = MaxPool2d("pool", (3, 3), StridePair(2, 2), (1, 1))
+        x = np.random.default_rng(3).normal(size=(1, 2, 9, 12))
+        sym = tuple(conv_out_size(n, 3, 1, 1, 2) for n in (9, 12))
+        assert maxpool2d_forward(x, layer).shape == (1, 2, *sym)
 
 
 class TestFullyConnected:
@@ -798,6 +835,41 @@ class TestWeightBlock:
         assert np.array_equal(np.concatenate([block[:0].astype(np.float32), *parts32]),
                               want.astype(np.float32))
         assert all(p.dtype == np.float32 for p in parts32)
+
+
+class TestConvBackward:
+    @staticmethod
+    def oracle(x, layer, w, gy):
+        return loop_conv2d_backward(
+            x, w, gy,
+            stride=(layer.stride.freq, layer.stride.time),
+            padding=layer.padding, dilation=layer.dilation, groups=layer.groups,
+        )
+
+    @given(case=conv_cases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_oracle_on_drawn_layers(self, case, seed):
+        layer, x, w = case
+        gy = np.random.default_rng(seed).normal(size=conv2d_forward(x, layer, w).shape)
+        grad_x, grad_w = conv2d_backward(x, layer, w, gy)
+        want_x, want_w = self.oracle(x, layer, w, gy)
+        assert grad_x.shape == x.shape and grad_w.shape == w.shape
+        np.testing.assert_allclose(grad_x, want_x, atol=1e-12)
+        np.testing.assert_allclose(grad_w, want_w, atol=1e-12)
+
+    @given(case=conv_cases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_float32_matches_loop_oracle_on_drawn_layers(self, case, seed):
+        # Single-precision operands, held to single-precision rounding of
+        # the float64 loops over the same values.
+        layer, x, w = case
+        x, w = x.astype(np.float32), w.astype(np.float32)
+        gy = np.random.default_rng(seed).normal(size=conv2d_forward(x, layer, w).shape)
+        gy = gy.astype(np.float32)
+        for got, want in zip(conv2d_backward(x, layer, w, gy), self.oracle(x, layer, w, gy)):
+            assert got.shape == want.shape
+            scale = max(float(np.abs(want).max()), 1.0)
+            assert float(np.abs(got - want).max()) <= 1e-5 * scale
 
 
 class TestGradcheck:
