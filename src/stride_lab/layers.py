@@ -206,7 +206,7 @@ class Activation:
     fn: str = "relu"
 
     def __post_init__(self) -> None:
-        if self.fn not in ("relu", "sigmoid"):
+        if self.fn != "relu":
             raise ValueError(f"unsupported activation {self.fn!r}")
 
 

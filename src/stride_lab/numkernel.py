@@ -36,6 +36,11 @@ Three conv regimes follow, chosen by the layer's shape alone:
   (batch, channels, freq, time) layout. A buffer that fits the budget
   whole is one block and one GEMM.
 
+Kernel windows follow one rule: :func:`_geometry` sizes the output and
+holds the only kernel-span check, :func:`_padded` borders a map (zeros, or
+-inf to max-pool), and :func:`_tap` is the strided view one kernel tap
+reads; max pooling and the conv backward pass are loops over tap views.
+
 A fully connected layer multiplies one block of at most
 :data:`COLUMN_BUDGET` bytes of weight rows at a time.
 
@@ -59,9 +64,11 @@ An :class:`OpCounter` accumulates the multiply count of every convolution
 and fully connected layer under the same MAC convention the symbolic side
 uses, so the two can be compared for exact equality.
 
-:func:`run_model` checks its input and every layer output it allocates for
-non-finite values, so an overflow raises :class:`KernelError` naming the
-first layer whose output is not finite, never a numpy warning. Float32
+:func:`run_model` checks each map once for non-finite values: its input
+and every layer output it allocates. So an overflow raises
+:class:`KernelError` naming the first layer whose output is not finite,
+never a numpy warning; the layer functions check shapes only and pass NaN
+and infinity through as numpy does. Float32
 tops out at 3.4e38. On uniform [-1, 1] input at 80x300, the largest
 |activation| measured over every preset is about 4e13 (ORI152, whose
 global average pooling squares nothing); the statistics-pooling families
@@ -77,7 +84,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .layers import (
     Activation,
@@ -126,6 +132,8 @@ DEPTHWISE_BUDGET = 256 << 10
 #: a multiple of the length, so it is a prime: with 65,536, rows 0 and 64 of
 #: ResNet34 MOD's 5,120-wide head would be equal.
 WEIGHT_BLOCK = 65521
+#: Step of the central finite differences :func:`gradcheck_conv` takes.
+GRADCHECK_STEP = 1e-5
 
 
 class KernelError(ValueError):
@@ -155,8 +163,6 @@ def _work_dtype(x: np.ndarray) -> np.dtype:
 def _require_tensor4(x: np.ndarray, where: str) -> None:
     if x.ndim != 4:
         raise KernelError(f"{where}: expected a (batch, channels, freq, time) tensor, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise KernelError(f"{where}: tensor contains non-finite values")
 
 
 def _require_finite_output(y: np.ndarray, name: str) -> None:
@@ -164,28 +170,36 @@ def _require_finite_output(y: np.ndarray, name: str) -> None:
         raise KernelError(f"{name}: first layer with a non-finite output ({y.dtype} overflow)")
 
 
-def _gather_windows(
-    x: np.ndarray,
-    kernel: tuple[int, int],
-    padding: tuple[int, int],
-    dilation: tuple[int, int],
-    stride: StridePair,
-    pad_value: float = 0.0,
-) -> np.ndarray:
-    """(B, C, F_out, T_out, kf, kt) view of every receptive field."""
-    kf, kt = kernel
-    pf, pt = padding
-    df, dt = dilation
-    xp = np.pad(x, ((0, 0), (0, 0), (pf, pf), (pt, pt)), constant_values=pad_value)
-    span_f = df * (kf - 1) + 1
-    span_t = dt * (kt - 1) + 1
-    if xp.shape[2] < span_f or xp.shape[3] < span_t:
+def _geometry(x: np.ndarray, kernel, padding, dilation, stride: StridePair) -> tuple[int, int]:
+    """(F_out, T_out) of a kernel sliding over ``x`` padded by ``padding``:
+    the one check that the padded map holds the kernel's span."""
+    (kf, kt), (pf, pt), (df, dt) = kernel, padding, dilation
+    f_pad, t_pad = x.shape[2] + 2 * pf, x.shape[3] + 2 * pt
+    span_f, span_t = df * (kf - 1) + 1, dt * (kt - 1) + 1
+    if f_pad < span_f or t_pad < span_t:
         raise KernelError(
             f"spatial input {x.shape[2]}x{x.shape[3]} too small for kernel span {span_f}x{span_t}"
         )
-    win = sliding_window_view(xp, (span_f, span_t), axis=(2, 3))
-    win = win[..., ::df, ::dt]
-    return win[:, :, :: stride.freq, :: stride.time]
+    return (f_pad - span_f) // stride.freq + 1, (t_pad - span_t) // stride.time + 1
+
+
+def _padded(x: np.ndarray, padding: tuple[int, int], fill: float = 0.0) -> np.ndarray:
+    """``x`` bordered by ``padding`` rows and columns of ``fill``; ``x``
+    itself when the padding is zero."""
+    pf, pt = padding
+    if not (pf or pt):
+        return x
+    b, c, f, t = x.shape
+    xp = np.full((b, c, f + 2 * pf, t + 2 * pt), fill, x.dtype)
+    xp[..., pf : pf + f, pt : pt + t] = x
+    return xp
+
+
+def _tap(a, i, j, dilation, stride: StridePair, f_out, t_out) -> np.ndarray:
+    """The strided view of the padded map ``a`` (freq and time last) that
+    kernel tap (i, j) reads at every one of the F_out x T_out positions."""
+    f0, t0, sf, st = i * dilation[0], j * dilation[1], stride.freq, stride.time
+    return a[..., f0 : f0 + sf * f_out : sf, t0 : t0 + st * t_out : st]
 
 
 def conv2d_forward(
@@ -225,21 +239,9 @@ def conv2d_forward(
     pf, pt = layer.padding
     df, dt = layer.dilation
     sf, st = layer.stride.freq, layer.stride.time
-    depthwise = cg == 1 and og == 1
     f_pad, t_pad = x.shape[2] + 2 * pf, x.shape[3] + 2 * pt
-    xp = x
-    if (pf or pt) and not depthwise:  # a depthwise conv pads per channel block
-        xp = np.zeros((b, cin, f_pad, t_pad), x.dtype)
-        xp[:, :, pf : pf + x.shape[2], pt : pt + x.shape[3]] = x
-    span_f = df * (kf - 1) + 1
-    span_t = dt * (kt - 1) + 1
-    if f_pad < span_f or t_pad < span_t:
-        raise KernelError(
-            f"spatial input {x.shape[2]}x{x.shape[3]} too small for kernel span {span_f}x{span_t}"
-        )
-    f_out = (f_pad - span_f) // sf + 1
-    t_out = (t_pad - span_t) // st + 1
-    if depthwise:
+    f_out, t_out = _geometry(x, layer.kernel, layer.padding, layer.dilation, layer.stride)
+    if cg == 1 and og == 1:
         # Output channel c reads input channel c only, so each tap is a
         # per-channel scale of one strided slice. One block of channels at
         # a time is padded into a scratch of at most DEPTHWISE_BUDGET bytes,
@@ -259,21 +261,21 @@ def conv2d_forward(
             acc, scaled = out[:, c0 : c0 + n], tap[:, :n]
             for i in range(kf):
                 for j in range(kt):
-                    window = src[..., i * df : i * df + sf * f_out : sf, j * dt : j * dt + st * t_out : st]
+                    window = _tap(src, i, j, layer.dilation, layer.stride, f_out, t_out)
                     np.multiply(window, weight[c0 : c0 + n, 0, i, j, None, None], out=scaled)
                     acc += scaled
     elif kf == kt == 1:
         # 1x1: the input, subsampled when the conv strides, is itself the
         # (cg, F_out*T_out) operand of each group's GEMM; at stride 1 the
         # reshape is a view and nothing is copied.
-        xs = xp[:, :, ::sf, ::st].reshape(b, g, cg, f_out * t_out)
+        xs = _padded(x, layer.padding)[:, :, ::sf, ::st].reshape(b, g, cg, f_out * t_out)
         out = np.matmul(weight.reshape(g, og, cg), xs).reshape(b, layer.out_channels, f_out, t_out)
     else:
         # Row (c, i, j) of group k holds input channel k*cg + c seen through
         # tap (i, j); columns run over output positions in (F_out, B, T_out)
         # order, so each block of output rows is one contiguous column range
         # of the (groups, out/groups, F_out*B*T_out) output.
-        xg = xp.reshape(b, g, cg, f_pad, t_pad).transpose(1, 2, 3, 0, 4)
+        xg = _padded(x, layer.padding).reshape(b, g, cg, f_pad, t_pad).transpose(1, 2, 3, 0, 4)
         taps = cg * kf * kt
         row = b * t_out
         rows = max(1, min(f_out, COLUMN_BUDGET // (work.itemsize * g * taps * row)))
@@ -302,49 +304,42 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of a scalar loss w.r.t. conv input and weights."""
     _require_tensor4(x, layer.name)
-    b = x.shape[0]
+    b, _, f, t = x.shape
     g = layer.groups
     cg = layer.in_channels // g
     og = layer.out_channels // g
     kf, kt = layer.kernel
     pf, pt = layer.padding
-    df, dt = layer.dilation
-    sf, st = layer.stride.freq, layer.stride.time
-
-    win = _gather_windows(x, layer.kernel, layer.padding, layer.dilation, layer.stride)
-    f_out, t_out = win.shape[2], win.shape[3]
+    f_out, t_out = _geometry(x, layer.kernel, layer.padding, layer.dilation, layer.stride)
     if grad_out.shape != (b, layer.out_channels, f_out, t_out):
         raise KernelError(
             f"{layer.name}: grad shape {grad_out.shape} != {(b, layer.out_channels, f_out, t_out)}"
         )
     gy = grad_out.reshape(b, g, og, f_out, t_out)
-    xg = win.reshape(b, g, cg, f_out, t_out, kf, kt)
-    grad_w = np.einsum("bgoft,bgcftij->gocij", gy, xg).reshape(layer.out_channels, cg, kf, kt)
-
     wg = weight.reshape(g, og, cg, kf, kt)
-    padded_shape = (b, layer.in_channels, x.shape[2] + 2 * pf, x.shape[3] + 2 * pt)
-    grad_xp = np.zeros(padded_shape)
-    grad_xp_g = grad_xp.reshape(b, g, cg, padded_shape[2], padded_shape[3])
-    for i in range(kf):
-        for j in range(kt):
-            contrib = np.einsum("bgoft,goc->bgcft", gy, wg[:, :, :, i, j])
-            grad_xp_g[
-                :,
-                :,
-                :,
-                i * df : i * df + sf * f_out : sf,
-                j * dt : j * dt + st * t_out : st,
-            ] += contrib
-    grad_x = grad_xp[:, :, pf : padded_shape[2] - pf, pt : padded_shape[3] - pt]
-    return grad_x, grad_w
+    xg = _padded(x, layer.padding).reshape(b, g, cg, f + 2 * pf, t + 2 * pt)
+    grad_xg = np.zeros(xg.shape)
+    grad_w = np.empty(wg.shape, np.result_type(grad_out, x))
+    for i, j in np.ndindex(kf, kt):
+        window = _tap(xg, i, j, layer.dilation, layer.stride, f_out, t_out)
+        grad_w[..., i, j] = np.einsum("bgoft,bgcft->goc", gy, window)
+        window = _tap(grad_xg, i, j, layer.dilation, layer.stride, f_out, t_out)
+        window += np.einsum("bgoft,goc->bgcft", gy, wg[..., i, j])
+    grad_x = grad_xg[..., pf : pf + f, pt : pt + t].reshape(x.shape)
+    return grad_x, grad_w.reshape(weight.shape)
 
 
 def maxpool2d_forward(x: np.ndarray, layer: MaxPool2d) -> np.ndarray:
+    """Each window's maximum, as a running maximum over the kernel taps of
+    a copy of ``x`` bordered by -inf."""
     _require_tensor4(x, layer.name)
-    win = _gather_windows(
-        x, layer.kernel, layer.padding, (1, 1), layer.stride, pad_value=-np.inf
-    )
-    return win.max(axis=(-2, -1))
+    f_out, t_out = _geometry(x, layer.kernel, layer.padding, (1, 1), layer.stride)
+    xp = _padded(x, layer.padding, -np.inf)
+    taps = (_tap(xp, i, j, (1, 1), layer.stride, f_out, t_out) for i, j in np.ndindex(layer.kernel))
+    out = next(taps).copy()
+    for window in taps:
+        np.maximum(out, window, out=out)
+    return out
 
 
 def stats_pooling_forward(x: np.ndarray) -> np.ndarray:
@@ -560,9 +555,7 @@ def _apply(layer, x, weights, counter, owned=False):
         # Inference mode with zero mean, unit variance, unit scale, zero
         # shift: an exact identity.
         return x
-    if isinstance(layer, Activation):
-        if layer.fn != "relu":
-            return _sigmoid(x)
+    if isinstance(layer, Activation):  # a ReLU, the one activation
         return np.maximum(x, 0.0, out=x if owned else None)
     if isinstance(layer, MaxPool2d):
         return maxpool2d_forward(x, layer)
@@ -662,6 +655,8 @@ def run_model(
     batch axis so they compare directly against the symbolic trace.
     """
     _require_tensor4(x, "run_model")
+    if not np.isfinite(x).all():
+        raise KernelError("run_model: tensor contains non-finite values")
     if x.shape[1] != 1:
         raise KernelError("backbones take single-channel spectrogram input")
     if weights is None:
@@ -699,18 +694,18 @@ def _loss_and_grad(x, layer, weight):
     return float(np.sum(y * y)), 2.0 * y
 
 
-def _numeric_grad(f, array, h=1e-5):
+def _numeric_grad(f, array):
     grad = np.zeros_like(array)
     flat = array.reshape(-1)
     gflat = grad.reshape(-1)
     for idx in range(flat.size):
         orig = flat[idx]
-        flat[idx] = orig + h
+        flat[idx] = orig + GRADCHECK_STEP
         hi = f()
-        flat[idx] = orig - h
+        flat[idx] = orig - GRADCHECK_STEP
         lo = f()
         flat[idx] = orig
-        gflat[idx] = (hi - lo) / (2.0 * h)
+        gflat[idx] = (hi - lo) / (2.0 * GRADCHECK_STEP)
     return grad
 
 
@@ -729,7 +724,6 @@ def gradcheck_conv(
     x: np.ndarray | None = None,
     tolerance: float = 1e-4,
     seed: int = DEFAULT_SEED,
-    h: float = 1e-5,
 ) -> GradCheckReport:
     """Compare analytic conv gradients against central finite differences.
 
@@ -745,8 +739,8 @@ def gradcheck_conv(
     _, grad_y = _loss_and_grad(x, layer, weight)
     grad_x, grad_w = conv2d_backward(x, layer, weight, grad_y)
 
-    numeric_w = _numeric_grad(lambda: _loss_and_grad(x, layer, weight)[0], weight, h)
-    numeric_x = _numeric_grad(lambda: _loss_and_grad(x, layer, weight)[0], x, h)
+    numeric_w = _numeric_grad(lambda: _loss_and_grad(x, layer, weight)[0], weight)
+    numeric_x = _numeric_grad(lambda: _loss_and_grad(x, layer, weight)[0], x)
 
     err_w = _max_rel_error(grad_w, numeric_w)
     err_x = _max_rel_error(grad_x, numeric_x)

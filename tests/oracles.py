@@ -684,6 +684,8 @@ MALFORMED_SPECS = {
         _stages_and_path_claim_e33p,
         "stage 2 layers stride (time=1, freq=1) in all, which does not match the path's step "
         "StridePair(time=2, freq=2)"),
+    "activation-sigmoid": (lambda d: _first_layer(d, "activation").update(fn="sigmoid"),
+                           "layer 'stem.act': unsupported activation 'sigmoid'"),
 }
 
 

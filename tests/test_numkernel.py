@@ -342,12 +342,6 @@ class TestMaxPool:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
-    def test_stem_pool_shape_matches_symbolic(self):
-        layer = MaxPool2d("pool", (3, 3), StridePair(2, 2), (1, 1))
-        x = np.random.default_rng(3).normal(size=(1, 2, 9, 12))
-        sym = tuple(conv_out_size(n, 3, 1, 1, 2) for n in (9, 12))
-        assert maxpool2d_forward(x, layer).shape == (1, 2, *sym)
-
 
 class TestFullyConnected:
     @pytest.mark.parametrize("budget", [0, 8 * 7 * 5, numkernel.COLUMN_BUDGET])
@@ -576,6 +570,33 @@ class TestStatsPooling:
     def test_requires_two_frames(self):
         with pytest.raises(KernelError):
             stats_pooling_forward(np.ones((1, 1, 1, 1)))
+
+
+class TestNonFiniteValues:
+    """``run_model`` refuses a non-finite input; the layer functions it
+    calls pass NaN through as numpy does."""
+
+    def nan_map(self):
+        x = np.zeros((1, 1, 16, 40))
+        x[0, 0, 3, 7] = np.nan
+        return x
+
+    def test_conv_passes_nan_through(self):
+        layer = Conv2d("c", 1, 2, (3, 3), padding=(1, 1))
+        out = conv2d_forward(self.nan_map(), layer, np.ones((2, 1, 3, 3)))
+        window = np.zeros(out.shape, bool)
+        window[:, :, 2:5, 6:9] = True
+        assert np.isnan(out[window]).all()
+        assert (out[~window] == 0.0).all()
+
+    def test_max_pool_passes_nan_through(self):
+        layer = MaxPool2d("pool", (3, 3), StridePair(2, 2), (1, 1))
+        out = maxpool2d_forward(self.nan_map(), layer)
+        assert np.isnan(out).sum() == 4 and np.isnan(out[0, 0, 1:3, 3:5]).all()
+
+    def test_run_model_refuses_non_finite_input(self):
+        with pytest.raises(KernelError, match=r"^run_model: tensor contains non-finite values$"):
+            run_model(small_spec(), self.nan_map())
 
 
 class TestRunModel:
