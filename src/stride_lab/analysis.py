@@ -27,6 +27,10 @@ builder's own parts (``builder._parts``: the stem, four stages and the
 head, each a tuple of runs) through one memo keyed by the part or run and
 its input shape, that lives for that one ranking call: a part seen before
 at its shape costs one lookup, and only a new part is summed run by run.
+A stage's cost is affine in its block count, since blocks 2..n share one
+configuration and one input shape: a new stage walks its plumbing, its
+first block and its block 2, and counts block 2 ``num_blocks - 1`` times
+once block 2 is seen to end at the shape it started from.
 A single ``count_flops`` walks the whole spec in one pass and keeps
 nothing.
 """
@@ -356,17 +360,28 @@ def _run_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...]) -> tuple:
             sum(rule.flops(layer, out_shape) for layer, rule, _, out_shape in records), out)
 
 
-def _part_totals(part: tuple, shape: tuple[int, ...], memo: dict) -> tuple:
+def _part_totals(part: tuple, shape: tuple[int, ...], memo: dict, further: int) -> tuple:
     """``(part, params, MACs, out shape)`` of one part walked from ``shape``,
-    run by run, each run looked up in ``memo`` and walked only on a miss."""
+    run by run, each run looked up in ``memo`` and walked only on a miss.
+
+    The last ``further`` runs are a stage's blocks 2..n, which
+    ``builder._stage`` elaborates from the same arguments but their index.
+    So the first of them is walked, and if it ends at the shape it started
+    from, the rest cost what it costs: ``(n - 1) x`` one further block.
+    Otherwise they are walked run by run like the others.
+    """
     params = flops = 0
-    for run in part:
+    first_further = len(part) - further
+    for i, run in enumerate(part):
         totals = memo.get((id(run), shape))
         if totals is None:
             totals = memo[id(run), shape] = _run_totals(run, shape)
-        _, run_params, run_flops, shape = totals
+        _, run_params, run_flops, out = totals
+        if i == first_further and out == shape:
+            return part, params + further * run_params, flops + further * run_flops, out
         params += run_params
         flops += run_flops
+        shape = out
     return part, params, flops, shape
 
 
@@ -378,14 +393,16 @@ def _parts_totals(parts, input_shape: TensorShape, memo: dict) -> tuple[int, int
     ``memo`` maps ``(id(part or run), in shape)`` to ``(that tuple, params,
     MACs, out shape)``; holding the tuple keeps its id from being reused
     while the memo lives. A part seen at its input shape costs one lookup,
-    and a new one is summed from its runs, looked up the same way.
+    and a new one is summed from its runs, looked up the same way, with a
+    stage's blocks 2..n counted as ``num_blocks - 1`` times its block 2.
     """
     shape = _start(input_shape)
     params_total = flops_total = 0
-    for _, part in parts:
+    for stage, part in parts:
         totals = memo.get((id(part), shape))
         if totals is None:
-            totals = memo[id(part), shape] = _part_totals(part, shape, memo)
+            further = stage.num_blocks - 1 if stage is not None else 0
+            totals = memo[id(part), shape] = _part_totals(part, shape, memo, further)
         _, params, flops, shape = totals
         params_total += params
         flops_total += flops

@@ -295,7 +295,12 @@ def _stage(kind: BlockKind, stage: int, num_blocks: int, in_ch: int, width: int,
            res2net_scale: int | None) -> tuple[StageSpec, tuple[tuple[LayerEntry, ...], ...]]:
     """One residual stage's spec and part: a run of the original recipe's
     stage-2 max pool or the separate downsampling conv, if either, then the
-    memoized blocks, the first of which carries whatever stride is left."""
+    memoized blocks, the first of which carries whatever stride is left.
+
+    Blocks 2..n come from identical :func:`_block` arguments except their
+    index: ``out_ch`` in and out and a unit stride. So their counts are
+    equal, and a ranking counts block 2 for all ``num_blocks - 1`` of them
+    (``analysis._part_totals``)."""
     plumbing: list[LayerEntry] = []
     stride = path_stride
     if original and stage == 2:

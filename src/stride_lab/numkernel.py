@@ -318,8 +318,9 @@ def conv2d_backward(
     gy = grad_out.reshape(b, g, og, f_out, t_out)
     wg = weight.reshape(g, og, cg, kf, kt)
     xg = _padded(x, layer.padding).reshape(b, g, cg, f + 2 * pf, t + 2 * pt)
-    grad_xg = np.zeros(xg.shape)
-    grad_w = np.empty(wg.shape, np.result_type(grad_out, x))
+    dtype = np.result_type(grad_out, x)
+    grad_xg = np.zeros(xg.shape, dtype)
+    grad_w = np.empty(wg.shape, dtype)
     for i, j in np.ndindex(kf, kt):
         window = _tap(xg, i, j, layer.dilation, layer.stride, f_out, t_out)
         grad_w[..., i, j] = np.einsum("bgoft,bgcft->goc", gy, window)

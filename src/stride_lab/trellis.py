@@ -81,8 +81,9 @@ def rank_paths_by_flops(
     the path (``builder._parts``, the stem, stages and head that ``build``
     concatenates) through one memo that lives for this call only
     (``analysis._parts_totals``): a part seen at the same input shape
-    reuses its counts, and a new stage is counted block by block, sharing
-    blocks 2..n with its stride variants.
+    reuses its counts, and a new stage is counted from its plumbing, its
+    first block and ``num_blocks - 1`` times its block 2, which it shares
+    with its stride variants that reach the same shape.
     """
     from .analysis import _parts_totals
     from .builder import _parts, build, request_from_spec

@@ -16,7 +16,20 @@ from stride_lab.analysis import (
     trace,
 )
 from stride_lab.builder import build, make_request
-from stride_lab.layers import Conv2d, LayerEntry, TensorShape
+from stride_lab.layers import (
+    Add,
+    BatchNorm2d,
+    Conv2d,
+    FullyConnected,
+    GlobalAvgPool,
+    LayerEntry,
+    Res2NetConv,
+    Role,
+    ShortcutKind,
+    SqueezeExcite,
+    TemporalStatsPool,
+    TensorShape,
+)
 from stride_lab.strides import StridePair, final_factors, resolve_name
 
 INPUT_2S = TensorShape(1, 80, 200)
@@ -154,6 +167,75 @@ class TestPropagateShape:
                 t = conv_out_size(t, 3, 1, 1, layer.stride.time)
             assert first.out_shape == second.in_shape
             assert second.out_shape == (16, f, t)
+
+
+#: The stem of the walks below: a (1, 10, 10) map becomes (8, 10, 10).
+_STEM = LayerEntry(Conv2d("c", 1, 8, (3, 3), padding=(1, 1)), stage=1)
+
+
+def _block(*layers, stride=StridePair(1, 1), shortcut=ShortcutKind.IDENTITY, shortcut_layers=()):
+    """One stage-2 block of ``layers``, then ``shortcut_layers`` on its
+    shortcut and its add."""
+    entries = [LayerEntry(layer, stage=2, block=1) for layer in layers]
+    entries += [LayerEntry(layer, stage=2, block=1, role=Role.SHORTCUT) for layer in shortcut_layers]
+    return entries + [LayerEntry(Add("b.add", shortcut, stride=stride), stage=2, block=1)]
+
+
+def _head(*layers):
+    return [LayerEntry(layer, stage=0) for layer in layers]
+
+
+class TestWalkRefusals:
+    """Each refusal of the walk's shape and head rules, with its exact text,
+    on a spec whose entries chain wrongly after ``_STEM``."""
+
+    @staticmethod
+    def refusal(spec, entries):
+        body = dataclasses.replace(spec, entries=(_STEM, *entries))
+        with pytest.raises(AnalysisError) as err:
+            trace(body, TensorShape(1, 10, 10))
+        return str(err.value)
+
+    def test_batch_norm_of_other_channels(self, mod34):
+        assert self.refusal(mod34, [LayerEntry(BatchNorm2d("bn", 9), stage=1)]) == (
+            "bn: normalizes 9 channels, got 8")
+
+    @pytest.mark.parametrize("layer", [SqueezeExcite("x", 16, 4), Res2NetConv("x", 16, 4)])
+    def test_se_or_res2net_of_other_channels(self, mod34, layer):
+        assert self.refusal(mod34, [LayerEntry(layer, stage=1)]) == "x: channel mismatch with 8"
+
+    def test_layer_with_no_shape_rule(self, mod34):
+        # A pooling layer has a head rule but no shape rule, so it cannot
+        # sit on a block's shortcut.
+        entries = _block(Conv2d("b.conv", 8, 8, (1, 1)), shortcut_layers=[GlobalAvgPool("b.pool")])
+        assert self.refusal(mod34, entries) == "no shape rule for GlobalAvgPool"
+
+    def test_stats_pool_of_a_flat_vector(self, mod34):
+        entries = _head(TemporalStatsPool("p1"), TemporalStatsPool("p2"))
+        assert self.refusal(mod34, entries) == "p2: pooling needs a 4D feature map"
+
+    def test_average_pool_of_a_flat_vector(self, mod34):
+        entries = _head(GlobalAvgPool("p1"), GlobalAvgPool("p2"))
+        assert self.refusal(mod34, entries) == "p2: pooling needs a 4D feature map"
+
+    def test_fully_connected_on_a_map(self, mod34):
+        entries = _head(FullyConnected("fc", 8, 4))
+        assert self.refusal(mod34, entries) == "fc: fully connected layer needs a flat input"
+
+    def test_block_after_the_head(self, mod34):
+        entries = _head(GlobalAvgPool("p"), FullyConnected("fc", 8, 4))
+        entries += _block(Conv2d("b.conv", 8, 8, (1, 1)))
+        assert self.refusal(mod34, entries) == "residual block after the head"
+
+    def test_branch_and_shortcut_that_do_not_meet(self, mod34):
+        # The branch halves both axes; an identity shortcut keeps them.
+        entries = _block(Conv2d("b.conv", 8, 8, (1, 1), stride=StridePair(2, 2)))
+        assert self.refusal(mod34, entries) == (
+            "b.add: branch shape (8, 5, 5) != shortcut shape (8, 10, 10)")
+
+    def test_map_layer_after_the_head(self, mod34):
+        entries = _head(GlobalAvgPool("p"), BatchNorm2d("bn", 8))
+        assert self.refusal(mod34, entries) == "bn: feature map already flattened"
 
 
 class TestCountParams:

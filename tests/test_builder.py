@@ -412,8 +412,8 @@ def test_parts_compose_the_build_and_count_as_it(req, half_time):
     assert spec.stages == tuple(stage for stage, _ in parts if stage is not None)
     shape = TensorShape(1, req.input_freq_bins, 2 * half_time + 1)
     count = count_flops(spec, shape)
-    totals = analysis._parts_totals(parts, shape, _SHARED_MEMO)
-    assert totals == (count.params_total, count.flops_total)
+    for memo in ({}, _SHARED_MEMO):
+        assert analysis._parts_totals(parts, shape, memo) == (count.params_total, count.flops_total)
 
 
 def _label(family, depth, path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -788,6 +789,60 @@ class TestRunModel:
         assert set(dtypes) == {np.dtype(np.float32)}
 
 
+class TestVerifyDivergence:
+    """Each divergence ``verify_spec_numeric`` reports, driven by editing
+    what the kernel run or the symbolic trace returns."""
+
+    TIME = 32
+
+    def verdict(self, monkeypatch, edit_run=None, edit_trace=None):
+        spec = small_spec()
+        if edit_run is not None:
+            monkeypatch.setattr(verification, "run_model",
+                                lambda *args, **kwargs: edit_run(run_model(*args, **kwargs)))
+        if edit_trace is not None:
+            monkeypatch.setattr(verification, "trace", lambda *args: edit_trace(trace(*args)))
+        result = verify_spec_numeric(spec, time=self.TIME)
+        assert result.ok is False
+        return result
+
+    def test_layer_count(self, monkeypatch):
+        result = self.verdict(monkeypatch, edit_trace=lambda records: records[:-1])
+        n = result.layers_checked
+        assert result.detail == f"layer count mismatch: symbolic {n} vs numeric {n + 1}"
+
+    def test_layer_order(self, monkeypatch):
+        def swap_first_two(run):
+            (a, shape_a), (b, shape_b), *rest = run.shapes
+            return dataclasses.replace(run, shapes=((b, shape_a), (a, shape_b), *rest))
+
+        result = self.verdict(monkeypatch, edit_run=swap_first_two)
+        assert result.detail == "layer order mismatch at stem.conv vs stem.bn"
+
+    def test_shape(self, monkeypatch):
+        def widen_stem(run):
+            (name, shape), *rest = run.shapes
+            return dataclasses.replace(run, shapes=((name, (shape[0] + 1, *shape[1:])), *rest))
+
+        result = self.verdict(monkeypatch, edit_run=widen_stem)
+        assert result.detail == "stem.conv: symbolic shape (4, 16, 32) != numeric (5, 16, 32)"
+
+    def test_multiply_count(self, monkeypatch):
+        def one_more(run):
+            return dataclasses.replace(run, counter=OpCounter(run.counter.multiplies + 1))
+
+        result = self.verdict(monkeypatch, edit_run=one_more)
+        assert result.multiplies == result.analytic_flops + 1
+        assert result.detail == f"multiply count {result.multiplies} != analytic {result.analytic_flops}"
+
+    def test_embedding_shape(self, monkeypatch):
+        def flatten(run):
+            return dataclasses.replace(run, embedding=run.embedding.ravel())
+
+        result = self.verdict(monkeypatch, edit_run=flatten)
+        assert result.detail == "embedding shape (16,)"
+
+
 def weight_arrays(weights):
     """(layer.key, array) for every array of an ``init_weights`` result."""
     for name, params in weights.items():
@@ -881,13 +936,15 @@ class TestConvBackward:
     @given(case=conv_cases(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_float32_matches_loop_oracle_on_drawn_layers(self, case, seed):
-        # Single-precision operands, held to single-precision rounding of
-        # the float64 loops over the same values.
+        # Single-precision operands give single-precision gradients, held
+        # to single-precision rounding of the float64 loops over the same
+        # values.
         layer, x, w = case
         x, w = x.astype(np.float32), w.astype(np.float32)
         gy = np.random.default_rng(seed).normal(size=conv2d_forward(x, layer, w).shape)
         gy = gy.astype(np.float32)
         for got, want in zip(conv2d_backward(x, layer, w, gy), self.oracle(x, layer, w, gy)):
+            assert got.dtype == np.float32
             assert got.shape == want.shape
             scale = max(float(np.abs(want).max()), 1.0)
             assert float(np.abs(got - want).max()) <= 1e-5 * scale

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -13,6 +14,7 @@ from stride_lab.builder import _parts, build, make_request, request_from_spec
 from stride_lab.layers import TensorShape
 from stride_lab.strides import (
     PathClass,
+    StridePair,
     TrellisEndpoint,
     TrellisPath,
     classify_path,
@@ -333,6 +335,45 @@ class TestStageMemo:
         walked = _recording_run_totals(monkeypatch)
         assert _parts_totals(_parts(reqs[1]), INPUT_3S, memo) == _count_flops_totals(build(reqs[1]), INPUT_3S)
         assert [name for name in walked if name.startswith("stage3.")] == ["stage3.block1.conv1"]
+
+
+class TestAffineStage:
+    """A new stage is counted from its plumbing, its first block and one
+    further block, which stands for all ``num_blocks - 1`` of them."""
+
+    def test_ranking_walks_one_further_block_per_stage_and_shape(self, monkeypatch):
+        template = build(make_request("df_resnet", 182, path="MOD"))
+        walked = []
+        plain = analysis._run_totals
+
+        def recording(run, shape):
+            walked.append((run[0].stage, run[0].block, shape))
+            return plain(run, shape)
+
+        monkeypatch.setattr(analysis, "_run_totals", recording)
+        ranked = rank_paths_by_flops(enumerate_paths(TrellisEndpoint(8, 32)), INPUT_3S, template)
+        assert len(ranked) == 10
+        further = Counter((stage, shape) for stage, block, shape in walked if block and block > 1)
+        assert {stage for stage, _ in further} == {2, 3, 4, 5}
+        assert set(further.values()) == {1}
+
+    def test_further_blocks_that_change_their_shape_are_walked_run_by_run(self, mod34, monkeypatch):
+        # Blocks 2..n rebuilt to halve T: block 2 no longer ends at its own
+        # input shape, so it cannot stand for the others.
+        plain_stage = builder._stage
+
+        def striding_stage(kind, stage, num_blocks, in_ch, width, out_ch, *rest):
+            spec, runs = plain_stage(kind, stage, num_blocks, in_ch, width, out_ch, *rest)
+            further = tuple(builder._block(kind, stage, b, out_ch, width, out_ch, StridePair(2, 1), *rest[-2:])
+                            for b in range(2, num_blocks + 1))
+            return spec, runs[:len(runs) - len(further)] + further
+
+        monkeypatch.setattr(builder, "_stage", striding_stage)
+        walked = _recording_run_totals(monkeypatch)
+        req = request_from_spec(mod34)
+        totals = _parts_totals(_parts(req), INPUT_3S, {})
+        assert totals == _count_flops_totals(build(req), INPUT_3S)
+        assert sum(name.startswith("stage4.") for name in walked) == 6
 
 
 class TestClosedFormPrecondition:
