@@ -24,9 +24,10 @@ on its entries and its input shape, whether the run is a residual block or
 the stem, max pool, downsampling conv or head between blocks. So a trellis
 ranking (:func:`~stride_lab.trellis.rank_paths_by_flops`) sums the
 builder's own parts (``builder._parts``: the stem, four stages and the
-head, each a tuple of runs) through one memo keyed by the part or run and
-its input shape, that lives for that one ranking call: a part seen before
-at its shape costs one lookup, and only a new part is summed run by run.
+head, each a tuple of runs) through one table, ``_EDGES``, keyed by the
+part or run and its input shape, that outlives the call: a part seen
+before at its shape, by this ranking or an earlier one, costs one lookup,
+and only a new part is summed run by run.
 A stage's cost is affine in its block count, since blocks 2..n share one
 configuration and one input shape: a new stage walks its plumbing, its
 first block and its block 2, and counts block 2 ``num_blocks - 1`` times
@@ -146,7 +147,7 @@ def _channel_shape(layer: SqueezeExcite | Res2NetConv, shape):
 
 
 def _no_shape(layer, shape):
-    raise AnalysisError(f"no shape rule for {type(layer).__name__}")
+    raise AnalysisError(f"{layer.name}: no shape rule for {type(layer).__name__}")
 
 
 # -- head rules: (layer, (C, F, T) or None, flat dim or None) -> flat dim --
@@ -385,16 +386,24 @@ def _part_totals(part: tuple, shape: tuple[int, ...], memo: dict, further: int) 
     return part, params, flops, shape
 
 
+#: The rankings' edge table, which outlives the call: ``_parts_totals``'s
+#: memo for every ``rank_paths_by_flops``. A ranking that finds it past
+#: ``builder._EDGE_TABLE_SIZE`` entries clears it whole before it starts.
+_EDGES: dict = {}
+
+
 def _parts_totals(parts, input_shape: TensorShape, memo: dict) -> tuple[int, int]:
     """The ``(params_total, flops_total)`` of ``count_flops`` on the spec
     that ``builder.build`` concatenates from ``parts``, the pairs that
     ``builder._parts`` yields.
 
-    ``memo`` maps ``(id(part or run), in shape)`` to ``(that tuple, params,
-    MACs, out shape)``; holding the tuple keeps its id from being reused
-    while the memo lives. A part seen at its input shape costs one lookup,
-    and a new one is summed from its runs, looked up the same way, with a
-    stage's blocks 2..n counted as ``num_blocks - 1`` times its block 2.
+    ``memo`` (``_EDGES`` for a ranking) maps ``(id(part or run), in
+    shape)`` to ``(that tuple, params, MACs, out shape)``; holding the tuple
+    keeps its id from being reused while the entry lives, so a rebuilt or
+    patched part is a new tuple that misses, never a stale hit. A part seen
+    at its input shape costs one lookup, and a new one is summed from its
+    runs, looked up the same way, with a stage's blocks 2..n counted as
+    ``num_blocks - 1`` times its block 2.
     """
     shape = _start(input_shape)
     params_total = flops_total = 0

@@ -79,22 +79,25 @@ def rank_paths_by_flops(
 
     The totals are ``count_flops``'s, summed over the builder's parts of
     the path (``builder._parts``, the stem, stages and head that ``build``
-    concatenates) through one memo that lives for this call only
-    (``analysis._parts_totals``): a part seen at the same input shape
-    reuses its counts, and a new stage is counted from its plumbing, its
-    first block and ``num_blocks - 1`` times its block 2, which it shares
-    with its stride variants that reach the same shape.
+    concatenates) through the edge table ``analysis._EDGES``, which
+    outlives the call (``analysis._parts_totals``): a part seen at the same
+    input shape, by this ranking or an earlier one, reuses its counts, and
+    a new stage is counted from its plumbing, its first block and
+    ``num_blocks - 1`` times its block 2, which it shares with its stride
+    variants that reach the same shape. A call that finds the table past
+    ``builder._EDGE_TABLE_SIZE`` entries clears it first.
     """
-    from .analysis import _parts_totals
-    from .builder import _parts, build, request_from_spec
+    from .analysis import _EDGES, _parts_totals
+    from .builder import _EDGE_TABLE_SIZE, _parts, build, request_from_spec
 
+    if len(_EDGES) > _EDGE_TABLE_SIZE:
+        _EDGES.clear()
     rows = []
     params_seen: set[int] = set()
-    memo: dict = {}
     for path in family.paths:
         req = request_from_spec(spec_template, path=path)
         build(req)
-        params, flops = _parts_totals(_parts(req), input_shape, memo)
+        params, flops = _parts_totals(_parts(req), input_shape, _EDGES)
         params_seen.add(params)
         rows.append((-flops, path.label, path, params))
     if len(params_seen) > 1:

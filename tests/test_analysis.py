@@ -208,7 +208,7 @@ class TestWalkRefusals:
         # A pooling layer has a head rule but no shape rule, so it cannot
         # sit on a block's shortcut.
         entries = _block(Conv2d("b.conv", 8, 8, (1, 1)), shortcut_layers=[GlobalAvgPool("b.pool")])
-        assert self.refusal(mod34, entries) == "no shape rule for GlobalAvgPool"
+        assert self.refusal(mod34, entries) == "b.pool: no shape rule for GlobalAvgPool"
 
     def test_stats_pool_of_a_flat_vector(self, mod34):
         entries = _head(TemporalStatsPool("p1"), TemporalStatsPool("p2"))

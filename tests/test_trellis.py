@@ -6,11 +6,13 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import rank_rows_by_count_flops
+from oracles import PRESETS, rank_rows_by_count_flops
 from stride_lab import analysis, builder
 from stride_lab.analysis import ShapeUnderflowError, _parts_totals, count_flops, trace
-from stride_lab.builder import _parts, build, make_request, request_from_spec
+from stride_lab.builder import BuildError, _parts, build, make_request, request_from_spec
 from stride_lab.layers import TensorShape
 from stride_lab.strides import (
     PathClass,
@@ -251,27 +253,11 @@ class TestBlockMemoExactness:
         assert all(o.startswith("AssertionError: parameter count varies within family") for o in raised)
 
     def test_underflowing_path_raises_naming_the_layer(self, monkeypatch):
-        # No built layer underflows (every stride maps n to ceil(n/2)), so
-        # unpad the time axis of SD-ResNet's four downsampling convs: each
-        # then takes 3 frames, and the one path that halves T at every
-        # stage runs out of frames at stage 4.
-        plain_stage = builder._stage
-
-        def unpadded_stage(*args):
-            stage, part = plain_stage(*args)
-            part = tuple(tuple(
-                dataclasses.replace(e, layer=dataclasses.replace(e.layer, padding=(1, 0)))
-                if e.layer.name.endswith("downsample.conv") else e
-                for e in run) for run in part)
-            return stage, part
-
-        monkeypatch.setattr(builder, "_stage", unpadded_stage)
+        _unpad_downsampling_time(monkeypatch)
         template = build(make_request("sd_resnet", 38, path="MOD"))
-        family = enumerate_paths(TrellisEndpoint(32, 1))
-        message = "stage4.downsample.conv: time dimension underflows to 0 (< 1)"
         for rank in (rank_paths_by_flops, rank_rows_by_count_flops):
-            with pytest.raises(ShapeUnderflowError, match=re.escape(message)):
-                rank(family, TensorShape(1, 80, 21), template)
+            with pytest.raises(ShapeUnderflowError, match=re.escape(UNDERFLOW)):
+                rank(enumerate_paths(TrellisEndpoint(32, 1)), TensorShape(1, 80, 21), template)
 
     def test_one_memo_serves_two_input_shapes(self, mod34):
         memo = {}
@@ -280,6 +266,30 @@ class TestBlockMemoExactness:
             parts = _parts(request_from_spec(mod34))
             assert _parts_totals(parts, shape, memo) == _count_flops_totals(mod34, shape)
         assert {key[1] for key in memo} >= {(64, 40, 100), (64, 40, 150)}
+
+
+#: What ranking SD-ResNet38 (32, 1) at 80x21 raises once its downsampling
+#: convs no longer pad time (``_unpad_downsampling_time``).
+UNDERFLOW = "stage4.downsample.conv: time dimension underflows to 0 (< 1)"
+
+
+def _unpad_downsampling_time(monkeypatch):
+    """Patch ``builder._stage`` to unpad the time axis of every separate
+    downsampling conv, as new tuples on every call. No built layer
+    underflows (every stride maps n to ceil(n/2)), but unpadded, each of
+    SD-ResNet's four such convs takes 3 frames, and the one path that
+    halves T at every stage runs out of frames at stage 4."""
+    plain_stage = builder._stage
+
+    def unpadded_stage(*args):
+        stage, part = plain_stage(*args)
+        part = tuple(tuple(
+            dataclasses.replace(e, layer=dataclasses.replace(e.layer, padding=(1, 0)))
+            if e.layer.name.endswith("downsample.conv") else e
+            for e in run) for run in part)
+        return stage, part
+
+    monkeypatch.setattr(builder, "_stage", unpadded_stage)
 
 
 def _recording_run_totals(monkeypatch):
@@ -342,6 +352,13 @@ class TestAffineStage:
     further block, which stands for all ``num_blocks - 1`` of them."""
 
     def test_ranking_walks_one_further_block_per_stage_and_shape(self, monkeypatch):
+        # As in a fresh process: the edge table outlives a ranking call, and
+        # a stage memoized before the block memo evicted its blocks holds
+        # other block tuples than a variant built after, so earlier tests'
+        # builds could make block 2 walk twice at one shape.
+        analysis._EDGES.clear()
+        for memo in (builder._block, builder._stage, builder._stem, builder._head):
+            memo.cache_clear()
         template = build(make_request("df_resnet", 182, path="MOD"))
         walked = []
         plain = analysis._run_totals
@@ -374,6 +391,74 @@ class TestAffineStage:
         totals = _parts_totals(_parts(req), INPUT_3S, {})
         assert totals == _count_flops_totals(build(req), INPUT_3S)
         assert sum(name.startswith("stage4.") for name in walked) == 6
+
+
+def _edge_table_templates():
+    """Every family preset on its default path, plain, with SE 4 and with
+    Res2Net 4, where the family admits the option."""
+    templates = []
+    for family, depths in PRESETS.items():
+        for depth in depths:
+            depth = depth[0] if family == "df_resnet" else depth  # MOD keeps stage 2's resolution
+            for options in ({}, {"se_reduction": 4}, {"res2net_scale": 4}):
+                try:
+                    templates.append(build(make_request(family, depth, **options)))
+                except BuildError:
+                    pass
+    return tuple(templates)
+
+
+EDGE_TABLE_TEMPLATES = _edge_table_templates()
+
+
+@st.composite
+def _ranking_calls(draw):
+    """One ranking: a template, an endpoint it admits, and an odd T."""
+    template = draw(st.sampled_from(EDGE_TABLE_TEMPLATES))
+    golden = template.family.recipe.golden
+    endpoint = draw(st.sampled_from(golden_gemini_endpoints() if golden else enumerate_endpoints()))
+    frames = draw(st.integers(10, 150)) * 2 + 1
+    return template, enumerate_paths(endpoint), TensorShape(1, 80, frames)
+
+
+class TestEdgeTable:
+    """The rankings share one edge table, ``analysis._EDGES``, across calls:
+    a part or run walked at a shape by one ranking is a lookup for every
+    later one, and a rebuilt part is a new tuple that misses."""
+
+    def test_a_second_ranking_of_a_family_walks_no_run(self, mod34, monkeypatch):
+        analysis._EDGES.clear()
+        family = enumerate_paths(TrellisEndpoint(4, 8))
+        first = rank_paths_by_flops(family, INPUT_3S, mod34)
+        walked = _recording_run_totals(monkeypatch)
+        assert rank_paths_by_flops(family, INPUT_3S, mod34) == first
+        assert walked == []
+
+    def test_a_patched_stage_misses_a_warm_table(self, monkeypatch):
+        template = build(make_request("sd_resnet", 38, path="MOD"))
+        family, shape = enumerate_paths(TrellisEndpoint(32, 1)), TensorShape(1, 80, 21)
+        rank_paths_by_flops(family, shape, template)
+        _unpad_downsampling_time(monkeypatch)
+        with pytest.raises(ShapeUnderflowError, match=re.escape(UNDERFLOW)):
+            rank_paths_by_flops(family, shape, template)
+
+    @pytest.mark.parametrize("bound", [builder._EDGE_TABLE_SIZE, 8])
+    def test_interleaved_rankings_rank_as_the_oracle(self, bound, monkeypatch):
+        # At a bound of 8 nearly every call clears the table first.
+        monkeypatch.setattr(builder, "_EDGE_TABLE_SIZE", bound)
+
+        @settings(max_examples=30, deadline=None)
+        @given(st.lists(_ranking_calls(), min_size=1, max_size=3))
+        def rank_interleaved(calls):
+            for template, family, shape in calls:
+                got = _ranking_outcome(lambda *a: _rows(rank_paths_by_flops(*a)), family, shape, template)
+                assert got == _ranking_outcome(rank_rows_by_count_flops, family, shape, template)
+            one_call = {}
+            for path in family.paths:
+                _parts_totals(_parts(request_from_spec(template, path=path)), shape, one_call)
+            assert len(analysis._EDGES) <= bound + len(one_call)
+
+        rank_interleaved()
 
 
 class TestClosedFormPrecondition:
