@@ -6,11 +6,12 @@ differ in where a stage's stride lives (first block conv, the original
 recipe's max pool, or a separate downsampling conv), in block architecture,
 and in the head pooling: the fields of a family's :class:`~.layers.Recipe`,
 which the functions here read. :func:`_parts` is the one rule that
-assembles a path: :func:`build` checks the request and concatenates its
-parts, and a trellis ranking counts the same parts. :func:`build` does not run
+assembles a path, run once per request (``BuildRequest._elaborated``):
+:func:`build` checks the request and concatenates that tuple, and a trellis
+ranking counts the same tuple. :func:`build` does not run
 :meth:`ModelSpec.validate`, which its output passes by construction (a test
-holds it) and which costs more than the build: on a 2-vCPU Xeon, 40-49 µs
-against 20-22 µs for a ResNet34 build, and 187-229 µs against 23-27 µs for
+holds it) and which costs more than the build: on a 2-vCPU Xeon, 43-46 µs
+against 15-16 µs for a ResNet34 build, and 181-197 µs against 19-20 µs for
 DF-ResNet182.
 
 Block architecture is a table: per block kind, ``_MAIN`` lists the rows of
@@ -51,7 +52,7 @@ and option fills 11,295 per duration, so a sweep over all of them clears it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .layers import (
     Activation,
@@ -118,6 +119,12 @@ class BuildRequest:
     input_freq_bins: int = 80
     se_reduction: int | None = None
     res2net_scale: int | None = None
+
+    @cached_property
+    def _elaborated(self):
+        """``tuple(_parts(self))``, once per request: ``build`` and a
+        ranking's count both read it."""
+        return tuple(_parts(self))
 
 
 def _preset(recipe: Recipe, depth_label: int) -> tuple[BlockKind, tuple[int, ...]]:
@@ -196,15 +203,11 @@ def _validate_depth(req: BuildRequest, kind: BlockKind, sd_flags: tuple[bool, ..
 def _check_integers(req: BuildRequest) -> None:
     """Sizes must be positive ints and options ints or None, bools and floats
     refused: a spec carrying either writes JSON its own loader rejects."""
-    sizes = {
-        "depth_label": req.depth_label,
-        "base_channels": req.base_channels,
-        "embedding_dim": req.embedding_dim,
-        "input_freq_bins": req.input_freq_bins,
-    }
-    sizes.update((f"block_counts[{i}]", count) for i, count in enumerate(req.block_counts))
-    for name, value in sizes.items():
+    names = ("depth_label", "base_channels", "embedding_dim", "input_freq_bins")
+    sizes = (req.depth_label, req.base_channels, req.embedding_dim, req.input_freq_bins, *req.block_counts)
+    for i, value in enumerate(sizes):
         if type(value) is not int or value < 1:
+            name = names[i] if i < 4 else f"block_counts[{i - 4}]"
             raise BuildError(f"{name} must be a positive integer, got {value!r}")
     for name in ("se_reduction", "res2net_scale"):
         value = getattr(req, name)
@@ -225,6 +228,8 @@ def _check_options(req: BuildRequest, recipe: Recipe, kind: BlockKind) -> None:
             raise BuildError("res2net splitting is only supported on basic blocks")
     if not recipe.admits(req.path):
         raise BuildError(f"gemini family requires a golden-gemini endpoint, got {final_factors(req.path)}")
+    if req.se_reduction is None and req.res2net_scale is None:
+        return
     expansion = _MAIN[kind][-1][0]
     for i in range(4):
         channels = req.base_channels * 2 ** i * expansion
@@ -386,7 +391,7 @@ def build(req: BuildRequest) -> ModelSpec:
     _validate_depth(req, kind, _sd_flags(recipe, req.path))
     _check_options(req, recipe, kind)
 
-    parts = tuple(_parts(req))
+    parts = req._elaborated
     entries: list[LayerEntry] = []
     for _, part in parts:
         for run in part:

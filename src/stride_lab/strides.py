@@ -107,9 +107,9 @@ class TrellisPath:
             raise ValueError("time and freq stride lists must have equal length")
         return cls(tuple(StridePair(t, f) for t, f in zip(time_strides, freq_strides)))
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
-        """The path's name, derived from its strides by :func:`canonical_name`."""
+        """The path's name, derived once from its strides by :func:`canonical_name`."""
         return canonical_name(self)
 
     @property

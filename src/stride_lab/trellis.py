@@ -72,23 +72,23 @@ def rank_paths_by_flops(
     """Order a family's paths by descending analytic FLOPs.
 
     Every path is substituted into the template's build request and built
-    once; parameter counts are asserted identical across the family, and
-    each path is named by its strides.
+    once; the request elaborates its parts once (``BuildRequest._elaborated``),
+    and ``build`` and the count read that tuple. Parameter counts are asserted
+    identical across the family, and each path is named by its strides.
     No built path underflows the input shape (every striding layer maps n to
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.
 
-    The totals are ``count_flops``'s, summed over the builder's parts of
-    the path (``builder._parts``, the stem, stages and head that ``build``
-    concatenates) through the edge table ``analysis._EDGES``, which
-    outlives the call (``analysis._parts_totals``): a part seen at the same
-    input shape, by this ranking or an earlier one, reuses its counts, and
-    a new stage is counted from its plumbing, its first block and
-    ``num_blocks - 1`` times its block 2, which it shares with its stride
-    variants that reach the same shape. A call that finds the table past
-    ``builder._EDGE_TABLE_SIZE`` entries clears it first.
+    The totals are ``count_flops``'s, summed over those parts (the stem,
+    stages and head of ``builder._parts``) through the edge table
+    ``analysis._EDGES``, which outlives the call (``analysis._parts_totals``):
+    a part seen at the same input shape, by this ranking or an earlier one,
+    reuses its counts, and a new stage is counted from its plumbing, its
+    first block and ``num_blocks - 1`` times its block 2, which it shares
+    with its stride variants that reach the same shape. A call that finds
+    the table past ``builder._EDGE_TABLE_SIZE`` entries clears it first.
     """
     from .analysis import _EDGES, _parts_totals
-    from .builder import _EDGE_TABLE_SIZE, _parts, build, request_from_spec
+    from .builder import _EDGE_TABLE_SIZE, build, request_from_spec
 
     if len(_EDGES) > _EDGE_TABLE_SIZE:
         _EDGES.clear()
@@ -97,7 +97,7 @@ def rank_paths_by_flops(
     for path in family.paths:
         req = request_from_spec(spec_template, path=path)
         build(req)
-        params, flops = _parts_totals(_parts(req), input_shape, _EDGES)
+        params, flops = _parts_totals(req._elaborated, input_shape, _EDGES)
         params_seen.add(params)
         rows.append((-flops, path.label, path, params))
     if len(params_seen) > 1:

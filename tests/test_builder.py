@@ -595,6 +595,30 @@ class TestIntegerGate:
         with pytest.raises(BuildError, match=rf"{field}(\[0\])? must be"):
             build(req)
 
+    @pytest.mark.parametrize("value, text", [(0, "0"), (-1, "-1"), (True, "True"), (2.0, "2.0")])
+    @pytest.mark.parametrize("field", ["depth_label", "base_channels", "embedding_dim", "input_freq_bins",
+                                       "block_counts[0]", "block_counts[1]", "block_counts[2]",
+                                       "block_counts[3]"])
+    def test_each_size_refusal_names_its_field_and_value(self, field, value, text):
+        req = make_request("modified_resnet", 18)
+        if field.startswith("block_counts"):
+            counts = list(req.block_counts)
+            counts[int(field[-2])] = value
+            req = dataclasses.replace(req, block_counts=tuple(counts))
+        else:
+            req = dataclasses.replace(req, **{field: value})
+        with pytest.raises(BuildError) as info:
+            build(req)
+        assert str(info.value) == f"{field} must be a positive integer, got {text}"
+
+    @pytest.mark.parametrize("value, text", [(True, "True"), (4.0, "4.0")])
+    @pytest.mark.parametrize("field", ["se_reduction", "res2net_scale"])
+    def test_each_option_refusal_names_its_field_and_value(self, field, value, text):
+        req = dataclasses.replace(make_request("modified_resnet", 18), **{field: value})
+        with pytest.raises(BuildError) as info:
+            build(req)
+        assert str(info.value) == f"{field} must be an integer, got {text}"
+
     def test_bool_option_through_make_request(self):
         with pytest.raises(BuildError, match="se_reduction must be an integer, got True"):
             build(make_request("modified_resnet", 18, se_reduction=True))

@@ -461,6 +461,29 @@ class TestEdgeTable:
         rank_interleaved()
 
 
+class TestOneElaboration:
+    """A ranking elaborates each path's parts once, on its request, and
+    both ``build`` and the count read them."""
+
+    def test_a_ranking_elaborates_each_path_once(self, mod34, monkeypatch):
+        calls = []
+
+        def counting(req):
+            calls.append(req)
+            return _parts(req)
+
+        monkeypatch.setattr(builder, "_parts", counting)
+        family = enumerate_paths(TrellisEndpoint(4, 8))
+        ranked = rank_paths_by_flops(family, INPUT_3S, mod34)
+        assert len(calls) == len(family.paths) == len(ranked)
+
+    def test_a_request_whose_parts_were_read_builds_as_a_fresh_one(self, mod34):
+        for path in enumerate_paths(TrellisEndpoint(4, 8)).paths[:5]:
+            read = request_from_spec(mod34, path=path)
+            _parts_totals(read._elaborated, INPUT_3S, {})
+            assert build(read) == build(request_from_spec(mod34, path=path))
+
+
 class TestClosedFormPrecondition:
     """Every stage of every path ends at ``(ceil(80/beta_s), ceil(T/alpha_s))``,
     the shape a closed-form count of the stride space relies on."""
