@@ -34,6 +34,18 @@ first block and its block 2, and counts block 2 ``num_blocks - 1`` times
 once block 2 is seen to end at the shape it started from.
 A single ``count_flops`` walks the whole spec in one pass and keeps
 nothing.
+
+This module owns the table. Each value holds the tuple it keys, keeping
+alive parts the builder's memos have dropped. ``_parts_totals`` clears the
+table whole when it finds it past ``_EDGE_TABLE_SIZE`` (8,192) entries,
+before it counts a path; one path adds at most 20 (one cold ranking up to
+178: every preset, plain, with SE 4 and Res2Net 4, at T = 200 and 300), so
+it never holds more than 8,212. Traced on a 2-vCPU Xeon, an entry costs
+about 300 B while the memos hold its parts and at most 650 B when they do
+not (ResNet152 at 14 widths): at worst 5.1 MiB beside the memos' 11 MiB.
+The benchmark's six sweep templates fill 3,079 entries (0.9 MiB); every
+preset and option fills 11,295 per duration, so a sweep over all of them
+clears it.
 """
 
 from __future__ import annotations
@@ -361,9 +373,9 @@ def _run_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...]) -> tuple:
             sum(rule.flops(layer, out_shape) for layer, rule, _, out_shape in records), out)
 
 
-def _part_totals(part: tuple, shape: tuple[int, ...], memo: dict, further: int) -> tuple:
+def _part_totals(part: tuple, shape: tuple[int, ...], further: int) -> tuple:
     """``(part, params, MACs, out shape)`` of one part walked from ``shape``,
-    run by run, each run looked up in ``memo`` and walked only on a miss.
+    run by run, each run looked up in ``_EDGES`` and walked only on a miss.
 
     The last ``further`` runs are a stage's blocks 2..n, which
     ``builder._stage`` elaborates from the same arguments but their index.
@@ -374,9 +386,9 @@ def _part_totals(part: tuple, shape: tuple[int, ...], memo: dict, further: int) 
     params = flops = 0
     first_further = len(part) - further
     for i, run in enumerate(part):
-        totals = memo.get((id(run), shape))
+        totals = _EDGES.get((id(run), shape))
         if totals is None:
-            totals = memo[id(run), shape] = _run_totals(run, shape)
+            totals = _EDGES[id(run), shape] = _run_totals(run, shape)
         _, run_params, run_flops, out = totals
         if i == first_further and out == shape:
             return part, params + further * run_params, flops + further * run_flops, out
@@ -386,32 +398,33 @@ def _part_totals(part: tuple, shape: tuple[int, ...], memo: dict, further: int) 
     return part, params, flops, shape
 
 
-#: The rankings' edge table, which outlives the call: ``_parts_totals``'s
-#: memo for every ``rank_paths_by_flops``. A ranking that finds it past
-#: ``builder._EDGE_TABLE_SIZE`` entries clears it whole before it starts.
+#: The rankings' edge table and its bound (see the module docstring).
 _EDGES: dict = {}
+_EDGE_TABLE_SIZE = 8192
 
 
-def _parts_totals(parts, input_shape: TensorShape, memo: dict) -> tuple[int, int]:
+def _parts_totals(parts, input_shape: TensorShape) -> tuple[int, int]:
     """The ``(params_total, flops_total)`` of ``count_flops`` on the spec
     that ``builder.build`` concatenates from ``parts``, the pairs that
     ``builder._parts`` yields.
 
-    ``memo`` (``_EDGES`` for a ranking) maps ``(id(part or run), in
-    shape)`` to ``(that tuple, params, MACs, out shape)``; holding the tuple
-    keeps its id from being reused while the entry lives, so a rebuilt or
-    patched part is a new tuple that misses, never a stale hit. A part seen
-    at its input shape costs one lookup, and a new one is summed from its
-    runs, looked up the same way, with a stage's blocks 2..n counted as
+    ``_EDGES``, cleared first if past its bound, maps ``(id(part or run),
+    in shape)`` to ``(that tuple, params, MACs, out shape)``; holding the
+    tuple keeps its id from being reused while the entry lives, so a rebuilt
+    or patched part is a new tuple that misses, never a stale hit. A part
+    seen at its input shape costs one lookup, and a new one is summed from
+    its runs, looked up the same way, with a stage's blocks 2..n counted as
     ``num_blocks - 1`` times its block 2.
     """
+    if len(_EDGES) > _EDGE_TABLE_SIZE:
+        _EDGES.clear()
     shape = _start(input_shape)
     params_total = flops_total = 0
     for stage, part in parts:
-        totals = memo.get((id(part), shape))
+        totals = _EDGES.get((id(part), shape))
         if totals is None:
             further = stage.num_blocks - 1 if stage is not None else 0
-            totals = memo[id(part), shape] = _part_totals(part, shape, memo, further)
+            totals = _EDGES[id(part), shape] = _part_totals(part, shape, further)
         _, params, flops, shape = totals
         params_total += params
         flops_total += flops

@@ -21,8 +21,8 @@ builds every kind from its rows, and :func:`depth_from_blocks` counts them.
 
 Shortcut policy: a parametrized 1x1 projection (plus batch norm) is inserted
 exactly when a block changes its channel count. A block that only changes
-spatial resolution uses a parameter-free strided subsampling shortcut, which
-keeps the parameter count of every path to a given endpoint identical.
+spatial resolution uses a parameter-free strided subsampling shortcut, so
+no shortcut makes a path's parameter count depend on where it strides.
 
 The stem, the stages, the residual blocks and the head are memoized,
 each keyed (typed: a ``4.0`` never answers for a ``4``) on exactly the
@@ -36,17 +36,6 @@ blocks, so at worst (DF-ResNet182 at 120 widths) the memos hold 11 MiB,
 against 3 MiB for blocks alone. Specs from different builds share the
 memoized entries, which are frozen, so a spec's bytes, equality and counts
 do not depend on what was built before it.
-
-The rankings' edge table, ``analysis._EDGES``, maps a part or run and its
-input shape to its counts and holds the tuple itself, so it keeps alive
-parts that the memos have dropped. A ranking that finds it past
-``_EDGE_TABLE_SIZE`` (8,192) entries clears it whole first; one ranking
-adds at most 41 (every preset, with SE 4 or Res2Net 4, at T = 200 and 300).
-Traced on a 2-vCPU Xeon, an entry costs about 300 B while the memos hold
-its parts and at most 650 B when they do not (ResNet152 at 14 widths), so
-at worst the table holds 5.1 MiB beside the memos' 11 MiB. The
-benchmark's six sweep templates fill 3,079 entries (0.9 MiB); every preset
-and option fills 11,295 per duration, so a sweep over all of them clears it.
 """
 
 from __future__ import annotations
@@ -100,8 +89,6 @@ _MAIN = {
 _BLOCK_MEMO_SIZE = 1024
 _STAGE_MEMO_SIZE = 256
 _END_MEMO_SIZE = 64
-#: Most entries the rankings' edge table (``analysis._EDGES``) may carry into a ranking call.
-_EDGE_TABLE_SIZE = 8192
 
 
 class BuildError(ValueError):

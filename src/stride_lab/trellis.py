@@ -3,7 +3,9 @@
 The trellis's endpoints and paths live in :mod:`.strides`; this module
 groups the paths sharing an endpoint into a family, whose members have
 identical parameter counts but different FLOPs, depending on how early
-the downsampling happens, and ranks a family by those FLOPs.
+the downsampling happens, and ranks a family by those FLOPs. Except in
+DF-ResNet, where a stage-2 stride adds a conv: 24 of DF-ResNet182's 36
+families mix two counts, and ranking one raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -79,25 +81,22 @@ def rank_paths_by_flops(
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.
 
     The totals are ``count_flops``'s, summed over those parts (the stem,
-    stages and head of ``builder._parts``) through the edge table
-    ``analysis._EDGES``, which outlives the call (``analysis._parts_totals``):
-    a part seen at the same input shape, by this ranking or an earlier one,
-    reuses its counts, and a new stage is counted from its plumbing, its
-    first block and ``num_blocks - 1`` times its block 2, which it shares
-    with its stride variants that reach the same shape. A call that finds
-    the table past ``builder._EDGE_TABLE_SIZE`` entries clears it first.
+    stages and head of ``builder._parts``) by ``analysis._parts_totals``,
+    through the edge table that :mod:`.analysis` keeps across calls and
+    bounds: a part seen at the same input shape, by this ranking or an
+    earlier one, reuses its counts, and a new stage is counted from its
+    plumbing, its first block and ``num_blocks - 1`` times its block 2,
+    which it shares with its stride variants that reach the same shape.
     """
-    from .analysis import _EDGES, _parts_totals
-    from .builder import _EDGE_TABLE_SIZE, build, request_from_spec
+    from .analysis import _parts_totals
+    from .builder import build, request_from_spec
 
-    if len(_EDGES) > _EDGE_TABLE_SIZE:
-        _EDGES.clear()
     rows = []
     params_seen: set[int] = set()
     for path in family.paths:
         req = request_from_spec(spec_template, path=path)
         build(req)
-        params, flops = _parts_totals(req._elaborated, input_shape, _EDGES)
+        params, flops = _parts_totals(req._elaborated, input_shape)
         params_seen.add(params)
         rows.append((-flops, path.label, path, params))
     if len(params_seen) > 1:

@@ -5,7 +5,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from stride_lab import analysis
 from stride_lab.builder import build, make_request
+
+
+@pytest.fixture
+def fresh_edges(monkeypatch):
+    """An empty edge table (``analysis._EDGES``) for one test, so what the
+    test walks does not depend on the tests run before it."""
+    monkeypatch.setattr(analysis, "_EDGES", {})
 
 
 @pytest.fixture(scope="session")

@@ -395,9 +395,9 @@ def test_head_size_and_walked_params_match_the_trace(req, time):
     assert walked.params_by_layer == count_params(spec).params_by_layer
 
 
-#: One memo shared by every example of the property below, as a ranking
-#: shares one across the paths it counts.
-_SHARED_MEMO: dict = {}
+#: One edge table shared by every example of the property below, as the
+#: rankings share ``analysis._EDGES`` across the paths they count.
+_SHARED_EDGES: dict = {}
 
 
 @given(req=preset_requests(), half_time=st.integers(0, 20))
@@ -412,8 +412,10 @@ def test_parts_compose_the_build_and_count_as_it(req, half_time):
     assert spec.stages == tuple(stage for stage, _ in parts if stage is not None)
     shape = TensorShape(1, req.input_freq_bins, 2 * half_time + 1)
     count = count_flops(spec, shape)
-    for memo in ({}, _SHARED_MEMO):
-        assert analysis._parts_totals(parts, shape, memo) == (count.params_total, count.flops_total)
+    for edges in ({}, _SHARED_EDGES):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(analysis, "_EDGES", edges)
+            assert analysis._parts_totals(parts, shape) == (count.params_total, count.flops_total)
 
 
 def _label(family, depth, path):
@@ -465,6 +467,7 @@ def _memo_states():
     return [(memo.cache_info().currsize, memo.cache_info().misses) for memo in _MEMOS]
 
 
+@pytest.mark.usefixtures("fresh_edges")
 class TestBlockMemo:
     def test_specs_are_byte_identical_after_every_path_was_built(self):
         _clear_memos()
@@ -548,11 +551,10 @@ class TestBlockMemo:
             return plain(run, shape)
 
         monkeypatch.setattr(analysis, "_run_totals", recording)
-        memo = {}
-        analysis._parts_totals(builder_module._parts(a), TensorShape(1, 80, 300), memo)
+        analysis._parts_totals(builder_module._parts(a), TensorShape(1, 80, 300))
         assert None in walked
         walked.clear()
-        totals = analysis._parts_totals(builder_module._parts(b), TensorShape(1, 80, 300), memo)
+        totals = analysis._parts_totals(builder_module._parts(b), TensorShape(1, 80, 300))
         count = count_flops(build(b), TensorShape(1, 80, 300))
         assert totals == (count.params_total, count.flops_total)
         assert walked and None not in walked

@@ -4,8 +4,8 @@ one digest.
 
 The rows are counted as ``rank_paths_by_flops`` counts them: each path's
 request is made from its template through ``request_from_spec``, built, and
-counted over the builder's parts by ``analysis._parts_totals``, with one
-memo per endpoint family. The
+counted over the builder's parts by ``analysis._parts_totals``, through
+the edge table the rankings share, emptied for the test. The
 digest was made from the memo-free oracle (``build`` + ``count_params`` +
 ``count_flops`` per path, :func:`oracle_rows`), so a change to how a path is
 built or counted that moves any integer fails here, and the failure names
@@ -63,11 +63,10 @@ def _template_rows(count_path):
 
 
 def memo_rows():
-    """The rows as the ranking counts them: one memo per family."""
+    """The rows as the ranking counts them, through the edge table."""
 
     def count_path():
-        memo = {}
-        return lambda req, spec: [_parts_totals(_parts(req), shape, memo) for shape in SHAPES]
+        return lambda req, spec: [_parts_totals(_parts(req), shape) for shape in SHAPES]
 
     return _template_rows(count_path)
 
@@ -87,7 +86,7 @@ def _digest(rows):
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-def test_stride_space_digest():
+def test_stride_space_digest(fresh_edges):
     rows = memo_rows()
     if _digest(rows) != STRIDE_SPACE_DIGEST:
         oracle = oracle_rows()

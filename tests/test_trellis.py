@@ -225,6 +225,7 @@ def _count_flops_totals(spec, shape):
     return report.params_total, report.flops_total
 
 
+@pytest.mark.usefixtures("fresh_edges")
 class TestBlockMemoExactness:
     """The block-count memo of a ranking gives exactly the totals of a whole
     ``count_flops`` per path."""
@@ -260,12 +261,11 @@ class TestBlockMemoExactness:
                 rank(enumerate_paths(TrellisEndpoint(32, 1)), TensorShape(1, 80, 21), template)
 
     def test_one_memo_serves_two_input_shapes(self, mod34):
-        memo = {}
         shapes = (TensorShape(1, 80, 200), INPUT_3S, TensorShape(1, 80, 200))
         for shape in shapes:
             parts = _parts(request_from_spec(mod34))
-            assert _parts_totals(parts, shape, memo) == _count_flops_totals(mod34, shape)
-        assert {key[1] for key in memo} >= {(64, 40, 100), (64, 40, 150)}
+            assert _parts_totals(parts, shape) == _count_flops_totals(mod34, shape)
+        assert {key[1] for key in analysis._EDGES} >= {(64, 40, 100), (64, 40, 150)}
 
 
 #: What ranking SD-ResNet38 (32, 1) at 80x21 raises once its downsampling
@@ -306,6 +306,7 @@ def _recording_run_totals(monkeypatch):
     return walked
 
 
+@pytest.mark.usefixtures("fresh_edges")
 class TestStageMemo:
     """A ranking counts a path over the builder's parts: a stage seen at its
     input shape costs one memo lookup, and only a stage met for the first
@@ -319,17 +320,16 @@ class TestStageMemo:
         third = TrellisPath.from_lists((1, 2, 2, 2, 1), (1, 2, 1, 2, 2))
         reqs = [request_from_spec(mod34, path=p) for p in (first, second, third)]
         walked = _recording_run_totals(monkeypatch)
-        memo = {}
         for req in reqs[:2]:
-            assert _parts_totals(_parts(req), INPUT_3S, memo) == _count_flops_totals(build(req), INPUT_3S)
+            assert _parts_totals(_parts(req), INPUT_3S) == _count_flops_totals(build(req), INPUT_3S)
         assert walked
         walked.clear()
 
-        def no_part_walk(part, shape, memo):
+        def no_part_walk(part, shape, further):
             raise AssertionError(f"part of {part[0][0].layer.name} counted again")
 
         monkeypatch.setattr(analysis, "_part_totals", no_part_walk)
-        totals = _parts_totals(_parts(reqs[2]), INPUT_3S, memo)
+        totals = _parts_totals(_parts(reqs[2]), INPUT_3S)
         assert totals == _count_flops_totals(build(reqs[2]), INPUT_3S)
         assert walked == []
 
@@ -340,23 +340,22 @@ class TestStageMemo:
         first = TrellisPath.from_lists((1, 2, 1, 1, 1), (1, 1, 2, 1, 1))
         second = TrellisPath.from_lists((1, 1, 2, 1, 1), (1, 2, 1, 1, 1))
         reqs = [request_from_spec(mod34, path=p) for p in (first, second)]
-        memo = {}
-        assert _parts_totals(_parts(reqs[0]), INPUT_3S, memo) == _count_flops_totals(build(reqs[0]), INPUT_3S)
+        assert _parts_totals(_parts(reqs[0]), INPUT_3S) == _count_flops_totals(build(reqs[0]), INPUT_3S)
         walked = _recording_run_totals(monkeypatch)
-        assert _parts_totals(_parts(reqs[1]), INPUT_3S, memo) == _count_flops_totals(build(reqs[1]), INPUT_3S)
+        assert _parts_totals(_parts(reqs[1]), INPUT_3S) == _count_flops_totals(build(reqs[1]), INPUT_3S)
         assert [name for name in walked if name.startswith("stage3.")] == ["stage3.block1.conv1"]
 
 
+@pytest.mark.usefixtures("fresh_edges")
 class TestAffineStage:
     """A new stage is counted from its plumbing, its first block and one
     further block, which stands for all ``num_blocks - 1`` of them."""
 
     def test_ranking_walks_one_further_block_per_stage_and_shape(self, monkeypatch):
-        # As in a fresh process: the edge table outlives a ranking call, and
-        # a stage memoized before the block memo evicted its blocks holds
-        # other block tuples than a variant built after, so earlier tests'
-        # builds could make block 2 walk twice at one shape.
-        analysis._EDGES.clear()
+        # As in a fresh process (the edge table is too, by the fixture): a
+        # stage memoized before the block memo evicted its blocks holds other
+        # block tuples than a variant built after, so earlier tests' builds
+        # could make block 2 walk twice at one shape.
         for memo in (builder._block, builder._stage, builder._stem, builder._head):
             memo.cache_clear()
         template = build(make_request("df_resnet", 182, path="MOD"))
@@ -388,7 +387,7 @@ class TestAffineStage:
         monkeypatch.setattr(builder, "_stage", striding_stage)
         walked = _recording_run_totals(monkeypatch)
         req = request_from_spec(mod34)
-        totals = _parts_totals(_parts(req), INPUT_3S, {})
+        totals = _parts_totals(_parts(req), INPUT_3S)
         assert totals == _count_flops_totals(build(req), INPUT_3S)
         assert sum(name.startswith("stage4.") for name in walked) == 6
 
@@ -421,13 +420,13 @@ def _ranking_calls(draw):
     return template, enumerate_paths(endpoint), TensorShape(1, 80, frames)
 
 
+@pytest.mark.usefixtures("fresh_edges")
 class TestEdgeTable:
     """The rankings share one edge table, ``analysis._EDGES``, across calls:
     a part or run walked at a shape by one ranking is a lookup for every
     later one, and a rebuilt part is a new tuple that misses."""
 
     def test_a_second_ranking_of_a_family_walks_no_run(self, mod34, monkeypatch):
-        analysis._EDGES.clear()
         family = enumerate_paths(TrellisEndpoint(4, 8))
         first = rank_paths_by_flops(family, INPUT_3S, mod34)
         walked = _recording_run_totals(monkeypatch)
@@ -442,10 +441,10 @@ class TestEdgeTable:
         with pytest.raises(ShapeUnderflowError, match=re.escape(UNDERFLOW)):
             rank_paths_by_flops(family, shape, template)
 
-    @pytest.mark.parametrize("bound", [builder._EDGE_TABLE_SIZE, 8])
+    @pytest.mark.parametrize("bound", [analysis._EDGE_TABLE_SIZE, 8])
     def test_interleaved_rankings_rank_as_the_oracle(self, bound, monkeypatch):
-        # At a bound of 8 nearly every call clears the table first.
-        monkeypatch.setattr(builder, "_EDGE_TABLE_SIZE", bound)
+        # At a bound of 8 nearly every path's count clears the table first.
+        monkeypatch.setattr(analysis, "_EDGE_TABLE_SIZE", bound)
 
         @settings(max_examples=30, deadline=None)
         @given(st.lists(_ranking_calls(), min_size=1, max_size=3))
@@ -453,14 +452,14 @@ class TestEdgeTable:
             for template, family, shape in calls:
                 got = _ranking_outcome(lambda *a: _rows(rank_paths_by_flops(*a)), family, shape, template)
                 assert got == _ranking_outcome(rank_rows_by_count_flops, family, shape, template)
-            one_call = {}
-            for path in family.paths:
-                _parts_totals(_parts(request_from_spec(template, path=path)), shape, one_call)
-            assert len(analysis._EDGES) <= bound + len(one_call)
+                # A path adds at most 20 entries: its 6 parts and 14 runs (stem,
+                # head, and per stage its plumbing and blocks 1 and 2).
+                assert len(analysis._EDGES) <= bound + 20
 
         rank_interleaved()
 
 
+@pytest.mark.usefixtures("fresh_edges")
 class TestOneElaboration:
     """A ranking elaborates each path's parts once, on its request, and
     both ``build`` and the count read them."""
@@ -480,7 +479,7 @@ class TestOneElaboration:
     def test_a_request_whose_parts_were_read_builds_as_a_fresh_one(self, mod34):
         for path in enumerate_paths(TrellisEndpoint(4, 8)).paths[:5]:
             read = request_from_spec(mod34, path=path)
-            _parts_totals(read._elaborated, INPUT_3S, {})
+            _parts_totals(read._elaborated, INPUT_3S)
             assert build(read) == build(request_from_spec(mod34, path=path))
 
 
