@@ -21,13 +21,18 @@ layer for layer.
 The walk may start at any block boundary from a given map, and it
 returns the shape it ends at. A run's counts and output shape depend only
 on its entries and its input shape, whether the run is a residual block or
-the stem, max pool, downsampling conv or head between blocks. So a trellis
-ranking (:func:`~stride_lab.trellis.rank_paths_by_flops`) sums the
-builder's own parts (``builder._parts``: the stem, four stages and the
-head, each a tuple of runs) through one table, ``_EDGES``, keyed by the
-part or run and its input shape, that outlives the call: a part seen
-before at its shape, by this ranking or an earlier one, costs one lookup,
-and only a new part is summed run by run.
+the stem, max pool, downsampling conv or head between blocks, and so do a
+part's. So a trellis ranking
+(:func:`~stride_lab.trellis.rank_paths_by_flops`) sums the builder's own
+parts (``builder._parts``: the stem, four stages and the head, each a
+tuple of runs) through one table, ``_EDGES``, keyed by the part and its
+input shape, that outlives the call. Its entries are the edges of the
+stride trellis with their exact costs: a template's 1024 paths at one
+duration pass through 256 of them, 4 stems, 4 stride pairs from each of
+the 4, 9, 16 and 25 shapes stages 2..5 start at, and 36 heads (fewer when
+ceiling shapes coincide, at F or T <= 16). A part seen at its shape, by this
+ranking or an earlier one, costs one lookup, and only a new part is
+walked, run by run.
 A stage's cost is affine in its block count, since blocks 2..n share one
 configuration and one input shape: a new stage walks its plumbing, its
 first block and its block 2, and counts block 2 ``num_blocks - 1`` times
@@ -35,17 +40,15 @@ once block 2 is seen to end at the shape it started from.
 A single ``count_flops`` walks the whole spec in one pass and keeps
 nothing.
 
-This module owns the table. Each value holds the tuple it keys, keeping
+This module owns the table. Each value holds the part it keys, keeping
 alive parts the builder's memos have dropped. ``_parts_totals`` clears the
-table whole when it finds it past ``_EDGE_TABLE_SIZE`` (8,192) entries,
-before it counts a path; one path adds at most 20 (one cold ranking up to
-178: every preset, plain, with SE 4 and Res2Net 4, at T = 200 and 300), so
-it never holds more than 8,212. Traced on a 2-vCPU Xeon, an entry costs
-about 300 B while the memos hold its parts and at most 650 B when they do
-not (ResNet152 at 14 widths): at worst 5.1 MiB beside the memos' 11 MiB.
-The benchmark's six sweep templates fill 3,079 entries (0.9 MiB); every
-preset and option fills 11,295 per duration, so a sweep over all of them
-clears it.
+table whole when it finds it past ``_EDGE_TABLE_SIZE`` (8,192 entries, 32
+template-durations) before it counts a path; one path adds at most 6, so
+it never holds more than 8,198. Traced on a 2-vCPU Xeon, an entry costs
+210-320 B while the memos hold its part and about 1.2 KB when they do not
+(ResNet152 and DF-ResNet182 at 32 widths, memos cleared): at worst 9.3 MiB
+beside the memos' 11 MiB. The benchmark's six sweep templates fill 1,236
+entries (0.4 MiB); every preset and option fills 5,940 per duration.
 """
 
 from __future__ import annotations
@@ -367,15 +370,15 @@ def count_flops(spec: ModelSpec, input_shape: TensorShape) -> ComplexityReport:
 
 
 def _run_totals(run: tuple[LayerEntry, ...], shape: tuple[int, ...]) -> tuple:
-    """``(run, params, MACs, out shape)`` of one run walked from ``shape``."""
+    """``(params, MACs, out shape)`` of one run walked from ``shape``."""
     records, out = _walk(run, shape)
-    return (run, sum(rule.params(layer) for layer, rule, _, _ in records),
+    return (sum(rule.params(layer) for layer, rule, _, _ in records),
             sum(rule.flops(layer, out_shape) for layer, rule, _, out_shape in records), out)
 
 
 def _part_totals(part: tuple, shape: tuple[int, ...], further: int) -> tuple:
     """``(part, params, MACs, out shape)`` of one part walked from ``shape``,
-    run by run, each run looked up in ``_EDGES`` and walked only on a miss.
+    run by run.
 
     The last ``further`` runs are a stage's blocks 2..n, which
     ``builder._stage`` elaborates from the same arguments but their index.
@@ -386,10 +389,7 @@ def _part_totals(part: tuple, shape: tuple[int, ...], further: int) -> tuple:
     params = flops = 0
     first_further = len(part) - further
     for i, run in enumerate(part):
-        totals = _EDGES.get((id(run), shape))
-        if totals is None:
-            totals = _EDGES[id(run), shape] = _run_totals(run, shape)
-        _, run_params, run_flops, out = totals
+        run_params, run_flops, out = _run_totals(run, shape)
         if i == first_further and out == shape:
             return part, params + further * run_params, flops + further * run_flops, out
         params += run_params
@@ -408,13 +408,12 @@ def _parts_totals(parts, input_shape: TensorShape) -> tuple[int, int]:
     that ``builder.build`` concatenates from ``parts``, the pairs that
     ``builder._parts`` yields.
 
-    ``_EDGES``, cleared first if past its bound, maps ``(id(part or run),
-    in shape)`` to ``(that tuple, params, MACs, out shape)``; holding the
-    tuple keeps its id from being reused while the entry lives, so a rebuilt
-    or patched part is a new tuple that misses, never a stale hit. A part
-    seen at its input shape costs one lookup, and a new one is summed from
-    its runs, looked up the same way, with a stage's blocks 2..n counted as
-    ``num_blocks - 1`` times its block 2.
+    ``_EDGES``, cleared first if past its bound, maps a trellis edge,
+    ``(id(part), in shape)``, to ``(part, params, MACs, out shape)``;
+    holding the part keeps its id from being reused while the entry lives,
+    so a rebuilt or patched part is a new tuple that misses, never a stale
+    hit. A part seen at its input shape costs one lookup, and a new one is
+    walked by :func:`_part_totals`.
     """
     if len(_EDGES) > _EDGE_TABLE_SIZE:
         _EDGES.clear()

@@ -304,8 +304,8 @@ def _stage(kind: BlockKind, stage: int, num_blocks: int, in_ch: int, width: int,
 
     Blocks 2..n come from identical :func:`_block` arguments except their
     index: ``out_ch`` in and out and a unit stride. So their counts are
-    equal, and a ranking counts block 2 for all ``num_blocks - 1`` of them
-    (``analysis._part_totals``)."""
+    equal: a ranking walks a new stage part's plumbing, block 1 and block
+    2, which stands for all ``num_blocks - 1`` (``analysis._part_totals``)."""
     plumbing: list[LayerEntry] = []
     stride = path_stride
     if original and stage == 2:

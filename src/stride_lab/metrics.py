@@ -267,9 +267,7 @@ def compute_eer(trials: TrialScoreSet) -> tuple[float, float]:
     """(equal error rate as a fraction, threshold where it occurs)."""
     thresholds, far, frr = operating_points(trials)
     diff = far - frr
-    cross = int(np.argmax(diff <= 0))
-    if cross == 0:
-        return float(frr[0]), float(thresholds[0])
+    cross = int(np.argmax(diff <= 0))  # diff runs from 1 (accept all) to -1 (reject all): cross >= 1
     d_prev, d_next = diff[cross - 1], diff[cross]
     t = d_prev / (d_prev - d_next)
     eer = frr[cross - 1] + t * (frr[cross] - frr[cross - 1])

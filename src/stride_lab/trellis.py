@@ -83,10 +83,11 @@ def rank_paths_by_flops(
     The totals are ``count_flops``'s, summed over those parts (the stem,
     stages and head of ``builder._parts``) by ``analysis._parts_totals``,
     through the edge table that :mod:`.analysis` keeps across calls and
-    bounds: a part seen at the same input shape, by this ranking or an
-    earlier one, reuses its counts, and a new stage is counted from its
-    plumbing, its first block and ``num_blocks - 1`` times its block 2,
-    which it shares with its stride variants that reach the same shape.
+    bounds, one entry per trellis edge, ``(part, input shape)``: 256 for
+    all 36 families of a template at one duration, at most 6 per path. A
+    part seen at the same input shape, by this ranking or an earlier one,
+    reuses its counts, and a new stage is counted from its plumbing, its
+    first block and ``num_blocks - 1`` times its block 2.
     """
     from .analysis import _parts_totals
     from .builder import build, request_from_spec

@@ -148,6 +148,12 @@ class TestBuildValidation:
         with pytest.raises(BuildError):
             build(make_request("df_resnet", 182, path="T14c"))
 
+    def test_three_block_counts_are_refused(self):
+        req = dataclasses.replace(make_request("modified_resnet", 34), block_counts=(3, 4, 6))
+        with pytest.raises(BuildError) as info:
+            build(req)
+        assert str(info.value) == "expected 4 per-stage block counts, got (3, 4, 6)"
+
     def test_gemini_requires_golden_endpoint(self):
         with pytest.raises(BuildError):
             build(make_request("gemini_resnet", 34, path="MOD"))
@@ -632,6 +638,23 @@ class TestIntegerGate:
             Conv2d("conv", True, 4, (3, 3))
         with pytest.raises(ValueError, match="stride components must be 1 or 2, got 2.0"):
             StridePair(2.0, 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Conv2d("c", 3, 4, (1, 1), groups=2), "channels (3 -> 4) must be divisible by groups (2)"),
+    (lambda: Conv2d("c", 3, 4, (0, 1)), "kernel and dilation components must be >= 1"),
+    (lambda: Conv2d("c", 3, 4, (1, 1), padding=(-1, 0)), "padding components must be >= 0"),
+    (lambda: SqueezeExcite("se", 8, 0), "reduction ratio must be >= 1"),
+    (lambda: SqueezeExcite("se", 8, 3), "channels (8) must be divisible by reduction (3)"),
+    (lambda: Res2NetConv("r2n", 8, 1), "res2net scale must be >= 2"),
+    (lambda: Res2NetConv("r2n", 10, 4), "channels (10) must split evenly into scale (4)"),
+], ids=["conv-groups", "conv-kernel", "conv-padding", "se-reduction", "se-divides",
+        "res2net-scale", "res2net-divides"])
+def test_layer_constructor_refusals(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 def _templates():

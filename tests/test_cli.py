@@ -124,6 +124,20 @@ class TestAnalyze:
         assert "(9.20 M)" in out
         assert "(8.03 G)" in out and "(12.04 G)" in out
 
+    def test_original_recipe_off_its_path_prints_a_note(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "original-resnet", "34", "--path", "MOD")
+        assert code == 0
+        assert out.splitlines()[-1] == "note        non_canonical_path_for_original_family"
+
+    def test_json_per_layer_keys(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "resnet", "34", "--json", "--per-layer")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["index", "family", "depth", "params_total", "flops",
+                             "params_by_layer", "flops_by_layer_3s"]
+        assert doc["params_by_layer"][0] == ["stem.conv", 288]
+        assert doc["flops_by_layer_3s"][0] == ["stem.conv", 6912000]
+
     def test_compare_against_baseline(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "resnet", "34", "--path", "MOD", "--compare", "T14c"
@@ -464,6 +478,12 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("ok") >= 2
 
+    def test_all_catalog_configs_in_process(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--all-catalog-configs", "--frames", "40")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["ok", name] for name in CATALOG_NAMES]
+
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--frames", "48", "--json")
         assert code == 0
@@ -792,6 +812,12 @@ class TestRenderCommand:
         code, out, _ = run_cli(capsys, "render", "--highlight", "T14c,T23")
         assert code == 0
         assert 'tooltip="T14c"' in out and 'tooltip="T23"' in out
+
+    def test_render_highlight_bytes_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "render", "--highlight", "T14c,T23")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "994ea9d8c0e81f885111063ab7b51f95094587d5d0c5277c76c68403b8903a90")
 
 
 class TestSeedEnvOverride:

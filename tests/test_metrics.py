@@ -40,6 +40,12 @@ class TestTrialScoreSet:
         with pytest.raises(ValueError):
             TrialScoreSet(trials=((0.5, True), (0.7, True)))
 
+    def test_pairs_refuse_a_nan_score(self):
+        with pytest.raises(ValueError) as info:
+            TrialScoreSet([(float("nan"), True), (0.0, False)])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "scores must be finite"
+
     @pytest.mark.parametrize("pairs, index", [
         ([(0.5, "nontarget"), (0.1, True)], 0),
         ([("0.5", True), (0.1, False)], 0),

@@ -967,6 +967,14 @@ class TestGradcheck:
         report = gradcheck_conv(layer)
         assert report.passed, report.failures
 
+    def test_zero_tolerance_names_both_gradients(self):
+        report = gradcheck_conv(Conv2d("c", 2, 2, (3, 3), padding=(1, 1)), tolerance=0.0)
+        assert not report.passed
+        assert report.failures == (
+            f"weight gradient rel err {report.max_rel_error_weights:.3e} > 0.0e+00",
+            f"input gradient rel err {report.max_rel_error_input:.3e} > 0.0e+00",
+        )
+
     def test_backward_rejects_bad_grad_shape(self):
         layer = Conv2d("c", 2, 2, (3, 3), padding=(1, 1))
         x = np.zeros((1, 2, 5, 5))
@@ -980,6 +988,55 @@ class TestGradcheck:
         strided = [r for r in reports if not r.layer.stride.is_unit()]
         depthwise = [r for r in reports if r.layer.groups > 1]
         assert strided and depthwise
+
+
+@dataclasses.dataclass(frozen=True)
+class _Dropout:
+    """A layer type the kernel has no rule for."""
+
+    name: str
+
+
+class TestRefusalTexts:
+    """Each refusal of the kernel's own shape checks, with its exact text."""
+
+    @staticmethod
+    def refusal(fn, *args):
+        with pytest.raises(KernelError) as err:
+            fn(*args)
+        return str(err.value)
+
+    def test_run_model_refuses_a_3d_tensor(self):
+        assert self.refusal(run_model, small_spec(), np.zeros((1, 16, 40))) == (
+            "run_model: expected a (batch, channels, freq, time) tensor, got (1, 16, 40)")
+
+    def test_run_model_refuses_two_channels(self):
+        assert self.refusal(run_model, small_spec(), np.zeros((1, 2, 16, 40))) == (
+            "backbones take single-channel spectrogram input")
+
+    def test_fully_connected_refuses_another_input_dim(self):
+        layer = FullyConnected("fc", 8, 3)
+        assert self.refusal(fully_connected_forward, np.zeros((2, 4)), layer, np.zeros((3, 8)), None) == (
+            "fc: expected (batch, 8) input, got (2, 4)")
+
+    def test_squeeze_excite_refuses_other_channels(self):
+        x = np.zeros((1, 4, 3, 3))
+        assert self.refusal(squeeze_excite_forward, x, SqueezeExcite("se", 8, 4), {}) == "se: channel mismatch"
+
+    def test_res2net_refuses_other_channels(self):
+        x = np.zeros((1, 4, 3, 3))
+        assert self.refusal(res2net_forward, x, Res2NetConv("r2n", 8, 4), {}) == "r2n: channel mismatch"
+
+    def test_a_layer_with_no_kernel_rule(self):
+        block = hand_block([_Dropout("b.drop")])
+        assert self.refusal(run_block, block, np.zeros((1, 3, 5, 6)), {}) == "cannot execute layer _Dropout"
+
+    def test_branch_and_shortcut_that_do_not_meet(self):
+        # The branch halves both axes; an identity shortcut keeps them.
+        conv = Conv2d("b.conv", 3, 3, (1, 1), stride=StridePair(2, 2))
+        weights = {"b.conv": {"w": np.zeros((3, 3, 1, 1))}}
+        assert self.refusal(run_block, hand_block([conv]), np.zeros((1, 3, 5, 6)), weights) == (
+            "b.add: branch (1, 3, 3, 3) != shortcut (1, 3, 5, 6)")
 
 
 class TestSeedRange:

@@ -111,6 +111,11 @@ class TestModelJson:
             loaded = model_from_json(model_to_json(spec))
             assert loaded == spec
 
+    def test_a_document_that_is_not_an_object(self):
+        with pytest.raises(SpecFormatError) as info:
+            model_from_json("[]")
+        assert str(info.value) == "spec document must be a JSON object"
+
     def test_round_trip_preserves_analysis(self, gemini34):
         loaded = model_from_json(model_to_json(gemini34))
         shape = TensorShape(1, 80, 300)
@@ -437,7 +442,20 @@ class TestTableCsv:
         assert line == "T14c,time_priority,2,16,1-1-2-1-1,1-2-2-2-2,5.98,4.35,6.52,yes"
 
 
+#: sha256 of ``trellis_dot`` output: the diagram is an output format, so an
+#: overlay or annotation added later must leave these bytes as they are.
+DOT_DIGESTS = {
+    (): "87afe677adab23f6dcf1eb9abf8ce49c19b51ef9888020847a8cf5bd91fc7999",
+    ("T14", "T14b", "T14c", "T14d"): "c16b8c2cc771c29bb9f0bbf88e73aa4471186f7c850d297b058e6985ebd2b1da",
+}
+
+
 class TestTrellisDot:
+    @pytest.mark.parametrize("names", sorted(DOT_DIGESTS))
+    def test_dot_bytes_unchanged(self, names):
+        dot = trellis_dot(paths=tuple(resolve_name(name) for name in names))
+        assert hashlib.sha256(dot.encode()).hexdigest() == DOT_DIGESTS[names]
+
     def test_grid_has_36_nodes(self):
         dot = trellis_dot()
         assert dot.count('pos="') == 36

@@ -81,6 +81,11 @@ class TestTrellisPath:
         with pytest.raises(ValueError):
             TrellisPath(steps=tuple(StridePair(1, 1) for _ in range(4)))
 
+    def test_requires_stride_pair_steps(self):
+        with pytest.raises(TypeError) as info:
+            TrellisPath(steps=(1, 1, 1, 1, 1))
+        assert str(info.value) == "path steps must be StridePair values"
+
     def test_from_lists_round_trip(self):
         path = TrellisPath.from_lists([1, 1, 2, 1, 1], [1, 2, 2, 2, 2])
         assert path.time_strides == (1, 1, 2, 1, 1)
@@ -198,6 +203,11 @@ class TestCanonicalName:
     def test_resolve_refuses_with_a_typed_error(self, name, message):
         with pytest.raises(UnknownConfigError, match=re.escape(message)):
             resolve_name(name)
+
+    def test_resolve_refuses_a_suffix_past_the_family(self):
+        with pytest.raises(UnknownConfigError) as info:
+            resolve_name("T14z")
+        assert str(info.value) == "'T14z': endpoint (2, 16) has only 25 paths"
 
     def test_resolve_rejects_wrong_class_prefix(self):
         # (2, 16) is time-priority, so an F name cannot point at it.

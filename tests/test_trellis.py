@@ -333,17 +333,19 @@ class TestStageMemo:
         assert totals == _count_flops_totals(build(reqs[2]), INPUT_3S)
         assert walked == []
 
-    def test_a_new_stage_walks_only_the_blocks_not_seen_at_their_shape(self, mod34, monkeypatch):
+    def test_a_new_stage_walks_its_first_block_and_one_further_block(self, mod34, monkeypatch):
         # Both paths reach (2, 2) after stage 3's first block, by strides
-        # swapped between stages 2 and 3: stage 3's blocks 2..4 are the same
-        # tuples at the same shape, its first block is new.
+        # swapped between stages 2 and 3. Stage 3 is a new part at its input
+        # shape, so it walks its first block and block 2, which stands for
+        # blocks 2..4, though block 2 was walked at that shape before.
         first = TrellisPath.from_lists((1, 2, 1, 1, 1), (1, 1, 2, 1, 1))
         second = TrellisPath.from_lists((1, 1, 2, 1, 1), (1, 2, 1, 1, 1))
         reqs = [request_from_spec(mod34, path=p) for p in (first, second)]
         assert _parts_totals(_parts(reqs[0]), INPUT_3S) == _count_flops_totals(build(reqs[0]), INPUT_3S)
         walked = _recording_run_totals(monkeypatch)
         assert _parts_totals(_parts(reqs[1]), INPUT_3S) == _count_flops_totals(build(reqs[1]), INPUT_3S)
-        assert [name for name in walked if name.startswith("stage3.")] == ["stage3.block1.conv1"]
+        assert [name for name in walked if name.startswith("stage3.")] == [
+            "stage3.block1.conv1", "stage3.block2.conv1"]
 
 
 @pytest.mark.usefixtures("fresh_edges")
@@ -352,26 +354,29 @@ class TestAffineStage:
     further block, which stands for all ``num_blocks - 1`` of them."""
 
     def test_ranking_walks_one_further_block_per_stage_and_shape(self, monkeypatch):
-        # As in a fresh process (the edge table is too, by the fixture): a
-        # stage memoized before the block memo evicted its blocks holds other
-        # block tuples than a variant built after, so earlier tests' builds
-        # could make block 2 walk twice at one shape.
-        for memo in (builder._block, builder._stage, builder._stem, builder._head):
-            memo.cache_clear()
+        # Each (stage part, input shape) is walked once, whatever blocks the
+        # builder's memos still hold, and walks one block 2 per block 1.
         template = build(make_request("df_resnet", 182, path="MOD"))
-        walked = []
-        plain = analysis._run_totals
+        parts, blocks = [], Counter()
+        plain_part, plain_run = analysis._part_totals, analysis._run_totals
 
-        def recording(run, shape):
-            walked.append((run[0].stage, run[0].block, shape))
-            return plain(run, shape)
+        def recording_part(part, shape, further):
+            parts.append((part, shape))
+            return plain_part(part, shape, further)
 
-        monkeypatch.setattr(analysis, "_run_totals", recording)
+        def recording_run(run, shape):
+            blocks[run[0].stage, run[0].block] += 1
+            return plain_run(run, shape)
+
+        monkeypatch.setattr(analysis, "_part_totals", recording_part)
+        monkeypatch.setattr(analysis, "_run_totals", recording_run)
         ranked = rank_paths_by_flops(enumerate_paths(TrellisEndpoint(8, 32)), INPUT_3S, template)
         assert len(ranked) == 10
-        further = Counter((stage, shape) for stage, block, shape in walked if block and block > 1)
-        assert {stage for stage, _ in further} == {2, 3, 4, 5}
-        assert set(further.values()) == {1}
+        assert set(Counter(parts).values()) == {1}
+        stage_walks = Counter(part[0][0].stage for part, _ in parts)
+        assert {(stage, block) for stage, block in blocks if block} == {
+            (stage, block) for stage in (2, 3, 4, 5) for block in (1, 2)}
+        assert all(blocks[stage, 1] == blocks[stage, 2] == stage_walks[stage] for stage in (2, 3, 4, 5))
 
     def test_further_blocks_that_change_their_shape_are_walked_run_by_run(self, mod34, monkeypatch):
         # Blocks 2..n rebuilt to halve T: block 2 no longer ends at its own
@@ -420,11 +425,43 @@ def _ranking_calls(draw):
     return template, enumerate_paths(endpoint), TensorShape(1, 80, frames)
 
 
+#: Plain, SE and Res2Net presets of every family, the original recipe's
+#: max pool and DF-ResNet's downsampling convs among them.
+TRELLIS_TEMPLATE_IDS = ("resnet34-se4", "resnet18-res2net4", "resnet50-se4", "ori34-res2net4",
+                        "sd22-res2net4", "gemini101-se8", "df113")
+TRELLIS_TEMPLATES = tuple(build(make_request(family, depth, path=path, **options)) for family, depth, path, options in (
+    ("modified_resnet", 34, "MOD", {"se_reduction": 4}),
+    ("modified_resnet", 18, "MOD", {"res2net_scale": 4}),
+    ("modified_resnet", 50, "MOD", {"se_reduction": 4}),
+    ("original_resnet", 34, "ORI", {"res2net_scale": 4}),
+    ("sd_resnet", 22, "MOD", {"res2net_scale": 4}),
+    ("gemini_resnet", 101, "T14c", {"se_reduction": 8}),
+    ("df_resnet", 113, "MOD", {}),
+))
+
+
+def _rank_every_endpoint(template, shape):
+    """Rank all 36 endpoint families of ``template`` (DF-ResNet's 24 mixed
+    families raise their ``AssertionError`` after counting every path)."""
+    for endpoint in enumerate_endpoints():
+        _ranking_outcome(rank_paths_by_flops, enumerate_paths(endpoint), shape, template)
+
+
+def _path_edges(req, shape):
+    """``(edge table key, part)`` of each part a counted request passes through."""
+    shape = analysis._start(shape)
+    for _, part in req._elaborated:
+        key = (id(part), shape)
+        yield key, part
+        shape = analysis._EDGES[key][3]
+
+
 @pytest.mark.usefixtures("fresh_edges")
 class TestEdgeTable:
     """The rankings share one edge table, ``analysis._EDGES``, across calls:
-    a part or run walked at a shape by one ranking is a lookup for every
-    later one, and a rebuilt part is a new tuple that misses."""
+    a part walked at a shape by one ranking is a lookup for every later one,
+    and a rebuilt part is a new tuple that misses. Its entries are the
+    trellis's edges, one per (part, input shape), each with its exact cost."""
 
     def test_a_second_ranking_of_a_family_walks_no_run(self, mod34, monkeypatch):
         family = enumerate_paths(TrellisEndpoint(4, 8))
@@ -452,11 +489,46 @@ class TestEdgeTable:
             for template, family, shape in calls:
                 got = _ranking_outcome(lambda *a: _rows(rank_paths_by_flops(*a)), family, shape, template)
                 assert got == _ranking_outcome(rank_rows_by_count_flops, family, shape, template)
-                # A path adds at most 20 entries: its 6 parts and 14 runs (stem,
-                # head, and per stage its plumbing and blocks 1 and 2).
-                assert len(analysis._EDGES) <= bound + 20
+                # A path adds at most 6 entries: its stem, four stages and head.
+                assert len(analysis._EDGES) <= bound + 6
 
         rank_interleaved()
+
+    @pytest.mark.parametrize("frames", [21, 200, 301])
+    @pytest.mark.parametrize("template", TRELLIS_TEMPLATES, ids=TRELLIS_TEMPLATE_IDS)
+    def test_a_template_fills_the_trellis_256_edges(self, template, frames):
+        # Per template and duration: 4 stems, 16 + 36 + 64 + 100 stage edges
+        # (4 stride pairs from each reachable input shape) and 36 heads.
+        shape = TensorShape(1, 80, frames)
+        _rank_every_endpoint(template, shape)
+        assert len(analysis._EDGES) == 256
+        _rank_every_endpoint(template, shape)
+        assert len(analysis._EDGES) == 256
+
+    @pytest.mark.parametrize("template", TRELLIS_TEMPLATES, ids=TRELLIS_TEMPLATE_IDS)
+    def test_coinciding_ceiling_shapes_fill_fewer_edges(self, template):
+        # At T = 16, ceil(16/16) == ceil(16/32): fewer input shapes than paths reach.
+        _rank_every_endpoint(template, TensorShape(1, 80, 16))
+        assert len(analysis._EDGES) < 256
+
+    @pytest.mark.parametrize("template", TRELLIS_TEMPLATES, ids=TRELLIS_TEMPLATE_IDS)
+    def test_each_edge_costs_its_layers_in_a_whole_count(self, template):
+        shape = TensorShape(1, 80, 301)
+        checked = set()
+        for path in iter_all_paths():
+            req = request_from_spec(template, path=path)
+            _parts_totals(req._elaborated, shape)
+            edges = list(_path_edges(req, shape))
+            if checked.issuperset(key for key, _ in edges):
+                continue
+            report = count_flops(build(req), shape)
+            params, flops = dict(report.params_by_layer), dict(report.flops_by_layer)
+            for key, part in edges:
+                names = [entry.layer.name for run in part for entry in run]
+                want = (sum(params.get(n, 0) for n in names), sum(flops.get(n, 0) for n in names))
+                assert analysis._EDGES[key][1:3] == want, (path.label, names[0])
+                checked.add(key)
+        assert len(checked) == len(analysis._EDGES) == 256
 
 
 @pytest.mark.usefixtures("fresh_edges")
