@@ -41,14 +41,16 @@ A single ``count_flops`` walks the whole spec in one pass and keeps
 nothing.
 
 This module owns the table. Each value holds the part it keys, keeping
-alive parts the builder's memos have dropped. ``_parts_totals`` clears the
-table whole when it finds it past ``_EDGE_TABLE_SIZE`` (8,192 entries, 32
-template-durations) before it counts a path; one path adds at most 6, so
-it never holds more than 8,198. Traced on a 2-vCPU Xeon, an entry costs
-210-320 B while the memos hold its part and about 1.2 KB when they do not
-(ResNet152 and DF-ResNet182 at 32 widths, memos cleared): at worst 9.3 MiB
-beside the memos' 11 MiB. The benchmark's six sweep templates fill 1,236
-entries (0.4 MiB); every preset and option fills 5,940 per duration.
+alive parts the builder's memos and template tables have dropped.
+``_parts_totals`` clears the table whole when it finds it past
+``_EDGE_TABLE_SIZE`` (4,096 entries, 16 template-durations) before it
+counts a path; one path adds at most 6, so it never holds more than 4,102.
+Traced on a 2-vCPU Xeon, an entry costs 210-320 B while the builder holds
+its part and about 1.3 KB when it does not (ResNet152 and DF-ResNet182 at
+32 widths, builder memos and tables cleared): at worst 5.1 MiB beside the
+builder's memos, and 7.3 MiB with its template tables. The benchmark's six
+sweep templates fill 1,236 entries (0.4 MiB); every preset and option
+fills 5,940 per duration.
 """
 
 from __future__ import annotations
@@ -400,7 +402,7 @@ def _part_totals(part: tuple, shape: tuple[int, ...], further: int) -> tuple:
 
 #: The rankings' edge table and its bound (see the module docstring).
 _EDGES: dict = {}
-_EDGE_TABLE_SIZE = 8192
+_EDGE_TABLE_SIZE = 4096
 
 
 def _parts_totals(parts, input_shape: TensorShape) -> tuple[int, int]:

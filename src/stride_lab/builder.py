@@ -6,9 +6,10 @@ differ in where a stage's stride lives (first block conv, the original
 recipe's max pool, or a separate downsampling conv), in block architecture,
 and in the head pooling: the fields of a family's :class:`~.layers.Recipe`,
 which the functions here read. :func:`_parts` is the one rule that
-assembles a path, run once per request (``BuildRequest._elaborated``):
-:func:`build` checks the request and concatenates that tuple, and a trellis
-ranking counts the same tuple. :func:`build` does not run
+assembles a path, run once per template and path: the template's table
+keeps its tuple (``BuildRequest._elaborated``), :func:`build` checks the
+request and concatenates that tuple, and a trellis ranking counts the same
+tuple. :func:`build` does not run
 :meth:`ModelSpec.validate`, which its output passes by construction (a test
 holds it) and which costs more than the build: on a 2-vCPU Xeon, 43-46 µs
 against 15-16 µs for a ResNet34 build, and 181-197 µs against 19-20 µs for
@@ -36,6 +37,19 @@ blocks, so at worst (DF-ResNet182 at 120 widths) the memos hold 11 MiB,
 against 3 MiB for blocks alone. Specs from different builds share the
 memoized entries, which are frozen, so a spec's bytes, equality and counts
 do not depend on what was built before it.
+
+Above those memos, one table per template (every request field but the
+path, :func:`_template`) holds the template's trellis edges, the
+``(StageSpec or None, part)`` pairs of 4 stems, 16 stages and at most 6
+heads on every preset, each elaborated once, and each of its at most 1024
+paths' parts by ``path.label``. So a path of a template seen before is one
+lookup, and its parts are the objects every other path of the template
+shares, whatever the memos below have dropped. The memo keeps 8
+templates (the benchmark's sweep uses 7); traced on a 2-vCPU Xeon, a table
+of all 1024 paths holds about 400 KB once the memos below have dropped its
+parts (ResNet152 at 32 widths, 240 KB for DF-ResNet182), so 3.1 MiB at
+worst, and 7.3 MiB together with the ranking's edge table (see
+:mod:`.analysis`).
 """
 
 from __future__ import annotations
@@ -89,6 +103,8 @@ _MAIN = {
 _BLOCK_MEMO_SIZE = 1024
 _STAGE_MEMO_SIZE = 256
 _END_MEMO_SIZE = 64
+#: Most templates whose tables the template memo keeps (see the module docstring).
+_TEMPLATE_MEMO_SIZE = 8
 
 
 class BuildError(ValueError):
@@ -109,9 +125,14 @@ class BuildRequest:
 
     @cached_property
     def _elaborated(self):
-        """``tuple(_parts(self))``, once per request: ``build`` and a
-        ranking's count both read it."""
-        return tuple(_parts(self))
+        """``tuple(_parts(self))``, elaborated once per template and path
+        and kept in the template's table: ``build`` and a ranking's count
+        both read it."""
+        paths = _table(self)[1]
+        parts = paths.get(self.path.label)
+        if parts is None:
+            parts = paths[self.path.label] = tuple(_parts(self))
+        return parts
 
 
 def _preset(recipe: Recipe, depth_label: int) -> tuple[BlockKind, tuple[int, ...]]:
@@ -285,13 +306,13 @@ def _block(
 
 
 @lru_cache(maxsize=_END_MEMO_SIZE, typed=True)
-def _stem(original: bool, c: int, stride: StridePair) -> tuple[tuple[LayerEntry, ...]]:
-    """The stem part: one run of the stem conv carrying the stage-1 stride,
-    its batch norm and activation."""
+def _stem(original: bool, c: int, stride: StridePair) -> tuple[None, tuple[tuple[LayerEntry, ...]]]:
+    """``(None, the stem part)``: one run of the stem conv carrying the
+    stage-1 stride, its batch norm and activation."""
     kernel, padding = ((7, 7), (3, 3)) if original else ((3, 3), (1, 1))
     layers = (Conv2d("stem.conv", 1, c, kernel, stride=stride, padding=padding),
               BatchNorm2d("stem.bn", c), Activation("stem.act"))
-    return (tuple(LayerEntry(layer, stage=1) for layer in layers),)
+    return None, (tuple(LayerEntry(layer, stage=1) for layer in layers),)
 
 
 @lru_cache(maxsize=_STAGE_MEMO_SIZE, typed=True)
@@ -328,20 +349,51 @@ def _stage(kind: BlockKind, stage: int, num_blocks: int, in_ch: int, width: int,
 
 
 @lru_cache(maxsize=_END_MEMO_SIZE, typed=True)
-def _head(original: bool, pooled: int, embedding_dim: int) -> tuple[tuple[LayerEntry, ...]]:
-    """The head part: one run of the pooling layer and the embedding layer
-    on ``pooled`` inputs."""
+def _head(original: bool, pooled: int, embedding_dim: int) -> tuple[None, tuple[tuple[LayerEntry, ...]]]:
+    """``(None, the head part)``: one run of the pooling layer and the
+    embedding layer on ``pooled`` inputs."""
     pool = GlobalAvgPool("head.pool") if original else TemporalStatsPool("head.pool")
     fc = FullyConnected("head.fc", pooled, embedding_dim, bias=True)
-    return ((LayerEntry(pool, stage=0), LayerEntry(fc, stage=0)),)
+    return None, ((LayerEntry(pool, stage=0), LayerEntry(fc, stage=0)),)
+
+
+@lru_cache(maxsize=_TEMPLATE_MEMO_SIZE, typed=True)
+def _template(rules, family, depth_label, base_channels, embedding_dim, input_freq_bins, se_reduction,
+              res2net_scale, *block_counts) -> tuple[dict, dict]:
+    """A template's ``(edges, paths)`` table, filled by :func:`_parts` and
+    ``BuildRequest._elaborated``: the ``(StageSpec or None, part)`` pairs of
+    the stem per stride, of each stage per stride pair and downsampling
+    flag and of the head per input size, and each path's parts by
+    ``path.label``. Its key is every request field but the path, typed
+    (block counts one by one, so a ``4.0`` never shares a ``4``'s table),
+    and ``rules``, the functions that elaborate it, so one that is replaced
+    (a test's patch) starts a new table instead of being served stale parts."""
+    return {}, {}
+
+
+def _table(req: BuildRequest) -> tuple[dict, dict]:
+    """The table of ``req``'s template."""
+    return _template((_parts, _stem, _stage, _head), req.family, req.depth_label, req.base_channels,
+                     req.embedding_dim, req.input_freq_bins, req.se_reduction, req.res2net_scale,
+                     *req.block_counts)
+
+
+def _edge(edges: dict, key, rule, *args):
+    """``edges[key]``, elaborated as ``rule(*args)`` on a miss."""
+    pair = edges.get(key)
+    if pair is None:
+        pair = edges[key] = rule(*args)
+    return pair
 
 
 def _parts(req: BuildRequest):
     """``(StageSpec or None, part)`` for the stem, stages 2..5 and the head
     of the unchecked ``req``, in order. A part is a tuple of runs, and a run
     is one residual block or the plumbing outside blocks (stem, max pool,
-    downsampling conv, head); each is a memo's tuple, so it is the same
-    object on every call while its memo holds it.
+    downsampling conv, head). Each pair is an edge of the template's table,
+    elaborated by :func:`_stem`, :func:`_stage` or :func:`_head` the first
+    time a path of the template passes through it, so it is the same object
+    for every such path while the table lives.
 
     The classic image recipe's head is a channel-wise global average pool;
     the speech recipes pool first and second moments over time per
@@ -351,21 +403,22 @@ def _parts(req: BuildRequest):
     freq stride, which is exact because every striding layer maps n to
     ceil(n / 2).
     """
+    edges = _table(req)[0]
     recipe = req.family.recipe
     kind = _block_kind(recipe, req.depth_label)
     sd_flags = _sd_flags(recipe, req.path)
     steps = req.path.steps
     expansion = _MAIN[kind][-1][0]
-    yield None, _stem(recipe.original, req.base_channels, steps[0])
+    yield _edge(edges, (1, steps[0]), _stem, recipe.original, req.base_channels, steps[0])
     in_ch = req.base_channels
     for i, num_blocks in enumerate(req.block_counts):
         width = req.base_channels * 2 ** i
         out_ch = width * expansion
-        yield _stage(kind, i + 2, num_blocks, in_ch, width, out_ch, steps[i + 1], recipe.original,
-                     sd_flags[i], req.se_reduction, req.res2net_scale)
+        yield _edge(edges, (i + 2, steps[i + 1], sd_flags[i]), _stage, kind, i + 2, num_blocks, in_ch, width,
+                    out_ch, steps[i + 1], recipe.original, sd_flags[i], req.se_reduction, req.res2net_scale)
         in_ch = out_ch
     pooled = out_ch if recipe.original else 2 * out_ch * -(-req.input_freq_bins // final_factors(req.path)[1])
-    yield None, _head(recipe.original, pooled, req.embedding_dim)
+    yield _edge(edges, (0, pooled), _head, recipe.original, pooled, req.embedding_dim)
 
 
 def build(req: BuildRequest) -> ModelSpec:

@@ -74,8 +74,9 @@ def rank_paths_by_flops(
     """Order a family's paths by descending analytic FLOPs.
 
     Every path is substituted into the template's build request and built
-    once; the request elaborates its parts once (``BuildRequest._elaborated``),
-    and ``build`` and the count read that tuple. Parameter counts are asserted
+    once; its parts are elaborated once per template and path and kept in
+    the template's table (``BuildRequest._elaborated``), and ``build`` and
+    the count read that tuple. Parameter counts are asserted
     identical across the family, and each path is named by its strides.
     No built path underflows the input shape (every striding layer maps n to
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.

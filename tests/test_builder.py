@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 
 import pytest
@@ -30,7 +31,7 @@ from stride_lab.layers import (
     TensorShape,
 )
 from stride_lab.serialize import model_from_json, model_to_json
-from stride_lab.strides import StridePair, TrellisEndpoint, TrellisPath, resolve_name
+from stride_lab.strides import StridePair, TrellisEndpoint, TrellisPath, enumerate_endpoints, resolve_name
 from stride_lab.trellis import enumerate_paths, rank_paths_by_flops
 
 from oracles import ALL_PATHS, GOLDEN_PATHS, PRESETS, parent_depth_label, preset_requests
@@ -461,6 +462,7 @@ _MEMOS = {
     builder_module._stage: builder_module._STAGE_MEMO_SIZE,
     builder_module._stem: builder_module._END_MEMO_SIZE,
     builder_module._head: builder_module._END_MEMO_SIZE,
+    builder_module._template: builder_module._TEMPLATE_MEMO_SIZE,
 }
 
 
@@ -498,7 +500,8 @@ class TestBlockMemo:
         first = make_request("modified_resnet", 34, base_channels=1)
         text = model_to_json(build(first))
         # A ResNet34 has 4 stages of 16 blocks, 1 stem and 1 head: 70 widths
-        # elaborate 1,120 distinct blocks, 280 stages, 70 stems and 70 heads.
+        # elaborate 1,120 distinct blocks, 280 stages, 70 stems and 70 heads,
+        # in 70 templates.
         for channels in range(1, 71):
             build(make_request("modified_resnet", 34, base_channels=channels))
         for memo, bound in _MEMOS.items():
@@ -529,6 +532,53 @@ class TestBlockMemo:
         spec = build(req)
         assert model_to_json(spec) == text
         assert type(count_params(spec).params_total) is int
+
+    def test_a_float_block_count_or_option_cannot_be_served_an_int_requests_parts(self):
+        req = make_request("modified_resnet", 34, se_reduction=4)
+        _clear_memos()
+        text = model_to_json(build(req))
+        # Past the request gate, the template memo's key is typed, block
+        # counts one by one: a float request gets a table of its own, whose
+        # elaboration refuses a float block count and keeps a float reduction.
+        with pytest.raises(TypeError):
+            dataclasses.replace(req, block_counts=(3.0, 4, 6, 3))._elaborated
+        floated = dataclasses.replace(req, se_reduction=4.0)._elaborated
+        assert {type(entry.layer.reduction) for _, part in floated for run in part for entry in run
+                if isinstance(entry.layer, SqueezeExcite)} == {float}
+        # Nor is the int request served the float one's parts.
+        _clear_memos()
+        dataclasses.replace(req, se_reduction=4.0)._elaborated
+        spec = build(req)
+        assert model_to_json(spec) == text
+        assert type(count_params(spec).params_total) is int
+
+    def test_a_template_keeps_its_edges_past_the_stage_memo(self):
+        # A template's table owns its edges: once the stage memo has dropped
+        # every stage a template's first paths were elaborated from, its
+        # other paths still share those part objects, so ranking all 36
+        # endpoints fills exactly the trellis's 256 edges, and every path
+        # builds as it does from cold memos.
+        template = build(make_request("modified_resnet", 34))
+
+        def digest(path):
+            return hashlib.sha256(model_to_json(build(request_from_spec(template, path=path))).encode()).digest()
+
+        cold = {}
+        for path in ALL_PATHS:
+            _clear_memos()
+            cold[path.label] = digest(path)
+        shape = TensorShape(1, 80, 300)
+        rank_paths_by_flops(enumerate_paths(TrellisEndpoint(4, 8)), shape, template)
+        for channels in range(1, 71):
+            for stage in range(2, 6):
+                builder_module._stage(BlockKind.BASIC, stage, 1, channels, channels, channels, StridePair(1, 1),
+                                      False, False, None, None)
+        assert builder_module._stage.cache_info().currsize == builder_module._STAGE_MEMO_SIZE
+        for endpoint in enumerate_endpoints():
+            rank_paths_by_flops(enumerate_paths(endpoint), shape, template)
+        assert len(analysis._EDGES) == 256
+        for path in ALL_PATHS:
+            assert digest(path) == cold[path.label], path.label
 
     def _two_paths(self, template):
         """Requests for two paths to the endpoint (4, 8) with the same first
