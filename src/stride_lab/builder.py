@@ -7,9 +7,9 @@ recipe's max pool, or a separate downsampling conv), in block architecture,
 and in the head pooling: the fields of a family's :class:`~.layers.Recipe`,
 which the functions here read. :func:`_parts` is the one rule that
 assembles a path, run once per template and path: the template's table
-keeps its tuple (``BuildRequest._elaborated``), :func:`build` checks the
-request and concatenates that tuple, and a trellis ranking counts the same
-tuple. :func:`build` does not run
+keeps its parts and their entries (``BuildRequest._row``), :func:`build`
+checks the request and concatenates those entries, and a trellis ranking
+counts the same parts. :func:`build` does not run
 :meth:`ModelSpec.validate`, which its output passes by construction (a test
 holds it) and which costs more than the build: on a 2-vCPU Xeon, 43-46 µs
 against 15-16 µs for a ResNet34 build, and 181-197 µs against 19-20 µs for
@@ -39,17 +39,20 @@ memoized entries, which are frozen, so a spec's bytes, equality and counts
 do not depend on what was built before it.
 
 Above those memos, one table per template (every request field but the
-path, :func:`_template`) holds the template's trellis edges, the
-``(StageSpec or None, part)`` pairs of 4 stems, 16 stages and at most 6
-heads on every preset, each elaborated once, and each of its at most 1024
-paths' parts by ``path.label``. So a path of a template seen before is one
-lookup, and its parts are the objects every other path of the template
-shares, whatever the memos below have dropped. The memo keeps 8
-templates (the benchmark's sweep uses 7); traced on a 2-vCPU Xeon, a table
-of all 1024 paths holds about 400 KB once the memos below have dropped its
-parts (ResNet152 at 32 widths, 240 KB for DF-ResNet182), so 3.1 MiB at
-worst, and 7.3 MiB together with the ranking's edge table (see
-:mod:`.analysis`).
+path, :func:`_template`) holds three things. The template's trellis edges:
+the ``(StageSpec or None, part)`` pairs of 4 stems, 16 stages and at most
+6 heads on every preset, each elaborated once. Each edge's entries, one
+flat tuple per part, flattened once. And each of its at most 1024 paths'
+row by ``path.label``: its six parts and their six entry tuples. So a path
+of a template seen before is one lookup, its parts are the objects every
+other path of the template shares, whatever the memos below have dropped,
+and its build concatenates six tuples instead of copying each block's run
+(DF-ResNet182 has about 60 runs and 604 entries). The memo keeps 8
+templates (the benchmark's sweep uses 7). Traced on a 2-vCPU Xeon, after
+ranking all 36 endpoints for 32 base widths and clearing the memos below,
+8 tables hold 3.9 MiB for ResNet152 (about 500 KB a table, 160 KB more
+than parts alone; 2.1 MiB for DF-ResNet182), and 8.5 MiB at worst
+together with the ranking's edge table (see :mod:`.analysis`).
 """
 
 from __future__ import annotations
@@ -124,15 +127,22 @@ class BuildRequest:
     res2net_scale: int | None = None
 
     @cached_property
+    def _row(self):
+        """``(tuple(_parts(self)), each part's entries)``, made once per
+        template and path and kept in the template's table: the six entry
+        tuples are the table's own, one per edge."""
+        _, entries, paths = _table(self)
+        row = paths.get(self.path.label)
+        if row is None:
+            parts = tuple(_parts(self))
+            row = paths[self.path.label] = parts, tuple(entries[id(part)] for _, part in parts)
+        return row
+
+    @property
     def _elaborated(self):
-        """``tuple(_parts(self))``, elaborated once per template and path
-        and kept in the template's table: ``build`` and a ranking's count
-        both read it."""
-        paths = _table(self)[1]
-        parts = paths.get(self.path.label)
-        if parts is None:
-            parts = paths[self.path.label] = tuple(_parts(self))
-        return parts
+        """``tuple(_parts(self))``, from the template's table: a ranking's
+        count reads it, and ``build`` reads the same row."""
+        return self._row[0]
 
 
 def _preset(recipe: Recipe, depth_label: int) -> tuple[BlockKind, tuple[int, ...]]:
@@ -359,30 +369,35 @@ def _head(original: bool, pooled: int, embedding_dim: int) -> tuple[None, tuple[
 
 @lru_cache(maxsize=_TEMPLATE_MEMO_SIZE, typed=True)
 def _template(rules, family, depth_label, base_channels, embedding_dim, input_freq_bins, se_reduction,
-              res2net_scale, *block_counts) -> tuple[dict, dict]:
-    """A template's ``(edges, paths)`` table, filled by :func:`_parts` and
-    ``BuildRequest._elaborated``: the ``(StageSpec or None, part)`` pairs of
+              res2net_scale, *block_counts) -> tuple[dict, dict, dict]:
+    """A template's ``(edges, entries, paths)`` table, filled by :func:`_parts`
+    and ``BuildRequest._row``: the ``(StageSpec or None, part)`` pairs of
     the stem per stride, of each stage per stride pair and downsampling
-    flag and of the head per input size, and each path's parts by
+    flag and of the head per input size; each of those parts' entries as one
+    flat tuple, by ``id(part)`` (``edges`` holds the part, so no id is
+    reused); and each path's parts and their six entry tuples by
     ``path.label``. Its key is every request field but the path, typed
     (block counts one by one, so a ``4.0`` never shares a ``4``'s table),
     and ``rules``, the functions that elaborate it, so one that is replaced
     (a test's patch) starts a new table instead of being served stale parts."""
-    return {}, {}
+    return {}, {}, {}
 
 
-def _table(req: BuildRequest) -> tuple[dict, dict]:
+def _table(req: BuildRequest) -> tuple[dict, dict, dict]:
     """The table of ``req``'s template."""
     return _template((_parts, _stem, _stage, _head), req.family, req.depth_label, req.base_channels,
                      req.embedding_dim, req.input_freq_bins, req.se_reduction, req.res2net_scale,
                      *req.block_counts)
 
 
-def _edge(edges: dict, key, rule, *args):
-    """``edges[key]``, elaborated as ``rule(*args)`` on a miss."""
+def _edge(table, key, rule, *args):
+    """``table``'s edge at ``key``, elaborated as ``rule(*args)`` on a miss,
+    when its part's entries are flattened once into the table too."""
+    edges, entries = table[0], table[1]
     pair = edges.get(key)
     if pair is None:
         pair = edges[key] = rule(*args)
+        entries[id(pair[1])] = tuple(entry for run in pair[1] for entry in run)
     return pair
 
 
@@ -403,26 +418,28 @@ def _parts(req: BuildRequest):
     freq stride, which is exact because every striding layer maps n to
     ceil(n / 2).
     """
-    edges = _table(req)[0]
+    table = _table(req)
     recipe = req.family.recipe
     kind = _block_kind(recipe, req.depth_label)
     sd_flags = _sd_flags(recipe, req.path)
     steps = req.path.steps
     expansion = _MAIN[kind][-1][0]
-    yield _edge(edges, (1, steps[0]), _stem, recipe.original, req.base_channels, steps[0])
+    yield _edge(table, (1, steps[0]), _stem, recipe.original, req.base_channels, steps[0])
     in_ch = req.base_channels
     for i, num_blocks in enumerate(req.block_counts):
         width = req.base_channels * 2 ** i
         out_ch = width * expansion
-        yield _edge(edges, (i + 2, steps[i + 1], sd_flags[i]), _stage, kind, i + 2, num_blocks, in_ch, width,
+        yield _edge(table, (i + 2, steps[i + 1], sd_flags[i]), _stage, kind, i + 2, num_blocks, in_ch, width,
                     out_ch, steps[i + 1], recipe.original, sd_flags[i], req.se_reduction, req.res2net_scale)
         in_ch = out_ch
     pooled = out_ch if recipe.original else 2 * out_ch * -(-req.input_freq_bins // final_factors(req.path)[1])
-    yield _edge(edges, (0, pooled), _head, recipe.original, pooled, req.embedding_dim)
+    yield _edge(table, (0, pooled), _head, recipe.original, pooled, req.embedding_dim)
 
 
 def build(req: BuildRequest) -> ModelSpec:
-    """Check ``req``, then concatenate its :func:`_parts` into one spec."""
+    """Check ``req``, then concatenate its six parts' entry tuples, kept in
+    its template's table, into one spec, whose stages are its four stage
+    parts' specs."""
     if len(req.block_counts) != 4:
         raise BuildError(f"expected 4 per-stage block counts, got {req.block_counts}")
     _check_integers(req)
@@ -431,11 +448,7 @@ def build(req: BuildRequest) -> ModelSpec:
     _validate_depth(req, kind, _sd_flags(recipe, req.path))
     _check_options(req, recipe, kind)
 
-    parts = req._elaborated
-    entries: list[LayerEntry] = []
-    for _, part in parts:
-        for run in part:
-            entries += run  # a C-level copy per run: faster than chaining entry by entry
+    parts, (stem, stage2, stage3, stage4, stage5, head) = req._row
     return ModelSpec(
         family=req.family,
         depth_label=req.depth_label,
@@ -443,8 +456,8 @@ def build(req: BuildRequest) -> ModelSpec:
         embedding_dim=req.embedding_dim,
         input_freq_bins=req.input_freq_bins,
         path=req.path,
-        stages=tuple(stage for stage, _ in parts if stage is not None),
-        entries=tuple(entries),
+        stages=(parts[1][0], parts[2][0], parts[3][0], parts[4][0]),
+        entries=(*stem, *stage2, *stage3, *stage4, *stage5, *head),
         se_reduction=req.se_reduction,
         res2net_scale=req.res2net_scale,
         notes=(("non_canonical_path_for_original_family",)
@@ -452,24 +465,27 @@ def build(req: BuildRequest) -> ModelSpec:
     )
 
 
-def request_from_spec(spec: ModelSpec, path: TrellisPath | None = None) -> BuildRequest:
-    """Recover the build request a spec was elaborated from, optionally
-    substituting a different stride configuration; the depth label counts
-    the blocks and the new path's :func:`_sd_flags` downsampling convs."""
-    new_path = path if path is not None else spec.path
-    family = spec.family
-    if not family.recipe.admits(new_path):
-        family = Family.MODIFIED_RESNET
+def _request_rule(spec: ModelSpec):
+    """``path -> BuildRequest``, the rule of :func:`request_from_spec` for
+    ``spec``, with every field that does not depend on the path read once.
+    Per path, the family falls back to modified ResNet where ``spec``'s does
+    not admit the path, and the depth label counts the blocks and the
+    path's :func:`_sd_flags` downsampling convs."""
     block_counts = tuple(s.num_blocks for s in spec.stages)
     kind = spec.stages[0].kind if spec.stages else None  # no stages: 0 blocks, refused
-    return BuildRequest(
-        family=family,
-        depth_label=depth_from_blocks(kind, sum(block_counts), sum(_sd_flags(family.recipe, new_path))),
-        path=new_path,
-        base_channels=spec.base_channels,
-        block_counts=block_counts,
-        embedding_dim=spec.embedding_dim,
-        input_freq_bins=spec.input_freq_bins,
-        se_reduction=spec.se_reduction,
-        res2net_scale=spec.res2net_scale,
-    )
+    depths = {flags: depth_from_blocks(kind, sum(block_counts), sum(flags))
+              for family in (spec.family, Family.MODIFIED_RESNET) for flags in family.recipe.downsample}
+    fields = (spec.base_channels, block_counts, spec.embedding_dim, spec.input_freq_bins, spec.se_reduction,
+              spec.res2net_scale)
+
+    def request(path: TrellisPath) -> BuildRequest:
+        family = spec.family if spec.family.recipe.admits(path) else Family.MODIFIED_RESNET
+        return BuildRequest(family, depths[_sd_flags(family.recipe, path)], path, *fields)
+
+    return request
+
+
+def request_from_spec(spec: ModelSpec, path: TrellisPath | None = None) -> BuildRequest:
+    """Recover the build request a spec was elaborated from, optionally
+    substituting a different stride configuration, by :func:`_request_rule`."""
+    return _request_rule(spec)(path if path is not None else spec.path)

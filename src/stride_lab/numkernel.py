@@ -21,6 +21,8 @@ Three conv regimes follow, chosen by the layer's shape alone:
   by its per-channel weight into a block-sized tap array, which is added in
   place to the block's output channels. The taps run in the same order as
   over the whole map, so the output is bit-identical to a whole-map pass.
+  A padded layer whose output is its input's size, run on a map the model
+  owns (see Ownership below), writes that output into the map itself.
 * 1x1 convolutions build no column buffer either: the input, subsampled when
   the layer strides, is the right-hand operand of one GEMM per group, so a
   stride-1 pointwise conv copies nothing and a strided one only its
@@ -51,8 +53,9 @@ never all held at once. A fully connected layer's weight matrix is read one
 row block at a time as the product reads it, then its bias, so the head
 matrix is never held whole either.
 
-Ownership: ReLUs and residual adds write in place, but only into maps the
-running :func:`run_model` call allocated and nothing else reads. The
+Ownership: ReLUs, residual adds and depthwise convolutions that keep their
+map's shape write in place, but only into maps the running
+:func:`run_model` call allocated and nothing else reads. The
 caller's input, given weights, a block input that the shortcut still reads
 and any view of it (the subsample shortcut) are never written; a layer that
 returns its input, such as the BN identity, passes that input's ownership
@@ -207,6 +210,8 @@ def conv2d_forward(
     layer: Conv2d,
     weight: np.ndarray,
     counter: OpCounter | None = None,
+    *,
+    _owned: bool = False,
 ) -> np.ndarray:
     """Direct grouped 2D convolution.
 
@@ -221,6 +226,12 @@ def conv2d_forward(
     precision of ``x`` (float32 or float64), and ``weight`` is cast to it
     once. The counter gains exactly one multiply per kernel tap per output
     value.
+
+    ``_owned``, set by :func:`run_model`'s walk only, marks ``x`` as a map
+    that walk allocated and nothing else reads: a padded depthwise layer
+    whose output is the input's size then writes it into ``x``, one channel
+    block at a time, each block copied into the pad scratch before its taps
+    read it.
     """
     _require_tensor4(x, layer.name)
     b, cin, _, _ = x.shape
@@ -247,10 +258,13 @@ def conv2d_forward(
         # a time is padded into a scratch of at most DEPTHWISE_BUDGET bytes,
         # and its taps are added in place to those output channels through
         # a block-sized tap array, in whole-map tap order: bit-identical to
-        # one pass over a padded map, with no padded copy of the map.
-        out = np.zeros((b, g, f_out, t_out), work)
+        # one pass over a padded map, with no padded copy of the map. On an
+        # owned map that keeps its shape, the output is the map itself: a
+        # block's channels are read from the scratch before they are zeroed.
         ch = max(1, min(g, DEPTHWISE_BUDGET // (work.itemsize * b * f_pad * t_pad)))
         pad = np.zeros((b, ch, f_pad, t_pad), work) if pf or pt else None
+        in_place = _owned and pad is not None and (f_out, t_out) == x.shape[2:]
+        out = x if in_place else np.zeros((b, g, f_out, t_out), work)
         tap = np.empty((b, ch, f_out, t_out), work)
         for c0 in range(0, g, ch):
             n = min(ch, g - c0)
@@ -259,6 +273,8 @@ def conv2d_forward(
                 pad[:, :n, pf : pf + x.shape[2], pt : pt + x.shape[3]] = src
                 src = pad[:, :n]
             acc, scaled = out[:, c0 : c0 + n], tap[:, :n]
+            if in_place:
+                acc[...] = 0.0
             for i in range(kf):
                 for j in range(kt):
                     window = _tap(src, i, j, layer.dilation, layer.stride, f_out, t_out)
@@ -549,9 +565,10 @@ class _DrawnWeights:
 
 def _apply(layer, x, weights, counter, owned=False):
     """One layer's output. ``owned`` marks ``x`` as an array the running
-    model allocated and nothing else reads, which a ReLU then overwrites."""
+    model allocated and nothing else reads, which a ReLU, or a depthwise
+    conv that keeps its shape, then overwrites."""
     if isinstance(layer, Conv2d):
-        return conv2d_forward(x, layer, weights[layer.name]["w"], counter)
+        return conv2d_forward(x, layer, weights[layer.name]["w"], counter, _owned=owned)
     if isinstance(layer, BatchNorm2d):
         # Inference mode with zero mean, unit variance, unit scale, zero
         # shift: an exact identity.
@@ -576,14 +593,16 @@ def _apply(layer, x, weights, counter, owned=False):
 
 def _step(layer, x, owned, weights, counter, records):
     """(output, owned) of one layer, its shape recorded. An output that may
-    share memory with ``x`` (the BN identity, an in-place ReLU) keeps the
-    ownership of ``x``; any other output is a fresh array, owned."""
+    share memory with ``x`` (the BN identity, an in-place ReLU or depthwise
+    conv) keeps the ownership of ``x``; any other output is a fresh array,
+    owned. Every fresh output is checked to be finite, and so is a conv's
+    in place; the BN identity and an in-place ReLU keep ``x`` finite."""
     y = _apply(layer, x, weights, counter, owned)
     records.append((layer.name, tuple(int(d) for d in y.shape[1:])))  # no batch axis
-    if np.may_share_memory(x, y):
-        return y, owned  # x's own buffer, still finite
-    _require_finite_output(y, layer.name)
-    return y, True
+    shared = np.may_share_memory(x, y)
+    if not shared or isinstance(layer, Conv2d):
+        _require_finite_output(y, layer.name)
+    return y, owned if shared else True
 
 
 def _merge(layer: Add, x, owned, block_in, shortcut, records):
@@ -641,8 +660,9 @@ def run_model(
     whole head matrix is held either. Given weights go through the same
     blocked product, so both modes give bit-identical embeddings.
 
-    ``x`` and ``weights`` are never written: ReLUs and residual adds work
-    in place only on maps this call allocated (see the module docstring),
+    ``x`` and ``weights`` are never written: ReLUs, residual adds and
+    shape-keeping depthwise convs work in place only on maps this call
+    allocated (see the module docstring),
     so a block holds its input, the branch map and the output of the layer
     running, plus that layer's scratch of at most :data:`COLUMN_BUDGET` or
     :data:`DEPTHWISE_BUDGET` bytes.

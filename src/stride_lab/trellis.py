@@ -6,6 +6,12 @@ identical parameter counts but different FLOPs, depending on how early
 the downsampling happens, and ranks a family by those FLOPs. Except in
 DF-ResNet, where a stage-2 stride adds a conv: 24 of DF-ResNet182's 36
 families mix two counts, and ranking one raises ``AssertionError``.
+
+A ranking makes a request and a build per path and discards the spec, so
+the builder makes both cheap: one request rule per ranking
+(``builder._request_rule``), in which only the family and the depth label
+depend on the path, and a build that checks the request and concatenates
+six entry tuples from the path's row in its template's table.
 """
 
 from __future__ import annotations
@@ -73,11 +79,11 @@ def rank_paths_by_flops(
 ) -> tuple[RankedPath, ...]:
     """Order a family's paths by descending analytic FLOPs.
 
-    Every path is substituted into the template's build request and built
-    once; its parts are elaborated once per template and path and kept in
-    the template's table (``BuildRequest._elaborated``), and ``build`` and
-    the count read that tuple. Parameter counts are asserted
-    identical across the family, and each path is named by its strides.
+    Every path is substituted into the template's build request, by
+    ``request_from_spec``'s rule derived once per call, and built once; the
+    count reads the parts that ``build`` concatenates the entry tuples of
+    (``BuildRequest._row``). Parameter counts are asserted identical across
+    the family, and each path is named by its strides.
     No built path underflows the input shape (every striding layer maps n to
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.
 
@@ -91,12 +97,13 @@ def rank_paths_by_flops(
     first block and ``num_blocks - 1`` times its block 2.
     """
     from .analysis import _parts_totals
-    from .builder import build, request_from_spec
+    from .builder import _request_rule, build
 
+    request = _request_rule(spec_template)
     rows = []
     params_seen: set[int] = set()
     for path in family.paths:
-        req = request_from_spec(spec_template, path=path)
+        req = request(path)
         build(req)
         params, flops = _parts_totals(req._elaborated, input_shape)
         params_seen.add(params)

@@ -626,6 +626,70 @@ class TestBlockMemo:
             assert len(cold) == 100 and cold == warm
 
 
+class TestEntryTuples:
+    """A template's table keeps each edge's entries as one flat tuple, and
+    ``build`` concatenates a path's six tuples into its entries."""
+
+    @pytest.mark.parametrize("family, depth", [("modified_resnet", 34), ("original_resnet", 34),
+                                               ("sd_resnet", 22), ("df_resnet", 182)])
+    def test_each_edge_keeps_one_flat_tuple_that_build_concatenates(self, family, depth):
+        _clear_memos()
+        template = build(make_request(family, depth))
+        flats, tables = {}, {}
+        for path in ALL_PATHS:
+            req = request_from_spec(template, path=path)
+            spec = build(req)
+            parts, entries = req._row
+            assert len(entries) == 6
+            assert spec.entries == tuple(entry for flat in entries for entry in flat)
+            assert spec.stages == tuple(stage for stage, _ in parts[1:5])
+            table = builder_module._table(req)
+            tables[id(table)] = table
+            for (_, part), flat in zip(parts, entries):
+                assert flat == tuple(entry for run in part for entry in run)
+                assert flats.setdefault((id(table), id(part)), flat) is flat, path.label
+        # DF-ResNet's paths that stride at stage 2 have their own label, so their own table.
+        assert len(tables) == (2 if family == "df_resnet" else 1)
+        assert len(flats) == sum(len(edges) for edges, _, _ in tables.values())
+
+    def test_a_patched_stage_gets_new_tuples(self, monkeypatch):
+        template = build(make_request("modified_resnet", 34))
+        path = enumerate_paths(TrellisEndpoint(4, 8)).paths[7]
+        before = request_from_spec(template, path=path)._row
+        plain = builder_module._stage
+        monkeypatch.setattr(builder_module, "_stage", lambda *args: plain.__wrapped__(*args))
+        after = request_from_spec(template, path=path)._row
+        assert after == before
+        for old, new in zip(before[1], after[1]):
+            assert new is not old
+        for (_, old), (_, new) in zip(before[0][1:5], after[0][1:5]):
+            assert new is not old
+
+    def test_tuples_outlive_the_stage_memo_and_build_as_cold(self):
+        # Two tables: DF-ResNet59's paths that stride at stage 2 are DF-ResNet60's.
+        template = build(make_request("df_resnet", 59))
+
+        def digest(path):
+            return hashlib.sha256(model_to_json(build(request_from_spec(template, path=path))).encode()).digest()
+
+        cold = {}
+        for path in ALL_PATHS:
+            _clear_memos()
+            cold[path.label] = digest(path)
+        rows = {path.label: request_from_spec(template, path=path)._row
+                for path in enumerate_paths(TrellisEndpoint(4, 8)).paths}
+        for channels in range(1, 71):
+            for stage in range(2, 6):
+                builder_module._stage(BlockKind.BASIC, stage, 1, channels, channels, channels, StridePair(1, 1),
+                                      False, False, None, None)
+        assert builder_module._stage.cache_info().currsize == builder_module._STAGE_MEMO_SIZE
+        for label, row in rows.items():
+            again = request_from_spec(template, path=resolve_name(label))._row
+            assert all(new is old for new, old in zip(again[1], row[1])), label
+        for path in ALL_PATHS:
+            assert digest(path) == cold[path.label], path.label
+
+
 class TestIntegerGate:
     @pytest.mark.parametrize(
         "field, value",

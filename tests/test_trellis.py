@@ -14,6 +14,7 @@ from stride_lab import analysis, builder
 from stride_lab.analysis import ShapeUnderflowError, _parts_totals, count_flops, trace
 from stride_lab.builder import BuildError, _parts, build, make_request, request_from_spec
 from stride_lab.layers import TensorShape
+from stride_lab.serialize import model_to_json
 from stride_lab.strides import (
     PathClass,
     StridePair,
@@ -547,6 +548,29 @@ class TestOneElaboration:
         family = enumerate_paths(TrellisEndpoint(4, 8))
         ranked = rank_paths_by_flops(family, INPUT_3S, mod34)
         assert len(calls) == len(family.paths) == len(ranked)
+
+    # Distinct (family, depth label) pairs each template's paths request:
+    # Gemini's non-golden paths fall back to MOD, and DF-ResNet's paths that
+    # stride at stage 2 count one more downsampling conv.
+    @pytest.mark.parametrize("template, requested", zip(TRELLIS_TEMPLATES, (1, 1, 1, 1, 1, 2, 2)),
+                             ids=TRELLIS_TEMPLATE_IDS)
+    def test_the_ranking_requests_what_request_from_spec_does(self, template, requested, monkeypatch):
+        plain, built = builder.build, []
+
+        def recording(req):
+            spec = plain(req)
+            built.append((req, spec))
+            return spec
+
+        monkeypatch.setattr(builder, "build", recording)
+        _rank_every_endpoint(template, INPUT_3S)
+        monkeypatch.undo()
+        assert sorted(req.path.label for req, _ in built) == sorted(path.label for path in iter_all_paths())
+        assert len({(req.family, req.depth_label) for req, _ in built}) == requested
+        for req, spec in built:
+            want = request_from_spec(template, path=req.path)
+            assert req == want, req.path.label
+            assert model_to_json(spec) == model_to_json(build(want)), req.path.label
 
     def test_a_request_whose_parts_were_read_builds_as_a_fresh_one(self, mod34):
         for path in enumerate_paths(TrellisEndpoint(4, 8)).paths[:5]:
