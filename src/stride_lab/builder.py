@@ -6,10 +6,10 @@ differ in where a stage's stride lives (first block conv, the original
 recipe's max pool, or a separate downsampling conv), in block architecture,
 and in the head pooling: the fields of a family's :class:`~.layers.Recipe`,
 which the functions here read. :func:`_parts` is the one rule that
-assembles a path, run once per template and path: the template's table
-keeps its parts and their entries (``BuildRequest._row``), :func:`build`
-checks the request and concatenates those entries, and a trellis ranking
-counts the same parts. :func:`build` does not run
+assembles a path, run once per request object (``BuildRequest._row``), so
+once per template and path for the requests a ranking stores in the
+template's table: :func:`build` checks a request once and concatenates its
+parts' entries, and a trellis ranking counts the same parts. :func:`build` does not run
 :meth:`ModelSpec.validate`, which its output passes by construction (a test
 holds it) and which costs more than the build: on a 2-vCPU Xeon, 43-46 µs
 against 15-16 µs for a ResNet34 build, and 181-197 µs against 19-20 µs for
@@ -42,17 +42,19 @@ Above those memos, one table per template (every request field but the
 path, :func:`_template`) holds three things. The template's trellis edges:
 the ``(StageSpec or None, part)`` pairs of 4 stems, 16 stages and at most
 6 heads on every preset, each elaborated once. Each edge's entries, one
-flat tuple per part, flattened once. And each of its at most 1024 paths'
-row by ``path.label``: its six parts and their six entry tuples. So a path
-of a template seen before is one lookup, its parts are the objects every
-other path of the template shares, whatever the memos below have dropped,
-and its build concatenates six tuples instead of copying each block's run
-(DF-ResNet182 has about 60 runs and 604 entries). The memo keeps 8
-templates (the benchmark's sweep uses 7). Traced on a 2-vCPU Xeon, after
-ranking all 36 endpoints for 32 base widths and clearing the memos below,
-8 tables hold 3.9 MiB for ResNet152 (about 500 KB a table, 160 KB more
-than parts alone; 2.1 MiB for DF-ResNet182), and 8.5 MiB at worst
-together with the ranking's edge table (see :mod:`.analysis`).
+flat tuple per part, flattened once. And, by ``path.label``, each ranked
+path's request (:func:`_request_rule`), checked once, which holds its row:
+its six parts and their six entry tuples. So a ranked path of a template
+seen before is two lookups and a build that runs no check, its parts are
+the objects every other path of the template shares, whatever the memos
+below have dropped, and its build concatenates six tuples instead of
+copying each block's run (DF-ResNet182 has about 60 runs and 604 entries).
+The memo keeps 8 templates (the benchmark's sweep uses 7). Traced on a
+2-vCPU Xeon, a stored request with its row costs about 490 B, 235 B more
+than the row alone; after ranking all 36 endpoints for 32 base widths and
+clearing the memos below, 8 tables hold 5.7 MiB for ResNet152 (about 730
+KB a table; 3.0 MiB for DF-ResNet182), and 10.3 MiB at worst together with
+the ranking's edge table (see :mod:`.analysis`).
 """
 
 from __future__ import annotations
@@ -128,20 +130,32 @@ class BuildRequest:
 
     @cached_property
     def _row(self):
-        """``(tuple(_parts(self)), each part's entries)``, made once per
-        template and path and kept in the template's table: the six entry
-        tuples are the table's own, one per edge."""
-        _, entries, paths = _table(self)
-        row = paths.get(self.path.label)
-        if row is None:
-            parts = tuple(_parts(self))
-            row = paths[self.path.label] = parts, tuple(entries[id(part)] for _, part in parts)
-        return row
+        """``(tuple(_parts(self)), each part's entries)``, the six entry
+        tuples being the template table's own, one per edge. Made once per
+        request object, so once per template and path for the requests a
+        ranking stores (:func:`_request_rule`)."""
+        _, entries, _ = _table(self)
+        parts = tuple(_parts(self))
+        return parts, tuple(entries[id(part)] for _, part in parts)
+
+    @cached_property
+    def _checked(self):
+        """``_row``, once :func:`build`'s checks have passed on this request
+        object: a failing check raises and records nothing, so it raises
+        again on the next build and no table is made for it."""
+        if len(self.block_counts) != 4:
+            raise BuildError(f"expected 4 per-stage block counts, got {self.block_counts}")
+        _check_integers(self)
+        recipe = self.family.recipe
+        kind = _block_kind(recipe, self.depth_label)
+        _validate_depth(self, kind, _sd_flags(recipe, self.path))
+        _check_options(self, recipe, kind)
+        return self._row
 
     @property
     def _elaborated(self):
-        """``tuple(_parts(self))``, from the template's table: a ranking's
-        count reads it, and ``build`` reads the same row."""
+        """``tuple(_parts(self))``, from ``_row``: a ranking's count reads
+        it, and ``build`` reads the same row."""
         return self._row[0]
 
 
@@ -370,24 +384,25 @@ def _head(original: bool, pooled: int, embedding_dim: int) -> tuple[None, tuple[
 @lru_cache(maxsize=_TEMPLATE_MEMO_SIZE, typed=True)
 def _template(rules, family, depth_label, base_channels, embedding_dim, input_freq_bins, se_reduction,
               res2net_scale, *block_counts) -> tuple[dict, dict, dict]:
-    """A template's ``(edges, entries, paths)`` table, filled by :func:`_parts`
-    and ``BuildRequest._row``: the ``(StageSpec or None, part)`` pairs of
-    the stem per stride, of each stage per stride pair and downsampling
-    flag and of the head per input size; each of those parts' entries as one
-    flat tuple, by ``id(part)`` (``edges`` holds the part, so no id is
-    reused); and each path's parts and their six entry tuples by
-    ``path.label``. Its key is every request field but the path, typed
-    (block counts one by one, so a ``4.0`` never shares a ``4``'s table),
-    and ``rules``, the functions that elaborate it, so one that is replaced
-    (a test's patch) starts a new table instead of being served stale parts."""
+    """A template's ``(edges, entries, requests)`` table, filled by
+    :func:`_parts` and :func:`_request_rule`: the ``(StageSpec or None,
+    part)`` pairs of the stem per stride, of each stage per stride pair and
+    downsampling flag and of the head per input size; each of those parts'
+    entries as one flat tuple, by ``id(part)`` (``edges`` holds the part, so
+    no id is reused); and, by ``path.label``, each ranked path's checked
+    request, which holds its row. Its key is every request field but the
+    path, typed (block counts one by one, so a ``4.0`` never shares a
+    ``4``'s table), and ``rules``, the functions that elaborate and check
+    it, so one that is replaced (a test's patch) starts a new table instead
+    of being served stale parts or requests."""
     return {}, {}, {}
 
 
 def _table(req: BuildRequest) -> tuple[dict, dict, dict]:
     """The table of ``req``'s template."""
-    return _template((_parts, _stem, _stage, _head), req.family, req.depth_label, req.base_channels,
-                     req.embedding_dim, req.input_freq_bins, req.se_reduction, req.res2net_scale,
-                     *req.block_counts)
+    return _template((_parts, _stem, _stage, _head, _check_integers, _validate_depth, _check_options), req.family,
+                     req.depth_label, req.base_channels, req.embedding_dim, req.input_freq_bins, req.se_reduction,
+                     req.res2net_scale, *req.block_counts)
 
 
 def _edge(table, key, rule, *args):
@@ -437,18 +452,12 @@ def _parts(req: BuildRequest):
 
 
 def build(req: BuildRequest) -> ModelSpec:
-    """Check ``req``, then concatenate its six parts' entry tuples, kept in
-    its template's table, into one spec, whose stages are its four stage
-    parts' specs."""
-    if len(req.block_counts) != 4:
-        raise BuildError(f"expected 4 per-stage block counts, got {req.block_counts}")
-    _check_integers(req)
+    """Check ``req``, once per request object (``BuildRequest._checked``),
+    then concatenate its six parts' entry tuples, kept in its template's
+    table, into a fresh spec, whose stages are its four stage parts'
+    specs."""
+    parts, (stem, stage2, stage3, stage4, stage5, head) = req._checked
     recipe = req.family.recipe
-    kind = _block_kind(recipe, req.depth_label)
-    _validate_depth(req, kind, _sd_flags(recipe, req.path))
-    _check_options(req, recipe, kind)
-
-    parts, (stem, stage2, stage3, stage4, stage5, head) = req._row
     return ModelSpec(
         family=req.family,
         depth_label=req.depth_label,
@@ -465,27 +474,56 @@ def build(req: BuildRequest) -> ModelSpec:
     )
 
 
-def _request_rule(spec: ModelSpec):
-    """``path -> BuildRequest``, the rule of :func:`request_from_spec` for
-    ``spec``, with every field that does not depend on the path read once.
-    Per path, the family falls back to modified ResNet where ``spec``'s does
-    not admit the path, and the depth label counts the blocks and the
-    path's :func:`_sd_flags` downsampling convs."""
-    block_counts = tuple(s.num_blocks for s in spec.stages)
+def _path_class(family: Family, path: TrellisPath) -> tuple[Family, tuple[bool, ...]]:
+    """All that substituting ``path`` into a ``family`` spec's request
+    changes besides the path: the family, modified ResNet where ``family``
+    does not admit the path, and its :func:`_sd_flags`, whose downsampling
+    convs the depth label counts."""
+    if not family.recipe.admits(path):
+        family = Family.MODIFIED_RESNET
+    return family, _sd_flags(family.recipe, path)
+
+
+def _spec_request(spec: ModelSpec, block_counts: tuple[int, ...], family: Family, sd_flags: tuple[bool, ...],
+                  path: TrellisPath) -> BuildRequest:
+    """``spec``'s request, given its block counts, with ``path`` and the
+    path's :func:`_path_class` substituted: the depth label counts the
+    blocks and the flags' downsampling convs."""
     kind = spec.stages[0].kind if spec.stages else None  # no stages: 0 blocks, refused
-    depths = {flags: depth_from_blocks(kind, sum(block_counts), sum(flags))
-              for family in (spec.family, Family.MODIFIED_RESNET) for flags in family.recipe.downsample}
-    fields = (spec.base_channels, block_counts, spec.embedding_dim, spec.input_freq_bins, spec.se_reduction,
-              spec.res2net_scale)
+    return BuildRequest(family, depth_from_blocks(kind, sum(block_counts), sum(sd_flags)), path,
+                        spec.base_channels, block_counts, spec.embedding_dim, spec.input_freq_bins,
+                        spec.se_reduction, spec.res2net_scale)
+
+
+def _request_rule(spec: ModelSpec):
+    """``path -> BuildRequest``, :func:`request_from_spec`'s request for
+    ``spec`` and ``path``, checked and stored in its template's table, where
+    a later ranking of the template finds it. Each :func:`_path_class`'s
+    table is resolved once per rule, on its first request whose checks pass,
+    so a request that fails them is never stored and makes no table; after
+    that, a path whose request is stored costs its class and two dict
+    lookups."""
+    block_counts = tuple(s.num_blocks for s in spec.stages)
+    tables = {}
 
     def request(path: TrellisPath) -> BuildRequest:
-        family = spec.family if spec.family.recipe.admits(path) else Family.MODIFIED_RESNET
-        return BuildRequest(family, depths[_sd_flags(family.recipe, path)], path, *fields)
+        key = _path_class(spec.family, path)
+        stored = tables.get(key)
+        if stored is not None:
+            req = stored.get(path.label)
+            if req is not None:
+                return req
+        req = _spec_request(spec, block_counts, *key, path)
+        req._checked  # raises if a check fails, before anything is stored
+        if stored is None:
+            stored = tables[key] = _table(req)[2]
+        return stored.setdefault(path.label, req)
 
     return request
 
 
 def request_from_spec(spec: ModelSpec, path: TrellisPath | None = None) -> BuildRequest:
     """Recover the build request a spec was elaborated from, optionally
-    substituting a different stride configuration, by :func:`_request_rule`."""
-    return _request_rule(spec)(path if path is not None else spec.path)
+    substituting a different stride configuration (:func:`_path_class`)."""
+    path = path if path is not None else spec.path
+    return _spec_request(spec, tuple(s.num_blocks for s in spec.stages), *_path_class(spec.family, path), path)

@@ -690,6 +690,128 @@ class TestEntryTuples:
             assert digest(path) == cold[path.label], path.label
 
 
+def _rank(template, endpoints, shape=TensorShape(1, 80, 300)):
+    """Rank ``template``'s families at ``endpoints``; DF-ResNet's 24 mixed
+    families raise their ``AssertionError`` after building every path."""
+    for endpoint in endpoints:
+        try:
+            rank_paths_by_flops(enumerate_paths(endpoint), shape, template)
+        except AssertionError:
+            pass
+
+
+def _recording_build(monkeypatch):
+    """Patch ``builder.build`` to record each ``(request, spec)`` it is handed."""
+    plain, built = builder_module.build, []
+
+    def recording(req):
+        spec = plain(req)
+        built.append((req, spec))
+        return spec
+
+    monkeypatch.setattr(builder_module, "build", recording)
+    return built
+
+
+_CHECKS = ("_check_integers", "_validate_depth", "_check_options")
+
+
+@pytest.mark.usefixtures("fresh_edges")
+class TestStoredRequests:
+    """A ranking stores each path's checked request in its template's
+    table, and a later ranking of the template hands ``build`` that object."""
+
+    @pytest.mark.parametrize("family, depth", [("modified_resnet", 34), ("original_resnet", 34),
+                                               ("sd_resnet", 22), ("df_resnet", 182)])
+    def test_a_second_ranking_builds_the_stored_requests_as_cold(self, family, depth, monkeypatch):
+        template = build(make_request(family, depth))
+        cold = {}
+        for path in ALL_PATHS:
+            _clear_memos()
+            cold[path.label] = model_to_json(build(request_from_spec(template, path=path)))
+        built = _recording_build(monkeypatch)
+        _rank(template, enumerate_endpoints())
+        first = {req.path.label: req for req, _ in built}
+        built.clear()
+        _rank(template, enumerate_endpoints())
+        assert len(built) == len(first) == len(ALL_PATHS)
+        for req, spec in built:
+            assert req is first[req.path.label], req.path.label
+            assert spec is not req._row and model_to_json(spec) == cold[req.path.label], req.path.label
+        assert built[0][1] is not build(built[0][0])
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"se_reduction": 3}, "stage 2: SE reduction 3 does not divide its 32 channels"),
+        ({"base_channels": 32.0}, "base_channels must be a positive integer, got 32.0"),
+        ({"embedding_dim": 0}, "embedding_dim must be a positive integer, got 0"),
+    ])
+    def test_a_failing_request_is_never_stored(self, edit, message):
+        template = dataclasses.replace(build(make_request("modified_resnet", 34, se_reduction=4)), **edit)
+        family = enumerate_paths(TrellisEndpoint(4, 8))
+        req = request_from_spec(template)
+        before, edges = _memo_states(), dict(analysis._EDGES)
+        for attempt in (lambda: build(req), lambda: rank_paths_by_flops(family, TensorShape(1, 80, 300), template)):
+            messages = []
+            for _ in range(2):
+                with pytest.raises(BuildError) as info:
+                    attempt()
+                messages.append(str(info.value))
+            assert messages == [message] * 2
+            assert _memo_states() == before
+            assert analysis._EDGES == edges
+        assert "_checked" not in vars(req) and "_row" not in vars(req)
+
+    def test_a_refusing_check_is_never_served_a_stored_request(self):
+        _clear_memos()
+        template = build(make_request("modified_resnet", 34))
+        family = enumerate_paths(TrellisEndpoint(4, 8))
+        rank_paths_by_flops(family, TensorShape(1, 80, 300), template)
+        stored = dict(builder_module._table(request_from_spec(template))[2])
+        assert len(stored) == len(family.paths)
+
+        def refusing(req, recipe, kind):
+            raise BuildError("refused")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(builder_module, "_check_options", refusing)
+            before = _memo_states()
+            with pytest.raises(BuildError, match="refused"):
+                rank_paths_by_flops(family, TensorShape(1, 80, 300), template)
+            assert _memo_states() == before
+        table = builder_module._table(request_from_spec(template))[2]
+        assert table.keys() == stored.keys() and all(table[label] is req for label, req in stored.items())
+
+    @pytest.mark.parametrize("name", [*_CHECKS, "_stage"])
+    def test_a_patched_check_or_stage_is_never_served_a_stored_request(self, name, monkeypatch):
+        # Two tables: DF-ResNet59's paths that stride at stage 2 are DF-ResNet60's.
+        template = build(make_request("df_resnet", 59))
+        endpoints = [TrellisEndpoint(4, 8)]
+        built = _recording_build(monkeypatch)
+        _rank(template, endpoints)
+        stored = {req.path.label: req for req, _ in built}
+        assert len({(req.family, req.depth_label) for req in stored.values()}) == 2
+        built.clear()
+        plain, calls = getattr(builder_module, name), []
+
+        def recording(*args):
+            calls.append(args)
+            return plain.__wrapped__(*args) if name == "_stage" else plain(*args)
+
+        monkeypatch.setattr(builder_module, name, recording)
+        _rank(template, endpoints)
+        assert len(built) == len(stored)
+        for req, spec in built:
+            old = stored[req.path.label]
+            assert req is not old and req == old
+            assert model_to_json(spec) == model_to_json(build(old))
+        # Each check runs once per new request, and each stage edge of the
+        # patched template's two new tables is elaborated once.
+        tables = {id(table): table for table in (builder_module._table(req) for req, _ in built)}
+        stage_edges = sum(len(key) == 3 for edges, _, _ in tables.values() for key in edges)
+        assert len(tables) == 2
+        assert len(calls) == (len(stored) if name in _CHECKS else stage_edges)
+
+
 class TestIntegerGate:
     @pytest.mark.parametrize(
         "field, value",
