@@ -48,7 +48,7 @@ counts a path; one path adds at most 6, so it never holds more than 4,102.
 Traced on a 2-vCPU Xeon, an entry costs 210-320 B while the builder holds
 its part and about 1.3 KB when it does not (ResNet152 and DF-ResNet182 at
 32 widths, builder memos and tables cleared): at worst 5.1 MiB beside the
-builder's memos, and 10.3 MiB with its template tables and their stored
+builder's memos, and 10.9 MiB with its template tables and their stored
 requests. The benchmark's six sweep templates fill 1,236 entries (0.4
 MiB); every preset and option fills 5,940 per duration.
 """

@@ -42,19 +42,22 @@ Above those memos, one table per template (every request field but the
 path, :func:`_template`) holds three things. The template's trellis edges:
 the ``(StageSpec or None, part)`` pairs of 4 stems, 16 stages and at most
 6 heads on every preset, each elaborated once. Each edge's entries, one
-flat tuple per part, flattened once. And, by ``path.label``, each ranked
-path's request (:func:`_request_rule`), checked once, which holds its row:
-its six parts and their six entry tuples. So a ranked path of a template
-seen before is two lookups and a build that runs no check, its parts are
-the objects every other path of the template shares, whatever the memos
-below have dropped, and its build concatenates six tuples instead of
-copying each block's run (DF-ResNet182 has about 60 runs and 604 entries).
-The memo keeps 8 templates (the benchmark's sweep uses 7). Traced on a
-2-vCPU Xeon, a stored request with its row costs about 490 B, 235 B more
-than the row alone; after ranking all 36 endpoints for 32 base widths and
-clearing the memos below, 8 tables hold 5.7 MiB for ResNet152 (about 730
-KB a table; 3.0 MiB for DF-ResNet182), and 10.3 MiB at worst together with
-the ranking's edge table (see :mod:`.analysis`).
+flat tuple per part, flattened once. And, by ``path.label``, the requests
+a ranking keeps (:func:`_request_rule`): :func:`request_from_spec`'s, each
+checked once and holding its row, its six parts and their six entry
+tuples. A ranking keeps them in one table, its first request's template
+under the ranked spec's family (a Gemini spec's fallback requests, modified
+ResNet's, stay in Gemini's table), found once that request passes its
+checks. So a warm ranking makes that one request, and each of its paths
+is a lookup and a build that runs no check, whose parts are the objects
+every path of the template shares, whatever the memos below have dropped,
+and which concatenates six tuples instead of copying each block's run
+(DF-ResNet182 has about 60 runs and 604 entries). The memo keeps 8
+templates (the benchmark's sweep uses 7). Traced on a 2-vCPU Xeon, a
+stored request with its row costs about 560 B; after ranking all 36
+endpoints for 32 base widths and clearing the memos below, 8 tables hold
+6.3 MiB for ResNet152, and 10.9 MiB at worst together with the ranking's
+edge table (see :mod:`.analysis`).
 """
 
 from __future__ import annotations
@@ -389,20 +392,20 @@ def _template(rules, family, depth_label, base_channels, embedding_dim, input_fr
     part)`` pairs of the stem per stride, of each stage per stride pair and
     downsampling flag and of the head per input size; each of those parts'
     entries as one flat tuple, by ``id(part)`` (``edges`` holds the part, so
-    no id is reused); and, by ``path.label``, each ranked path's checked
-    request, which holds its row. Its key is every request field but the
-    path, typed (block counts one by one, so a ``4.0`` never shares a
-    ``4``'s table), and ``rules``, the functions that elaborate and check
-    it, so one that is replaced (a test's patch) starts a new table instead
-    of being served stale parts or requests."""
+    no id is reused); and, by ``path.label``, the checked requests that
+    rankings keep in it (see the module docstring). Its key is every
+    request field but the path, typed (block counts one by one, so a
+    ``4.0`` never shares a ``4``'s table), and ``rules``, the functions that
+    elaborate and check it, so one that is replaced (a test's patch) starts
+    a new table instead of being served stale parts or requests."""
     return {}, {}, {}
 
 
-def _table(req: BuildRequest) -> tuple[dict, dict, dict]:
-    """The table of ``req``'s template."""
-    return _template((_parts, _stem, _stage, _head, _check_integers, _validate_depth, _check_options), req.family,
-                     req.depth_label, req.base_channels, req.embedding_dim, req.input_freq_bins, req.se_reduction,
-                     req.res2net_scale, *req.block_counts)
+def _table(req: BuildRequest, family: Family | None = None) -> tuple[dict, dict, dict]:
+    """The table of ``req``'s template, or of its template under ``family``."""
+    return _template((_parts, _stem, _stage, _head, _check_integers, _validate_depth, _check_options),
+                     req.family if family is None else family, req.depth_label, req.base_channels,
+                     req.embedding_dim, req.input_freq_bins, req.se_reduction, req.res2net_scale, *req.block_counts)
 
 
 def _edge(table, key, rule, *args):
@@ -474,56 +477,36 @@ def build(req: BuildRequest) -> ModelSpec:
     )
 
 
-def _path_class(family: Family, path: TrellisPath) -> tuple[Family, tuple[bool, ...]]:
-    """All that substituting ``path`` into a ``family`` spec's request
-    changes besides the path: the family, modified ResNet where ``family``
-    does not admit the path, and its :func:`_sd_flags`, whose downsampling
-    convs the depth label counts."""
-    if not family.recipe.admits(path):
-        family = Family.MODIFIED_RESNET
-    return family, _sd_flags(family.recipe, path)
-
-
-def _spec_request(spec: ModelSpec, block_counts: tuple[int, ...], family: Family, sd_flags: tuple[bool, ...],
-                  path: TrellisPath) -> BuildRequest:
-    """``spec``'s request, given its block counts, with ``path`` and the
-    path's :func:`_path_class` substituted: the depth label counts the
-    blocks and the flags' downsampling convs."""
-    kind = spec.stages[0].kind if spec.stages else None  # no stages: 0 blocks, refused
-    return BuildRequest(family, depth_from_blocks(kind, sum(block_counts), sum(sd_flags)), path,
-                        spec.base_channels, block_counts, spec.embedding_dim, spec.input_freq_bins,
-                        spec.se_reduction, spec.res2net_scale)
-
-
 def _request_rule(spec: ModelSpec):
-    """``path -> BuildRequest``, :func:`request_from_spec`'s request for
-    ``spec`` and ``path``, checked and stored in its template's table, where
-    a later ranking of the template finds it. Each :func:`_path_class`'s
-    table is resolved once per rule, on its first request whose checks pass,
-    so a request that fails them is never stored and makes no table; after
-    that, a path whose request is stored costs its class and two dict
-    lookups."""
-    block_counts = tuple(s.num_blocks for s in spec.stages)
-    tables = {}
+    """``path -> BuildRequest``: :func:`request_from_spec`'s request,
+    checked and kept by ``path.label`` in one template table, found once
+    the rule's first request passes its checks (see the module docstring)."""
+    store = {}  # a placeholder, empty only until the first request passes its checks
 
     def request(path: TrellisPath) -> BuildRequest:
-        key = _path_class(spec.family, path)
-        stored = tables.get(key)
-        if stored is not None:
-            req = stored.get(path.label)
-            if req is not None:
-                return req
-        req = _spec_request(spec, block_counts, *key, path)
-        req._checked  # raises if a check fails, before anything is stored
-        if stored is None:
-            stored = tables[key] = _table(req)[2]
-        return stored.setdefault(path.label, req)
+        nonlocal store
+        req = store.get(path.label)
+        if req is None:
+            req = request_from_spec(spec, path)
+            req._checked  # raises if a check fails, before anything is stored
+            if not store:
+                store = _table(req, spec.family)[2]
+            req = store.setdefault(path.label, req)
+        return req
 
     return request
 
 
 def request_from_spec(spec: ModelSpec, path: TrellisPath | None = None) -> BuildRequest:
-    """Recover the build request a spec was elaborated from, optionally
-    substituting a different stride configuration (:func:`_path_class`)."""
+    """Recover the build request a spec was elaborated from, or substitute
+    ``path`` into it: the one substitution rule. Where the spec's family
+    does not admit the path (Gemini off the golden endpoints) the request
+    is modified ResNet's, and its depth label counts the blocks and the
+    path's downsampling convs (:func:`_sd_flags`)."""
     path = path if path is not None else spec.path
-    return _spec_request(spec, tuple(s.num_blocks for s in spec.stages), *_path_class(spec.family, path), path)
+    family = spec.family if spec.family.recipe.admits(path) else Family.MODIFIED_RESNET
+    block_counts = tuple(s.num_blocks for s in spec.stages)
+    kind = spec.stages[0].kind if spec.stages else None  # no stages: 0 blocks, refused
+    depth_label = depth_from_blocks(kind, sum(block_counts), sum(_sd_flags(family.recipe, path)))
+    return BuildRequest(family, depth_label, path, spec.base_channels, block_counts, spec.embedding_dim,
+                        spec.input_freq_bins, spec.se_reduction, spec.res2net_scale)

@@ -364,15 +364,18 @@ class ModelSpec:
 
     def validate(self) -> None:
         """Check the rules no single layer can, in one :func:`route` pass:
-        positive top-level sizes, unique layer names, routable blocks, a
-        head projection (the last :class:`FullyConnected`) whose ``out_dim``
-        is ``embedding_dim``, ``se_reduction`` and ``res2net_scale`` against
-        their layers, the path's steps 2..5 against the stages' strides, in
-        order, then each step against the product of its stage's main-chain
-        conv and pool strides (shortcut convs left out). Raises
-        :class:`ValueError`."""
+        positive top-level sizes, a family that admits the path (as
+        :func:`~.builder.build` requires), unique layer names, routable
+        blocks, a head projection (the last :class:`FullyConnected`) whose
+        ``out_dim`` is ``embedding_dim``, ``se_reduction`` and
+        ``res2net_scale`` against their layers, the path's steps 2..5
+        against the stages' strides, in order, then each step against the
+        product of its stage's main-chain conv and pool strides (shortcut
+        convs left out). Raises :class:`ValueError`."""
         for name in ("depth_label", "base_channels", "embedding_dim", "input_freq_bins"):
             _check_positive(name, getattr(self, name))
+        if not self.family.recipe.admits(self.path):
+            raise ValueError(f"gemini family requires a golden-gemini endpoint, got {final_factors(self.path)}")
         # Weights and per-layer counts are keyed by name, so a repeated name
         # would silently alias two layers.
         seen: set[str] = set()

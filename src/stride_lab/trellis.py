@@ -7,12 +7,9 @@ the downsampling happens, and ranks a family by those FLOPs. Except in
 DF-ResNet, where a stage-2 stride adds a conv: 24 of DF-ResNet182's 36
 families mix two counts, and ranking one raises ``AssertionError``.
 
-A ranking gets a request and runs a build per path and discards the spec,
-so the builder makes both cheap: its request rule
-(``builder._request_rule``) stores each path's checked request in its
-template's table, so a later ranking of the template gets the same object
-in two dict lookups, and a build, which checks a request once, concatenates
-the six entry tuples of the path's row into a fresh spec.
+A ranking builds each path from :func:`~.builder.request_from_spec`'s
+request and discards the spec; :mod:`.builder` keeps those requests and
+their parts across rankings, so both steps are cheap.
 """
 
 from __future__ import annotations
@@ -80,12 +77,9 @@ def rank_paths_by_flops(
 ) -> tuple[RankedPath, ...]:
     """Order a family's paths by descending analytic FLOPs.
 
-    Every path is substituted into the template's build request, as
-    ``request_from_spec`` does, and built once. The request is made and
-    checked once per template and path and stored in the template's table
-    (``builder._request_rule``), so a later ranking hands ``build`` the same
-    object; the count reads the parts whose entry tuples ``build``
-    concatenates (``BuildRequest._row``). Parameter counts are asserted
+    Every path's request is ``request_from_spec``'s for the template, kept
+    across rankings by :mod:`.builder`, and built once; the count reads the
+    parts ``build`` concatenates. Parameter counts are asserted
     identical across the family, and each path is named by its strides.
     No built path underflows the input shape (every striding layer maps n to
     ceil(n/2)); a spec that does raises :class:`~.analysis.ShapeUnderflowError`.

@@ -686,6 +686,8 @@ MALFORMED_SPECS = {
         "StridePair(time=2, freq=2)"),
     "activation-sigmoid": (lambda d: _first_layer(d, "activation").update(fn="sigmoid"),
                            "layer 'stem.act': unsupported activation 'sigmoid'"),
+    "gemini-family-off-golden": (lambda d: d.update(family="gemini_resnet"),
+                                 "gemini family requires a golden-gemini endpoint, got (8, 8)"),
 }
 
 

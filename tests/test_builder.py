@@ -11,6 +11,7 @@ from stride_lab import builder as builder_module
 from stride_lab.analysis import AnalysisError, count_flops, count_params, trace
 from stride_lab.builder import (
     BuildError,
+    BuildRequest,
     build,
     depth_from_blocks,
     make_request,
@@ -810,6 +811,61 @@ class TestStoredRequests:
         stage_edges = sum(len(key) == 3 for edges, _, _ in tables.values() for key in edges)
         assert len(tables) == 2
         assert len(calls) == (len(stored) if name in _CHECKS else stage_edges)
+
+
+@pytest.mark.usefixtures("fresh_edges")
+class TestOneRequestRule:
+    """The ranking's requests come from ``request_from_spec``, kept in one
+    store per ranked template: a warm ranking makes one request, its first,
+    to find that store, whatever classes of request its paths fall in."""
+
+    @pytest.mark.parametrize("family, depth, path", [("df_resnet", 182, "MOD"), ("gemini_resnet", 34, "T14c"),
+                                                     ("modified_resnet", 34, "MOD")])
+    def test_a_warm_pass_makes_one_request_per_ranking(self, family, depth, path, monkeypatch):
+        template = build(make_request(family, depth, path=path))
+        endpoints = enumerate_endpoints()
+        _rank(template, endpoints)
+        plain, made = BuildRequest.__init__, []
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            plain(self, *args, **kwargs)
+
+        monkeypatch.setattr(BuildRequest, "__init__", counting)
+        _rank(template, endpoints)
+        # DF-ResNet182's 24 mixed families hold two classes of request (182
+        # and 183); one request per class and ranking would make 60.
+        if family == "df_resnet":
+            assert len(made) <= len(endpoints) == 36
+        else:
+            assert len(made) == len(endpoints) == 36
+
+    def test_a_warm_gemini_pass_builds_the_stored_requests_fallbacks_included(self, gemini34, monkeypatch):
+        cold = {}
+        for path in ALL_PATHS:
+            _clear_memos()
+            cold[path.label] = model_to_json(build(request_from_spec(gemini34, path=path)))
+        built = _recording_build(monkeypatch)
+        _rank(gemini34, enumerate_endpoints())
+        first = {req.path.label: req for req, _ in built}
+        built.clear()
+        _rank(gemini34, enumerate_endpoints())
+        assert len(built) == len(first) == len(ALL_PATHS)
+        assert {req.family for req, _ in built} == {Family.GEMINI_RESNET, Family.MODIFIED_RESNET}
+        for req, spec in built:
+            assert req is first[req.path.label], req.path.label
+            assert model_to_json(spec) == cold[req.path.label], req.path.label
+
+    def test_a_rule_keeps_its_requests_apart_from_another_familys(self, gemini34, mod34):
+        # Gemini's first request here is modified ResNet's fallback; its
+        # golden request must still not be served to modified ResNet's rule.
+        _clear_memos()
+        rule = builder_module._request_rule(gemini34)
+        off, golden = resolve_name("MOD"), resolve_name("T14c")
+        assert rule(off).family is Family.MODIFIED_RESNET
+        assert rule(golden).family is Family.GEMINI_RESNET
+        assert builder_module._request_rule(mod34)(golden) == request_from_spec(mod34, path=golden)
+        assert builder_module._request_rule(mod34)(golden).family is Family.MODIFIED_RESNET
 
 
 class TestIntegerGate:
